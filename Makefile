@@ -1,11 +1,11 @@
-# Mirrors .github/workflows/ci.yml: `make lint test fuzz-smoke crash
-# serve-smoke` locally is what CI runs remotely, so a green local run
-# means a green pipeline.
+# Mirrors .github/workflows/ci.yml: `make lint test benchmark-check
+# fuzz-smoke crash serve-smoke` locally is what CI runs remotely, so a
+# green local run means a green pipeline.
 
 GO ?= go
 BIN := bin
 
-.PHONY: all build test lint pcvet allowlist fuzz-smoke crash golden bench-json serve-smoke bench-layout clean
+.PHONY: all build test benchmark-check lint pcvet allowlist fuzz-smoke crash golden bench-json serve-smoke bench-layout clean
 
 all: build lint test
 
@@ -14,6 +14,13 @@ build:
 
 test:
 	$(GO) test -race ./...
+
+# The served benchmark (benchmark/) is a module of its own, so `go test
+# ./...` at the root neither builds nor tests it. It uses server.Config,
+# Options.WrapPager and disk.WithCounter; this catches a change to those
+# that would break it.
+benchmark-check:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # pcvet is the repository's custom multichecker (cmd/pcvet): pager
 # discipline, lock-vs-I/O ordering, fixed-width encodings, %w error
@@ -50,6 +57,7 @@ fuzz-smoke:
 	$(GO) test ./internal/disk -run='^$$' -fuzz=FuzzChainThroughPool -fuzztime=10s
 	$(GO) test ./internal/disk -run='^$$' -fuzz=FuzzFileStoreOpen -fuzztime=10s
 	$(GO) test ./internal/server -run='^$$' -fuzz=FuzzServerRequestDecode -fuzztime=10s
+	$(GO) test ./internal/server -run='^$$' -fuzz=FuzzResponseEncode -fuzztime=10s
 	$(GO) test ./internal/btree -run='^$$' -fuzz=FuzzLayoutPageDecode -fuzztime=10s
 	$(GO) test ./internal/skeletal -run='^$$' -fuzz=FuzzLayoutPageDecode -fuzztime=10s
 	$(GO) test ./internal/skeletal -run='^$$' -fuzz=FuzzMetaReopen -fuzztime=10s

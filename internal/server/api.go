@@ -6,7 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
+	"strconv"
 
 	"pathcache"
 )
@@ -186,29 +188,33 @@ type reloadReq struct {
 	Shard *int `json:"shard,omitempty"`
 }
 
-// Response shapes.
+// Response shapes. Every result-bearing response encodes itself with
+// appendJSON, straight from the engine's []pathcache.Point and
+// []pathcache.Interval: no per-request copy into tagged structs and no
+// reflection. The bytes are exactly what encoding/json produces for the
+// wire shape in each type's comment — field order, omitempty and number
+// formatting included — which FuzzResponseEncode pins against
+// encoding/json itself. Error and /varz bodies still go through
+// encoding/json; writeJSON sends both kinds.
 
-type pointJSON struct {
-	X  int64  `json:"x"`
-	Y  int64  `json:"y"`
-	ID uint64 `json:"id"`
-}
-
-type intervalJSON struct {
-	Lo int64  `json:"lo"`
-	Hi int64  `json:"hi"`
-	ID uint64 `json:"id"`
+// response is a result-bearing response body. appendJSON appends its JSON
+// encoding, without the newline json.Encoder ends a value with.
+type response interface {
+	appendJSON(b []byte) []byte
 }
 
 // ioJSON is the per-request exact I/O attribution: the op-scoped counter's
 // page transfers, never a global diff, so load tests can sum per-op counts
-// straight off the responses.
+// straight off the responses. Wire shape:
+// {"reads", "writes", "cache_hits", "bound" and "ratio" (omitted when 0)}.
+// Bound and Ratio are finite: the obs registry derives them from a
+// positive theorem bound.
 type ioJSON struct {
-	Reads     int64   `json:"reads"`
-	Writes    int64   `json:"writes"`
-	CacheHits int64   `json:"cache_hits"`
-	Bound     float64 `json:"bound,omitempty"`
-	Ratio     float64 `json:"ratio,omitempty"`
+	Reads     int64
+	Writes    int64
+	CacheHits int64
+	Bound     float64
+	Ratio     float64
 }
 
 func ioOf(p pathcache.IOProfile) ioJSON {
@@ -232,49 +238,186 @@ func ioOfShards(profs []pathcache.ShardProfile) ioJSON {
 	return out
 }
 
+func (io ioJSON) appendJSON(b []byte) []byte {
+	b = append(b, `{"reads":`...)
+	b = strconv.AppendInt(b, io.Reads, 10)
+	b = append(b, `,"writes":`...)
+	b = strconv.AppendInt(b, io.Writes, 10)
+	b = append(b, `,"cache_hits":`...)
+	b = strconv.AppendInt(b, io.CacheHits, 10)
+	if io.Bound != 0 {
+		b = append(b, `,"bound":`...)
+		b = appendFloat(b, io.Bound)
+	}
+	if io.Ratio != 0 {
+		b = append(b, `,"ratio":`...)
+		b = appendFloat(b, io.Ratio)
+	}
+	return append(b, '}')
+}
+
+// queryResponse answers /v1/query, /v1/window and /v1/stab. Wire shape:
+// {"count", "points" or "intervals" (omitted when empty), "io"}.
 type queryResponse struct {
-	Count     int            `json:"count"`
-	Points    []pointJSON    `json:"points,omitempty"`
-	Intervals []intervalJSON `json:"intervals,omitempty"`
-	IO        ioJSON         `json:"io"`
+	Points    []pathcache.Point
+	Intervals []pathcache.Interval
+	IO        ioJSON
 }
 
+func (r *queryResponse) appendJSON(b []byte) []byte {
+	b = append(b, `{"count":`...)
+	b = strconv.AppendInt(b, int64(len(r.Points)+len(r.Intervals)), 10)
+	if len(r.Points) > 0 {
+		b = append(b, `,"points":`...)
+		b = appendPoints(b, r.Points)
+	}
+	if len(r.Intervals) > 0 {
+		b = append(b, `,"intervals":`...)
+		b = appendIntervals(b, r.Intervals)
+	}
+	b = append(b, `,"io":`...)
+	b = r.IO.appendJSON(b)
+	return append(b, '}')
+}
+
+// searchResponse answers /v1/search. Wire shape: {"found", "io"}.
 type searchResponse struct {
-	Found bool   `json:"found"`
-	IO    ioJSON `json:"io"`
+	Found bool
+	IO    ioJSON
 }
 
+func (r *searchResponse) appendJSON(b []byte) []byte {
+	b = append(b, `{"found":`...)
+	b = strconv.AppendBool(b, r.Found)
+	b = append(b, `,"io":`...)
+	b = r.IO.appendJSON(b)
+	return append(b, '}')
+}
+
+// batchResponse answers the /batch endpoints. Wire shape: {"queries",
+// "workers", "results", "point_results" or "interval_results" (omitted
+// when empty; an empty answer inside is []), "io"}.
 type batchResponse struct {
-	Queries   int              `json:"queries"`
-	Workers   int              `json:"workers"`
-	Results   int              `json:"results"`
-	Points    [][]pointJSON    `json:"point_results,omitempty"`
-	Intervals [][]intervalJSON `json:"interval_results,omitempty"`
-	IO        ioJSON           `json:"io"`
+	Queries   int
+	Workers   int
+	Results   int
+	Points    [][]pathcache.Point
+	Intervals [][]pathcache.Interval
+	IO        ioJSON
 }
 
+func (r *batchResponse) appendJSON(b []byte) []byte {
+	b = append(b, `{"queries":`...)
+	b = strconv.AppendInt(b, int64(r.Queries), 10)
+	b = append(b, `,"workers":`...)
+	b = strconv.AppendInt(b, int64(r.Workers), 10)
+	b = append(b, `,"results":`...)
+	b = strconv.AppendInt(b, int64(r.Results), 10)
+	if len(r.Points) > 0 {
+		b = append(b, `,"point_results":[`...)
+		for i, pts := range r.Points {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = appendPoints(b, pts)
+		}
+		b = append(b, ']')
+	}
+	if len(r.Intervals) > 0 {
+		b = append(b, `,"interval_results":[`...)
+		for i, ivs := range r.Intervals {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = appendIntervals(b, ivs)
+		}
+		b = append(b, ']')
+	}
+	b = append(b, `,"io":`...)
+	b = r.IO.appendJSON(b)
+	return append(b, '}')
+}
+
+// updateResponse answers /v1/insert and /v1/delete. Wire shape:
+// {"records", "io"}.
 type updateResponse struct {
-	Records int    `json:"records"`
-	IO      ioJSON `json:"io"`
+	Records int
+	IO      ioJSON
 }
 
+func (r *updateResponse) appendJSON(b []byte) []byte {
+	b = append(b, `{"records":`...)
+	b = strconv.AppendInt(b, int64(r.Records), 10)
+	b = append(b, `,"io":`...)
+	b = r.IO.appendJSON(b)
+	return append(b, '}')
+}
+
+// okResponse acknowledges maintenance. Wire shape: {"ok", "background"
+// (omitted when false)}.
 type okResponse struct {
-	OK         bool `json:"ok"`
-	Background bool `json:"background,omitempty"`
+	OK         bool
+	Background bool
 }
 
-func toPointsJSON(pts []pathcache.Point) []pointJSON {
-	out := make([]pointJSON, len(pts))
+func (r *okResponse) appendJSON(b []byte) []byte {
+	b = append(b, `{"ok":`...)
+	b = strconv.AppendBool(b, r.OK)
+	if r.Background {
+		b = append(b, `,"background":true`...)
+	}
+	return append(b, '}')
+}
+
+// appendPoints appends [{"x","y","id"},...]; nil and empty are both [].
+func appendPoints(b []byte, pts []pathcache.Point) []byte {
+	b = append(b, '[')
 	for i, p := range pts {
-		out[i] = pointJSON{X: p.X, Y: p.Y, ID: p.ID}
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, `{"x":`...)
+		b = strconv.AppendInt(b, p.X, 10)
+		b = append(b, `,"y":`...)
+		b = strconv.AppendInt(b, p.Y, 10)
+		b = append(b, `,"id":`...)
+		b = strconv.AppendUint(b, p.ID, 10)
+		b = append(b, '}')
 	}
-	return out
+	return append(b, ']')
 }
 
-func toIntervalsJSON(ivs []pathcache.Interval) []intervalJSON {
-	out := make([]intervalJSON, len(ivs))
+// appendIntervals appends [{"lo","hi","id"},...]; nil and empty are both [].
+func appendIntervals(b []byte, ivs []pathcache.Interval) []byte {
+	b = append(b, '[')
 	for i, iv := range ivs {
-		out[i] = intervalJSON{Lo: iv.Lo, Hi: iv.Hi, ID: iv.ID}
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, `{"lo":`...)
+		b = strconv.AppendInt(b, iv.Lo, 10)
+		b = append(b, `,"hi":`...)
+		b = strconv.AppendInt(b, iv.Hi, 10)
+		b = append(b, `,"id":`...)
+		b = strconv.AppendUint(b, iv.ID, 10)
+		b = append(b, '}')
 	}
-	return out
+	return append(b, ']')
+}
+
+// appendFloat formats a finite f as encoding/json does: the shortest
+// digits that round-trip, in plain notation except for magnitudes below
+// 1e-6 or from 1e21 up, whose exponent loses a leading zero (1e-07 is
+// written 1e-7).
+func appendFloat(b []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b
 }

@@ -18,6 +18,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -25,6 +26,7 @@ import (
 	"net/http"
 	"runtime"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -188,14 +190,14 @@ func (s *Server) Metrics() obs.ServeSnapshot { return s.set.Snapshot() }
 
 // opFunc runs one decoded operation. It executes on a worker goroutine
 // under the request's deadline context and must not touch the
-// ResponseWriter; it returns the JSON-able response value plus the result
-// count for the serve metrics, or a typed error.
-type opFunc func(ctx context.Context, body []byte) (any, int, *apiError)
+// ResponseWriter; it returns the response plus the result count for the
+// serve metrics, or a typed error.
+type opFunc func(ctx context.Context, body []byte) (response, int, *apiError)
 
 // opResult crosses from the worker goroutine back to the request
 // goroutine.
 type opResult struct {
-	out     any
+	out     response
 	results int
 	apiErr  *apiError
 }
@@ -276,6 +278,11 @@ func (s *Server) op(endpoint string, fn opFunc) http.HandlerFunc {
 			// the stall breaks and the typed timeout actually reaches the
 			// peer.
 			http.NewResponseController(w).SetReadDeadline(time.Now()) //nolint:errcheck
+			// That expired deadline stays on the connection, and the next
+			// request a keep-alive client sent on it would get a 504 too:
+			// close the connection after this response so the client
+			// redials.
+			w.Header().Set("Connection", "close")
 			// The operation keeps running against its pinned snapshot and
 			// releases its slot when it finishes; the client hears the
 			// typed timeout now.
@@ -313,7 +320,7 @@ func (s *Server) acquire() (pathcache.Index, func() error, *apiError) {
 
 // finish releases the snapshot pin, folding a close error (the releaser
 // may be the last reader of a swapped-out index) into the response.
-func finish(out any, results int, release func() error) (any, int, *apiError) {
+func finish(out response, results int, release func() error) (response, int, *apiError) {
 	if err := release(); err != nil {
 		return nil, 0, mapStoreErr(err)
 	}
@@ -322,7 +329,7 @@ func finish(out any, results int, release func() error) (any, int, *apiError) {
 
 // opQuery answers /v1/query: {a, b} on 2-sided kinds (twosided, and lsm
 // over a point base), {a1, a2, b} on the 3-sided kind.
-func (s *Server) opQuery(ctx context.Context, body []byte) (any, int, *apiError) {
+func (s *Server) opQuery(ctx context.Context, body []byte) (response, int, *apiError) {
 	var req queryReq
 	if aerr := decodeStrict(body, &req); aerr != nil {
 		return nil, 0, aerr
@@ -384,7 +391,7 @@ func (s *Server) opQuery(ctx context.Context, body []byte) (any, int, *apiError)
 			release()
 			return nil, 0, mapStoreErr(err)
 		}
-		resp := &queryResponse{Count: len(pts), Points: toPointsJSON(pts), IO: ioOfShards(profs)}
+		resp := &queryResponse{Points: pts, IO: ioOfShards(profs)}
 		return finish(resp, len(pts), release)
 	default:
 		release()
@@ -394,7 +401,7 @@ func (s *Server) opQuery(ctx context.Context, body []byte) (any, int, *apiError)
 		release()
 		return nil, 0, mapStoreErr(err)
 	}
-	resp := &queryResponse{Count: len(pts), Points: toPointsJSON(pts), IO: ioOf(prof)}
+	resp := &queryResponse{Points: pts, IO: ioOf(prof)}
 	return finish(resp, len(pts), release)
 }
 
@@ -429,7 +436,7 @@ func (q *queryReq) need3Sided() *apiError {
 }
 
 // opWindow answers /v1/window on the window kind.
-func (s *Server) opWindow(ctx context.Context, body []byte) (any, int, *apiError) {
+func (s *Server) opWindow(ctx context.Context, body []byte) (response, int, *apiError) {
 	var req windowReq
 	if aerr := decodeStrict(body, &req); aerr != nil {
 		return nil, 0, aerr
@@ -470,13 +477,13 @@ func (s *Server) opWindow(ctx context.Context, body []byte) (any, int, *apiError
 		release()
 		return nil, 0, mapStoreErr(err)
 	}
-	resp := &queryResponse{Count: len(pts), Points: toPointsJSON(pts), IO: io}
+	resp := &queryResponse{Points: pts, IO: io}
 	return finish(resp, len(pts), release)
 }
 
 // opStab answers /v1/stab on the interval kinds (segment, interval,
 // stabbing, and lsm over an interval base).
-func (s *Server) opStab(ctx context.Context, body []byte) (any, int, *apiError) {
+func (s *Server) opStab(ctx context.Context, body []byte) (response, int, *apiError) {
 	var req stabReq
 	if aerr := decodeStrict(body, &req); aerr != nil {
 		return nil, 0, aerr
@@ -518,7 +525,7 @@ func (s *Server) opStab(ctx context.Context, body []byte) (any, int, *apiError) 
 			release()
 			return nil, 0, mapStoreErr(err)
 		}
-		resp := &queryResponse{Count: len(ivs), Intervals: toIntervalsJSON(ivs), IO: ioOfShards(profs)}
+		resp := &queryResponse{Intervals: ivs, IO: ioOfShards(profs)}
 		return finish(resp, len(ivs), release)
 	default:
 		release()
@@ -528,13 +535,13 @@ func (s *Server) opStab(ctx context.Context, body []byte) (any, int, *apiError) 
 		release()
 		return nil, 0, mapStoreErr(err)
 	}
-	resp := &queryResponse{Count: len(ivs), Intervals: toIntervalsJSON(ivs), IO: ioOf(prof)}
+	resp := &queryResponse{Intervals: ivs, IO: ioOf(prof)}
 	return finish(resp, len(ivs), release)
 }
 
 // opSearch answers /v1/search — the exact-record membership probe the
 // write tier serves through its bloom filters.
-func (s *Server) opSearch(ctx context.Context, body []byte) (any, int, *apiError) {
+func (s *Server) opSearch(ctx context.Context, body []byte) (response, int, *apiError) {
 	var req recordReq
 	if aerr := decodeStrict(body, &req); aerr != nil {
 		return nil, 0, aerr
@@ -589,7 +596,7 @@ func (s *Server) batchWorkers(asked int) int {
 
 // opQueryBatch fans /v1/query/batch across the worker pool via the
 // index's QueryBatch.
-func (s *Server) opQueryBatch(ctx context.Context, body []byte) (any, int, *apiError) {
+func (s *Server) opQueryBatch(ctx context.Context, body []byte) (response, int, *apiError) {
 	var req queryBatchReq
 	if aerr := decodeStrict(body, &req); aerr != nil {
 		return nil, 0, aerr
@@ -676,16 +683,12 @@ func (s *Server) opQueryBatch(ctx context.Context, body []byte) (any, int, *apiE
 		release()
 		return nil, 0, mapStoreErr(err)
 	}
-	resp := &batchResponse{Queries: st.Queries, Workers: st.Workers, Results: st.Results, IO: ioOfBatch(st)}
-	resp.Points = make([][]pointJSON, len(out))
-	for i, pts := range out {
-		resp.Points[i] = toPointsJSON(pts)
-	}
+	resp := &batchResponse{Queries: st.Queries, Workers: st.Workers, Results: st.Results, Points: out, IO: ioOfBatch(st)}
 	return finish(resp, st.Results, release)
 }
 
 // opWindowBatch fans /v1/window/batch across the worker pool.
-func (s *Server) opWindowBatch(ctx context.Context, body []byte) (any, int, *apiError) {
+func (s *Server) opWindowBatch(ctx context.Context, body []byte) (response, int, *apiError) {
 	var req windowBatchReq
 	if aerr := decodeStrict(body, &req); aerr != nil {
 		return nil, 0, aerr
@@ -730,16 +733,12 @@ func (s *Server) opWindowBatch(ctx context.Context, body []byte) (any, int, *api
 		release()
 		return nil, 0, mapStoreErr(err)
 	}
-	resp := &batchResponse{Queries: st.Queries, Workers: st.Workers, Results: st.Results, IO: ioOfBatch(st)}
-	resp.Points = make([][]pointJSON, len(out))
-	for i, pts := range out {
-		resp.Points[i] = toPointsJSON(pts)
-	}
+	resp := &batchResponse{Queries: st.Queries, Workers: st.Workers, Results: st.Results, Points: out, IO: ioOfBatch(st)}
 	return finish(resp, st.Results, release)
 }
 
 // opStabBatch fans /v1/stab/batch across the worker pool.
-func (s *Server) opStabBatch(ctx context.Context, body []byte) (any, int, *apiError) {
+func (s *Server) opStabBatch(ctx context.Context, body []byte) (response, int, *apiError) {
 	var req stabBatchReq
 	if aerr := decodeStrict(body, &req); aerr != nil {
 		return nil, 0, aerr
@@ -785,11 +784,7 @@ func (s *Server) opStabBatch(ctx context.Context, body []byte) (any, int, *apiEr
 		release()
 		return nil, 0, mapStoreErr(err)
 	}
-	resp := &batchResponse{Queries: st.Queries, Workers: st.Workers, Results: st.Results, IO: ioOfBatch(st)}
-	resp.Intervals = make([][]intervalJSON, len(out))
-	for i, ivs := range out {
-		resp.Intervals[i] = toIntervalsJSON(ivs)
-	}
+	resp := &batchResponse{Queries: st.Queries, Workers: st.Workers, Results: st.Results, Intervals: out, IO: ioOfBatch(st)}
 	return finish(resp, st.Results, release)
 }
 
@@ -840,17 +835,17 @@ func (s *Server) writable(op string) (writeTier, func() error, *apiError) {
 }
 
 // opInsert appends one record through the write tier's WAL.
-func (s *Server) opInsert(ctx context.Context, body []byte) (any, int, *apiError) {
+func (s *Server) opInsert(ctx context.Context, body []byte) (response, int, *apiError) {
 	return s.update(ctx, body, "insert", writeTier.Insert)
 }
 
 // opDelete tombstones one record.
-func (s *Server) opDelete(ctx context.Context, body []byte) (any, int, *apiError) {
+func (s *Server) opDelete(ctx context.Context, body []byte) (response, int, *apiError) {
 	return s.update(ctx, body, "delete", writeTier.Delete)
 }
 
 func (s *Server) update(ctx context.Context, body []byte, op string,
-	apply func(writeTier, pathcache.Point) (pathcache.IOProfile, error)) (any, int, *apiError) {
+	apply func(writeTier, pathcache.Point) (pathcache.IOProfile, error)) (response, int, *apiError) {
 	var req recordReq
 	if aerr := decodeStrict(body, &req); aerr != nil {
 		return nil, 0, aerr
@@ -874,7 +869,7 @@ func (s *Server) update(ctx context.Context, body []byte, op string,
 }
 
 // opFlush seals the memtable now.
-func (s *Server) opFlush(ctx context.Context, body []byte) (any, int, *apiError) {
+func (s *Server) opFlush(ctx context.Context, body []byte) (response, int, *apiError) {
 	if aerr := decodeStrict(body, &struct{}{}); aerr != nil {
 		return nil, 0, aerr
 	}
@@ -897,7 +892,7 @@ func (s *Server) opFlush(ctx context.Context, body []byte) (any, int, *apiError)
 // ({"background": true}) that never blocks readers. A background attempt
 // that loses the race with a concurrent flush discards its work (counted
 // as stale in /varz) — the state that superseded it is already newer.
-func (s *Server) opCompact(ctx context.Context, body []byte) (any, int, *apiError) {
+func (s *Server) opCompact(ctx context.Context, body []byte) (response, int, *apiError) {
 	var req compactReq
 	if aerr := decodeStrict(body, &req); aerr != nil {
 		return nil, 0, aerr
@@ -952,7 +947,7 @@ func compactBackground(w writeTier) <-chan error {
 // Against a sharded store, {"shard": i} reloads only shard i — the shard's
 // own hot-swap handle installs the fresh file while pinned readers finish
 // on the snapshot they hold.
-func (s *Server) opReload(ctx context.Context, body []byte) (any, int, *apiError) {
+func (s *Server) opReload(ctx context.Context, body []byte) (response, int, *apiError) {
 	var req reloadReq
 	if aerr := decodeStrict(body, &req); aerr != nil {
 		return nil, 0, aerr
@@ -1097,11 +1092,39 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	WriteIndexMetrics(w, m)
 }
 
+// maxPooledBody caps the response buffers kept for reuse. A rare huge
+// answer's buffer is dropped after its write instead of staying pinned in
+// the pool, so RSS stays bounded by typical responses.
+const maxPooledBody = 256 << 10
+
+var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// writeJSON sends one JSON body: a result-bearing response through its
+// append encoder, anything else (errors, /varz) through encoding/json.
+// Either way the body is built in a pooled buffer and goes out with its
+// Content-Length in a single Write, so net/http neither chunks it nor
+// splits it into buffer-sized writes.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	bp := bodyPool.Get().(*[]byte)
+	b := (*bp)[:0]
+	if r, ok := v.(response); ok {
+		b = append(r.appendJSON(b), '\n')
+	} else {
+		buf := bytes.NewBuffer(b)
+		// Encode writes nothing on failure: an unencodable value sends an
+		// empty body.
+		json.NewEncoder(buf).Encode(v) //nolint:errcheck
+		b = buf.Bytes()
+	}
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(b)))
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.Encode(v) //nolint:errcheck // a failed response write has no one to tell
+	w.Write(b) //nolint:errcheck // a failed response write has no one to tell
+	if cap(b) <= maxPooledBody {
+		*bp = b
+		bodyPool.Put(bp)
+	}
 }
 
 func writeErr(w http.ResponseWriter, e *apiError) {

@@ -1,9 +1,10 @@
 package pathcache
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 
 	"pathcache/internal/shard"
@@ -34,31 +35,116 @@ type ShardBatchStats struct {
 	Stats   BatchStats
 }
 
-// canonicalPoints sorts pts by (X, Y, ID) — the merge order every sharded
-// point query returns.
-func canonicalPoints(pts []Point) {
-	sort.Slice(pts, func(a, b int) bool {
-		if pts[a].X != pts[b].X {
-			return pts[a].X < pts[b].X
+// canonicalPoints sorts pts into (X, Y, ID) order — the merge order every
+// sharded answer returns — using scratch, which must be as long as pts.
+//
+// It is an LSD radix sort on X, ping-ponging between pts and scratch, then
+// a comparison sort on (Y, ID) inside each run of equal X. Flipping the
+// sign bit makes the unsigned byte order the signed order. One histogram
+// pass counts all eight byte positions at once; a position where every key
+// has the same byte would be an identity pass and is skipped, so 30-bit
+// keys cost four scatter passes, not eight. Every pass is a stable linear
+// sweep over contiguous memory, so the result does not depend on the order
+// the shards' answers were concatenated in.
+func canonicalPoints(pts, scratch []Point) {
+	n := len(pts)
+	if n < 2 {
+		return
+	}
+	const sign = 1 << 63
+	var counts [8][256]uint32
+	for _, p := range pts {
+		k := uint64(p.X) ^ sign
+		counts[0][byte(k)]++
+		counts[1][byte(k>>8)]++
+		counts[2][byte(k>>16)]++
+		counts[3][byte(k>>24)]++
+		counts[4][byte(k>>32)]++
+		counts[5][byte(k>>40)]++
+		counts[6][byte(k>>48)]++
+		counts[7][byte(k>>56)]++
+	}
+	k0 := uint64(pts[0].X) ^ sign
+	src, dst := pts, scratch[:n]
+	for b := range counts {
+		c, shift := &counts[b], 8*uint(b)
+		if int(c[byte(k0>>shift)]) == n {
+			continue
 		}
-		if pts[a].Y != pts[b].Y {
-			return pts[a].Y < pts[b].Y
+		var off uint32
+		for v := range c {
+			c[v], off = off, off+c[v]
 		}
-		return pts[a].ID < pts[b].ID
-	})
+		for _, p := range src {
+			v := byte((uint64(p.X) ^ sign) >> shift)
+			dst[c[v]] = p
+			c[v]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &pts[0] {
+		copy(pts, src)
+	}
+	for i := 0; i < n; {
+		j := i + 1
+		for j < n && pts[j].X == pts[i].X {
+			j++
+		}
+		if j-i > 1 {
+			slices.SortFunc(pts[i:j], func(a, b Point) int {
+				if c := cmp.Compare(a.Y, b.Y); c != 0 {
+					return c
+				}
+				return cmp.Compare(a.ID, b.ID)
+			})
+		}
+		i = j
+	}
 }
 
-// canonicalIntervals sorts ivs by (Lo, Hi, ID).
-func canonicalIntervals(ivs []Interval) {
-	sort.Slice(ivs, func(a, b int) bool {
-		if ivs[a].Lo != ivs[b].Lo {
-			return ivs[a].Lo < ivs[b].Lo
+// mergePoints concatenates the shards' answers into one slice allocated at
+// the exact total size and sorts it canonically. No answers merge to nil,
+// like a single store's empty result.
+func mergePoints(parts [][]Point) []Point {
+	n := 0
+	for _, p := range parts {
+		n += len(p)
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]Point, 0, n)
+	for _, p := range parts {
+		out = append(out, p...)
+	}
+	canonicalPoints(out, make([]Point, n))
+	return out
+}
+
+// mergeIntervals is mergePoints for intervals. (Lo, Hi, ID) order is the
+// (X, Y, ID) order of the field-wise copy, so the answers are concatenated
+// as points, sorted by the same radix sort, and copied out once.
+func mergeIntervals(parts [][]Interval) []Interval {
+	n := 0
+	for _, p := range parts {
+		n += len(p)
+	}
+	if n == 0 {
+		return nil
+	}
+	buf := make([]Point, 2*n)
+	pts := buf[:0:n]
+	for _, p := range parts {
+		for _, iv := range p {
+			pts = append(pts, Point{X: iv.Lo, Y: iv.Hi, ID: iv.ID})
 		}
-		if ivs[a].Hi != ivs[b].Hi {
-			return ivs[a].Hi < ivs[b].Hi
-		}
-		return ivs[a].ID < ivs[b].ID
-	})
+	}
+	canonicalPoints(pts, buf[n:])
+	out := make([]Interval, n)
+	for i, p := range pts {
+		out[i] = Interval{Lo: p.X, Hi: p.Y, ID: p.ID}
+	}
+	return out
 }
 
 func (s *Sharded) kindError(op string) error {
@@ -111,10 +197,10 @@ func (s *Sharded) QueryProfile(a, b int64) ([]Point, []ShardProfile, error) {
 	if s.kind != kindTwoSided && s.kind != kindLSM {
 		return nil, nil, s.kindError("Query")
 	}
-	var out []Point
+	var parts [][]Point
 	var profs []ShardProfile
 	err := s.withSnapshot(func(shards []shard.Shard, splits []int64) error {
-		out, profs = nil, nil
+		parts, profs = nil, nil
 		return gatherSerial(shards, shard.Suffix(splits, a), len(shards), &profs, func(_ int, ix Index) (IOProfile, error) {
 			var pts []Point
 			var prof IOProfile
@@ -125,15 +211,14 @@ func (s *Sharded) QueryProfile(a, b int64) ([]Point, []ShardProfile, error) {
 			case *LSMIndex:
 				pts, prof, err = t.Query(a, b)
 			}
-			out = append(out, pts...)
+			parts = append(parts, pts)
 			return prof, err
 		})
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-	canonicalPoints(out)
-	return out, profs, nil
+	return mergePoints(parts), profs, nil
 }
 
 // QueryThreeSided answers the 3-sided query {a1 <= x <= a2, y >= b} across
@@ -148,22 +233,21 @@ func (s *Sharded) QueryThreeSidedProfile(a1, a2, b int64) ([]Point, []ShardProfi
 	if s.kind != kindThreeSide {
 		return nil, nil, s.kindError("QueryThreeSided")
 	}
-	var out []Point
+	var parts [][]Point
 	var profs []ShardProfile
 	err := s.withSnapshot(func(shards []shard.Shard, splits []int64) error {
-		out, profs = nil, nil
+		parts, profs = nil, nil
 		from, to := shard.Overlap(splits, a1, a2)
 		return gatherSerial(shards, from, to, &profs, func(_ int, ix Index) (IOProfile, error) {
 			pts, prof, err := ix.(*ThreeSidedIndex).QueryProfile(a1, a2, b)
-			out = append(out, pts...)
+			parts = append(parts, pts)
 			return prof, err
 		})
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-	canonicalPoints(out)
-	return out, profs, nil
+	return mergePoints(parts), profs, nil
 }
 
 // WindowQuery answers the 4-sided query [x1, x2] × [y1, y2] across the
@@ -178,22 +262,21 @@ func (s *Sharded) WindowQueryProfile(x1, x2, y1, y2 int64) ([]Point, []ShardProf
 	if s.kind != kindWindow {
 		return nil, nil, s.kindError("WindowQuery")
 	}
-	var out []Point
+	var parts [][]Point
 	var profs []ShardProfile
 	err := s.withSnapshot(func(shards []shard.Shard, splits []int64) error {
-		out, profs = nil, nil
+		parts, profs = nil, nil
 		from, to := shard.Overlap(splits, x1, x2)
 		return gatherSerial(shards, from, to, &profs, func(_ int, ix Index) (IOProfile, error) {
 			pts, prof, err := ix.(*WindowIndex).QueryProfile(x1, x2, y1, y2)
-			out = append(out, pts...)
+			parts = append(parts, pts)
 			return prof, err
 		})
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-	canonicalPoints(out)
-	return out, profs, nil
+	return mergePoints(parts), profs, nil
 }
 
 // Stab reports every interval containing q, merged in (Lo, Hi, ID) order.
@@ -211,10 +294,10 @@ func (s *Sharded) StabProfile(q int64) ([]Interval, []ShardProfile, error) {
 	default:
 		return nil, nil, s.kindError("Stab")
 	}
-	var out []Interval
+	var parts [][]Interval
 	var profs []ShardProfile
 	err := s.withSnapshot(func(shards []shard.Shard, splits []int64) error {
-		out, profs = nil, nil
+		parts, profs = nil, nil
 		from, to := stabRange(s.kind, splits, q, len(shards))
 		return gatherSerial(shards, from, to, &profs, func(_ int, ix Index) (IOProfile, error) {
 			var ivs []Interval
@@ -230,15 +313,14 @@ func (s *Sharded) StabProfile(q int64) ([]Interval, []ShardProfile, error) {
 			case *LSMIndex:
 				ivs, prof, err = t.Stab(q)
 			}
-			out = append(out, ivs...)
+			parts = append(parts, ivs)
 			return prof, err
 		})
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-	canonicalIntervals(out)
-	return out, profs, nil
+	return mergeIntervals(parts), profs, nil
 }
 
 // Has reports whether the exact record (X, Y, ID) is live, consulting only
@@ -330,13 +412,13 @@ func (s *Sharded) maintain(op string) error {
 
 // scatterGather fans a batch out: sub-batches are planned per shard by the
 // routing predicate, run concurrently — each against its shard's own
-// engine and worker pool — and merged back into input order. Results for
-// one query arriving from several shards are concatenated in shard order
-// (ascending routing key), then canonicalized by the caller's less.
+// engine and worker pool — and merged back into input order. Each query's
+// answers from its shards are merged by merge (mergePoints or
+// mergeIntervals).
 func scatterGather[Q, R any](s *Sharded, qs []Q, workers int,
 	plan func(splits []int64, nshards int, q Q) (int, int),
 	run func(ix Index, sub []Q, workers int) ([][]R, BatchStats, error),
-	less func(a, b R) bool,
+	merge func(parts [][]R) []R,
 ) ([][]R, []ShardBatchStats, error) {
 	var out [][]R
 	var per []ShardBatchStats
@@ -382,14 +464,14 @@ func scatterGather[Q, R any](s *Sharded, qs []Q, workers int,
 				return errs[si]
 			}
 		}
+		parts := make([][][]R, len(qs))
 		for si := range shards {
 			for j, qi := range idxs[si] {
-				out[qi] = append(out[qi], results[si][j]...)
+				parts[qi] = append(parts[qi], results[si][j])
 			}
 		}
 		for qi := range out {
-			r := out[qi]
-			sort.Slice(r, func(a, b int) bool { return less(r[a], r[b]) })
+			out[qi] = merge(parts[qi])
 		}
 		return nil
 	})
@@ -428,26 +510,6 @@ func foldShardStats(queries int, per []ShardBatchStats) BatchStats {
 	return agg
 }
 
-func pointLess(a, b Point) bool {
-	if a.X != b.X {
-		return a.X < b.X
-	}
-	if a.Y != b.Y {
-		return a.Y < b.Y
-	}
-	return a.ID < b.ID
-}
-
-func intervalLess(a, b Interval) bool {
-	if a.Lo != b.Lo {
-		return a.Lo < b.Lo
-	}
-	if a.Hi != b.Hi {
-		return a.Hi < b.Hi
-	}
-	return a.ID < b.ID
-}
-
 // QueryBatch answers every 2-sided query across the shards, with up to
 // workers goroutines per shard; out[i] matches qs[i] in (X, Y, ID) order.
 func (s *Sharded) QueryBatch(qs []TwoSidedQuery, workers int) ([][]Point, BatchStats, error) {
@@ -473,7 +535,7 @@ func (s *Sharded) QueryBatchShards(qs []TwoSidedQuery, workers int) ([][]Point, 
 			}
 			return nil, BatchStats{}, s.kindError("QueryBatch")
 		},
-		pointLess)
+		mergePoints)
 }
 
 // QueryThreeSidedBatch answers every 3-sided query across the shards;
@@ -496,7 +558,7 @@ func (s *Sharded) QueryThreeSidedBatchShards(qs []ThreeSidedQuery, workers int) 
 		func(ix Index, sub []ThreeSidedQuery, workers int) ([][]Point, BatchStats, error) {
 			return ix.(*ThreeSidedIndex).QueryBatch(sub, workers)
 		},
-		pointLess)
+		mergePoints)
 }
 
 // WindowQueryBatch answers every window query across the shards; out[i]
@@ -518,7 +580,7 @@ func (s *Sharded) WindowQueryBatchShards(qs []WindowQuery, workers int) ([][]Poi
 		func(ix Index, sub []WindowQuery, workers int) ([][]Point, BatchStats, error) {
 			return ix.(*WindowIndex).QueryBatch(sub, workers)
 		},
-		pointLess)
+		mergePoints)
 }
 
 // StabBatch answers every stabbing query across the shards; out[i] holds
@@ -552,5 +614,5 @@ func (s *Sharded) StabBatchShards(qs []int64, workers int) ([][]Interval, []Shar
 			}
 			return nil, BatchStats{}, s.kindError("StabBatch")
 		},
-		intervalLess)
+		mergeIntervals)
 }
