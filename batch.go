@@ -27,7 +27,8 @@ import (
 // TwoSidedQuery is one query corner {x >= A, y >= B} for QueryBatch.
 type TwoSidedQuery struct{ A, B int64 }
 
-// ThreeSidedQuery is one query {A1 <= x <= A2, y >= B} for QueryBatch.
+// ThreeSidedQuery is one query {A1 <= x <= A2, y >= B} for
+// QueryThreeSidedBatch.
 type ThreeSidedQuery struct{ A1, A2, B int64 }
 
 // WorkerBatchStats is one worker's share of a batch. The partition is by
@@ -174,8 +175,9 @@ func (ix *TwoSidedIndex) QueryBatch(qs []TwoSidedQuery, workers int) ([][]Point,
 	return out, st, err
 }
 
-// QueryBatch answers every 3-sided query concurrently; out[i] matches qs[i].
-func (ix *ThreeSidedIndex) QueryBatch(qs []ThreeSidedQuery, workers int) ([][]Point, BatchStats, error) {
+// QueryThreeSidedBatch answers every 3-sided query concurrently; out[i]
+// matches qs[i].
+func (ix *ThreeSidedIndex) QueryThreeSidedBatch(qs []ThreeSidedQuery, workers int) ([][]Point, BatchStats, error) {
 	out := make([][]Point, len(qs))
 	st, err := runBatch(ix.be, ix.Kind(), "query", ix.idx.Len(), len(qs), workers, boundFor(kindThreeSide), func(p disk.Pager) func(i int) (int, error) {
 		view := ix.idx.WithPager(p)
@@ -250,11 +252,12 @@ func (si *StabbingIndex) StabBatch(qs []int64, workers int) ([][]Interval, Batch
 }
 
 // WindowQuery is one 4-sided query {x1 <= X <= x2, y1 <= Y <= y2} for
-// WindowIndex.QueryBatch.
+// WindowQueryBatch.
 type WindowQuery struct{ X1, X2, Y1, Y2 int64 }
 
-// QueryBatch answers every window query concurrently; out[i] matches qs[i].
-func (ix *WindowIndex) QueryBatch(qs []WindowQuery, workers int) ([][]Point, BatchStats, error) {
+// WindowQueryBatch answers every window query concurrently; out[i] matches
+// qs[i].
+func (ix *WindowIndex) WindowQueryBatch(qs []WindowQuery, workers int) ([][]Point, BatchStats, error) {
 	out := make([][]Point, len(qs))
 	st, err := runBatch(ix.be, ix.Kind(), "query", ix.idx.Len(), len(qs), workers, boundFor(kindWindow), func(p disk.Pager) func(i int) (int, error) {
 		view := ix.idx.WithPager(p)

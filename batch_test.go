@@ -31,7 +31,7 @@ func TestQueryBatchMatchesSerial(t *testing.T) {
 	qs := batchQueries2(40, 903)
 	want := make([][]Point, len(qs))
 	for i, q := range qs {
-		if want[i], err = ix.Query(q.A, q.B); err != nil {
+		if want[i], _, err = ix.Query(q.A, q.B); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -132,11 +132,11 @@ func TestBatchAllIndexTypes(t *testing.T) {
 	}
 	want3 := make([][]Point, len(q3))
 	for i, q := range q3 {
-		if want3[i], err = three.Query(q.A1, q.A2, q.B); err != nil {
+		if want3[i], _, err = three.QueryThreeSided(q.A1, q.A2, q.B); err != nil {
 			t.Fatal(err)
 		}
 	}
-	got3, st3, err := three.QueryBatch(q3, 6)
+	got3, st3, err := three.QueryThreeSidedBatch(q3, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,14 +159,10 @@ func TestBatchAllIndexTypes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	type stabber interface {
-		Stab(int64) ([]Interval, error)
-		StabBatch([]int64, int) ([][]Interval, BatchStats, error)
-	}
-	for name, ix := range map[string]stabber{"segment": seg, "interval": itv, "stabbing": stab} {
+	for name, ix := range map[string]Stabber{"segment": seg, "interval": itv, "stabbing": stab} {
 		want := make([][]Interval, len(stabs))
 		for i, q := range stabs {
-			if want[i], err = ix.Stab(q); err != nil {
+			if want[i], _, err = ix.Stab(q); err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
 		}

@@ -290,7 +290,7 @@ func BenchmarkPublicTwoSidedQuery(b *testing.B) {
 	ix.ResetStats()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ix.Query(qs[i%len(qs)].A, qs[i%len(qs)].B); err != nil {
+		if _, _, err := ix.Query(qs[i%len(qs)].A, qs[i%len(qs)].B); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -96,7 +96,7 @@ var boundKinds = []boundKind{
 		}
 		defer ix.Close()
 		for i := 0; i < propQueries; i++ {
-			if _, err := ix.Query(rng.Int63n(propDomain), rng.Int63n(propDomain)); err != nil {
+			if _, _, err := ix.Query(rng.Int63n(propDomain), rng.Int63n(propDomain)); err != nil {
 				return err
 			}
 		}
@@ -119,7 +119,7 @@ var boundKinds = []boundKind{
 			if a1 > a2 {
 				a1, a2 = a2, a1
 			}
-			if _, err := ix.Query(a1, a2, rng.Int63n(propDomain)); err != nil {
+			if _, _, err := ix.QueryThreeSided(a1, a2, rng.Int63n(propDomain)); err != nil {
 				return err
 			}
 		}
@@ -131,7 +131,7 @@ var boundKinds = []boundKind{
 			}
 			qs[i] = ThreeSidedQuery{A1: a1, A2: a2, B: rng.Int63n(propDomain)}
 		}
-		_, _, err = ix.QueryBatch(qs, 4)
+		_, _, err = ix.QueryThreeSidedBatch(qs, 4)
 		return err
 	}},
 	{"segment", func(n, page int, seed int64, v propVariant) error {
@@ -177,7 +177,7 @@ var boundKinds = []boundKind{
 			if y1 > y2 {
 				y1, y2 = y2, y1
 			}
-			if _, err := ix.Query(x1, x2, y1, y2); err != nil {
+			if _, _, err := ix.WindowQuery(x1, x2, y1, y2); err != nil {
 				return err
 			}
 		}
@@ -246,10 +246,10 @@ var boundKinds = []boundKind{
 
 // propStabBattery runs the shared stabbing workload: serial stabs then a small
 // parallel batch, all through the strict sentinels.
-func propStabBattery(rng *rand.Rand, stab func(int64) ([]Interval, error),
+func propStabBattery(rng *rand.Rand, stab func(int64) ([]Interval, IOProfile, error),
 	batch func([]int64, int) ([][]Interval, BatchStats, error)) error {
 	for i := 0; i < propQueries; i++ {
-		if _, err := stab(rng.Int63n(propDomain)); err != nil {
+		if _, _, err := stab(rng.Int63n(propDomain)); err != nil {
 			return err
 		}
 	}

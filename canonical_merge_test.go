@@ -166,16 +166,26 @@ func TestCanonicalMergeLSMIntervalShards(t *testing.T) {
 	}
 	qs := []int64{0, 150, 700, 1000, 1400, 1999}
 	for _, q := range qs {
-		got, profs, err := s.StabProfile(q)
+		got, _, err := s.Stab(q)
 		if err != nil {
 			t.Fatalf("Stab(%d): %v", q, err)
 		}
 		if want := stabbed(q); !slices.Equal(got, want) {
 			t.Fatalf("Stab(%d): %d results out of canonical order (want %d)", q, len(got), len(want))
 		}
-		if q == 1000 && len(profs) < 2 {
-			t.Fatalf("Stab(1000) consulted %d shards; the case needs a multi-shard merge", len(profs))
+	}
+	_, per, err := s.StabBatchShards([]int64{1000}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	consulted := 0
+	for _, sp := range per {
+		if sp.Queries > 0 {
+			consulted++
 		}
+	}
+	if consulted < 2 {
+		t.Fatalf("Stab(1000) consulted %d shards; the case needs a multi-shard merge", consulted)
 	}
 	got, _, err := s.StabBatch(qs, 2)
 	if err != nil {

@@ -100,56 +100,6 @@ func usage() {
 	os.Exit(2)
 }
 
-// opened is a kind-agnostically reopened index: the interface handle for
-// the shared operations plus the one concrete pointer matching its kind,
-// filled in by a type switch over what pathcache.Open returned.
-type opened struct {
-	ix      pathcache.Index
-	kind    string
-	two     *pathcache.TwoSidedIndex
-	three   *pathcache.ThreeSidedIndex
-	stab    *pathcache.StabbingIndex
-	seg     *pathcache.SegmentIndex
-	itv     *pathcache.IntervalIndex
-	win     *pathcache.WindowIndex
-	lsm     *pathcache.LSMIndex
-	sharded *pathcache.Sharded
-}
-
-func openAny(path string) (*opened, error) {
-	ix, err := pathcache.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	o := &opened{ix: ix, kind: ix.Kind()}
-	switch v := ix.(type) {
-	case *pathcache.TwoSidedIndex:
-		o.two = v
-	case *pathcache.ThreeSidedIndex:
-		o.three = v
-	case *pathcache.StabbingIndex:
-		o.stab = v
-	case *pathcache.SegmentIndex:
-		o.seg = v
-	case *pathcache.IntervalIndex:
-		o.itv = v
-	case *pathcache.WindowIndex:
-		o.win = v
-	case *pathcache.LSMIndex:
-		o.lsm = v
-	case *pathcache.Sharded:
-		o.sharded = v
-	default:
-		ix.Close()
-		return nil, fmt.Errorf("%s: unsupported index kind %q", path, ix.Kind())
-	}
-	return o, nil
-}
-
-func (o *opened) close() {
-	o.ix.Close()
-}
-
 func runBuild(args []string) error {
 	fs := flag.NewFlagSet("build", flag.ExitOnError)
 	typ := fs.String("type", "twosided", "twosided|threeside|stabbing|segment|interval|window|lsm")
@@ -337,33 +287,10 @@ func buildSharded(typ, base, in, dir string, plan pathcache.ShardPlan, opts *pat
 	return s.Close()
 }
 
-// shardReads sums the per-shard profiles of one scatter-gathered query.
-func shardReads(profs []pathcache.ShardProfile) int64 {
-	var n int64
-	for _, p := range profs {
-		n += p.Reads
-	}
-	return n
-}
-
-// shardedQueryKind names the query shape a sharded store answers: its
-// content kind, with "lsm" resolved through its base.
-func shardedQueryKind(s *pathcache.Sharded) string {
-	if s.ContentKind() != "lsm" {
-		return s.ContentKind()
-	}
-	switch s.Base() {
-	case "stabbing", "segment", "interval":
-		return "stabbing"
-	default:
-		return "twosided"
-	}
-}
-
 func runQuery(args []string) error {
 	fs := flag.NewFlagSet("query", flag.ExitOnError)
 	in := fs.String("in", "", "index file")
-	q := fs.String("q", "", "query: 'a b' (2-sided), 'a1 a2 b' (3-sided), 'q' (stabbing)")
+	q := fs.String("q", "", "query: 'a b' (2-sided), 'a1 a2 b' (3-sided), 'x1 x2 y1 y2' (window), 'q' (stabbing)")
 	limit := fs.Int("limit", 20, "max rows to print (0 = all)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -375,11 +302,11 @@ func runQuery(args []string) error {
 	if err != nil {
 		return err
 	}
-	o, err := openAny(*in)
+	ix, err := pathcache.Open(*in)
 	if err != nil {
 		return err
 	}
-	defer o.close()
+	defer ix.Close()
 
 	printPts := func(pts []pathcache.Point, reads int64) {
 		fmt.Printf("%d results in %d page reads\n", len(pts), reads)
@@ -391,134 +318,53 @@ func runQuery(args []string) error {
 			fmt.Printf("x=%d y=%d id=%d\n", p.X, p.Y, p.ID)
 		}
 	}
-	printIvs := func(ivs []pathcache.Interval, reads int64) {
-		fmt.Printf("%d results in %d page reads\n", len(ivs), reads)
-		for i, iv := range ivs {
-			if *limit > 0 && i >= *limit {
-				fmt.Printf("... (%d more)\n", len(ivs)-i)
-				break
-			}
-			fmt.Printf("lo=%d hi=%d id=%d\n", iv.Lo, iv.Hi, iv.ID)
-		}
-	}
 
-	// Profile variants report the page reads this one operation caused via
-	// an op-scoped counter, rather than diffing the store-global stats.
-	switch o.kind {
-	case "twosided":
+	// The query takes the shape the index answers. The printed read count
+	// is the profile's op-scoped count, summed over the consulted shards of
+	// a sharded store, rather than a diff of the store-global stats.
+	switch ix.Shape() {
+	case pathcache.ShapeTwoSided:
 		if len(nums) != 2 {
 			return fmt.Errorf("2-sided query needs 'a b'")
 		}
-		res, prof, err := o.two.QueryProfile(nums[0], nums[1])
+		res, prof, err := ix.(pathcache.TwoSidedQuerier).Query(nums[0], nums[1])
 		if err != nil {
 			return err
 		}
 		printPts(res, prof.Reads)
-	case "threeside":
+	case pathcache.ShapeThreeSided:
 		if len(nums) != 3 {
 			return fmt.Errorf("3-sided query needs 'a1 a2 b'")
 		}
-		res, prof, err := o.three.QueryProfile(nums[0], nums[1], nums[2])
+		res, prof, err := ix.(pathcache.ThreeSidedQuerier).QueryThreeSided(nums[0], nums[1], nums[2])
 		if err != nil {
 			return err
 		}
 		printPts(res, prof.Reads)
-	case "stabbing":
-		if len(nums) != 1 {
-			return fmt.Errorf("stabbing query needs 'q'")
-		}
-		res, prof, err := o.stab.StabProfile(nums[0])
-		if err != nil {
-			return err
-		}
-		printIvs(res, prof.Reads)
-	case "segment":
-		if len(nums) != 1 {
-			return fmt.Errorf("stabbing query needs 'q'")
-		}
-		res, prof, err := o.seg.StabProfile(nums[0])
-		if err != nil {
-			return err
-		}
-		printIvs(res, prof.Reads)
-	case "interval":
-		if len(nums) != 1 {
-			return fmt.Errorf("stabbing query needs 'q'")
-		}
-		res, prof, err := o.itv.StabProfile(nums[0])
-		if err != nil {
-			return err
-		}
-		printIvs(res, prof.Reads)
-	case "window":
+	case pathcache.ShapeWindow:
 		if len(nums) != 4 {
 			return fmt.Errorf("window query needs 'x1 x2 y1 y2'")
 		}
-		res, prof, err := o.win.QueryProfile(nums[0], nums[1], nums[2], nums[3])
+		res, prof, err := ix.(pathcache.WindowQuerier).WindowQuery(nums[0], nums[1], nums[2], nums[3])
 		if err != nil {
 			return err
 		}
 		printPts(res, prof.Reads)
-	case "lsm":
-		// The write tier answers the base kind's shape: 'a b' runs the
-		// 2-sided query of a point base, 'q' the stab of an interval base.
-		switch len(nums) {
-		case 2:
-			res, prof, err := o.lsm.Query(nums[0], nums[1])
-			if err != nil {
-				return err
-			}
-			printPts(res, prof.Reads)
-		case 1:
-			res, prof, err := o.lsm.Stab(nums[0])
-			if err != nil {
-				return err
-			}
-			printIvs(res, prof.Reads)
-		default:
-			return fmt.Errorf("lsm query needs 'a b' (2-sided) or 'q' (stabbing)")
+	case pathcache.ShapeStab:
+		if len(nums) != 1 {
+			return fmt.Errorf("stabbing query needs 'q'")
 		}
-	case "shard":
-		// The scatter-gather path: the shape follows the content kind, and
-		// the printed read count sums every consulted shard's profile.
-		s := o.sharded
-		switch shardedQueryKind(s) {
-		case "twosided":
-			if len(nums) != 2 {
-				return fmt.Errorf("2-sided query needs 'a b'")
+		res, prof, err := ix.(pathcache.Stabber).Stab(nums[0])
+		if err != nil {
+			return err
+		}
+		fmt.Printf("%d results in %d page reads\n", len(res), prof.Reads)
+		for i, iv := range res {
+			if *limit > 0 && i >= *limit {
+				fmt.Printf("... (%d more)\n", len(res)-i)
+				break
 			}
-			res, profs, err := s.QueryProfile(nums[0], nums[1])
-			if err != nil {
-				return err
-			}
-			printPts(res, shardReads(profs))
-		case "threeside":
-			if len(nums) != 3 {
-				return fmt.Errorf("3-sided query needs 'a1 a2 b'")
-			}
-			res, profs, err := s.QueryThreeSidedProfile(nums[0], nums[1], nums[2])
-			if err != nil {
-				return err
-			}
-			printPts(res, shardReads(profs))
-		case "window":
-			if len(nums) != 4 {
-				return fmt.Errorf("window query needs 'x1 x2 y1 y2'")
-			}
-			res, profs, err := s.WindowQueryProfile(nums[0], nums[1], nums[2], nums[3])
-			if err != nil {
-				return err
-			}
-			printPts(res, shardReads(profs))
-		default:
-			if len(nums) != 1 {
-				return fmt.Errorf("stabbing query needs 'q'")
-			}
-			res, profs, err := s.StabProfile(nums[0])
-			if err != nil {
-				return err
-			}
-			printIvs(res, shardReads(profs))
+			fmt.Printf("lo=%d hi=%d id=%d\n", iv.Lo, iv.Hi, iv.ID)
 		}
 	}
 	return nil
@@ -533,48 +379,48 @@ func runInfo(args []string) error {
 	if *in == "" {
 		return fmt.Errorf("info requires -in")
 	}
-	o, err := openAny(*in)
+	ix, err := pathcache.Open(*in)
 	if err != nil {
 		return err
 	}
-	defer o.close()
+	defer ix.Close()
 	// The registry kind name is the stable identifier; the 2-sided kind
-	// additionally reports which flat scheme the file persists, and the
-	// write tier reports its manifest: base kind, memtable and tombstone
-	// backlog, and one line per sealed level.
-	switch o.kind {
-	case "twosided":
-		fmt.Printf("kind: %s (%s scheme)\n", o.kind, o.two.Scheme())
-	case "lsm":
-		fmt.Printf("kind: %s (over %s)\n", o.kind, o.lsm.Base())
-	case "shard":
-		what := o.sharded.ContentKind()
-		if b := o.sharded.Base(); b != "" {
+	// additionally reports which flat scheme the file persists, the write
+	// tier its manifest (base kind, memtable and tombstone backlog, one
+	// line per sealed level), and a sharded store its shard rows.
+	var tail []string
+	switch v := ix.(type) {
+	case *pathcache.TwoSidedIndex:
+		fmt.Printf("kind: %s (%s scheme)\n", ix.Kind(), v.Scheme())
+	case *pathcache.LSMIndex:
+		fmt.Printf("kind: %s (over %s)\n", ix.Kind(), v.Base())
+		tail = append(tail, fmt.Sprintf("memtable: %d entries", v.MemtableLen()), fmt.Sprintf("tombstones: %d", v.TombCount()))
+		for _, lv := range v.Levels() {
+			tail = append(tail, fmt.Sprintf("level %d: %d records (%d tree + %d data + %d bloom pages)",
+				lv.Slot, lv.Records, lv.TreePages, lv.DataPages, lv.BloomPages))
+		}
+	case *pathcache.Sharded:
+		what := v.ContentKind()
+		if b := v.Base(); b != "" {
 			what += " over " + b
 		}
-		fmt.Printf("kind: %s (%d shards of %s, epoch %d)\n", o.kind, o.sharded.NumShards(), what, o.sharded.Epoch())
+		fmt.Printf("kind: %s (%d shards of %s, epoch %d)\n", ix.Kind(), v.NumShards(), what, v.Epoch())
+		for _, info := range v.Shards() {
+			tail = append(tail, fmt.Sprintf("shard %d: %s records=%d pages=%d range=%s",
+				info.Shard, info.File, info.Len, info.Pages, keyRange(info.Lo, info.Hi)))
+		}
 	default:
-		fmt.Printf("kind: %s\n", o.kind)
+		fmt.Printf("kind: %s\n", ix.Kind())
 	}
 	// Persisted single-tree kinds self-describe their in-page layout (the
 	// header byte dispatch); the LSM tier may mix layouts per level and the
 	// sharded router delegates to its shards, so neither exposes one.
-	if l, ok := o.ix.(interface{ Layout() pathcache.Layout }); ok {
+	if l, ok := ix.(interface{ Layout() pathcache.Layout }); ok {
 		fmt.Printf("layout: %s\n", l.Layout())
 	}
-	fmt.Printf("records: %d\npages: %d\n", o.ix.Len(), o.ix.Pages())
-	if o.kind == "lsm" {
-		fmt.Printf("memtable: %d entries\ntombstones: %d\n", o.lsm.MemtableLen(), o.lsm.TombCount())
-		for _, lv := range o.lsm.Levels() {
-			fmt.Printf("level %d: %d records (%d tree + %d data + %d bloom pages)\n",
-				lv.Slot, lv.Records, lv.TreePages, lv.DataPages, lv.BloomPages)
-		}
-	}
-	if o.kind == "shard" {
-		for _, info := range o.sharded.Shards() {
-			fmt.Printf("shard %d: %s records=%d pages=%d range=%s\n",
-				info.Shard, info.File, info.Len, info.Pages, keyRange(info.Lo, info.Hi))
-		}
+	fmt.Printf("records: %d\npages: %d\n", ix.Len(), ix.Pages())
+	for _, line := range tail {
+		fmt.Println(line)
 	}
 	return nil
 }
@@ -607,22 +453,22 @@ func runStats(args []string) error {
 	if *in == "" {
 		return fmt.Errorf("stats requires -in")
 	}
-	o, err := openAny(*in)
+	ix, err := pathcache.Open(*in)
 	if err != nil {
 		return err
 	}
-	defer o.close()
+	defer ix.Close()
 
-	results, err := probe(o)
+	results, err := probe(ix)
 	if err != nil {
 		return err
 	}
-	m := o.ix.Metrics()
+	m := ix.Metrics()
 	if *serve {
 		server.WriteIndexMetrics(os.Stdout, m)
 		return nil
 	}
-	fmt.Printf("kind: %s\nprobe: %d results\n", o.kind, results)
+	fmt.Printf("kind: %s\nprobe: %d results\n", ix.Kind(), results)
 	fmt.Printf("inflight: %d\nseries: %d\n", m.Inflight, len(m.Ops))
 	for _, s := range m.Ops {
 		// Series from a sharded store carry the recording shard; single-store
@@ -642,57 +488,26 @@ func runStats(args []string) error {
 }
 
 // probe runs the stats subcommand's deterministic query for the index's
-// kind: a full-range query for the point kinds, a stab at 0 for the
-// interval kinds. The exact query does not matter — it only has to be the
-// same on every machine so the recorded I/O is too.
-func probe(o *opened) (int, error) {
+// shape: a full-range query for the point shapes, a stab at 0 for
+// stabbing. The exact query does not matter — it only has to be the same
+// on every machine so the recorded I/O is too.
+func probe(ix pathcache.Index) (int, error) {
 	const lo, hi = math.MinInt64, math.MaxInt64
-	switch o.kind {
-	case "twosided":
-		pts, err := o.two.Query(lo, lo)
+	switch ix.Shape() {
+	case pathcache.ShapeTwoSided:
+		pts, _, err := ix.(pathcache.TwoSidedQuerier).Query(lo, lo)
 		return len(pts), err
-	case "threeside":
-		pts, err := o.three.Query(lo, hi, lo)
+	case pathcache.ShapeThreeSided:
+		pts, _, err := ix.(pathcache.ThreeSidedQuerier).QueryThreeSided(lo, hi, lo)
 		return len(pts), err
-	case "stabbing":
-		ivs, err := o.stab.Stab(0)
-		return len(ivs), err
-	case "segment":
-		ivs, err := o.seg.Stab(0)
-		return len(ivs), err
-	case "interval":
-		ivs, err := o.itv.Stab(0)
-		return len(ivs), err
-	case "lsm":
-		// The probe shape follows the base kind: stab for interval bases,
-		// the full-range 2-sided query for point bases.
-		switch o.lsm.Base() {
-		case "stabbing", "segment", "interval":
-			ivs, _, err := o.lsm.Stab(0)
-			return len(ivs), err
-		default:
-			pts, _, err := o.lsm.Query(lo, lo)
-			return len(pts), err
-		}
-	case "shard":
-		switch shardedQueryKind(o.sharded) {
-		case "twosided":
-			pts, err := o.sharded.Query(lo, lo)
-			return len(pts), err
-		case "threeside":
-			pts, err := o.sharded.QueryThreeSided(lo, hi, lo)
-			return len(pts), err
-		case "window":
-			pts, err := o.sharded.WindowQuery(lo, hi, lo, hi)
-			return len(pts), err
-		default:
-			ivs, err := o.sharded.Stab(0)
-			return len(ivs), err
-		}
-	default: // window; openAny rejects anything else
-		pts, err := o.win.Query(lo, hi, lo, hi)
+	case pathcache.ShapeWindow:
+		pts, _, err := ix.(pathcache.WindowQuerier).WindowQuery(lo, hi, lo, hi)
 		return len(pts), err
+	case pathcache.ShapeStab:
+		ivs, _, err := ix.(pathcache.Stabber).Stab(0)
+		return len(ivs), err
 	}
+	return 0, fmt.Errorf("index kind %q answers no query shape", ix.Kind())
 }
 
 // workerLabel names a series' worker tag: batch worker index, or "serial"

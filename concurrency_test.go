@@ -33,7 +33,7 @@ func TestConcurrentStaticQueries(t *testing.T) {
 	// Reference answers, single-threaded.
 	ref2 := make([]int, len(qs2))
 	for i, q := range qs2 {
-		r, err := two.Query(q.A, q.B)
+		r, _, err := two.Query(q.A, q.B)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -48,7 +48,7 @@ func TestConcurrentStaticQueries(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 32; i++ {
 				q := qs2[(g+i)%len(qs2)]
-				r, err := two.Query(q.A, q.B)
+				r, _, err := two.Query(q.A, q.B)
 				if err != nil {
 					errs <- err
 					return
@@ -58,11 +58,11 @@ func TestConcurrentStaticQueries(t *testing.T) {
 					return
 				}
 				q3 := qs3[(g+i)%len(qs3)]
-				if _, err := three.Query(q3.A1, q3.A2, q3.B); err != nil {
+				if _, _, err := three.QueryThreeSided(q3.A1, q3.A2, q3.B); err != nil {
 					errs <- err
 					return
 				}
-				if _, err := seg.Stab(stabs[(g+i)%len(stabs)]); err != nil {
+				if _, _, err := seg.Stab(stabs[(g+i)%len(stabs)]); err != nil {
 					errs <- err
 					return
 				}
@@ -87,7 +87,7 @@ func TestConcurrentQueriesThroughBufferPool(t *testing.T) {
 	qs := workload.TwoSidedQueries(16, 100_000, 0.01, 813)
 	ref := make([]int, len(qs))
 	for i, q := range qs {
-		r, err := ix.Query(q.A, q.B)
+		r, _, err := ix.Query(q.A, q.B)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,7 +100,7 @@ func TestConcurrentQueriesThroughBufferPool(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 24; i++ {
 				k := (g*7 + i) % len(qs)
-				r, err := ix.Query(qs[k].A, qs[k].B)
+				r, _, err := ix.Query(qs[k].A, qs[k].B)
 				if err != nil {
 					t.Errorf("query error: %v", err)
 					return

@@ -209,10 +209,7 @@ func checkLSMState(ix *LSMIndex, b lsmCrashBase, script []lsmOp, live []Point) e
 		for _, p := range live {
 			ivs = append(ivs, DynamicPointToInterval(p))
 		}
-		return stabBattery("lsm/"+b.name, ivs, func(q int64) ([]Interval, error) {
-			out, _, err := ix.Stab(q)
-			return out, err
-		})
+		return stabBattery("lsm/"+b.name, ivs, ix.Stab)
 	}
 	return nil
 }

@@ -120,9 +120,9 @@ type crashKind struct {
 	check func(path string) error
 }
 
-func pointQueryBattery(name string, pts []Point, query func(a, b int64) ([]Point, error), want func(a, b int64) []Point) error {
+func pointQueryBattery(name string, pts []Point, query func(a, b int64) ([]Point, IOProfile, error), want func(a, b int64) []Point) error {
 	for _, q := range [][2]int64{{0, 0}, {250, 400}, {500, 500}, {900, 100}, {1000, 1000}} {
-		got, err := query(q[0], q[1])
+		got, _, err := query(q[0], q[1])
 		if err != nil {
 			return fmt.Errorf("%s query(%d,%d): %w", name, q[0], q[1], err)
 		}
@@ -133,9 +133,9 @@ func pointQueryBattery(name string, pts []Point, query func(a, b int64) ([]Point
 	return nil
 }
 
-func stabBattery(name string, ivs []Interval, stab func(q int64) ([]Interval, error)) error {
+func stabBattery(name string, ivs []Interval, stab func(q int64) ([]Interval, IOProfile, error)) error {
 	for _, q := range []int64{0, 150, 400, 650, 999, 1300} {
-		got, err := stab(q)
+		got, _, err := stab(q)
 		if err != nil {
 			return fmt.Errorf("%s stab(%d): %w", name, q, err)
 		}
@@ -205,7 +205,7 @@ func crashKinds() []crashKind {
 				}
 				defer ix.Close()
 				for _, q := range [][3]int64{{0, 1000, 0}, {200, 700, 300}, {450, 550, 800}, {900, 950, 0}} {
-					got, err := ix.Query(q[0], q[1], q[2])
+					got, _, err := ix.QueryThreeSided(q[0], q[1], q[2])
 					if err != nil {
 						return fmt.Errorf("threeside query%v: %w", q, err)
 					}
@@ -297,7 +297,7 @@ func crashKinds() []crashKind {
 				}
 				defer ix.Close()
 				for _, q := range [][4]int64{{0, 1000, 0, 1000}, {200, 700, 100, 600}, {480, 520, 480, 520}} {
-					got, err := ix.Query(q[0], q[1], q[2], q[3])
+					got, _, err := ix.WindowQuery(q[0], q[1], q[2], q[3])
 					if err != nil {
 						return fmt.Errorf("window query%v: %w", q, err)
 					}

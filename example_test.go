@@ -18,7 +18,7 @@ func ExampleNewTwoSidedIndex() {
 	if err != nil {
 		panic(err)
 	}
-	res, err := ix.Query(40, 50) // x >= 40 and y >= 50
+	res, _, err := ix.Query(40, 50) // x >= 40 and y >= 50
 	if err != nil {
 		panic(err)
 	}
@@ -71,7 +71,7 @@ func ExampleNewThreeSidedIndex() {
 	if err != nil {
 		panic(err)
 	}
-	res, err := ix.Query(1, 3, 50) // class in [1,3], attribute >= 50
+	res, _, err := ix.QueryThreeSided(1, 3, 50) // class in [1,3], attribute >= 50
 	if err != nil {
 		panic(err)
 	}
@@ -110,7 +110,7 @@ func ExampleNewWindowIndex() {
 	if err != nil {
 		panic(err)
 	}
-	res, err := ix.Query(40, 95, 30, 90) // 40<=x<=95, 30<=y<=90
+	res, _, err := ix.WindowQuery(40, 95, 30, 90) // 40<=x<=95, 30<=y<=90
 	if err != nil {
 		panic(err)
 	}

@@ -102,7 +102,7 @@ func main() {
 	for _, q := range queries {
 		c := classes[q.class]
 		ix.ResetStats()
-		res, prof, err := ix.QueryProfile(c.pre, c.post, q.price)
+		res, prof, err := ix.QueryThreeSided(c.pre, c.post, q.price)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -112,12 +112,12 @@ func main() {
 
 	// Sanity: the Car subtree equals Sedan + SUV at any threshold.
 	car := classes["Car"]
-	carAll, err := ix.Query(car.pre, car.post, 0)
+	carAll, _, err := ix.QueryThreeSided(car.pre, car.post, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
-	sedan, _ := ix.Query(classes["Sedan"].pre, classes["Sedan"].post, 0)
-	suv, _ := ix.Query(classes["SUV"].pre, classes["SUV"].post, 0)
+	sedan, _, _ := ix.QueryThreeSided(classes["Sedan"].pre, classes["Sedan"].post, 0)
+	suv, _, _ := ix.QueryThreeSided(classes["SUV"].pre, classes["SUV"].post, 0)
 	fmt.Printf("\ncontainment check: |Car|=%d = |Sedan|+|SUV| = %d+%d\n",
 		len(carAll), len(sedan), len(suv))
 	if len(carAll) != len(sedan)+len(suv) {

@@ -170,7 +170,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, prof, err := ix.QueryProfile(qa, qb)
+	res, prof, err := ix.Query(qa, qb)
 	if err != nil {
 		log.Fatal(err)
 	}

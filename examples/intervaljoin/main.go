@@ -58,7 +58,7 @@ func main() {
 	pairs := 0
 	for _, s := range S {
 		// R-intervals that contain s.Lo ...
-		hits, err := stab.Stab(s.Lo)
+		hits, _, err := stab.Stab(s.Lo)
 		if err != nil {
 			log.Fatal(err)
 		}

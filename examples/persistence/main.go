@@ -42,7 +42,7 @@ func main() {
 		log.Fatal(err)
 	}
 	buildTime := time.Since(start)
-	want, err := ix.Query(1<<29, 90)
+	want, _, err := ix.Query(1<<29, 90)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func main() {
 	openTime := time.Since(start)
 
 	re.ResetStats()
-	got, err := re.Query(1<<29, 90)
+	got, _, err := re.Query(1<<29, 90)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -43,7 +43,7 @@ func main() {
 		{100_000, 75},
 	} {
 		ix.ResetStats()
-		res, prof, err := ix.QueryProfile(q.salary, q.age)
+		res, prof, err := ix.Query(q.salary, q.age)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -65,7 +65,7 @@ func main() {
 		{100_000, 75},
 	} {
 		base.ResetStats()
-		res, err := base.Query(q.salary, q.age)
+		res, _, err := base.Query(q.salary, q.age)
 		if err != nil {
 			log.Fatal(err)
 		}

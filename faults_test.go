@@ -48,42 +48,42 @@ func TestPublicFaultInjection(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			return func() (int, error) { r, err := ix.Query(q2.A, q2.B); return len(r), err }, nil
+			return func() (int, error) { r, _, err := ix.Query(q2.A, q2.B); return len(r), err }, nil
 		}},
 		{"twosided-segmented", func(opts *Options) (func() (int, error), error) {
 			ix, err := NewTwoSidedIndex(pts, SchemeSegmented, opts)
 			if err != nil {
 				return nil, err
 			}
-			return func() (int, error) { r, err := ix.Query(q2.A, q2.B); return len(r), err }, nil
+			return func() (int, error) { r, _, err := ix.Query(q2.A, q2.B); return len(r), err }, nil
 		}},
 		{"twosided-twolevel", func(opts *Options) (func() (int, error), error) {
 			ix, err := NewTwoSidedIndex(pts, SchemeTwoLevel, opts)
 			if err != nil {
 				return nil, err
 			}
-			return func() (int, error) { r, err := ix.Query(q2.A, q2.B); return len(r), err }, nil
+			return func() (int, error) { r, _, err := ix.Query(q2.A, q2.B); return len(r), err }, nil
 		}},
 		{"threeside", func(opts *Options) (func() (int, error), error) {
 			ix, err := NewThreeSidedIndex(pts, opts)
 			if err != nil {
 				return nil, err
 			}
-			return func() (int, error) { r, err := ix.Query(q3.A1, q3.A2, q3.B); return len(r), err }, nil
+			return func() (int, error) { r, _, err := ix.QueryThreeSided(q3.A1, q3.A2, q3.B); return len(r), err }, nil
 		}},
 		{"segment", func(opts *Options) (func() (int, error), error) {
 			ix, err := NewSegmentIndex(ivs, true, opts)
 			if err != nil {
 				return nil, err
 			}
-			return func() (int, error) { r, err := ix.Stab(stab); return len(r), err }, nil
+			return func() (int, error) { r, _, err := ix.Stab(stab); return len(r), err }, nil
 		}},
 		{"stabbing", func(opts *Options) (func() (int, error), error) {
 			ix, err := NewStabbingIndex(ivs, SchemeSegmented, opts)
 			if err != nil {
 				return nil, err
 			}
-			return func() (int, error) { r, err := ix.Stab(stab); return len(r), err }, nil
+			return func() (int, error) { r, _, err := ix.Stab(stab); return len(r), err }, nil
 		}},
 	}
 
@@ -176,17 +176,17 @@ func TestPublicFaultIsolationAcrossQueries(t *testing.T) {
 	qs := workload.TwoSidedQueries(8, 100_000, 0.02, 947)
 	want := make([][]Point, len(qs))
 	for i, q := range qs {
-		if want[i], err = ix.Query(q.A, q.B); err != nil {
+		if want[i], _, err = ix.Query(q.A, q.B); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i, q := range qs {
 		fp.SetBudget(int64(i % 4))
-		if _, err := ix.Query(q.A, q.B); !errors.Is(err, disk.ErrInjected) {
+		if _, _, err := ix.Query(q.A, q.B); !errors.Is(err, disk.ErrInjected) {
 			t.Fatalf("query %d: err=%v, want ErrInjected", i, err)
 		}
 		fp.SetBudget(1 << 40)
-		got, err := ix.Query(qs[(i+1)%len(qs)].A, qs[(i+1)%len(qs)].B)
+		got, _, err := ix.Query(qs[(i+1)%len(qs)].A, qs[(i+1)%len(qs)].B)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -46,11 +46,11 @@ func TestEndToEndScenario(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := static.Stab(T)
+		b, _, err := static.Stab(T)
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := seg.Stab(T)
+		c, _, err := seg.Stab(T)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,7 +130,7 @@ func TestEndToEndScenario(t *testing.T) {
 			grng := rand.New(rand.NewSource(int64(3000 + g)))
 			for i := 0; i < 20; i++ {
 				T := grng.Int63n(horizon)
-				got, err := re.Stab(T)
+				got, _, err := re.Stab(T)
 				if err != nil {
 					t.Errorf("goroutine %d: %v", g, err)
 					return

@@ -197,7 +197,7 @@ func twoSidedPrefetchBattery(t *testing.T, layout pathcache.Layout, workers int)
 	}
 	ns := timeBattery(layoutBenchReps, func() {
 		for _, tq := range qs {
-			if _, err := ix.Query(tq.A, tq.B); err != nil {
+			if _, _, err := ix.Query(tq.A, tq.B); err != nil {
 				t.Fatalf("twosided %v workers=%d query: %v", layout, workers, err)
 			}
 		}

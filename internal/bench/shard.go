@@ -62,7 +62,7 @@ func shardReport(cfg Config) (Report, error) {
 			search := float64(logB(n, b))
 			var samp querySampler
 			for _, q := range qs {
-				out, prof, err := single.QueryProfile(q.A, q.B)
+				out, prof, err := single.Query(q.A, q.B)
 				if err != nil {
 					single.Close()
 					return rep, fmt.Errorf("shard/%s single query n=%d: %w", w.name, n, err)

@@ -55,11 +55,11 @@ func errBadRequest(format string, args ...any) *apiError {
 	return &apiError{Status: http.StatusBadRequest, Code: codeBadRequest, Message: fmt.Sprintf(format, args...)}
 }
 
-func errUnsupported(kind, op string) *apiError {
+func errUnsupported(ix pathcache.Index, op string) *apiError {
 	return &apiError{
 		Status:  http.StatusBadRequest,
 		Code:    codeUnsupportedShape,
-		Message: fmt.Sprintf("index kind %q does not answer %s", kind, op),
+		Message: fmt.Sprintf("index kind %q answers %s queries, not %s", ix.Kind(), ix.Shape(), op),
 	}
 }
 
@@ -223,19 +223,6 @@ func ioOf(p pathcache.IOProfile) ioJSON {
 
 func ioOfBatch(st pathcache.BatchStats) ioJSON {
 	return ioJSON{Reads: st.Reads, Writes: st.Writes, CacheHits: st.CacheHits}
-}
-
-// ioOfShards sums the per-shard profiles of a scatter-gathered serial
-// operation — still the request's exact op-scoped attribution, shard by
-// shard.
-func ioOfShards(profs []pathcache.ShardProfile) ioJSON {
-	var out ioJSON
-	for _, p := range profs {
-		out.Reads += p.Reads
-		out.Writes += p.Writes
-		out.CacheHits += p.CacheHits
-	}
-	return out
 }
 
 func (io ioJSON) appendJSON(b []byte) []byte {

@@ -67,6 +67,17 @@ func buildKind(t testing.TB, dir, kind string) string {
 		o := fixtureOpts(path)
 		o.MemtableEntries = 32
 		ix, err = pathcache.BuildDynamic("twosided", fixturePoints(200), o)
+	case "lsm-segment":
+		// The write tier over an interval base stores the diagonal-corner
+		// encodings of the intervals.
+		ivs := fixtureIntervals(100)
+		pts := make([]pathcache.Point, len(ivs))
+		for i, iv := range ivs {
+			pts[i] = pathcache.IntervalToDynamicPoint(iv)
+		}
+		o := fixtureOpts(path)
+		o.MemtableEntries = 32
+		ix, err = pathcache.BuildDynamic("segment", pts, o)
 	default:
 		t.Fatalf("buildKind: unknown kind %q", kind)
 	}

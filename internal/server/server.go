@@ -11,8 +11,11 @@
 // correct answer or a typed refusal, never a wrong answer.
 //
 // Readers never block on maintenance: hot reload swaps a copy-on-write
-// handle (pathcache.Handle), and LSM background compaction runs over the
-// write tier's own level snapshots (pathcache.LSMIndex.CompactBackground).
+// handle (pathcache.Handle), and background compaction runs over the write
+// tier's own snapshots (pathcache.WriteTier.CompactBackground).
+//
+// Every operation dispatches on the index's query shape (pathcache.Shape)
+// or its write tier (pathcache.Writable), never on its concrete type.
 // Graceful drain (SIGTERM in cmd/pcserve) refuses new work with 503 and
 // lets in-flight requests finish.
 package server
@@ -327,8 +330,8 @@ func finish(out response, results int, release func() error) (response, int, *ap
 	return out, results, nil
 }
 
-// opQuery answers /v1/query: {a, b} on 2-sided kinds (twosided, and lsm
-// over a point base), {a1, a2, b} on the 3-sided kind.
+// opQuery answers /v1/query: {a, b} on 2-sided stores, {a1, a2, b} on
+// 3-sided ones.
 func (s *Server) opQuery(ctx context.Context, body []byte) (response, int, *apiError) {
 	var req queryReq
 	if aerr := decodeStrict(body, &req); aerr != nil {
@@ -341,74 +344,38 @@ func (s *Server) opQuery(ctx context.Context, body []byte) (response, int, *apiE
 	if aerr != nil {
 		return nil, 0, aerr
 	}
-
 	var (
 		pts  []pathcache.Point
 		prof pathcache.IOProfile
 		err  error
 	)
-	switch v := ix.(type) {
-	case *pathcache.TwoSidedIndex:
-		if aerr := req.need2Sided(); aerr != nil {
-			release()
-			return nil, 0, aerr
+	switch ix.Shape() {
+	case pathcache.ShapeTwoSided:
+		if aerr = req.need2Sided(); aerr == nil {
+			pts, prof, err = ix.(pathcache.TwoSidedQuerier).Query(*req.A, *req.B)
 		}
-		pts, prof, err = v.QueryProfile(*req.A, *req.B)
-	case *pathcache.ThreeSidedIndex:
-		if aerr := req.need3Sided(); aerr != nil {
-			release()
-			return nil, 0, aerr
+	case pathcache.ShapeThreeSided:
+		if aerr = req.need3Sided(); aerr == nil {
+			pts, prof, err = ix.(pathcache.ThreeSidedQuerier).QueryThreeSided(*req.A1, *req.A2, *req.B)
 		}
-		pts, prof, err = v.QueryProfile(*req.A1, *req.A2, *req.B)
-	case *pathcache.LSMIndex:
-		if aerr := req.need2Sided(); aerr != nil {
-			release()
-			return nil, 0, aerr
-		}
-		pts, prof, err = v.Query(*req.A, *req.B)
-	case *pathcache.Sharded:
-		// A sharded store answers the query shape of its content kind; the
-		// scatter-gather profiles sum into the response's exact I/O.
-		var profs []pathcache.ShardProfile
-		switch v.ContentKind() {
-		case "twosided", "lsm":
-			if aerr := req.need2Sided(); aerr != nil {
-				release()
-				return nil, 0, aerr
-			}
-			pts, profs, err = v.QueryProfile(*req.A, *req.B)
-		case "threeside":
-			if aerr := req.need3Sided(); aerr != nil {
-				release()
-				return nil, 0, aerr
-			}
-			pts, profs, err = v.QueryThreeSidedProfile(*req.A1, *req.A2, *req.B)
-		default:
-			release()
-			return nil, 0, errUnsupported(shardedKind(v), "query")
-		}
-		if err != nil {
-			release()
-			return nil, 0, mapStoreErr(err)
-		}
-		resp := &queryResponse{Points: pts, IO: ioOfShards(profs)}
-		return finish(resp, len(pts), release)
 	default:
-		release()
-		return nil, 0, errUnsupported(ix.Kind(), "query")
+		aerr = errUnsupported(ix, "query")
 	}
-	if err != nil {
-		release()
-		return nil, 0, mapStoreErr(err)
-	}
-	resp := &queryResponse{Points: pts, IO: ioOf(prof)}
-	return finish(resp, len(pts), release)
+	return finishRead(&queryResponse{Points: pts, IO: ioOf(prof)}, len(pts), aerr, err, release)
 }
 
-// shardedKind renders a sharded store's kind for error messages, e.g.
-// "shard(twosided)".
-func shardedKind(s *pathcache.Sharded) string {
-	return fmt.Sprintf("shard(%s)", s.ContentKind())
+// finishRead completes a read operation: a refusal or store error releases
+// the pin and wins, otherwise the response goes out with the release
+// folded in.
+func finishRead(out response, results int, aerr *apiError, err error, release func() error) (response, int, *apiError) {
+	if aerr == nil && err != nil {
+		aerr = mapStoreErr(err)
+	}
+	if aerr != nil {
+		release()
+		return nil, 0, aerr
+	}
+	return finish(out, results, release)
 }
 
 // need2Sided/need3Sided enforce the query shape the kind answers.
@@ -435,7 +402,7 @@ func (q *queryReq) need3Sided() *apiError {
 	return nil
 }
 
-// opWindow answers /v1/window on the window kind.
+// opWindow answers /v1/window on window stores.
 func (s *Server) opWindow(ctx context.Context, body []byte) (response, int, *apiError) {
 	var req windowReq
 	if aerr := decodeStrict(body, &req); aerr != nil {
@@ -452,37 +419,26 @@ func (s *Server) opWindow(ctx context.Context, body []byte) (response, int, *api
 		return nil, 0, aerr
 	}
 	var (
-		pts []pathcache.Point
-		io  ioJSON
-		err error
+		pts  []pathcache.Point
+		prof pathcache.IOProfile
+		err  error
 	)
-	switch v := ix.(type) {
-	case *pathcache.WindowIndex:
-		var prof pathcache.IOProfile
-		pts, prof, err = v.QueryProfile(*req.X1, *req.X2, *req.Y1, *req.Y2)
-		io = ioOf(prof)
-	case *pathcache.Sharded:
-		if v.ContentKind() != "window" {
-			release()
-			return nil, 0, errUnsupported(shardedKind(v), "window")
-		}
-		var profs []pathcache.ShardProfile
-		pts, profs, err = v.WindowQueryProfile(*req.X1, *req.X2, *req.Y1, *req.Y2)
-		io = ioOfShards(profs)
-	default:
-		release()
-		return nil, 0, errUnsupported(ix.Kind(), "window")
+	if aerr = needShape(ix, pathcache.ShapeWindow, "window"); aerr == nil {
+		pts, prof, err = ix.(pathcache.WindowQuerier).WindowQuery(*req.X1, *req.X2, *req.Y1, *req.Y2)
 	}
-	if err != nil {
-		release()
-		return nil, 0, mapStoreErr(err)
-	}
-	resp := &queryResponse{Points: pts, IO: io}
-	return finish(resp, len(pts), release)
+	return finishRead(&queryResponse{Points: pts, IO: ioOf(prof)}, len(pts), aerr, err, release)
 }
 
-// opStab answers /v1/stab on the interval kinds (segment, interval,
-// stabbing, and lsm over an interval base).
+// needShape refuses an operation the index's shape does not answer.
+func needShape(ix pathcache.Index, want pathcache.Shape, op string) *apiError {
+	if ix.Shape() != want {
+		return errUnsupported(ix, op)
+	}
+	return nil
+}
+
+// opStab answers /v1/stab on stabbing stores: the interval kinds, and lsm
+// over an interval base.
 func (s *Server) opStab(ctx context.Context, body []byte) (response, int, *apiError) {
 	var req stabReq
 	if aerr := decodeStrict(body, &req); aerr != nil {
@@ -503,40 +459,10 @@ func (s *Server) opStab(ctx context.Context, body []byte) (response, int, *apiEr
 		prof pathcache.IOProfile
 		err  error
 	)
-	switch v := ix.(type) {
-	case *pathcache.SegmentIndex:
-		ivs, prof, err = v.StabProfile(*req.Q)
-	case *pathcache.IntervalIndex:
-		ivs, prof, err = v.StabProfile(*req.Q)
-	case *pathcache.StabbingIndex:
-		ivs, prof, err = v.StabProfile(*req.Q)
-	case *pathcache.LSMIndex:
-		ivs, prof, err = v.Stab(*req.Q)
-	case *pathcache.Sharded:
-		switch v.ContentKind() {
-		case "segment", "interval", "stabbing", "lsm":
-		default:
-			release()
-			return nil, 0, errUnsupported(shardedKind(v), "stab")
-		}
-		var profs []pathcache.ShardProfile
-		ivs, profs, err = v.StabProfile(*req.Q)
-		if err != nil {
-			release()
-			return nil, 0, mapStoreErr(err)
-		}
-		resp := &queryResponse{Intervals: ivs, IO: ioOfShards(profs)}
-		return finish(resp, len(ivs), release)
-	default:
-		release()
-		return nil, 0, errUnsupported(ix.Kind(), "stab")
+	if aerr = needShape(ix, pathcache.ShapeStab, "stab"); aerr == nil {
+		ivs, prof, err = ix.(pathcache.Stabber).Stab(*req.Q)
 	}
-	if err != nil {
-		release()
-		return nil, 0, mapStoreErr(err)
-	}
-	resp := &queryResponse{Intervals: ivs, IO: ioOf(prof)}
-	return finish(resp, len(ivs), release)
+	return finishRead(&queryResponse{Intervals: ivs, IO: ioOf(prof)}, len(ivs), aerr, err, release)
 }
 
 // opSearch answers /v1/search — the exact-record membership probe the
@@ -561,28 +487,16 @@ func (s *Server) opSearch(ctx context.Context, body []byte) (response, int, *api
 		prof  pathcache.IOProfile
 		err   error
 	)
-	switch v := ix.(type) {
-	case *pathcache.LSMIndex:
-		found, prof, err = v.Has(req.point())
-	case *pathcache.Sharded:
-		if v.ContentKind() != "lsm" {
-			release()
-			return nil, 0, errUnsupported(shardedKind(v), "search")
-		}
-		found, prof, err = v.Has(req.point())
-	default:
-		release()
-		return nil, 0, errUnsupported(ix.Kind(), "search")
-	}
-	if err != nil {
-		release()
-		return nil, 0, mapStoreErr(err)
+	if w, ok := pathcache.Writable(ix); ok {
+		found, prof, err = w.Has(req.point())
+	} else {
+		aerr = errUnsupported(ix, "search")
 	}
 	results := 0
 	if found {
 		results = 1
 	}
-	return finish(&searchResponse{Found: found, IO: ioOf(prof)}, results, release)
+	return finishRead(&searchResponse{Found: found, IO: ioOf(prof)}, results, aerr, err, release)
 }
 
 // batchWorkers resolves a request's worker ask against the server pool
@@ -594,8 +508,8 @@ func (s *Server) batchWorkers(asked int) int {
 	return asked
 }
 
-// opQueryBatch fans /v1/query/batch across the worker pool via the
-// index's QueryBatch.
+// opQueryBatch fans /v1/query/batch across the worker pool: every query
+// takes the shape the store answers, 2-sided or 3-sided.
 func (s *Server) opQueryBatch(ctx context.Context, body []byte) (response, int, *apiError) {
 	var req queryBatchReq
 	if aerr := decodeStrict(body, &req); aerr != nil {
@@ -612,79 +526,39 @@ func (s *Server) opQueryBatch(ctx context.Context, body []byte) (response, int, 
 		return nil, 0, aerr
 	}
 	workers := s.batchWorkers(req.Workers)
-
 	var (
 		out [][]pathcache.Point
 		st  pathcache.BatchStats
 		err error
 	)
-	switch v := ix.(type) {
-	case *pathcache.TwoSidedIndex:
+	switch ix.Shape() {
+	case pathcache.ShapeTwoSided:
 		qs := make([]pathcache.TwoSidedQuery, len(req.Queries))
 		for i, q := range req.Queries {
-			if aerr := q.need2Sided(); aerr != nil {
-				release()
-				return nil, 0, aerr
+			if aerr = q.need2Sided(); aerr != nil {
+				break
 			}
 			qs[i] = pathcache.TwoSidedQuery{A: *q.A, B: *q.B}
 		}
-		out, st, err = v.QueryBatch(qs, workers)
-	case *pathcache.ThreeSidedIndex:
+		if aerr == nil {
+			out, st, err = ix.(pathcache.TwoSidedQuerier).QueryBatch(qs, workers)
+		}
+	case pathcache.ShapeThreeSided:
 		qs := make([]pathcache.ThreeSidedQuery, len(req.Queries))
 		for i, q := range req.Queries {
-			if aerr := q.need3Sided(); aerr != nil {
-				release()
-				return nil, 0, aerr
+			if aerr = q.need3Sided(); aerr != nil {
+				break
 			}
 			qs[i] = pathcache.ThreeSidedQuery{A1: *q.A1, A2: *q.A2, B: *q.B}
 		}
-		out, st, err = v.QueryBatch(qs, workers)
-	case *pathcache.LSMIndex:
-		qs := make([]pathcache.TwoSidedQuery, len(req.Queries))
-		for i, q := range req.Queries {
-			if aerr := q.need2Sided(); aerr != nil {
-				release()
-				return nil, 0, aerr
-			}
-			qs[i] = pathcache.TwoSidedQuery{A: *q.A, B: *q.B}
-		}
-		out, st, err = v.QueryBatch(qs, workers)
-	case *pathcache.Sharded:
-		switch v.ContentKind() {
-		case "twosided", "lsm":
-			qs := make([]pathcache.TwoSidedQuery, len(req.Queries))
-			for i, q := range req.Queries {
-				if aerr := q.need2Sided(); aerr != nil {
-					release()
-					return nil, 0, aerr
-				}
-				qs[i] = pathcache.TwoSidedQuery{A: *q.A, B: *q.B}
-			}
-			out, st, err = v.QueryBatch(qs, workers)
-		case "threeside":
-			qs := make([]pathcache.ThreeSidedQuery, len(req.Queries))
-			for i, q := range req.Queries {
-				if aerr := q.need3Sided(); aerr != nil {
-					release()
-					return nil, 0, aerr
-				}
-				qs[i] = pathcache.ThreeSidedQuery{A1: *q.A1, A2: *q.A2, B: *q.B}
-			}
-			out, st, err = v.QueryThreeSidedBatch(qs, workers)
-		default:
-			release()
-			return nil, 0, errUnsupported(shardedKind(v), "query/batch")
+		if aerr == nil {
+			out, st, err = ix.(pathcache.ThreeSidedQuerier).QueryThreeSidedBatch(qs, workers)
 		}
 	default:
-		release()
-		return nil, 0, errUnsupported(ix.Kind(), "query/batch")
-	}
-	if err != nil {
-		release()
-		return nil, 0, mapStoreErr(err)
+		aerr = errUnsupported(ix, "query/batch")
 	}
 	resp := &batchResponse{Queries: st.Queries, Workers: st.Workers, Results: st.Results, Points: out, IO: ioOfBatch(st)}
-	return finish(resp, st.Results, release)
+	return finishRead(resp, st.Results, aerr, err, release)
 }
 
 // opWindowBatch fans /v1/window/batch across the worker pool.
@@ -705,9 +579,8 @@ func (s *Server) opWindowBatch(ctx context.Context, body []byte) (response, int,
 	}
 	qs := make([]pathcache.WindowQuery, len(req.Queries))
 	for i, q := range req.Queries {
-		if aerr := q.validate(); aerr != nil {
-			release()
-			return nil, 0, aerr
+		if aerr = q.validate(); aerr != nil {
+			break
 		}
 		qs[i] = pathcache.WindowQuery{X1: *q.X1, X2: *q.X2, Y1: *q.Y1, Y2: *q.Y2}
 	}
@@ -716,25 +589,13 @@ func (s *Server) opWindowBatch(ctx context.Context, body []byte) (response, int,
 		st  pathcache.BatchStats
 		err error
 	)
-	switch v := ix.(type) {
-	case *pathcache.WindowIndex:
-		out, st, err = v.QueryBatch(qs, s.batchWorkers(req.Workers))
-	case *pathcache.Sharded:
-		if v.ContentKind() != "window" {
-			release()
-			return nil, 0, errUnsupported(shardedKind(v), "window/batch")
+	if aerr == nil {
+		if aerr = needShape(ix, pathcache.ShapeWindow, "window/batch"); aerr == nil {
+			out, st, err = ix.(pathcache.WindowQuerier).WindowQueryBatch(qs, s.batchWorkers(req.Workers))
 		}
-		out, st, err = v.WindowQueryBatch(qs, s.batchWorkers(req.Workers))
-	default:
-		release()
-		return nil, 0, errUnsupported(ix.Kind(), "window/batch")
-	}
-	if err != nil {
-		release()
-		return nil, 0, mapStoreErr(err)
 	}
 	resp := &batchResponse{Queries: st.Queries, Workers: st.Workers, Results: st.Results, Points: out, IO: ioOfBatch(st)}
-	return finish(resp, st.Results, release)
+	return finishRead(resp, st.Results, aerr, err, release)
 }
 
 // opStabBatch fans /v1/stab/batch across the worker pool.
@@ -753,39 +614,16 @@ func (s *Server) opStabBatch(ctx context.Context, body []byte) (response, int, *
 	if aerr != nil {
 		return nil, 0, aerr
 	}
-	workers := s.batchWorkers(req.Workers)
 	var (
 		out [][]pathcache.Interval
 		st  pathcache.BatchStats
 		err error
 	)
-	switch v := ix.(type) {
-	case *pathcache.SegmentIndex:
-		out, st, err = v.StabBatch(req.Qs, workers)
-	case *pathcache.IntervalIndex:
-		out, st, err = v.StabBatch(req.Qs, workers)
-	case *pathcache.StabbingIndex:
-		out, st, err = v.StabBatch(req.Qs, workers)
-	case *pathcache.LSMIndex:
-		out, st, err = v.StabBatch(req.Qs, workers)
-	case *pathcache.Sharded:
-		switch v.ContentKind() {
-		case "segment", "interval", "stabbing", "lsm":
-		default:
-			release()
-			return nil, 0, errUnsupported(shardedKind(v), "stab/batch")
-		}
-		out, st, err = v.StabBatch(req.Qs, workers)
-	default:
-		release()
-		return nil, 0, errUnsupported(ix.Kind(), "stab/batch")
-	}
-	if err != nil {
-		release()
-		return nil, 0, mapStoreErr(err)
+	if aerr = needShape(ix, pathcache.ShapeStab, "stab/batch"); aerr == nil {
+		out, st, err = ix.(pathcache.Stabber).StabBatch(req.Qs, s.batchWorkers(req.Workers))
 	}
 	resp := &batchResponse{Queries: st.Queries, Workers: st.Workers, Results: st.Results, Intervals: out, IO: ioOfBatch(st)}
-	return finish(resp, st.Results, release)
+	return finishRead(resp, st.Results, aerr, err, release)
 }
 
 func (s *Server) checkBatch(n int) *apiError {
@@ -799,53 +637,35 @@ func (s *Server) checkBatch(n int) *apiError {
 	return nil
 }
 
-// writeTier is the write-path seam /v1/insert through /v1/compact need.
-// The LSM tier satisfies it directly; a sharded store of lsm shards
-// satisfies it by routing each record to its owning shard.
-type writeTier interface {
-	Insert(pathcache.Point) (pathcache.IOProfile, error)
-	Delete(pathcache.Point) (pathcache.IOProfile, error)
-	Flush() error
-	Compact() error
-	Len() int
-}
-
 // writable pins the index and requires a write tier: the lsm kind, or a
-// sharded store whose shards are lsm.
-func (s *Server) writable(op string) (writeTier, func() error, *apiError) {
+// sharded store whose shards are lsm. The check is synchronous, so a
+// refused request never starts work.
+func (s *Server) writable(op string) (pathcache.WriteTier, func() error, *apiError) {
 	ix, release, aerr := s.acquire()
 	if aerr != nil {
 		return nil, nil, aerr
 	}
-	switch v := ix.(type) {
-	case *pathcache.LSMIndex:
-		return v, release, nil
-	case *pathcache.Sharded:
-		if v.ContentKind() == "lsm" {
-			return v, release, nil
-		}
-		release()
-		return nil, nil, &apiError{Status: http.StatusBadRequest, Code: codeReadOnlyKind,
-			Message: fmt.Sprintf("index kind %q is static; %s needs the lsm write tier", shardedKind(v), op)}
-	default:
+	w, ok := pathcache.Writable(ix)
+	if !ok {
 		release()
 		return nil, nil, &apiError{Status: http.StatusBadRequest, Code: codeReadOnlyKind,
 			Message: fmt.Sprintf("index kind %q is static; %s needs the lsm write tier", ix.Kind(), op)}
 	}
+	return w, release, nil
 }
 
 // opInsert appends one record through the write tier's WAL.
 func (s *Server) opInsert(ctx context.Context, body []byte) (response, int, *apiError) {
-	return s.update(ctx, body, "insert", writeTier.Insert)
+	return s.update(ctx, body, "insert", pathcache.WriteTier.Insert)
 }
 
 // opDelete tombstones one record.
 func (s *Server) opDelete(ctx context.Context, body []byte) (response, int, *apiError) {
-	return s.update(ctx, body, "delete", writeTier.Delete)
+	return s.update(ctx, body, "delete", pathcache.WriteTier.Delete)
 }
 
 func (s *Server) update(ctx context.Context, body []byte, op string,
-	apply func(writeTier, pathcache.Point) (pathcache.IOProfile, error)) (response, int, *apiError) {
+	apply func(pathcache.WriteTier, pathcache.Point) (pathcache.IOProfile, error)) (response, int, *apiError) {
 	var req recordReq
 	if aerr := decodeStrict(body, &req); aerr != nil {
 		return nil, 0, aerr
@@ -888,10 +708,10 @@ func (s *Server) opFlush(ctx context.Context, body []byte) (response, int, *apiE
 }
 
 // opCompact rebuilds the write tier's levels: synchronously by default, or
-// as a racing background compaction over a copy-on-write level snapshot
-// ({"background": true}) that never blocks readers. A background attempt
-// that loses the race with a concurrent flush discards its work (counted
-// as stale in /varz) — the state that superseded it is already newer.
+// in the background ({"background": true}) without blocking readers. A
+// background attempt that loses the race with a concurrent flush discards
+// its work (counted as stale in /varz) — the state that superseded it is
+// already newer.
 func (s *Server) opCompact(ctx context.Context, body []byte) (response, int, *apiError) {
 	var req compactReq
 	if aerr := decodeStrict(body, &req); aerr != nil {
@@ -911,7 +731,7 @@ func (s *Server) opCompact(ctx context.Context, body []byte) (response, int, *ap
 		}
 		return finish(&okResponse{OK: true}, 0, release)
 	}
-	done := compactBackground(w)
+	done := w.CompactBackground()
 	go func() {
 		err := <-done
 		switch {
@@ -927,19 +747,6 @@ func (s *Server) opCompact(ctx context.Context, body []byte) (response, int, *ap
 		release() //nolint:errcheck // surfaced via compactFail on next request
 	}()
 	return &okResponse{OK: true, Background: true}, 0, nil
-}
-
-// compactBackground starts a non-blocking compaction. The LSM tier races
-// over its own copy-on-write level snapshot; a sharded store compacts
-// shard by shard on a goroutine — its readers run over router snapshots
-// and never block on the maintenance lock.
-func compactBackground(w writeTier) <-chan error {
-	if lsm, ok := w.(*pathcache.LSMIndex); ok {
-		return lsm.CompactBackground()
-	}
-	done := make(chan error, 1)
-	go func() { done <- w.Compact() }()
-	return done
 }
 
 // opReload hot-swaps the served index: reopen the handle's path and

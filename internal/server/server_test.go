@@ -190,6 +190,8 @@ func TestServeErrorMapping(t *testing.T) {
 	twosided := startServer(t, buildKind(t, dir, "twosided"), Config{MaxBatch: 4})
 	threeside := startServer(t, buildKind(t, dir, "threeside"), Config{})
 	window := startServer(t, buildKind(t, dir, "window"), Config{})
+	lsm := startServer(t, buildKind(t, dir, "lsm"), Config{})
+	lsmSegment := startServer(t, buildKind(t, dir, "lsm-segment"), Config{})
 
 	cases := []struct {
 		name   string
@@ -219,6 +221,11 @@ func TestServeErrorMapping(t *testing.T) {
 			map[string]any{"queries": []map[string]any{{"a": 1, "b": 1}, {"a": 1, "b": 1}, {"a": 1, "b": 1}, {"a": 1, "b": 1}, {"a": 1, "b": 1}}},
 			400, "batch_too_large"},
 		{"unknown route", twosided, "/v1/frobnicate", nil, 404, "not_found"},
+		// The write tier answers its base kind's shape.
+		{"query on lsm over segment", lsmSegment, "/v1/query", map[string]any{"a": 1, "b": 2}, 400, "unsupported_shape"},
+		{"query batch on lsm over segment", lsmSegment, "/v1/query/batch", map[string]any{"queries": []map[string]any{{"a": 1, "b": 2}}}, 400, "unsupported_shape"},
+		{"stab on lsm over twosided", lsm, "/v1/stab", map[string]any{"q": 1}, 400, "unsupported_shape"},
+		{"stab batch on lsm over twosided", lsm, "/v1/stab/batch", map[string]any{"qs": []int64{1}}, 400, "unsupported_shape"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -149,6 +149,14 @@ func TestServeShardedStab(t *testing.T) {
 	wantCode(t, status, body, http.StatusBadRequest, codeUnsupportedShape)
 }
 
+// TestServeShardedLSMShape pins that a sharded lsm store answers its
+// base's shape: a stab on lsm-over-twosided shards is a typed 400.
+func TestServeShardedLSMShape(t *testing.T) {
+	ts := startServer(t, buildShardedKind(t, t.TempDir(), "lsm", 2), Config{})
+	status, body := ts.post(t, "/v1/stab", map[string]any{"q": 50})
+	wantCode(t, status, body, http.StatusBadRequest, codeUnsupportedShape)
+}
+
 // TestServeShardedLSM exercises the write path routed through per-shard
 // write tiers: insert, search, delete, flush and compact (sync and
 // background) against a sharded lsm store.

@@ -46,18 +46,12 @@ func NewStabbingIndex(ivs []Interval, scheme Scheme, opts *Options) (*StabbingIn
 	return &StabbingIndex{core: ix.core, ix: ix}, nil
 }
 
-// Stab reports every interval containing q.
-func (si *StabbingIndex) Stab(q int64) ([]Interval, error) {
-	ivs, _, err := si.StabProfile(q)
-	return ivs, err
-}
-
-// StabProfile is Stab plus the query's I/O profile, including the exact
-// page transfers attributed to this one query by an op-scoped counter.
-// The reduction records exactly one "stab" op under the stabbing kind —
-// not an inner 2-sided "query" — so metric series reflect the operation
-// the caller asked for.
-func (si *StabbingIndex) StabProfile(q int64) ([]Interval, IOProfile, error) {
+// Stab reports every interval containing q, plus the query's I/O profile:
+// the exact page transfers attributed to this one query by an op-scoped
+// counter. The reduction records exactly one "stab" op under the stabbing
+// kind — not an inner 2-sided "query" — so metric series reflect the
+// operation the caller asked for.
+func (si *StabbingIndex) Stab(q int64) ([]Interval, IOProfile, error) {
 	pts, prof, err := si.ix.queryAs("stab", -q, q)
 	if err != nil {
 		return nil, prof, err
@@ -74,6 +68,9 @@ func (si *StabbingIndex) Len() int { return si.ix.Len() }
 
 // Kind reports the index's registry name.
 func (si *StabbingIndex) Kind() string { return si.ix.Kind() }
+
+// Shape reports ShapeStab.
+func (si *StabbingIndex) Shape() Shape { return shapeOf(kindStabbing, 0) }
 
 // Layout reports the in-page layout of the underlying 2-sided engine.
 func (si *StabbingIndex) Layout() Layout { return si.ix.Layout() }
@@ -161,15 +158,10 @@ func NewSegmentIndex(ivs []Interval, cached bool, opts *Options) (*SegmentIndex,
 	return &SegmentIndex{core: c, idx: idx}, nil
 }
 
-// Stab reports every interval containing q.
-func (ix *SegmentIndex) Stab(q int64) ([]Interval, error) {
-	ivs, _, err := ix.StabProfile(q)
-	return ivs, err
-}
-
-// StabProfile is Stab plus the query's I/O profile, including the exact
-// page transfers attributed to this one query by an op-scoped counter.
-func (ix *SegmentIndex) StabProfile(q int64) ([]Interval, IOProfile, error) {
+// Stab reports every interval containing q, plus the query's I/O profile:
+// the exact page transfers attributed to this one query by an op-scoped
+// counter.
+func (ix *SegmentIndex) Stab(q int64) ([]Interval, IOProfile, error) {
 	ctr, finish := ix.startOp(engine.KindName(kindSegment), "stab")
 	ivs, st, err := ix.idx.WithPager(ix.be.OpPager(ctr)).Stab(q)
 	if err != nil {
@@ -192,6 +184,9 @@ func (ix *SegmentIndex) Len() int { return ix.idx.Len() }
 
 // Kind reports the index's registry name.
 func (ix *SegmentIndex) Kind() string { return engine.KindName(kindSegment) }
+
+// Shape reports ShapeStab.
+func (ix *SegmentIndex) Shape() Shape { return shapeOf(kindSegment, 0) }
 
 // Layout reports the in-page layout of the persisted structure.
 func (ix *SegmentIndex) Layout() Layout { return Layout(ix.idx.Layout()) }
@@ -228,15 +223,10 @@ func NewIntervalIndex(ivs []Interval, cached bool, opts *Options) (*IntervalInde
 	return &IntervalIndex{core: c, idx: idx}, nil
 }
 
-// Stab reports every interval containing q.
-func (ix *IntervalIndex) Stab(q int64) ([]Interval, error) {
-	ivs, _, err := ix.StabProfile(q)
-	return ivs, err
-}
-
-// StabProfile is Stab plus the query's I/O profile, including the exact
-// page transfers attributed to this one query by an op-scoped counter.
-func (ix *IntervalIndex) StabProfile(q int64) ([]Interval, IOProfile, error) {
+// Stab reports every interval containing q, plus the query's I/O profile:
+// the exact page transfers attributed to this one query by an op-scoped
+// counter.
+func (ix *IntervalIndex) Stab(q int64) ([]Interval, IOProfile, error) {
 	ctr, finish := ix.startOp(engine.KindName(kindInterval), "stab")
 	ivs, st, err := ix.idx.WithPager(ix.be.OpPager(ctr)).Stab(q)
 	if err != nil {
@@ -259,6 +249,9 @@ func (ix *IntervalIndex) Len() int { return ix.idx.Len() }
 
 // Kind reports the index's registry name.
 func (ix *IntervalIndex) Kind() string { return engine.KindName(kindInterval) }
+
+// Shape reports ShapeStab.
+func (ix *IntervalIndex) Shape() Shape { return shapeOf(kindInterval, 0) }
 
 // Layout reports the in-page layout of the persisted structure.
 func (ix *IntervalIndex) Layout() Layout { return Layout(ix.idx.Layout()) }

@@ -95,12 +95,12 @@ func (p pointProbe) query(q [4]int64) (string, int64, error) {
 		return fmt.Sprint(pts), profSum(prof), err
 	case "threeside":
 		a1, a2 := minmax(q[0], q[1])
-		pts, prof, err := p.thr.QueryProfile(a1, a2, q[2])
+		pts, prof, err := p.thr.QueryThreeSided(a1, a2, q[2])
 		return fmt.Sprint(pts), profSum(prof), err
 	default:
 		x1, x2 := minmax(q[0], q[1])
 		y1, y2 := minmax(q[2], q[3])
-		pts, prof, err := p.win.QueryProfile(x1, x2, y1, y2)
+		pts, prof, err := p.win.WindowQuery(x1, x2, y1, y2)
 		return fmt.Sprint(pts), profSum(prof), err
 	}
 }
@@ -130,11 +130,11 @@ func (p stabProbe) query(q [4]int64) (string, int64, error) {
 	var err error
 	switch p.kind {
 	case "segment":
-		ivs, prof, err = p.seg.StabProfile(q[0])
+		ivs, prof, err = p.seg.Stab(q[0])
 	case "interval":
-		ivs, prof, err = p.itv.StabProfile(q[0])
+		ivs, prof, err = p.itv.Stab(q[0])
 	default:
-		ivs, prof, err = p.stb.StabProfile(q[0])
+		ivs, prof, err = p.stb.Stab(q[0])
 	}
 	return fmt.Sprint(ivs), profSum(prof), err
 }

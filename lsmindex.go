@@ -58,10 +58,11 @@ type LSMLevel struct {
 // sentinels enforce. Queries may run concurrently with each other and with
 // updates; updates are serialized internally.
 //
-// The base kind decides the query shapes: point bases ("twosided",
-// "threeside", "window") answer Query; interval bases ("segment",
-// "interval") answer Stab; "stabbing" answers both via the diagonal-corner
-// reduction. The unsupported shape fails with lsm's unsupported error.
+// The base kind decides the query shape, which Shape reports: point bases
+// ("twosided", "threeside", "window") answer Query, interval bases
+// ("segment", "interval", "stabbing") answer Stab. A direct call of the
+// other method fails with lsm's unsupported error, except that a
+// "stabbing" base answers Query too through the diagonal-corner reduction.
 type LSMIndex struct {
 	core
 	mu sync.Mutex // serializes updates, flushes and compactions
@@ -423,6 +424,12 @@ func (x *LSMIndex) StabBatch(qs []int64, workers int) ([][]Interval, BatchStats,
 
 // Kind reports the registry name "lsm".
 func (x *LSMIndex) Kind() string { return lsmKindName }
+
+// Shape reports ShapeStab over an interval base, ShapeTwoSided over a
+// point base.
+func (x *LSMIndex) Shape() Shape { return shapeOf(kindLSM, x.tr.BaseKind()) }
+
+func (x *LSMIndex) writable() bool { return true }
 
 // Base reports the base kind's registry name — the static structure the
 // levels are built with.

@@ -92,7 +92,7 @@ func TestStrictDefaultsPass(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ix.Close()
-	res, err := ix.Query(50_000, 50_000)
+	res, _, err := ix.Query(50_000, 50_000)
 	if err != nil {
 		t.Fatalf("strict query failed within default limits: %v", err)
 	}
@@ -130,7 +130,7 @@ func TestWithTracerSeesEveryOp(t *testing.T) {
 	}
 	defer ix.Close()
 	for q := int64(0); q < 5; q++ {
-		if _, err := ix.Stab(q * 20_000); err != nil {
+		if _, _, err := ix.Stab(q * 20_000); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -172,7 +172,7 @@ func TestMetricsSnapshotAndReset(t *testing.T) {
 	}
 	defer ix.Close()
 	for i := 0; i < 6; i++ {
-		if _, err := ix.Query(int64(i)*10_000, 40_000); err != nil {
+		if _, _, err := ix.Query(int64(i)*10_000, 40_000); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -227,7 +227,7 @@ func TestMetricsSumMatchesStatsDiff(t *testing.T) {
 	ix.ResetMetrics()
 	before := ix.Stats()
 	for q := int64(0); q < 8; q++ {
-		if _, err := ix.Stab(q * 12_000); err != nil {
+		if _, _, err := ix.Stab(q * 12_000); err != nil {
 			t.Fatal(err)
 		}
 	}

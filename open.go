@@ -7,14 +7,21 @@ import (
 	"pathcache/internal/engine"
 )
 
-// Index is the interface every persistable index type satisfies — the
-// static view of an index file regardless of its kind. Open returns it;
-// type-switch on the concrete type (*TwoSidedIndex, *ThreeSidedIndex,
-// *SegmentIndex, *IntervalIndex, *StabbingIndex, *WindowIndex) to reach the
-// kind-specific query methods.
+// Index is the interface every persistable kind satisfies — the view of an
+// index file or sharded directory regardless of its kind. Open returns it.
+// To query it, read Shape and use that shape's capability interface
+// (TwoSidedQuerier, ThreeSidedQuerier, WindowQuerier or Stabber); to update
+// it, ask Writable for its WriteTier. Concrete types are needed only for
+// kind-specific features such as TwoSidedIndex.Scheme, LSMIndex.Levels or
+// Sharded.Split.
 type Index interface {
-	// Kind reports the index's registry name, e.g. "twosided" or "segment".
+	// Kind reports the index's registry name, e.g. "twosided", "lsm" or
+	// "shard".
 	Kind() string
+	// Shape reports the query shape the index answers. An lsm index
+	// answers its base kind's (2-sided for every point base), a sharded
+	// store its content kind's.
+	Shape() Shape
 	// Len reports the number of indexed records.
 	Len() int
 	// Pages reports the storage footprint in pages.
@@ -86,15 +93,3 @@ func openIndexWith(path string, opts *Options) (Index, error) {
 	}
 	return ix.(Index), nil
 }
-
-// compile-time checks that every persistable index satisfies Index.
-var (
-	_ Index = (*TwoSidedIndex)(nil)
-	_ Index = (*ThreeSidedIndex)(nil)
-	_ Index = (*SegmentIndex)(nil)
-	_ Index = (*IntervalIndex)(nil)
-	_ Index = (*StabbingIndex)(nil)
-	_ Index = (*WindowIndex)(nil)
-	_ Index = (*LSMIndex)(nil)
-	_ Index = (*Sharded)(nil)
-)

@@ -37,7 +37,7 @@ func TestPageSizeSweep(t *testing.T) {
 					t.Fatalf("%v: %v", sc, err)
 				}
 				for _, q := range qs2 {
-					got, err := ix.Query(q.A, q.B)
+					got, _, err := ix.Query(q.A, q.B)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -59,7 +59,7 @@ func TestPageSizeSweep(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, q := range qs3 {
-				got, err := three.Query(q.A1, q.A2, q.B)
+				got, _, err := three.QueryThreeSided(q.A1, q.A2, q.B)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -72,7 +72,7 @@ func TestPageSizeSweep(t *testing.T) {
 				if !samePointSets(got, want) {
 					t.Fatalf("3-sided page=%d: got %d want %d", ps, len(got), len(want))
 				}
-				gotW, err := win.Query(q.A1, q.A2, q.B, 1<<40)
+				gotW, _, err := win.WindowQuery(q.A1, q.A2, q.B, 1<<40)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -96,10 +96,10 @@ func TestPageSizeSweep(t *testing.T) {
 			}
 			for _, q := range stabs {
 				want := bruteStab(ivs, q)
-				if got, err := seg.Stab(q); err != nil || !sameIntervalSets(got, want) {
+				if got, _, err := seg.Stab(q); err != nil || !sameIntervalSets(got, want) {
 					t.Fatalf("segment page=%d stab %d (err=%v)", ps, q, err)
 				}
-				if got, err := itv.Stab(q); err != nil || !sameIntervalSets(got, want) {
+				if got, _, err := itv.Stab(q); err != nil || !sameIntervalSets(got, want) {
 					t.Fatalf("interval page=%d stab %d (err=%v)", ps, q, err)
 				}
 			}

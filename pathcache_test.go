@@ -144,7 +144,7 @@ func TestThreeSidedIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, q := range workload.ThreeSidedQueries(20, 100_000, 0.2, 0.02, 307) {
-		got, err := ix.Query(q.A1, q.A2, q.B)
+		got, _, err := ix.QueryThreeSided(q.A1, q.A2, q.B)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -199,7 +199,7 @@ func TestStabbingIndexStatic(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, q := range workload.StabQueries(40, 110_000, 315) {
-			got, err := ix.Stab(q)
+			got, _, err := ix.Stab(q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -257,7 +257,7 @@ func TestSegmentAndIntervalIndexes(t *testing.T) {
 		}
 		for _, q := range workload.StabQueries(40, 120_000, 323) {
 			want := bruteStab(ivs, q)
-			got, prof, err := seg.StabProfile(q)
+			got, prof, err := seg.Stab(q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -267,7 +267,7 @@ func TestSegmentAndIntervalIndexes(t *testing.T) {
 			if prof.Results != len(got) {
 				t.Fatal("segment profile mismatch")
 			}
-			got, _, err = itv.StabProfile(q)
+			got, _, err = itv.Stab(q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -345,19 +345,19 @@ func TestF1QueryClassReductions(t *testing.T) {
 	}
 	for _, q := range workload.StabQueries(30, 60_000, 329) {
 		// Stabbing via four routes.
-		fromStab, err := stab.Stab(q)
+		fromStab, _, err := stab.Stab(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fromSeg, err := seg.Stab(q)
+		fromSeg, _, err := seg.Stab(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fromTwo, err := two.Query(-q, q) // diagonal-corner query
+		fromTwo, _, err := two.Query(-q, q) // diagonal-corner query
 		if err != nil {
 			t.Fatal(err)
 		}
-		fromThree, err := three.Query(-q, int64(1)<<62, q) // 3-sided with open right
+		fromThree, _, err := three.QueryThreeSided(-q, int64(1)<<62, q) // 3-sided with open right
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -391,10 +391,10 @@ func TestBufferPoolReducesStoreReads(t *testing.T) {
 	cold.ResetStats()
 	warm.ResetStats()
 	for _, q := range queries {
-		if _, err := cold.Query(q.A, q.B); err != nil {
+		if _, _, err := cold.Query(q.A, q.B); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := warm.Query(q.A, q.B); err != nil {
+		if _, _, err := warm.Query(q.A, q.B); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -420,7 +420,7 @@ func TestStatsAndB(t *testing.T) {
 	if s := ix.Stats(); s.Reads != 0 || s.Writes != 0 {
 		t.Fatalf("stats not reset: %+v", s)
 	}
-	if _, err := ix.Query(0, 0); err != nil {
+	if _, _, err := ix.Query(0, 0); err != nil {
 		t.Fatal(err)
 	}
 	if ix.Stats().Reads == 0 {
@@ -486,7 +486,7 @@ func TestWindowIndex(t *testing.T) {
 		x2 := x1 + rng.Int63n(100_000-x1+1)
 		y1 := rng.Int63n(100_000)
 		y2 := y1 + rng.Int63n(100_000-y1+1)
-		got, prof, err := ix.QueryProfile(x1, x2, y1, y2)
+		got, prof, err := ix.WindowQuery(x1, x2, y1, y2)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -18,7 +18,7 @@ func TestFileBackedTwoSidedRoundTrip(t *testing.T) {
 		queries := workload.TwoSidedQueries(10, 100_000, 0.02, 703)
 		want := make([][]Point, len(queries))
 		for i, q := range queries {
-			want[i], err = ix.Query(q.A, q.B)
+			want[i], _, err = ix.Query(q.A, q.B)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -39,7 +39,7 @@ func TestFileBackedTwoSidedRoundTrip(t *testing.T) {
 			t.Fatalf("%v: reopened pages %d, want %d", sc, re.Pages(), wantPages)
 		}
 		for i, q := range queries {
-			got, err := re.Query(q.A, q.B)
+			got, _, err := re.Query(q.A, q.B)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -61,7 +61,7 @@ func TestFileBackedThreeSidedRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := workload.ThreeSidedQueries(1, 100_000, 0.2, 0.05, 707)[0]
-	want, err := ix.Query(q.A1, q.A2, q.B)
+	want, _, err := ix.QueryThreeSided(q.A1, q.A2, q.B)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestFileBackedThreeSidedRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	got, err := re.Query(q.A1, q.A2, q.B)
+	got, _, err := re.QueryThreeSided(q.A1, q.A2, q.B)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestFileBackedIntervalIndexesRoundTrip(t *testing.T) {
 	}
 	wantSeg := make([][]Interval, len(qs))
 	for i, q := range qs {
-		if wantSeg[i], err = seg.Stab(q); err != nil {
+		if wantSeg[i], _, err = seg.Stab(q); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -106,7 +106,7 @@ func TestFileBackedIntervalIndexesRoundTrip(t *testing.T) {
 	}
 	defer reSeg.Close()
 	for i, q := range qs {
-		got, err := reSeg.Stab(q)
+		got, _, err := reSeg.Stab(q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,7 +129,7 @@ func TestFileBackedIntervalIndexesRoundTrip(t *testing.T) {
 	}
 	defer reItv.Close()
 	for i, q := range qs {
-		got, err := reItv.Stab(q)
+		got, _, err := reItv.Stab(q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,7 +146,7 @@ func TestFileBackedStabbingRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := ix.Stab(50_000)
+	want, _, err := ix.Stab(50_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestFileBackedStabbingRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	got, err := re.Stab(50_000)
+	got, _, err := re.Stab(50_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestFileBackedRecursiveSchemeNoReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ix.Query(0, 0)
+	got, _, err := ix.Query(0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestFileBackedWindowRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := ix.Query(20_000, 70_000, 30_000, 90_000)
+	want, _, err := ix.WindowQuery(20_000, 70_000, 30_000, 90_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestFileBackedWindowRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	got, err := re.Query(20_000, 70_000, 30_000, 90_000)
+	got, _, err := re.WindowQuery(20_000, 70_000, 30_000, 90_000)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -697,7 +697,7 @@ func (s *Sharded) splitShard(ix Index, leftPath, rightPath string) (int64, Index
 	ro := shardFileOptions(s.opts, rightPath)
 	switch t := ix.(type) {
 	case *TwoSidedIndex:
-		pts, err := t.Query(math.MinInt64, math.MinInt64)
+		pts, _, err := t.Query(math.MinInt64, math.MinInt64)
 		if err != nil {
 			return 0, nil, nil, err
 		}
@@ -705,7 +705,7 @@ func (s *Sharded) splitShard(ix Index, leftPath, rightPath string) (int64, Index
 			return NewTwoSidedIndex(sub, t.Scheme(), o)
 		}, lo, ro)
 	case *ThreeSidedIndex:
-		pts, err := t.Query(math.MinInt64, math.MaxInt64, math.MinInt64)
+		pts, _, err := t.QueryThreeSided(math.MinInt64, math.MaxInt64, math.MinInt64)
 		if err != nil {
 			return 0, nil, nil, err
 		}
@@ -713,7 +713,7 @@ func (s *Sharded) splitShard(ix Index, leftPath, rightPath string) (int64, Index
 			return NewThreeSidedIndex(sub, o)
 		}, lo, ro)
 	case *WindowIndex:
-		pts, err := t.Query(math.MinInt64, math.MaxInt64, math.MinInt64, math.MaxInt64)
+		pts, _, err := t.WindowQuery(math.MinInt64, math.MaxInt64, math.MinInt64, math.MaxInt64)
 		if err != nil {
 			return 0, nil, nil, err
 		}
@@ -723,7 +723,7 @@ func (s *Sharded) splitShard(ix Index, leftPath, rightPath string) (int64, Index
 	case *StabbingIndex:
 		// Enumerate through the underlying 2-sided engine and decode the
 		// diagonal-corner reduction: routing is by interval Lo.
-		pts, err := t.ix.Query(math.MinInt64, math.MinInt64)
+		pts, _, err := t.ix.Query(math.MinInt64, math.MinInt64)
 		if err != nil {
 			return 0, nil, nil, err
 		}

@@ -67,7 +67,7 @@ func TestShardedMergeDeterminism(t *testing.T) {
 			// combination must reproduce it byte for byte.
 			want := make([][]Point, len(qs))
 			for i, q := range qs {
-				w, err := oracle.Query(q.A, q.B)
+				w, _, err := oracle.Query(q.A, q.B)
 				if err != nil {
 					t.Fatalf("oracle: %v", err)
 				}
@@ -92,70 +92,6 @@ func TestShardedMergeDeterminism(t *testing.T) {
 							if got[qi][j] != want[qi][j] {
 								t.Fatal(shardDetRepro("QueryBatch", seed, workers, qi,
 									fmt.Sprintf("result %d is %+v, want %+v", j, got[qi][j], want[qi][j])))
-							}
-						}
-					}
-				}
-			}
-		})
-	}
-}
-
-func TestShardedSearchBatchDeterminism(t *testing.T) {
-	for _, seed := range shardDetSeeds(t) {
-		seed := seed
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(seed))
-			var splits []int64
-			for k := int64(500); k < 4000; k += 400 + rng.Int63n(400) {
-				splits = append(splits, k)
-			}
-			s, err := NewShardedRange(splits, nil)
-			if err != nil {
-				t.Fatalf("NewShardedRange: %v", err)
-			}
-			defer s.Close()
-			oracle, err := NewRangeIndex(nil)
-			if err != nil {
-				t.Fatalf("oracle: %v", err)
-			}
-			defer oracle.Close()
-			for i := 0; i < 600; i++ {
-				k, v := rng.Int63n(4000), uint64(i+1)
-				if err := s.Insert(k, v); err != nil {
-					t.Fatalf("Insert: %v", err)
-				}
-				if err := oracle.Insert(k, v); err != nil {
-					t.Fatalf("oracle Insert: %v", err)
-				}
-			}
-			var keys []int64
-			for i := 0; i < 64; i++ {
-				keys = append(keys, rng.Int63n(4400)-200)
-			}
-			want := make([][]uint64, len(keys))
-			for i, k := range keys {
-				w, err := oracle.Search(k)
-				if err != nil {
-					t.Fatalf("oracle Search: %v", err)
-				}
-				want[i] = w
-			}
-			for _, workers := range []int{1, 2, 3, 8} {
-				for run := 0; run < 3; run++ {
-					got, _, err := s.SearchBatch(keys, workers)
-					if err != nil {
-						t.Fatalf("SearchBatch(workers=%d): %v", workers, err)
-					}
-					for qi := range keys {
-						if len(got[qi]) != len(want[qi]) {
-							t.Fatal(shardDetRepro("SearchBatch", seed, workers, qi,
-								fmt.Sprintf("%d values, want %d", len(got[qi]), len(want[qi]))))
-						}
-						for j := range want[qi] {
-							if got[qi][j] != want[qi][j] {
-								t.Fatal(shardDetRepro("SearchBatch", seed, workers, qi,
-									fmt.Sprintf("value %d is %d, want %d", j, got[qi][j], want[qi][j])))
 							}
 						}
 					}

@@ -147,11 +147,16 @@ func mergeIntervals(parts [][]Interval) []Interval {
 	return out
 }
 
+// Shape reports the content kind's shape (an lsm content's base decides).
+func (s *Sharded) Shape() Shape { return shapeOf(s.kind, s.base) }
+
+func (s *Sharded) writable() bool { return s.kind == kindLSM }
+
 func (s *Sharded) kindError(op string) error {
-	return fmt.Errorf("pathcache: %s unsupported for %s shards", op, s.ContentKind())
+	return fmt.Errorf("pathcache: %s unsupported for %s shards answering %s queries", op, s.ContentKind(), s.Shape())
 }
 
-// stabFrom plans the shard range of a stabbing query at q: interval kinds
+// stabRange plans the shard range of a stabbing query at q: interval kinds
 // route by Lo (so only shards with a split key <= q can hold a container),
 // while "lsm" stores the diagonal-corner encoding X = -Lo.
 func stabRange(kind byte, splits []int64, q int64, n int) (int, int) {
@@ -164,169 +169,119 @@ func stabRange(kind byte, splits []int64, q int64, n int) (int, int) {
 	return 0, shard.Prefix(splits, q)
 }
 
-// gatherSerial runs one serial operation over the shard range [from, to)
-// of a snapshot, collecting each shard's profile.
-func gatherSerial(shards []shard.Shard, from, to int, profs *[]ShardProfile, run func(i int, ix Index) (IOProfile, error)) error {
-	for i := from; i < to; i++ {
-		ix, release, err := acquireShard(shards[i])
-		if err != nil {
-			return err
+// gatherSerial runs one serial operation over the shard range plan picks
+// from a snapshot and merges the answers canonically, collecting each
+// consulted shard's profile.
+func gatherSerial[R any](s *Sharded, plan func(splits []int64, n int) (int, int),
+	run func(ix Index) ([]R, IOProfile, error), merge func(parts [][]R) []R,
+) ([]R, []ShardProfile, error) {
+	var parts [][]R
+	var profs []ShardProfile
+	err := s.withSnapshot(func(shards []shard.Shard, splits []int64) error {
+		parts, profs = nil, nil
+		from, to := plan(splits, len(shards))
+		for i := from; i < to; i++ {
+			ix, release, err := acquireShard(shards[i])
+			if err != nil {
+				return err
+			}
+			res, prof, err := run(ix)
+			if rerr := release(); err == nil {
+				err = rerr
+			}
+			if err != nil {
+				return err
+			}
+			parts = append(parts, res)
+			profs = append(profs, ShardProfile{Shard: i, IOProfile: prof})
 		}
-		prof, err := run(i, ix)
-		if rerr := release(); err == nil {
-			err = rerr
-		}
-		if err != nil {
-			return err
-		}
-		*profs = append(*profs, ShardProfile{Shard: i, IOProfile: prof})
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
 	}
-	return nil
+	return merge(parts), profs, nil
+}
+
+// sumProfiles folds the consulted shards' profiles into the operation's:
+// the counts add up, while Bound and BoundRatio stay zero because each
+// shard was checked against its own bound.
+func sumProfiles(profs []ShardProfile) IOProfile {
+	var out IOProfile
+	for _, p := range profs {
+		out.PathPages += p.PathPages
+		out.ListPages += p.ListPages
+		out.UsefulIOs += p.UsefulIOs
+		out.WastefulIOs += p.WastefulIOs
+		out.Results += p.Results
+		out.Reads += p.Reads
+		out.Writes += p.Writes
+		out.CacheHits += p.CacheHits
+	}
+	return out
 }
 
 // Query answers the 2-sided query {x >= a, y >= b} across every shard
-// whose key range can hold a match, merging in (X, Y, ID) order.
-// Supported by "twosided" and "lsm" shards.
-func (s *Sharded) Query(a, b int64) ([]Point, error) {
-	pts, _, err := s.QueryProfile(a, b)
-	return pts, err
+// whose key range can hold a match, merging in (X, Y, ID) order. The
+// profile sums the consulted shards'.
+func (s *Sharded) Query(a, b int64) ([]Point, IOProfile, error) {
+	pts, profs, err := s.QueryProfile(a, b)
+	return pts, sumProfiles(profs), err
 }
 
-// QueryProfile is Query plus each consulted shard's exact I/O profile.
+// QueryProfile is Query with each consulted shard's exact I/O profile.
 func (s *Sharded) QueryProfile(a, b int64) ([]Point, []ShardProfile, error) {
-	if s.kind != kindTwoSided && s.kind != kindLSM {
+	if s.Shape() != ShapeTwoSided {
 		return nil, nil, s.kindError("Query")
 	}
-	var parts [][]Point
-	var profs []ShardProfile
-	err := s.withSnapshot(func(shards []shard.Shard, splits []int64) error {
-		parts, profs = nil, nil
-		return gatherSerial(shards, shard.Suffix(splits, a), len(shards), &profs, func(_ int, ix Index) (IOProfile, error) {
-			var pts []Point
-			var prof IOProfile
-			var err error
-			switch t := ix.(type) {
-			case *TwoSidedIndex:
-				pts, prof, err = t.QueryProfile(a, b)
-			case *LSMIndex:
-				pts, prof, err = t.Query(a, b)
-			}
-			parts = append(parts, pts)
-			return prof, err
-		})
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return mergePoints(parts), profs, nil
+	return gatherSerial(s,
+		func(splits []int64, n int) (int, int) { return shard.Suffix(splits, a), n },
+		func(ix Index) ([]Point, IOProfile, error) { return ix.(TwoSidedQuerier).Query(a, b) },
+		mergePoints)
 }
 
 // QueryThreeSided answers the 3-sided query {a1 <= x <= a2, y >= b} across
-// the shards overlapping [a1, a2]. Supported by "threeside" shards.
-func (s *Sharded) QueryThreeSided(a1, a2, b int64) ([]Point, error) {
-	pts, _, err := s.QueryThreeSidedProfile(a1, a2, b)
-	return pts, err
-}
-
-// QueryThreeSidedProfile is QueryThreeSided plus per-shard profiles.
-func (s *Sharded) QueryThreeSidedProfile(a1, a2, b int64) ([]Point, []ShardProfile, error) {
-	if s.kind != kindThreeSide {
-		return nil, nil, s.kindError("QueryThreeSided")
+// the shards overlapping [a1, a2].
+func (s *Sharded) QueryThreeSided(a1, a2, b int64) ([]Point, IOProfile, error) {
+	if s.Shape() != ShapeThreeSided {
+		return nil, IOProfile{}, s.kindError("QueryThreeSided")
 	}
-	var parts [][]Point
-	var profs []ShardProfile
-	err := s.withSnapshot(func(shards []shard.Shard, splits []int64) error {
-		parts, profs = nil, nil
-		from, to := shard.Overlap(splits, a1, a2)
-		return gatherSerial(shards, from, to, &profs, func(_ int, ix Index) (IOProfile, error) {
-			pts, prof, err := ix.(*ThreeSidedIndex).QueryProfile(a1, a2, b)
-			parts = append(parts, pts)
-			return prof, err
-		})
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return mergePoints(parts), profs, nil
+	pts, profs, err := gatherSerial(s,
+		func(splits []int64, _ int) (int, int) { return shard.Overlap(splits, a1, a2) },
+		func(ix Index) ([]Point, IOProfile, error) { return ix.(ThreeSidedQuerier).QueryThreeSided(a1, a2, b) },
+		mergePoints)
+	return pts, sumProfiles(profs), err
 }
 
 // WindowQuery answers the 4-sided query [x1, x2] × [y1, y2] across the
-// shards overlapping [x1, x2]. Supported by "window" shards.
-func (s *Sharded) WindowQuery(x1, x2, y1, y2 int64) ([]Point, error) {
-	pts, _, err := s.WindowQueryProfile(x1, x2, y1, y2)
-	return pts, err
-}
-
-// WindowQueryProfile is WindowQuery plus per-shard profiles.
-func (s *Sharded) WindowQueryProfile(x1, x2, y1, y2 int64) ([]Point, []ShardProfile, error) {
-	if s.kind != kindWindow {
-		return nil, nil, s.kindError("WindowQuery")
+// shards overlapping [x1, x2].
+func (s *Sharded) WindowQuery(x1, x2, y1, y2 int64) ([]Point, IOProfile, error) {
+	if s.Shape() != ShapeWindow {
+		return nil, IOProfile{}, s.kindError("WindowQuery")
 	}
-	var parts [][]Point
-	var profs []ShardProfile
-	err := s.withSnapshot(func(shards []shard.Shard, splits []int64) error {
-		parts, profs = nil, nil
-		from, to := shard.Overlap(splits, x1, x2)
-		return gatherSerial(shards, from, to, &profs, func(_ int, ix Index) (IOProfile, error) {
-			pts, prof, err := ix.(*WindowIndex).QueryProfile(x1, x2, y1, y2)
-			parts = append(parts, pts)
-			return prof, err
-		})
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return mergePoints(parts), profs, nil
+	pts, profs, err := gatherSerial(s,
+		func(splits []int64, _ int) (int, int) { return shard.Overlap(splits, x1, x2) },
+		func(ix Index) ([]Point, IOProfile, error) { return ix.(WindowQuerier).WindowQuery(x1, x2, y1, y2) },
+		mergePoints)
+	return pts, sumProfiles(profs), err
 }
 
 // Stab reports every interval containing q, merged in (Lo, Hi, ID) order.
-// Supported by "segment", "interval", "stabbing" and "lsm" (on stabbing or
-// interval bases) shards.
-func (s *Sharded) Stab(q int64) ([]Interval, error) {
-	ivs, _, err := s.StabProfile(q)
-	return ivs, err
-}
-
-// StabProfile is Stab plus per-shard profiles.
-func (s *Sharded) StabProfile(q int64) ([]Interval, []ShardProfile, error) {
-	switch s.kind {
-	case kindSegment, kindInterval, kindStabbing, kindLSM:
-	default:
-		return nil, nil, s.kindError("Stab")
+func (s *Sharded) Stab(q int64) ([]Interval, IOProfile, error) {
+	if s.Shape() != ShapeStab {
+		return nil, IOProfile{}, s.kindError("Stab")
 	}
-	var parts [][]Interval
-	var profs []ShardProfile
-	err := s.withSnapshot(func(shards []shard.Shard, splits []int64) error {
-		parts, profs = nil, nil
-		from, to := stabRange(s.kind, splits, q, len(shards))
-		return gatherSerial(shards, from, to, &profs, func(_ int, ix Index) (IOProfile, error) {
-			var ivs []Interval
-			var prof IOProfile
-			var err error
-			switch t := ix.(type) {
-			case *SegmentIndex:
-				ivs, prof, err = t.StabProfile(q)
-			case *IntervalIndex:
-				ivs, prof, err = t.StabProfile(q)
-			case *StabbingIndex:
-				ivs, prof, err = t.StabProfile(q)
-			case *LSMIndex:
-				ivs, prof, err = t.Stab(q)
-			}
-			parts = append(parts, ivs)
-			return prof, err
-		})
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return mergeIntervals(parts), profs, nil
+	ivs, profs, err := gatherSerial(s,
+		func(splits []int64, n int) (int, int) { return stabRange(s.kind, splits, q, n) },
+		func(ix Index) ([]Interval, IOProfile, error) { return ix.(Stabber).Stab(q) },
+		mergeIntervals)
+	return ivs, sumProfiles(profs), err
 }
 
 // Has reports whether the exact record (X, Y, ID) is live, consulting only
 // the owning shard. Supported by "lsm" shards.
 func (s *Sharded) Has(p Point) (bool, IOProfile, error) {
-	if s.kind != kindLSM {
+	if !s.writable() {
 		return false, IOProfile{}, s.kindError("Has")
 	}
 	var ok bool
@@ -337,7 +292,7 @@ func (s *Sharded) Has(p Point) (bool, IOProfile, error) {
 		if err != nil {
 			return err
 		}
-		ok, prof, err = ix.(*LSMIndex).Has(p)
+		ok, prof, err = ix.(WriteTier).Has(p)
 		if rerr := release(); err == nil {
 			err = rerr
 		}
@@ -350,17 +305,17 @@ func (s *Sharded) Has(p Point) (bool, IOProfile, error) {
 // "lsm" shards; updates across all shards are serialized, like a single
 // store's.
 func (s *Sharded) Insert(p Point) (IOProfile, error) {
-	return s.update("Insert", p)
+	return s.update("Insert", p, WriteTier.Insert)
 }
 
 // Delete tombstones a record previously inserted with the same (X, Y, ID)
 // in its owning shard. Supported by "lsm" shards.
 func (s *Sharded) Delete(p Point) (IOProfile, error) {
-	return s.update("Delete", p)
+	return s.update("Delete", p, WriteTier.Delete)
 }
 
-func (s *Sharded) update(op string, p Point) (IOProfile, error) {
-	if s.kind != kindLSM {
+func (s *Sharded) update(op string, p Point, apply func(WriteTier, Point) (IOProfile, error)) (IOProfile, error) {
+	if !s.writable() {
 		return IOProfile{}, s.kindError(op)
 	}
 	s.mu.Lock()
@@ -369,17 +324,11 @@ func (s *Sharded) update(op string, p Point) (IOProfile, error) {
 		return IOProfile{}, ErrHandleClosed
 	}
 	shards, splits, _ := s.router.Snapshot()
-	i := shard.Locate(splits, p.X)
-	ix, release, err := acquireShard(shards[i])
+	ix, release, err := acquireShard(shards[shard.Locate(splits, p.X)])
 	if err != nil {
 		return IOProfile{}, err
 	}
-	var prof IOProfile
-	if op == "Insert" {
-		prof, err = ix.(*LSMIndex).Insert(p)
-	} else {
-		prof, err = ix.(*LSMIndex).Delete(p)
-	}
+	prof, err := apply(ix.(WriteTier), p)
 	if rerr := release(); err == nil {
 		err = rerr
 	}
@@ -387,14 +336,23 @@ func (s *Sharded) update(op string, p Point) (IOProfile, error) {
 }
 
 // Flush seals every shard's memtable. Supported by "lsm" shards.
-func (s *Sharded) Flush() error { return s.maintain("Flush") }
+func (s *Sharded) Flush() error { return s.maintain("Flush", WriteTier.Flush) }
 
 // Compact rebuilds every shard's levels tombstone-free. Supported by
 // "lsm" shards.
-func (s *Sharded) Compact() error { return s.maintain("Compact") }
+func (s *Sharded) Compact() error { return s.maintain("Compact", WriteTier.Compact) }
 
-func (s *Sharded) maintain(op string) error {
-	if s.kind != kindLSM {
+// CompactBackground runs Compact on a goroutine: readers run over router
+// snapshots and never block on the maintenance lock it holds. The channel
+// receives exactly one value.
+func (s *Sharded) CompactBackground() <-chan error {
+	done := make(chan error, 1)
+	go func() { done <- s.Compact() }()
+	return done
+}
+
+func (s *Sharded) maintain(op string, run func(WriteTier) error) error {
+	if !s.writable() {
 		return s.kindError(op)
 	}
 	s.mu.Lock()
@@ -403,10 +361,7 @@ func (s *Sharded) maintain(op string) error {
 		return ErrHandleClosed
 	}
 	return s.forEachShard(func(_ int, ix Index) error {
-		if op == "Flush" {
-			return ix.(*LSMIndex).Flush()
-		}
-		return ix.(*LSMIndex).Compact()
+		return run(ix.(WriteTier))
 	})
 }
 
@@ -519,7 +474,7 @@ func (s *Sharded) QueryBatch(qs []TwoSidedQuery, workers int) ([][]Point, BatchS
 
 // QueryBatchShards is QueryBatch with per-shard execution statistics.
 func (s *Sharded) QueryBatchShards(qs []TwoSidedQuery, workers int) ([][]Point, []ShardBatchStats, error) {
-	if s.kind != kindTwoSided && s.kind != kindLSM {
+	if s.Shape() != ShapeTwoSided {
 		return nil, nil, s.kindError("QueryBatch")
 	}
 	return scatterGather(s, qs, workers,
@@ -527,13 +482,7 @@ func (s *Sharded) QueryBatchShards(qs []TwoSidedQuery, workers int) ([][]Point, 
 			return shard.Suffix(splits, q.A), n
 		},
 		func(ix Index, sub []TwoSidedQuery, workers int) ([][]Point, BatchStats, error) {
-			switch t := ix.(type) {
-			case *TwoSidedIndex:
-				return t.QueryBatch(sub, workers)
-			case *LSMIndex:
-				return t.QueryBatch(sub, workers)
-			}
-			return nil, BatchStats{}, s.kindError("QueryBatch")
+			return ix.(TwoSidedQuerier).QueryBatch(sub, workers)
 		},
 		mergePoints)
 }
@@ -548,7 +497,7 @@ func (s *Sharded) QueryThreeSidedBatch(qs []ThreeSidedQuery, workers int) ([][]P
 // QueryThreeSidedBatchShards is QueryThreeSidedBatch with per-shard
 // statistics.
 func (s *Sharded) QueryThreeSidedBatchShards(qs []ThreeSidedQuery, workers int) ([][]Point, []ShardBatchStats, error) {
-	if s.kind != kindThreeSide {
+	if s.Shape() != ShapeThreeSided {
 		return nil, nil, s.kindError("QueryThreeSidedBatch")
 	}
 	return scatterGather(s, qs, workers,
@@ -556,7 +505,7 @@ func (s *Sharded) QueryThreeSidedBatchShards(qs []ThreeSidedQuery, workers int) 
 			return shard.Overlap(splits, q.A1, q.A2)
 		},
 		func(ix Index, sub []ThreeSidedQuery, workers int) ([][]Point, BatchStats, error) {
-			return ix.(*ThreeSidedIndex).QueryBatch(sub, workers)
+			return ix.(ThreeSidedQuerier).QueryThreeSidedBatch(sub, workers)
 		},
 		mergePoints)
 }
@@ -570,7 +519,7 @@ func (s *Sharded) WindowQueryBatch(qs []WindowQuery, workers int) ([][]Point, Ba
 
 // WindowQueryBatchShards is WindowQueryBatch with per-shard statistics.
 func (s *Sharded) WindowQueryBatchShards(qs []WindowQuery, workers int) ([][]Point, []ShardBatchStats, error) {
-	if s.kind != kindWindow {
+	if s.Shape() != ShapeWindow {
 		return nil, nil, s.kindError("WindowQueryBatch")
 	}
 	return scatterGather(s, qs, workers,
@@ -578,7 +527,7 @@ func (s *Sharded) WindowQueryBatchShards(qs []WindowQuery, workers int) ([][]Poi
 			return shard.Overlap(splits, q.X1, q.X2)
 		},
 		func(ix Index, sub []WindowQuery, workers int) ([][]Point, BatchStats, error) {
-			return ix.(*WindowIndex).QueryBatch(sub, workers)
+			return ix.(WindowQuerier).WindowQueryBatch(sub, workers)
 		},
 		mergePoints)
 }
@@ -592,9 +541,7 @@ func (s *Sharded) StabBatch(qs []int64, workers int) ([][]Interval, BatchStats, 
 
 // StabBatchShards is StabBatch with per-shard execution statistics.
 func (s *Sharded) StabBatchShards(qs []int64, workers int) ([][]Interval, []ShardBatchStats, error) {
-	switch s.kind {
-	case kindSegment, kindInterval, kindStabbing, kindLSM:
-	default:
+	if s.Shape() != ShapeStab {
 		return nil, nil, s.kindError("StabBatch")
 	}
 	return scatterGather(s, qs, workers,
@@ -602,17 +549,7 @@ func (s *Sharded) StabBatchShards(qs []int64, workers int) ([][]Interval, []Shar
 			return stabRange(s.kind, splits, q, n)
 		},
 		func(ix Index, sub []int64, workers int) ([][]Interval, BatchStats, error) {
-			switch t := ix.(type) {
-			case *SegmentIndex:
-				return t.StabBatch(sub, workers)
-			case *IntervalIndex:
-				return t.StabBatch(sub, workers)
-			case *StabbingIndex:
-				return t.StabBatch(sub, workers)
-			case *LSMIndex:
-				return t.StabBatch(sub, workers)
-			}
-			return nil, BatchStats{}, s.kindError("StabBatch")
+			return ix.(Stabber).StabBatch(sub, workers)
 		},
 		mergeIntervals)
 }

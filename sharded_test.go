@@ -77,7 +77,7 @@ func TestShardedTwoSidedDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Query(%d,%d): %v", q.A, q.B, err)
 		}
-		want, err := oracle.Query(q.A, q.B)
+		want, _, err := oracle.Query(q.A, q.B)
 		if err != nil {
 			t.Fatalf("oracle: %v", err)
 		}
@@ -131,7 +131,7 @@ func TestShardedBoundSentinels(t *testing.T) {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer s.Close()
-	_, err = s.Query(math.MinInt64, math.MinInt64)
+	_, _, err = s.Query(math.MinInt64, math.MinInt64)
 	if !errors.Is(err, ErrBoundExceeded) {
 		t.Fatalf("tight sentinel: err = %v, want ErrBoundExceeded", err)
 	}
@@ -171,11 +171,11 @@ func TestShardedThreeSidedDifferential(t *testing.T) {
 	}
 	qs = append(qs, ThreeSidedQuery{A1: math.MinInt64, A2: math.MaxInt64, B: math.MinInt64})
 	for _, q := range qs {
-		got, err := s.QueryThreeSided(q.A1, q.A2, q.B)
+		got, _, err := s.QueryThreeSided(q.A1, q.A2, q.B)
 		if err != nil {
 			t.Fatalf("QueryThreeSided: %v", err)
 		}
-		want, err := oracle.Query(q.A1, q.A2, q.B)
+		want, _, err := oracle.QueryThreeSided(q.A1, q.A2, q.B)
 		if err != nil {
 			t.Fatalf("oracle: %v", err)
 		}
@@ -188,7 +188,7 @@ func TestShardedThreeSidedDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatalf("batch: %v", err)
 	}
-	want, _, err := oracle.QueryBatch(qs, 4)
+	want, _, err := oracle.QueryThreeSidedBatch(qs, 4)
 	if err != nil {
 		t.Fatalf("oracle batch: %v", err)
 	}
@@ -228,11 +228,11 @@ func TestShardedWindowDifferential(t *testing.T) {
 	}
 	qs = append(qs, WindowQuery{X1: math.MinInt64, X2: math.MaxInt64, Y1: math.MinInt64, Y2: math.MaxInt64})
 	for _, q := range qs {
-		got, err := s.WindowQuery(q.X1, q.X2, q.Y1, q.Y2)
+		got, _, err := s.WindowQuery(q.X1, q.X2, q.Y1, q.Y2)
 		if err != nil {
 			t.Fatalf("WindowQuery: %v", err)
 		}
-		want, err := oracle.Query(q.X1, q.X2, q.Y1, q.Y2)
+		want, _, err := oracle.WindowQuery(q.X1, q.X2, q.Y1, q.Y2)
 		if err != nil {
 			t.Fatalf("oracle: %v", err)
 		}
@@ -245,7 +245,7 @@ func TestShardedWindowDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatalf("batch: %v", err)
 	}
-	want, _, err := oracle.QueryBatch(qs, 4)
+	want, _, err := oracle.WindowQueryBatch(qs, 4)
 	if err != nil {
 		t.Fatalf("oracle batch: %v", err)
 	}
@@ -278,7 +278,7 @@ func TestShardedStabDifferential(t *testing.T) {
 				t.Fatalf("reopen: %v", err)
 			}
 			defer s.Close()
-			var stab func(q int64) ([]Interval, error)
+			var stab func(q int64) ([]Interval, IOProfile, error)
 			var stabBatch func(qs []int64, workers int) ([][]Interval, BatchStats, error)
 			switch kind {
 			case "segment":
@@ -304,11 +304,11 @@ func TestShardedStabDifferential(t *testing.T) {
 				stab, stabBatch = o.Stab, o.StabBatch
 			}
 			for _, q := range qs {
-				got, err := s.Stab(q)
+				got, _, err := s.Stab(q)
 				if err != nil {
 					t.Fatalf("Stab(%d): %v", q, err)
 				}
-				want, err := stab(q)
+				want, _, err := stab(q)
 				if err != nil {
 					t.Fatalf("oracle: %v", err)
 				}
@@ -394,7 +394,7 @@ func TestShardedLSMDifferential(t *testing.T) {
 	check := func(stage string) {
 		t.Helper()
 		for _, q := range qs {
-			got, err := s.Query(q.A, q.B)
+			got, _, err := s.Query(q.A, q.B)
 			if err != nil {
 				t.Fatalf("%s Query: %v", stage, err)
 			}
@@ -504,7 +504,7 @@ func TestShardedMetricsShardTags(t *testing.T) {
 		t.Fatalf("build: %v", err)
 	}
 	defer s.Close()
-	if _, err := s.Query(0, 0); err != nil {
+	if _, _, err := s.Query(0, 0); err != nil {
 		t.Fatalf("query: %v", err)
 	}
 	m := s.Metrics()
@@ -554,7 +554,7 @@ func TestOpenShardedDispatch(t *testing.T) {
 	if s2.Kind() != "shard" {
 		t.Fatalf("Kind = %q", s2.Kind())
 	}
-	if _, err := s2.Query(0, 0); err != nil {
+	if _, _, err := s2.Query(0, 0); err != nil {
 		t.Fatalf("query via Open: %v", err)
 	}
 	s2.Close()
@@ -574,7 +574,7 @@ func TestShardedReload(t *testing.T) {
 		t.Fatalf("build: %v", err)
 	}
 	defer s.Close()
-	want, err := s.Query(math.MinInt64, math.MinInt64)
+	want, _, err := s.Query(math.MinInt64, math.MinInt64)
 	if err != nil {
 		t.Fatalf("query: %v", err)
 	}
@@ -583,7 +583,7 @@ func TestShardedReload(t *testing.T) {
 			t.Fatalf("ReloadShard(%d): %v", i, err)
 		}
 	}
-	got, err := s.Query(math.MinInt64, math.MinInt64)
+	got, _, err := s.Query(math.MinInt64, math.MinInt64)
 	if err != nil {
 		t.Fatalf("query after reload: %v", err)
 	}
@@ -617,7 +617,7 @@ func TestShardedSplitRace(t *testing.T) {
 	qs := twoSidedQueries(32, 102)
 	want := make([][]Point, len(qs))
 	for i, q := range qs {
-		w, err := oracle.Query(q.A, q.B)
+		w, _, err := oracle.Query(q.A, q.B)
 		if err != nil {
 			t.Fatalf("oracle: %v", err)
 		}
@@ -640,7 +640,7 @@ func TestShardedSplitRace(t *testing.T) {
 				default:
 				}
 				i := rng.Intn(len(qs))
-				got, err := s.Query(qs[i].A, qs[i].B)
+				got, _, err := s.Query(qs[i].A, qs[i].B)
 				if err != nil {
 					t.Errorf("reader: Query(%d,%d): %v", qs[i].A, qs[i].B, err)
 					wrong.Add(1)
@@ -710,7 +710,7 @@ func TestShardedSplitRace(t *testing.T) {
 		t.Fatalf("reopened NumShards = %d, want 5", s2.NumShards())
 	}
 	for i, q := range qs {
-		got, err := s2.Query(q.A, q.B)
+		got, _, err := s2.Query(q.A, q.B)
 		if err != nil {
 			t.Fatalf("reopened Query: %v", err)
 		}
@@ -780,7 +780,7 @@ func TestShardedSplitLSM(t *testing.T) {
 		t.Fatalf("NumShards = %d, want 4", s.NumShards())
 	}
 	for _, q := range twoSidedQueries(32, 123) {
-		got, err := s.Query(q.A, q.B)
+		got, _, err := s.Query(q.A, q.B)
 		if err != nil {
 			t.Fatalf("Query: %v", err)
 		}
@@ -791,107 +791,6 @@ func TestShardedSplitLSM(t *testing.T) {
 		sortPoints(want)
 		if !samePoints(got, want) {
 			t.Fatalf("post-split Query(%d,%d) mismatch", q.A, q.B)
-		}
-	}
-}
-
-func TestShardedRange(t *testing.T) {
-	r, err := NewShardedRange([]int64{100, 200, 300}, nil)
-	if err != nil {
-		t.Fatalf("NewShardedRange: %v", err)
-	}
-	defer r.Close()
-	if r.NumShards() != 4 {
-		t.Fatalf("NumShards = %d", r.NumShards())
-	}
-	oracle := map[int64][]uint64{}
-	rng := rand.New(rand.NewSource(131))
-	var keys []int64
-	for i := 0; i < 500; i++ {
-		k := rng.Int63n(400)
-		v := uint64(i + 1)
-		if err := r.Insert(k, v); err != nil {
-			t.Fatalf("Insert: %v", err)
-		}
-		oracle[k] = append(oracle[k], v)
-		keys = append(keys, k)
-	}
-	if r.Len() != 500 {
-		t.Fatalf("Len = %d", r.Len())
-	}
-	checkKey := func(k int64, got []uint64) {
-		t.Helper()
-		want := append([]uint64(nil), oracle[k]...)
-		sortU64(want)
-		sortU64(got)
-		if len(got) != len(want) {
-			t.Fatalf("Search(%d): %d values, want %d", k, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("Search(%d)[%d] = %d, want %d", k, i, got[i], want[i])
-			}
-		}
-	}
-	for k := int64(0); k < 400; k += 7 {
-		got, err := r.Search(k)
-		if err != nil {
-			t.Fatalf("Search: %v", err)
-		}
-		checkKey(k, got)
-	}
-	// Batch over shard boundaries.
-	probe := []int64{0, 99, 100, 150, 199, 200, 250, 299, 300, 399, 1000}
-	out, per, err := r.SearchBatchShards(probe, 2)
-	if err != nil {
-		t.Fatalf("SearchBatchShards: %v", err)
-	}
-	for i, k := range probe {
-		checkKey(k, out[i])
-	}
-	if len(per) != 4 {
-		t.Fatalf("per-shard stats = %d rows", len(per))
-	}
-	// Ordered range walk across shards.
-	var walked []int64
-	if err := r.Range(50, 350, func(k int64, _ uint64) bool {
-		walked = append(walked, k)
-		return true
-	}); err != nil {
-		t.Fatalf("Range: %v", err)
-	}
-	for i := 1; i < len(walked); i++ {
-		if walked[i] < walked[i-1] {
-			t.Fatalf("Range out of order at %d: %v", i, walked[i-1:i+1])
-		}
-	}
-	wantCount := 0
-	for k, vs := range oracle {
-		if k >= 50 && k <= 350 {
-			wantCount += len(vs)
-		}
-	}
-	if len(walked) != wantCount {
-		t.Fatalf("Range visited %d pairs, want %d", len(walked), wantCount)
-	}
-	// Deletes route to the owning shard.
-	k0 := keys[0]
-	vs := oracle[k0]
-	if err := r.Delete(k0, vs[0]); err != nil {
-		t.Fatalf("Delete: %v", err)
-	}
-	oracle[k0] = vs[1:]
-	got, err := r.Search(k0)
-	if err != nil {
-		t.Fatalf("Search after delete: %v", err)
-	}
-	checkKey(k0, got)
-}
-
-func sortU64(v []uint64) {
-	for i := 1; i < len(v); i++ {
-		for j := i; j > 0 && v[j] < v[j-1]; j-- {
-			v[j], v[j-1] = v[j-1], v[j]
 		}
 	}
 }

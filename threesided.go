@@ -34,15 +34,10 @@ func NewThreeSidedIndex(pts []Point, opts *Options) (*ThreeSidedIndex, error) {
 	return &ThreeSidedIndex{core: c, idx: idx}, nil
 }
 
-// Query reports every point with a1 <= X <= a2 and Y >= b.
-func (ix *ThreeSidedIndex) Query(a1, a2, b int64) ([]Point, error) {
-	pts, _, err := ix.QueryProfile(a1, a2, b)
-	return pts, err
-}
-
-// QueryProfile is Query plus the query's I/O profile, including the exact
-// page transfers attributed to this one query by an op-scoped counter.
-func (ix *ThreeSidedIndex) QueryProfile(a1, a2, b int64) ([]Point, IOProfile, error) {
+// QueryThreeSided reports every point with a1 <= X <= a2 and Y >= b, plus
+// the query's I/O profile: the exact page transfers attributed to this one
+// query by an op-scoped counter.
+func (ix *ThreeSidedIndex) QueryThreeSided(a1, a2, b int64) ([]Point, IOProfile, error) {
 	ctr, finish := ix.startOp(engine.KindName(kindThreeSide), "query")
 	pts, st, err := ix.idx.WithPager(ix.be.OpPager(ctr)).Query(a1, a2, b)
 	if err != nil {
@@ -65,6 +60,9 @@ func (ix *ThreeSidedIndex) Len() int { return ix.idx.Len() }
 
 // Kind reports the index's registry name.
 func (ix *ThreeSidedIndex) Kind() string { return engine.KindName(kindThreeSide) }
+
+// Shape reports ShapeThreeSided.
+func (ix *ThreeSidedIndex) Shape() Shape { return shapeOf(kindThreeSide, 0) }
 
 // Layout reports the in-page layout of the persisted structure.
 func (ix *ThreeSidedIndex) Layout() Layout { return Layout(ix.idx.Layout()) }

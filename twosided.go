@@ -107,23 +107,24 @@ func newTwoSidedIndex(pts []Point, scheme Scheme, opts *Options, kind byte) (*Tw
 	return &TwoSidedIndex{core: c, idx: idx, scheme: scheme, kind: kind}, nil
 }
 
-// Query reports every point with X >= a and Y >= b.
-func (ix *TwoSidedIndex) Query(a, b int64) ([]Point, error) {
-	pts, _, err := ix.queryAs("query", a, b)
-	return pts, err
-}
-
-// QueryProfile is Query plus the query's I/O profile, including the exact
-// page transfers attributed to this one query by an op-scoped counter.
-func (ix *TwoSidedIndex) QueryProfile(a, b int64) ([]Point, IOProfile, error) {
+// Query reports every point with X >= a and Y >= b, plus the query's I/O
+// profile: the exact page transfers attributed to this one query by an
+// op-scoped counter.
+func (ix *TwoSidedIndex) Query(a, b int64) ([]Point, IOProfile, error) {
 	return ix.queryAs("query", a, b)
 }
 
+// QueryProfile is Query under its older name, which the benchmark module
+// calls.
+func (ix *TwoSidedIndex) QueryProfile(a, b int64) ([]Point, IOProfile, error) {
+	return ix.Query(a, b)
+}
+
 // queryAs runs one recorded 2-sided query under the given operation name.
-// It is shared by Query/QueryProfile and by the stabbing reduction, which
-// records exactly one "stab" op under its own kind instead of an inner
-// "query" — double-recording would break the invariant that per-op
-// histogram sums equal the store-level Stats diff.
+// It is shared by Query and by the stabbing reduction, which records
+// exactly one "stab" op under its own kind instead of an inner "query" —
+// double-recording would break the invariant that per-op histogram sums
+// equal the store-level Stats diff.
 func (ix *TwoSidedIndex) queryAs(opName string, a, b int64) ([]Point, IOProfile, error) {
 	ctr, finish := ix.startOp(engine.KindName(ix.kind), opName)
 	pts, st, err := ix.idx.WithPager(ix.be.OpPager(ctr)).Query(a, b)
@@ -160,6 +161,9 @@ func (ix *TwoSidedIndex) Layout() Layout {
 
 // Kind reports the index's registry name.
 func (ix *TwoSidedIndex) Kind() string { return engine.KindName(ix.kind) }
+
+// Shape reports ShapeTwoSided.
+func (ix *TwoSidedIndex) Shape() Shape { return shapeOf(kindTwoSided, 0) }
 
 // Pages reports the storage footprint in pages.
 func (ix *TwoSidedIndex) Pages() int { return ix.idx.TotalPages() }

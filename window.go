@@ -37,15 +37,10 @@ func NewWindowIndex(pts []Point, opts *Options) (*WindowIndex, error) {
 	return &WindowIndex{core: c, idx: idx}, nil
 }
 
-// Query reports every point with x1 <= X <= x2 and y1 <= Y <= y2.
-func (ix *WindowIndex) Query(x1, x2, y1, y2 int64) ([]Point, error) {
-	pts, _, err := ix.QueryProfile(x1, x2, y1, y2)
-	return pts, err
-}
-
-// QueryProfile is Query plus the query's I/O profile, including the exact
-// page transfers attributed to this one query by an op-scoped counter.
-func (ix *WindowIndex) QueryProfile(x1, x2, y1, y2 int64) ([]Point, IOProfile, error) {
+// WindowQuery reports every point with x1 <= X <= x2 and y1 <= Y <= y2,
+// plus the query's I/O profile: the exact page transfers attributed to
+// this one query by an op-scoped counter.
+func (ix *WindowIndex) WindowQuery(x1, x2, y1, y2 int64) ([]Point, IOProfile, error) {
 	ctr, finish := ix.startOp(engine.KindName(kindWindow), "query")
 	pts, st, err := ix.idx.WithPager(ix.be.OpPager(ctr)).Query(x1, x2, y1, y2)
 	if err != nil {
@@ -68,6 +63,9 @@ func (ix *WindowIndex) Len() int { return ix.idx.Len() }
 
 // Kind reports the index's registry name.
 func (ix *WindowIndex) Kind() string { return engine.KindName(kindWindow) }
+
+// Shape reports ShapeWindow.
+func (ix *WindowIndex) Shape() Shape { return shapeOf(kindWindow, 0) }
 
 // Layout reports the in-page layout of the persisted structure.
 func (ix *WindowIndex) Layout() Layout { return Layout(ix.idx.Layout()) }
