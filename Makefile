@@ -12,8 +12,12 @@ all: build lint test
 build:
 	$(GO) build ./...
 
+# The race detector drops sync.Pool items and allocates on its own, so the
+# allocation budgets (tests named *Allocs) skip under -race and run again
+# without it.
 test:
 	$(GO) test -race ./...
+	$(GO) test -run Allocs ./...
 
 # The served benchmark (benchmark/) is a module of its own, so `go test
 # ./...` at the root neither builds nor tests it. It uses server.Config,
@@ -58,6 +62,7 @@ fuzz-smoke:
 	$(GO) test ./internal/disk -run='^$$' -fuzz=FuzzFileStoreOpen -fuzztime=10s
 	$(GO) test ./internal/server -run='^$$' -fuzz=FuzzServerRequestDecode -fuzztime=10s
 	$(GO) test ./internal/server -run='^$$' -fuzz=FuzzResponseEncode -fuzztime=10s
+	$(GO) test ./internal/server -run='^$$' -fuzz=FuzzRequestDecodeFast -fuzztime=10s
 	$(GO) test ./internal/btree -run='^$$' -fuzz=FuzzLayoutPageDecode -fuzztime=10s
 	$(GO) test ./internal/skeletal -run='^$$' -fuzz=FuzzLayoutPageDecode -fuzztime=10s
 	$(GO) test ./internal/skeletal -run='^$$' -fuzz=FuzzMetaReopen -fuzztime=10s

@@ -162,14 +162,13 @@ func runBatch(be *engine.Backend, kindName, opName string, idxLen, n, workers in
 func (ix *TwoSidedIndex) QueryBatch(qs []TwoSidedQuery, workers int) ([][]Point, BatchStats, error) {
 	out := make([][]Point, len(qs))
 	st, err := runBatch(ix.be, ix.Kind(), "query", ix.idx.Len(), len(qs), workers, boundFor(ix.kind), func(p disk.Pager) func(i int) (int, error) {
-		view := ix.idx.WithPager(p)
 		return func(i int) (int, error) {
-			pts, _, err := view.Query(qs[i].A, qs[i].B)
+			pts, _, err := ix.queryOn(p, qs[i].A, qs[i].B)
 			if err != nil {
 				return 0, err
 			}
-			out[i] = fromRecPoints(pts)
-			return len(out[i]), nil
+			out[i] = pts
+			return len(pts), nil
 		}
 	})
 	return out, st, err
@@ -234,15 +233,14 @@ func (ix *IntervalIndex) StabBatch(qs []int64, workers int) ([][]Interval, Batch
 func (si *StabbingIndex) StabBatch(qs []int64, workers int) ([][]Interval, BatchStats, error) {
 	out := make([][]Interval, len(qs))
 	st, err := runBatch(si.be, si.Kind(), "stab", si.ix.idx.Len(), len(qs), workers, boundFor(kindStabbing), func(p disk.Pager) func(i int) (int, error) {
-		view := si.ix.idx.WithPager(p)
 		return func(i int) (int, error) {
-			pts, _, err := view.Query(-qs[i], qs[i])
+			pts, _, err := si.ix.queryOn(p, -qs[i], qs[i])
 			if err != nil {
 				return 0, err
 			}
 			ivs := make([]Interval, len(pts))
 			for j, pt := range pts {
-				ivs[j] = pointToInterval(Point(pt))
+				ivs[j] = pointToInterval(pt)
 			}
 			out[i] = ivs
 			return len(ivs), nil

@@ -130,7 +130,9 @@ func (w *ChainWriter) Close() (head PageID, pages, count int, err error) {
 // ScanChain reads a chain page by page, invoking fn for each record. fn
 // returns false to stop the scan early (the standard "scan until out of
 // range" pattern). The per-record slice aliases an internal buffer and must
-// not be retained. ScanChain returns the number of page reads performed.
+// not be retained: it aliases a pooled page buffer that goes back to the
+// pool when the scan returns. ScanChain returns the number of page reads
+// performed.
 func ScanChain(p Pager, recSize int, head PageID, fn func(rec []byte) bool) (pageReads int, err error) {
 	if head == InvalidPage {
 		return 0, nil
@@ -139,7 +141,9 @@ func ScanChain(p Pager, recSize int, head PageID, fn func(rec []byte) bool) (pag
 	if recSize <= 0 || c < 1 {
 		return 0, fmt.Errorf("%w: rec=%d page=%d", ErrRecordSize, recSize, p.PageSize())
 	}
-	buf := make([]byte, p.PageSize())
+	bp := GetPageBuf(p.PageSize())
+	defer PutPageBuf(bp)
+	buf := *bp
 	for id := head; id != InvalidPage; {
 		if err := p.Read(id, buf); err != nil {
 			return pageReads, err

@@ -12,7 +12,8 @@ import (
 // OSFile), an in-memory image (MemFile), or a CrashFile that kills the device
 // at an arbitrary write. Keeping the seam below the FileStore means torn
 // writes corrupt raw bytes — exactly what the page checksums and the
-// double-buffered superblock must catch.
+// double-buffered superblock must catch. A FileStore issues ReadAt calls
+// from concurrent readers, so implementations must allow them.
 type File interface {
 	io.ReaderAt
 	io.WriterAt

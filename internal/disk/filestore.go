@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 	"sync"
+	"sync/atomic"
 )
 
 // FileStore is a Pager backed by a real byte device (an os file, or any
@@ -36,8 +37,15 @@ import (
 //
 // Every integrity failure is reported as an error wrapping ErrCorrupt; the
 // store never returns unverified bytes.
+//
+// Locking: Read takes only the read side of mu, so concurrent readers'
+// preads and checksum checks overlap. Everything that changes the file or
+// the allocation state — Alloc, Free, Write, SetAppHead, Sync, Close —
+// takes mu exclusively, so a read and a write of one page never overlap
+// and a reader can never observe a torn page. The I/O counters are atomics
+// for the same reason: readers bump them under the shared lock.
 type FileStore struct {
-	mu       sync.Mutex
+	mu       sync.RWMutex
 	f        File
 	pageSize int // physical page slot size; usable payload is 4 bytes less
 	epoch    uint64
@@ -46,10 +54,10 @@ type FileStore struct {
 	appHead  PageID          // application metadata page (index headers)
 	freeSet  map[PageID]bool // guards against double free / read-after-free
 
-	reads  int64
-	writes int64
-	allocs int64
-	frees  int64
+	reads  atomic.Int64
+	writes atomic.Int64
+	allocs atomic.Int64
+	frees  atomic.Int64
 }
 
 // ErrCorrupt is wrapped by every integrity failure: a page or superblock
@@ -82,12 +90,16 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 var errClosed = errors.New("disk: file store closed")
 
 // pageCRC checksums a page payload bound to its id, so a page written to the
-// wrong offset fails verification too.
+// wrong offset fails verification too. The id's eight little-endian bytes
+// are folded in with the table loop crc32 itself uses for short inputs:
+// handing crc32.Update a slice of a local array would move the array to
+// the heap on every read.
 func pageCRC(id PageID, payload []byte) uint32 {
-	var idb [8]byte
-	binary.LittleEndian.PutUint64(idb[:], uint64(id))
-	c := crc32.Update(0, crcTable, payload)
-	return crc32.Update(c, crcTable, idb[:])
+	c := ^crc32.Update(0, crcTable, payload)
+	for v, i := uint64(id), 0; i < 8; v, i = v>>8, i+1 {
+		c = crcTable[byte(c)^byte(v)] ^ (c >> 8)
+	}
+	return ^c
 }
 
 // stubCRC checksums a free-list pointer bound to the page holding it.
@@ -349,10 +361,13 @@ func (fs *FileStore) writePage(id PageID, payload []byte) error {
 	return nil
 }
 
-// readPage reads the full physical page and verifies its checksum before
-// returning the payload. Caller holds fs.mu.
+// readPage reads the full physical page into a pooled slot buffer and
+// verifies its checksum before copying out the payload. Caller holds fs.mu
+// (either side).
 func (fs *FileStore) readPage(id PageID, payload []byte) error {
-	slotBuf := make([]byte, fs.pageSize)
+	bp := GetPageBuf(fs.pageSize)
+	defer PutPageBuf(bp)
+	slotBuf := *bp
 	if _, err := fs.f.ReadAt(slotBuf, fs.offset(id)); err != nil {
 		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
 			return fmt.Errorf("disk: page %d truncated: %w", id, ErrCorrupt)
@@ -381,8 +396,8 @@ func (fs *FileStore) SetAppHead(id PageID) error {
 
 // AppHead returns the application's metadata page, or InvalidPage.
 func (fs *FileStore) AppHead() PageID {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
+	fs.mu.RLock()
+	defer fs.mu.RUnlock()
 	return fs.appHead
 }
 
@@ -398,7 +413,7 @@ func (fs *FileStore) Alloc() (PageID, error) {
 	if fs.f == nil {
 		return InvalidPage, errClosed
 	}
-	fs.allocs++
+	fs.allocs.Add(1)
 	zero := make([]byte, fs.usable())
 	if fs.freeHead != InvalidPage {
 		id := fs.freeHead
@@ -443,25 +458,26 @@ func (fs *FileStore) Free(id PageID) error {
 	}
 	fs.freeHead = id
 	fs.freeSet[id] = true
-	fs.frees++
+	fs.frees.Add(1)
 	return fs.writeSuper()
 }
 
 // Read implements Pager. The page checksum is verified before any byte is
 // returned; a torn or misdirected write surfaces as a wrapped ErrCorrupt.
+// Readers share fs.mu, so concurrent reads never wait for each other.
 func (fs *FileStore) Read(id PageID, buf []byte) error {
 	if len(buf) < fs.PageSize() {
 		return ErrShortBuf
 	}
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
+	fs.mu.RLock()
+	defer fs.mu.RUnlock()
 	if fs.f == nil {
 		return errClosed
 	}
 	if id < 0 || int64(id) >= fs.numPages || fs.freeSet[id] {
 		return fmt.Errorf("%w: %d", ErrBadPage, id)
 	}
-	fs.reads++
+	fs.reads.Add(1)
 	return fs.readPage(id, buf)
 }
 
@@ -478,29 +494,28 @@ func (fs *FileStore) Write(id PageID, buf []byte) error {
 	if id < 0 || int64(id) >= fs.numPages || fs.freeSet[id] {
 		return fmt.Errorf("%w: %d", ErrBadPage, id)
 	}
-	fs.writes++
+	fs.writes.Add(1)
 	return fs.writePage(id, buf)
 }
 
 // NumPages reports the number of live pages.
 func (fs *FileStore) NumPages() int {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
+	fs.mu.RLock()
+	defer fs.mu.RUnlock()
 	return int(fs.numPages) - len(fs.freeSet)
 }
 
-// Stats returns a snapshot of the I/O counters.
+// Stats returns a snapshot of the I/O counters. It takes no lock.
 func (fs *FileStore) Stats() Stats {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	return Stats{Reads: fs.reads, Writes: fs.writes, Allocs: fs.allocs, Frees: fs.frees}
+	return Stats{Reads: fs.reads.Load(), Writes: fs.writes.Load(), Allocs: fs.allocs.Load(), Frees: fs.frees.Load()}
 }
 
 // ResetStats zeroes the I/O counters.
 func (fs *FileStore) ResetStats() {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	fs.reads, fs.writes, fs.allocs, fs.frees = 0, 0, 0, 0
+	fs.reads.Store(0)
+	fs.writes.Store(0)
+	fs.allocs.Store(0)
+	fs.frees.Store(0)
 }
 
 // Sync flushes the file to stable storage.
@@ -552,8 +567,8 @@ type VerifyReport struct {
 // that names the offending page. A store that passes Verify serves every
 // read without a checksum error.
 func (fs *FileStore) Verify() (VerifyReport, error) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
+	fs.mu.RLock()
+	defer fs.mu.RUnlock()
 	rep := VerifyReport{
 		Epoch:    fs.epoch,
 		PageSize: fs.pageSize,

@@ -250,16 +250,6 @@ func plSList(p []byte) (disk.PageID, int) {
 	return disk.PageID(binary.LittleEndian.Uint64(p[48:])), int(binary.LittleEndian.Uint32(p[56:]))
 }
 
-// WithPager implements PointIndex: the returned read-only view routes the
-// skeleton descent and every chain scan through p, so a per-operation
-// counted pager sees exactly this operation's transfers.
-func (t *Tree) WithPager(p disk.Pager) PointIndex {
-	c := *t
-	c.pager = p
-	c.skel = t.skel.WithPager(p)
-	return &c
-}
-
 // Len reports the number of indexed points.
 func (t *Tree) Len() int { return t.n }
 

@@ -9,6 +9,7 @@ import (
 // pstQuery carries the state of one 2-sided query.
 type pstQuery struct {
 	t    *Tree
+	p    disk.Pager
 	w    *skeletal.Walker
 	a, b int64
 	out  []record.Point
@@ -19,14 +20,21 @@ type pstQuery struct {
 // the query's I/O profile. Cost: O(log_B n + t/B) for Basic and Segmented,
 // O(log n + t/B) for IKO.
 func (t *Tree) Query(a, b int64) ([]record.Point, QueryStats, error) {
-	q := &pstQuery{t: t, w: t.skel.NewWalker(), a: a, b: b}
+	return QueryOwned(t, t.pager, a, b)
+}
+
+// QueryOn implements PointIndex: Query reading every page through p, with
+// the walker, path and result kept in s.
+func (t *Tree) QueryOn(p disk.Pager, a, b int64, s *Scratch) ([]record.Point, QueryStats, error) {
 	if t.n == 0 {
-		return nil, q.st, nil
+		return nil, QueryStats{}, nil
 	}
+	s.w.Reset(t.skel, p)
+	q := &pstQuery{t: t, p: p, w: &s.w, a: a, b: b, out: s.out[:0]}
 
 	// Corner descent: go toward x=a while the subtree can still hold points
 	// with y >= b.
-	path, err := q.w.Descend(t.skel.Root(), func(n skeletal.Node) skeletal.Dir {
+	path, err := q.w.AppendDescent(s.path[:0], t.skel.Root(), func(n skeletal.Node) skeletal.Dir {
 		if plMinY(n.Payload) < b {
 			return skeletal.Stop
 		}
@@ -35,6 +43,7 @@ func (t *Tree) Query(a, b int64) ([]record.Point, QueryStats, error) {
 		}
 		return skeletal.Right
 	})
+	s.path = path
 	if err != nil {
 		return nil, q.st, err
 	}
@@ -60,6 +69,7 @@ func (t *Tree) Query(a, b int64) ([]record.Point, QueryStats, error) {
 	} else {
 		err = q.walkCached(path, depth)
 	}
+	s.out = q.out
 	if err != nil {
 		return nil, q.st, err
 	}
@@ -144,7 +154,7 @@ func (q *pstQuery) scanBlock(payload []byte) error {
 		return nil
 	}
 	matched := 0
-	pages, err := disk.ScanChain(q.t.pager, record.PointSize, head, func(rec []byte) bool {
+	pages, err := disk.ScanChain(q.p, record.PointSize, head, func(rec []byte) bool {
 		v := record.PointView(rec)
 		if v.X() >= q.a && v.Y() >= q.b {
 			q.out = append(q.out, v.Point())
@@ -164,7 +174,7 @@ func (q *pstQuery) scanBlock(payload []byte) error {
 // every reported point is inside the query.
 func (q *pstQuery) scanAList(head disk.PageID) error {
 	matched := 0
-	pages, err := disk.ScanChain(q.t.pager, record.PointSize, head, func(rec []byte) bool {
+	pages, err := disk.ScanChain(q.p, record.PointSize, head, func(rec []byte) bool {
 		v := record.PointView(rec)
 		if v.X() < q.a {
 			return false
@@ -186,7 +196,7 @@ func (q *pstQuery) scanAList(head disk.PageID) error {
 // below the query. Right siblings lie entirely at x >= a.
 func (q *pstQuery) scanSList(head disk.PageID) error {
 	matched := 0
-	pages, err := disk.ScanChain(q.t.pager, record.PointSize, head, func(rec []byte) bool {
+	pages, err := disk.ScanChain(q.p, record.PointSize, head, func(rec []byte) bool {
 		v := record.PointView(rec)
 		if v.Y() < q.b {
 			return false
@@ -212,8 +222,8 @@ func (q *pstQuery) explore(ref skeletal.NodeRef) error {
 	if err != nil {
 		return err
 	}
-	// n.Payload aliases the walker's private immutable view buffer, which
-	// outlives later walker reads — no defensive copy needed.
+	// n.Payload aliases one of the walker's view buffers, which stay put
+	// until the scratch is released — no defensive copy needed.
 	payload := n.Payload
 	left, right := n.Left, n.Right
 	if err := q.scanBlock(payload); err != nil {

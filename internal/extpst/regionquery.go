@@ -9,19 +9,26 @@ import (
 // regionQuery carries the state of one 2-sided query over a region tree.
 type regionQuery struct {
 	rt   *regionTree
+	p    disk.Pager
 	w    *skeletal.Walker
 	a, b int64
 	out  []record.Point
 	st   QueryStats
 }
 
-// Query implements PointIndex for one level of the hierarchy, following
+// Query implements PointIndex for one level of the hierarchy.
+func (rt *regionTree) Query(a, b int64) ([]record.Point, QueryStats, error) {
+	return QueryOwned(rt, rt.pager, a, b)
+}
+
+// QueryOn implements PointIndex for one level of the hierarchy, following
 // Section 4.1: locate the corner region, query its second-level structure,
 // serve ancestors/siblings from the A/S caches with X/Y-list continuation,
 // and traverse descendants of fully-contained regions via their Y-lists.
-func (rt *regionTree) Query(a, b int64) ([]record.Point, QueryStats, error) {
-	q := &regionQuery{rt: rt, w: rt.skel.NewWalker(), a: a, b: b}
-	path, err := q.w.Descend(rt.skel.Root(), func(n skeletal.Node) skeletal.Dir {
+func (rt *regionTree) QueryOn(p disk.Pager, a, b int64, s *Scratch) ([]record.Point, QueryStats, error) {
+	s.w.Reset(rt.skel, p)
+	q := &regionQuery{rt: rt, p: p, w: &s.w, a: a, b: b, out: s.out[:0]}
+	path, err := q.w.AppendDescent(s.path[:0], rt.skel.Root(), func(n skeletal.Node) skeletal.Dir {
 		if rpMinY(n.Payload) < b {
 			return skeletal.Stop
 		}
@@ -30,6 +37,7 @@ func (rt *regionTree) Query(a, b int64) ([]record.Point, QueryStats, error) {
 		}
 		return skeletal.Right
 	})
+	s.path = path
 	if err != nil {
 		return nil, q.st, err
 	}
@@ -38,12 +46,15 @@ func (rt *regionTree) Query(a, b int64) ([]record.Point, QueryStats, error) {
 	corner := path[depth]
 
 	// The corner region is resolved by its own second-level structure.
-	sub := rt.subs[rpRegionIdx(corner.Payload)]
-	pts, sst, err := sub.Query(a, b)
+	// The sub-query runs on its own scratch: this one holds the region
+	// path, whose payloads the rest of the query still reads.
+	sub, subScratch := rt.subs[rpRegionIdx(corner.Payload)], GetScratch()
+	pts, sst, err := sub.QueryOn(p, a, b, subScratch)
+	q.out = append(q.out, pts...)
+	subScratch.Release()
 	if err != nil {
 		return nil, q.st, err
 	}
-	q.out = append(q.out, pts...)
 	q.st.ListPages += sst.ListPages + sst.PathPages
 	q.st.UsefulIOs += sst.UsefulIOs
 	q.st.WastefulIOs += sst.WastefulIOs
@@ -87,6 +98,7 @@ func (rt *regionTree) Query(a, b int64) ([]record.Point, QueryStats, error) {
 		}
 		cur = bj
 	}
+	s.out = q.out
 	q.st.Results = len(q.out)
 	return q.out, q.st, nil
 }
@@ -214,7 +226,7 @@ func (q *regionQuery) exploreRegion(ref skeletal.NodeRef) error {
 // It reports whether the scan stopped early.
 func (q *regionQuery) scanXDesc(head disk.PageID) (stopped bool, err error) {
 	matched := 0
-	pages, err := disk.ScanChain(q.rt.pager, record.PointSize, head, func(rec []byte) bool {
+	pages, err := disk.ScanChain(q.p, record.PointSize, head, func(rec []byte) bool {
 		v := record.PointView(rec)
 		if v.X() < q.a {
 			stopped = true
@@ -238,7 +250,7 @@ func (q *regionQuery) scanXDesc(head disk.PageID) (stopped bool, err error) {
 // descendant regions lie entirely at x >= a).
 func (q *regionQuery) scanYDesc(head disk.PageID, filterX bool) (stopped bool, err error) {
 	matched := 0
-	pages, err := disk.ScanChain(q.rt.pager, record.PointSize, head, func(rec []byte) bool {
+	pages, err := disk.ScanChain(q.p, record.PointSize, head, func(rec []byte) bool {
 		v := record.PointView(rec)
 		if v.Y() < q.b {
 			stopped = true

@@ -15,16 +15,18 @@ import (
 // PointIndex is the query interface shared by the flat schemes (Tree) and
 // the recursive region schemes (Hierarchical).
 type PointIndex interface {
-	// Query reports every indexed point with x >= a and y >= b.
+	// Query reports every indexed point with x >= a and y >= b, as a
+	// slice the caller owns.
 	Query(a, b int64) ([]record.Point, QueryStats, error)
+	// QueryOn is Query reading every page through p — the hook for
+	// per-operation I/O attribution: give each concurrent operation its own
+	// disk.WithCounter(pager, c) — with its working memory in s. The
+	// result may alias s and is valid until s is released.
+	QueryOn(p disk.Pager, a, b int64, s *Scratch) ([]record.Point, QueryStats, error)
 	// Len reports the number of indexed points.
 	Len() int
 	// TotalPages reports the storage footprint in pages.
 	TotalPages() int
-	// WithPager returns a read-only view of the index whose queries go
-	// through p — the hook for per-operation I/O attribution: give each
-	// concurrent operation a view over disk.WithCounter(pager, c).
-	WithPager(p disk.Pager) PointIndex
 }
 
 // Hierarchical is the recursive scheme of Section 4. With two levels it is
@@ -296,10 +298,16 @@ const (
 
 // Query implements PointIndex for the hierarchy root.
 func (h *Hierarchical) Query(a, b int64) ([]record.Point, QueryStats, error) {
+	return QueryOwned(h, h.pager, a, b)
+}
+
+// QueryOn implements PointIndex for the hierarchy root: every level of the
+// recursion reads through p.
+func (h *Hierarchical) QueryOn(p disk.Pager, a, b int64, s *Scratch) ([]record.Point, QueryStats, error) {
 	if h.n == 0 {
 		return nil, QueryStats{}, nil
 	}
-	return h.root.Query(a, b)
+	return h.root.QueryOn(p, a, b, s)
 }
 
 // Len reports the number of indexed points.
@@ -318,33 +326,6 @@ func (h *Hierarchical) Levels() int { return h.levels }
 
 // B reports the page capacity in points.
 func (h *Hierarchical) B() int { return h.b }
-
-// WithPager implements PointIndex: the view rewires every level of the
-// hierarchy (each region's skeleton and sub-structure) onto p, so one
-// operation's reads are attributed wherever in the recursion they happen.
-func (h *Hierarchical) WithPager(p disk.Pager) PointIndex {
-	c := *h
-	c.pager = p
-	if c.root != nil {
-		c.root = h.root.WithPager(p)
-	}
-	return &c
-}
-
-// WithPager implements PointIndex for one level: the region skeleton and
-// every region's sub-structure are rewired onto p.
-func (rt *regionTree) WithPager(p disk.Pager) PointIndex {
-	c := *rt
-	c.pager = p
-	c.skel = rt.skel.WithPager(p)
-	if len(rt.subs) > 0 {
-		c.subs = make([]PointIndex, len(rt.subs))
-		for i, sub := range rt.subs {
-			c.subs[i] = sub.WithPager(p)
-		}
-	}
-	return &c
-}
 
 // Len implements PointIndex.
 func (rt *regionTree) Len() int { return rt.n }

@@ -128,7 +128,7 @@ func (l pstLevel) Len() int           { return l.t.Len() }
 func (l pstLevel) EncodeMeta() []byte { return l.t.Meta().Encode() }
 
 func (l pstLevel) Query(p disk.Pager, a, b int64) ([]record.Point, error) {
-	pts, _, err := l.t.WithPager(p).Query(a, b)
+	pts, _, err := extpst.QueryOwned(l.t, p, a, b)
 	return pts, err
 }
 
@@ -136,7 +136,7 @@ func (l pstLevel) Stab(p disk.Pager, q int64) ([]record.Point, error) {
 	if !l.stab {
 		return nil, ErrUnsupported
 	}
-	pts, _, err := l.t.WithPager(p).Query(-q, q)
+	pts, _, err := extpst.QueryOwned(l.t, p, -q, q)
 	return pts, err
 }
 

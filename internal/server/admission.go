@@ -38,19 +38,51 @@ type tokenBucket struct {
 
 // quotaTable maps client keys to token buckets. rate <= 0 disables
 // quotas entirely (every take succeeds).
+//
+// The table stays bounded however many client keys arrive: a bucket that
+// has refilled to burst is indistinguishable from a fresh one, so sweeps
+// drop those. A sweep runs when the table reaches twice its size after the
+// previous sweep (at least minSweep), which keeps the cost per take
+// constant and the table within twice the clients that spent a token
+// within the last burst/rate seconds.
 type quotaTable struct {
 	rate  float64
 	burst float64
 
 	mu      sync.Mutex
 	buckets map[string]*tokenBucket
+	sweepAt int
 }
+
+// minSweep is the table size below which no sweep runs.
+const minSweep = 1024
 
 func newQuotaTable(rate, burst float64) *quotaTable {
 	if burst < 1 {
 		burst = 1
 	}
-	return &quotaTable{rate: rate, burst: burst, buckets: make(map[string]*tokenBucket)}
+	return &quotaTable{rate: rate, burst: burst, buckets: make(map[string]*tokenBucket), sweepAt: minSweep}
+}
+
+// enabled reports whether quotas are on; when they are off the server
+// does not even derive the client key.
+func (q *quotaTable) enabled() bool { return q != nil && q.rate > 0 }
+
+// refilled reports whether b holds burst tokens again at now: the same
+// refill arithmetic take applies.
+func (q *quotaTable) refilled(b *tokenBucket, now time.Time) bool {
+	dt := now.Sub(b.last).Seconds()
+	return dt > 0 && math.Min(q.burst, b.tokens+dt*q.rate) == q.burst
+}
+
+// sweep drops every refilled bucket. Caller holds q.mu.
+func (q *quotaTable) sweep(now time.Time) {
+	for k, b := range q.buckets {
+		if q.refilled(b, now) {
+			delete(q.buckets, k)
+		}
+	}
+	q.sweepAt = max(2*len(q.buckets), minSweep)
 }
 
 // take spends one token from client's bucket. On an empty bucket it
@@ -62,6 +94,9 @@ func (q *quotaTable) take(client string, now time.Time) (ok bool, retryAfter int
 	}
 	q.mu.Lock()
 	defer q.mu.Unlock()
+	if len(q.buckets) >= q.sweepAt {
+		q.sweep(now)
+	}
 	b := q.buckets[client]
 	if b == nil {
 		b = &tokenBucket{tokens: q.burst, last: now}

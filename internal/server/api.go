@@ -95,22 +95,48 @@ func decodeStrict(body []byte, v any) *apiError {
 	return nil
 }
 
-// readBody reads at most max bytes of the request body; one byte over is
-// bad_request without reading further.
-func readBody(r *http.Request, max int64) ([]byte, *apiError) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, max+1))
-	if err != nil {
-		return nil, errBadRequest("reading request body: %v", err)
+// readBody reads at most max bytes of the request body into a pooled
+// buffer, returned with putBuf once the body is decoded; one byte over is
+// bad_request without reading further. The buffer starts at the declared
+// Content-Length plus the one byte that lets the reader see EOF, so a
+// well-formed body is read in place without growing.
+func readBody(r *http.Request, max int64) (*[]byte, *apiError) {
+	limit := max + 1
+	size := int64(512)
+	if r.ContentLength >= 0 {
+		size = r.ContentLength + 1
 	}
-	if int64(len(body)) > max {
+	bp := getBuf(int(min(size, limit)))
+	b := *bp
+	for int64(len(b)) < limit {
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+		room := min(int64(cap(b)), limit)
+		n, err := r.Body.Read(b[len(b):room])
+		b = b[:len(b)+n]
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			*bp = b
+			putBuf(bp)
+			return nil, errBadRequest("reading request body: %v", err)
+		}
+	}
+	*bp = b
+	if int64(len(b)) > max {
+		putBuf(bp)
 		return nil, errBadRequest("request body exceeds %d bytes", max)
 	}
-	return body, nil
+	return bp, nil
 }
 
 // Request shapes. Required fields are pointers so "absent" and "zero" are
 // distinguishable — a 2-sided query for the origin corner is {"a":0,"b":0},
-// while {} is a 400.
+// while {} is a 400. The flat shapes carry unexported storage the fast
+// decoder (decode.go) points those fields at, so decoding them allocates
+// nothing; encoding/json ignores it.
 
 // queryReq covers /v1/query for both 2-sided ({a, b}) and 3-sided
 // ({a1, a2, b}) kinds; the handler enforces the shape its kind answers.
@@ -119,6 +145,8 @@ type queryReq struct {
 	B  *int64 `json:"b,omitempty"`
 	A1 *int64 `json:"a1,omitempty"`
 	A2 *int64 `json:"a2,omitempty"`
+
+	flat [4]int64
 }
 
 type windowReq struct {
@@ -126,6 +154,8 @@ type windowReq struct {
 	X2 *int64 `json:"x2"`
 	Y1 *int64 `json:"y1"`
 	Y2 *int64 `json:"y2"`
+
+	flat [4]int64
 }
 
 // validate checks presence and range order; a window with x1 > x2 is a
@@ -142,6 +172,8 @@ func (q *windowReq) validate() *apiError {
 
 type stabReq struct {
 	Q *int64 `json:"q"`
+
+	flat [1]int64
 }
 
 // recordReq names one exact record — the write-path identity and the
@@ -150,6 +182,9 @@ type recordReq struct {
 	X  *int64  `json:"x"`
 	Y  *int64  `json:"y"`
 	ID *uint64 `json:"id"`
+
+	flat   [3]int64
+	flatID uint64
 }
 
 func (q *recordReq) validate() *apiError {

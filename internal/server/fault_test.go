@@ -151,6 +151,15 @@ func TestServeDeadlineExpiry(t *testing.T) {
 	if status != 200 || count(t, body) != 50 {
 		t.Fatalf("post-expiry query: status %d body %v", status, body)
 	}
+
+	// Deadlines too long for a time.Duration clamp to MaxDeadline instead
+	// of wrapping negative into an immediate 504.
+	for _, ms := range []string{"9223372036854775807", "10000000000000"} {
+		status, body = ts.post(t, "/v1/query?deadline_ms="+ms, map[string]any{"a": 195, "b": 195})
+		if status != 200 || count(t, body) != 5 {
+			t.Fatalf("deadline_ms=%s: status %d body %v, want 200 with 5 points", ms, status, body)
+		}
+	}
 }
 
 func TestServeQuotaExhaustion(t *testing.T) {

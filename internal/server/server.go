@@ -91,8 +91,9 @@ type Server struct {
 	draining atomic.Bool
 	start    time.Time
 
-	quotas *quotaTable
-	gate   *inflightGate
+	quotas  *quotaTable
+	gate    *inflightGate
+	workers *opWorkers
 
 	// Background-compaction outcomes, surfaced in /varz: ok commits,
 	// stale discards (lost the race with a concurrent flush — benign),
@@ -115,6 +116,9 @@ func New(handle *pathcache.Handle, cfg Config) *Server {
 		start:  time.Now(),
 		quotas: newQuotaTable(cfg.QuotaRate, cfg.QuotaBurst),
 		gate:   newInflightGate(cfg.MaxInflight),
+		// One parked worker per processor covers every op that can run at
+		// once; a burst beyond that runs on fresh goroutines that exit.
+		workers: newOpWorkers(runtime.GOMAXPROCS(0)),
 	}
 	return s
 }
@@ -172,9 +176,11 @@ func (s *Server) StartDrain() { s.draining.Store(true) }
 // Drain gracefully stops the server: new requests are refused with
 // 503/draining immediately, in-flight requests run to completion, and
 // Drain returns when the last one finished or ctx expired. cmd/pcserve
-// calls this on SIGTERM.
+// calls this on SIGTERM. Parked op workers exit; an op still running (one
+// whose request already timed out) finishes on its own goroutine.
 func (s *Server) Drain(ctx context.Context) error {
 	s.StartDrain()
+	defer s.workers.stop()
 	if s.httpSrv == nil {
 		return nil
 	}
@@ -191,25 +197,55 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 // admission counters).
 func (s *Server) Metrics() obs.ServeSnapshot { return s.set.Snapshot() }
 
-// opFunc runs one decoded operation. It executes on a worker goroutine
-// under the request's deadline context and must not touch the
-// ResponseWriter; it returns the response plus the result count for the
-// serve metrics, or a typed error.
+// opFunc runs one decoded operation. It executes on an op worker under
+// the request's deadline context and must not touch the ResponseWriter; it
+// returns the response plus the result count for the serve metrics, or a
+// typed error. body is valid only until the opFunc returns.
 type opFunc func(ctx context.Context, body []byte) (response, int, *apiError)
 
-// opResult crosses from the worker goroutine back to the request
-// goroutine.
+// opResult crosses from the op worker back to the request goroutine.
 type opResult struct {
 	out     response
 	results int
 	apiErr  *apiError
 }
 
+// opCall carries one request's operation to an op worker and its result
+// back. The request goroutine waits on done; a call it received a result
+// from goes back to callPool, while one abandoned at its deadline is left
+// to the collector, since its worker may still be writing it.
+type opCall struct {
+	s    *Server
+	fn   opFunc
+	ctx  context.Context
+	r    *http.Request
+	done chan struct{} // capacity 1: the worker never waits for the reader
+	opResult
+}
+
+var callPool = sync.Pool{New: func() any { return &opCall{done: make(chan struct{}, 1)} }}
+
+// run reads the body and executes the operation. It is the whole of an op
+// worker's work for one request; releasing the inflight slot here, not in
+// the handler, keeps an abandoned operation counted until it ends.
+func (c *opCall) run() {
+	defer c.s.set.Inflight.Dec()
+	defer c.s.gate.release()
+	bp, aerr := readBody(c.r, c.s.cfg.MaxBodyBytes)
+	if aerr != nil {
+		c.apiErr = aerr
+	} else {
+		c.out, c.results, c.apiErr = c.fn(c.ctx, *bp)
+		putBuf(bp)
+	}
+	c.done <- struct{}{}
+}
+
 // op wraps an opFunc in the full request lifecycle: method check,
-// admission, deadline, execution, typed response. The operation runs on
-// its own goroutine so an expired deadline answers 504 immediately; the
-// abandoned operation finishes against its pinned snapshot (releasing its
-// inflight slot and handle reference) with nobody waiting.
+// admission, deadline, execution, typed response. The operation runs on an
+// op worker so an expired deadline answers 504 immediately; the abandoned
+// operation finishes against its pinned snapshot (releasing its inflight
+// slot and handle reference) with nobody waiting.
 func (s *Server) op(endpoint string, fn opFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
@@ -233,12 +269,14 @@ func (s *Server) op(endpoint string, fn opFunc) http.HandlerFunc {
 			observe(http.StatusServiceUnavailable, 0)
 			return
 		}
-		if ok, retry := s.quotas.take(clientKey(r), start); !ok {
-			s.set.QuotaDenials.Add(hint, 1)
-			writeErr(w, &apiError{Status: http.StatusTooManyRequests, Code: codeQuotaExhausted,
-				Message: "client quota exhausted", RetryAfter: retry})
-			observe(http.StatusTooManyRequests, 0)
-			return
+		if s.quotas.enabled() {
+			if ok, retry := s.quotas.take(clientKey(r), start); !ok {
+				s.set.QuotaDenials.Add(hint, 1)
+				writeErr(w, &apiError{Status: http.StatusTooManyRequests, Code: codeQuotaExhausted,
+					Message: "client quota exhausted", RetryAfter: retry})
+				observe(http.StatusTooManyRequests, 0)
+				return
+			}
 		}
 		if !s.gate.tryAcquire() {
 			s.set.OverloadDenials.Add(hint, 1)
@@ -252,21 +290,15 @@ func (s *Server) op(endpoint string, fn opFunc) http.HandlerFunc {
 		ctx, cancel := s.requestContext(r)
 		defer cancel()
 
-		ch := make(chan opResult, 1)
-		go func() {
-			defer s.set.Inflight.Dec()
-			defer s.gate.release()
-			body, aerr := readBody(r, s.cfg.MaxBodyBytes)
-			if aerr != nil {
-				ch <- opResult{apiErr: aerr}
-				return
-			}
-			out, results, aerr := fn(ctx, body)
-			ch <- opResult{out: out, results: results, apiErr: aerr}
-		}()
+		c := callPool.Get().(*opCall)
+		c.s, c.fn, c.ctx, c.r = s, fn, ctx, r
+		s.workers.run(c)
 
 		select {
-		case res := <-ch:
+		case <-c.done:
+			res := c.opResult
+			*c = opCall{done: c.done}
+			callPool.Put(c)
 			if res.apiErr != nil {
 				writeErr(w, res.apiErr)
 				observe(res.apiErr.Status, 0)
@@ -275,11 +307,10 @@ func (s *Server) op(endpoint string, fn opFunc) http.HandlerFunc {
 			writeJSON(w, http.StatusOK, res.out)
 			observe(http.StatusOK, res.results)
 		case <-ctx.Done():
-			// A slow client may have the worker goroutine stalled reading
-			// the request body, and net/http flushes a response only after
-			// that read lets go — expire the connection's read deadline so
-			// the stall breaks and the typed timeout actually reaches the
-			// peer.
+			// A slow client may have the op worker stalled reading the
+			// request body, and net/http flushes a response only after that
+			// read lets go — expire the connection's read deadline so the
+			// stall breaks and the typed timeout actually reaches the peer.
 			http.NewResponseController(w).SetReadDeadline(time.Now()) //nolint:errcheck
 			// That expired deadline stays on the connection, and the next
 			// request a keep-alive client sent on it would get a 504 too:
@@ -298,12 +329,19 @@ func (s *Server) op(endpoint string, fn opFunc) http.HandlerFunc {
 
 // requestContext derives the request's deadline context: deadline_ms from
 // the query string, clamped to MaxDeadline, defaulting to DefaultDeadline.
+// The clamp happens in milliseconds, before the conversion to a Duration
+// that a huge deadline_ms would overflow.
 func (s *Server) requestContext(r *http.Request) (context.Context, context.CancelFunc) {
 	d := s.cfg.DefaultDeadline
-	if v := r.URL.Query().Get("deadline_ms"); v != "" {
-		ms, err := strconv.ParseInt(v, 10, 64)
-		if err == nil && ms > 0 {
-			d = time.Duration(ms) * time.Millisecond
+	if r.URL.RawQuery != "" {
+		if v := r.URL.Query().Get("deadline_ms"); v != "" {
+			ms, err := strconv.ParseInt(v, 10, 64)
+			if err == nil && ms > 0 {
+				if limit := int64(s.cfg.MaxDeadline/time.Millisecond) + 1; ms > limit {
+					ms = limit
+				}
+				d = time.Duration(ms) * time.Millisecond
+			}
 		}
 	}
 	if d > s.cfg.MaxDeadline {
@@ -334,7 +372,7 @@ func finish(out response, results int, release func() error) (response, int, *ap
 // 3-sided ones.
 func (s *Server) opQuery(ctx context.Context, body []byte) (response, int, *apiError) {
 	var req queryReq
-	if aerr := decodeStrict(body, &req); aerr != nil {
+	if aerr := decodeReq(body, &req); aerr != nil {
 		return nil, 0, aerr
 	}
 	if aerr := ctxErr(ctx); aerr != nil {
@@ -405,7 +443,7 @@ func (q *queryReq) need3Sided() *apiError {
 // opWindow answers /v1/window on window stores.
 func (s *Server) opWindow(ctx context.Context, body []byte) (response, int, *apiError) {
 	var req windowReq
-	if aerr := decodeStrict(body, &req); aerr != nil {
+	if aerr := decodeReq(body, &req); aerr != nil {
 		return nil, 0, aerr
 	}
 	if aerr := req.validate(); aerr != nil {
@@ -441,7 +479,7 @@ func needShape(ix pathcache.Index, want pathcache.Shape, op string) *apiError {
 // over an interval base.
 func (s *Server) opStab(ctx context.Context, body []byte) (response, int, *apiError) {
 	var req stabReq
-	if aerr := decodeStrict(body, &req); aerr != nil {
+	if aerr := decodeReq(body, &req); aerr != nil {
 		return nil, 0, aerr
 	}
 	if req.Q == nil {
@@ -469,7 +507,7 @@ func (s *Server) opStab(ctx context.Context, body []byte) (response, int, *apiEr
 // write tier serves through its bloom filters.
 func (s *Server) opSearch(ctx context.Context, body []byte) (response, int, *apiError) {
 	var req recordReq
-	if aerr := decodeStrict(body, &req); aerr != nil {
+	if aerr := decodeReq(body, &req); aerr != nil {
 		return nil, 0, aerr
 	}
 	if aerr := req.validate(); aerr != nil {
@@ -667,7 +705,7 @@ func (s *Server) opDelete(ctx context.Context, body []byte) (response, int, *api
 func (s *Server) update(ctx context.Context, body []byte, op string,
 	apply func(pathcache.WriteTier, pathcache.Point) (pathcache.IOProfile, error)) (response, int, *apiError) {
 	var req recordReq
-	if aerr := decodeStrict(body, &req); aerr != nil {
+	if aerr := decodeReq(body, &req); aerr != nil {
 		return nil, 0, aerr
 	}
 	if aerr := req.validate(); aerr != nil {
@@ -899,12 +937,29 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	WriteIndexMetrics(w, m)
 }
 
-// maxPooledBody caps the response buffers kept for reuse. A rare huge
-// answer's buffer is dropped after its write instead of staying pinned in
-// the pool, so RSS stays bounded by typical responses.
+// maxPooledBody caps the request and response buffers kept for reuse. A
+// rare huge body's buffer is dropped after use instead of staying pinned
+// in the pool, so RSS stays bounded by typical bodies.
 const maxPooledBody = 256 << 10
 
-var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
+var bufPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// getBuf returns an empty pooled buffer with room for at least n bytes.
+func getBuf(n int) *[]byte {
+	bp := bufPool.Get().(*[]byte)
+	if cap(*bp) < n {
+		*bp = make([]byte, 0, n)
+	}
+	*bp = (*bp)[:0]
+	return bp
+}
+
+// putBuf returns a buffer to the pool unless it grew past maxPooledBody.
+func putBuf(bp *[]byte) {
+	if cap(*bp) <= maxPooledBody {
+		bufPool.Put(bp)
+	}
+}
 
 // writeJSON sends one JSON body: a result-bearing response through its
 // append encoder, anything else (errors, /varz) through encoding/json.
@@ -912,8 +967,8 @@ var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
 // Content-Length in a single Write, so net/http neither chunks it nor
 // splits it into buffer-sized writes.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	bp := bodyPool.Get().(*[]byte)
-	b := (*bp)[:0]
+	bp := getBuf(0)
+	b := *bp
 	if r, ok := v.(response); ok {
 		b = append(r.appendJSON(b), '\n')
 	} else {
@@ -928,10 +983,8 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	h.Set("Content-Length", strconv.Itoa(len(b)))
 	w.WriteHeader(status)
 	w.Write(b) //nolint:errcheck // a failed response write has no one to tell
-	if cap(b) <= maxPooledBody {
-		*bp = b
-		bodyPool.Put(bp)
-	}
+	*bp = b
+	putBuf(bp)
 }
 
 func writeErr(w http.ResponseWriter, e *apiError) {

@@ -417,7 +417,8 @@ func (t *Tree) Free() error {
 // View is one page read into memory. Navigating nodes inside a View is free;
 // only loading the View costs an I/O. The buffer is private to the View and
 // immutable after the load, so decoded payload aliases survive pool eviction
-// of the underlying page.
+// of the underlying page (for a walker's views: until the walker is
+// released).
 type View struct {
 	t    *Tree
 	page disk.PageID
@@ -481,18 +482,72 @@ type pagePrefetcher interface {
 // every page it has loaded so far. This models the standard working-memory
 // assumption of the I/O model: a query holds the O(log_B n) pages of its
 // search path in memory and never pays twice for the same page. Page reads
-// are counted by the underlying pager.
+// go through the walker's pager, which counts them.
+//
+// The loaded pages live in a short slice — a query holds a handful — in
+// page buffers drawn from disk.GetPageBuf. Release hands them back; a
+// walker that is never released leaves them to the collector. Node
+// payloads alias those buffers, so they stay valid until Release (DESIGN
+// §14's view lifetime rule).
 type Walker struct {
 	t     *Tree
-	views map[disk.PageID]*View
+	p     disk.Pager
+	views []walkView
 	pf    pagePrefetcher
 }
 
-// NewWalker starts a fresh walker with an empty page cache.
+// walkView is one loaded page and the pooled buffer that holds it.
+type walkView struct {
+	View
+	bp *[]byte
+}
+
+// NewWalker starts a fresh walker with an empty page cache, reading through
+// the tree's own pager.
 func (t *Tree) NewWalker() *Walker {
-	w := &Walker{t: t, views: make(map[disk.PageID]*View, 8)}
-	w.pf, _ = t.pager.(pagePrefetcher)
+	w := new(Walker)
+	w.Reset(t, t.pager)
 	return w
+}
+
+// Reset releases the walker's pages and rebinds it to tree t, reading
+// through p — so one walker, kept in an operation's scratch area, serves
+// operation after operation, each with its own op-scoped pager.
+func (w *Walker) Reset(t *Tree, p disk.Pager) {
+	w.Release()
+	w.t, w.p = t, p
+	w.pf, _ = p.(pagePrefetcher)
+}
+
+// Release returns every loaded page buffer to the pool and empties the
+// walker's page cache. Nodes and payloads the walker handed out must not be
+// used afterwards.
+func (w *Walker) Release() {
+	for i := range w.views {
+		disk.PutPageBuf(w.views[i].bp)
+		w.views[i] = walkView{}
+	}
+	w.views = w.views[:0]
+	w.t, w.p, w.pf = nil, nil, nil
+}
+
+// view returns the view of page id, reading the page on first use. The
+// scan runs newest first: a descent keeps revisiting the page it just
+// loaded. A whole-tree walk (Points, Destroy) holds every skeleton page and
+// pays a scan per node, which stays small next to its page reads.
+func (w *Walker) view(id disk.PageID) (*View, error) {
+	for i := len(w.views) - 1; i >= 0; i-- {
+		if w.views[i].page == id {
+			return &w.views[i].View, nil
+		}
+	}
+	bp := disk.GetPageBuf(w.p.PageSize())
+	if err := w.p.Read(id, *bp); err != nil {
+		disk.PutPageBuf(bp)
+		return nil, err
+	}
+	w.views = append(w.views, walkView{View: View{t: w.t, page: id, buf: *bp}, bp: bp})
+	return &w.views[len(w.views)-1].View, nil
 }
 
 // Node loads the node addressed by ref, reading its page only if this walker
@@ -504,14 +559,9 @@ func (w *Walker) Node(ref NodeRef) (Node, error) {
 	if !ref.Valid() {
 		return Node{}, errors.New("skeletal: walk to nil reference")
 	}
-	v, ok := w.views[ref.Page]
-	if !ok {
-		var err error
-		v, err = w.t.LoadPage(ref.Page)
-		if err != nil {
-			return Node{}, err
-		}
-		w.views[ref.Page] = v
+	v, err := w.view(ref.Page)
+	if err != nil {
+		return Node{}, err
 	}
 	n, err := v.Node(ref.Idx)
 	if err != nil {
@@ -558,7 +608,12 @@ func (t *Tree) Descend(choose func(n Node) Dir) ([]Node, error) {
 // continues navigating after the descent does not pay again for path pages.
 // Semantics match Tree.Descend.
 func (w *Walker) Descend(ref NodeRef, choose func(n Node) Dir) ([]Node, error) {
-	var path []Node
+	return w.AppendDescent(nil, ref, choose)
+}
+
+// AppendDescent is Descend appending the visited path to path, so an
+// operation can reuse one path slice across queries.
+func (w *Walker) AppendDescent(path []Node, ref NodeRef, choose func(n Node) Dir) ([]Node, error) {
 	for ref.Valid() {
 		n, err := w.Node(ref)
 		if err != nil {

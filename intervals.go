@@ -162,13 +162,13 @@ func NewSegmentIndex(ivs []Interval, cached bool, opts *Options) (*SegmentIndex,
 // the exact page transfers attributed to this one query by an op-scoped
 // counter.
 func (ix *SegmentIndex) Stab(q int64) ([]Interval, IOProfile, error) {
-	ctr, finish := ix.startOp(engine.KindName(kindSegment), "stab")
-	ivs, st, err := ix.idx.WithPager(ix.be.OpPager(ctr)).Stab(q)
+	op := ix.startOp(engine.KindName(kindSegment), "stab")
+	ivs, st, err := ix.idx.WithPager(op.pager()).Stab(q)
 	if err != nil {
-		ix.abortOp(finish)
+		op.abort()
 		return nil, IOProfile{}, fmt.Errorf("pathcache: %w", err)
 	}
-	prof, err := finish(len(ivs), ix.idx.Len(), boundFor(kindSegment))
+	prof, err := op.finish(len(ivs), ix.idx.Len(), boundFor(kindSegment))
 	prof.PathPages = st.PathPages
 	prof.ListPages = st.ListPages
 	prof.UsefulIOs = st.UsefulIOs
@@ -227,13 +227,13 @@ func NewIntervalIndex(ivs []Interval, cached bool, opts *Options) (*IntervalInde
 // the exact page transfers attributed to this one query by an op-scoped
 // counter.
 func (ix *IntervalIndex) Stab(q int64) ([]Interval, IOProfile, error) {
-	ctr, finish := ix.startOp(engine.KindName(kindInterval), "stab")
-	ivs, st, err := ix.idx.WithPager(ix.be.OpPager(ctr)).Stab(q)
+	op := ix.startOp(engine.KindName(kindInterval), "stab")
+	ivs, st, err := ix.idx.WithPager(op.pager()).Stab(q)
 	if err != nil {
-		ix.abortOp(finish)
+		op.abort()
 		return nil, IOProfile{}, fmt.Errorf("pathcache: %w", err)
 	}
-	prof, err := finish(len(ivs), ix.idx.Len(), boundFor(kindInterval))
+	prof, err := op.finish(len(ivs), ix.idx.Len(), boundFor(kindInterval))
 	prof.PathPages = st.PathPages
 	prof.ListPages = st.ListPages
 	prof.UsefulIOs = st.UsefulIOs

@@ -208,12 +208,12 @@ func (x *LSMIndex) Delete(p Point) (IOProfile, error) {
 func (x *LSMIndex) update(opName string, apply func(disk.Pager) error) (IOProfile, error) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	ctr, finish := x.startOp(lsmKindName, opName)
-	if err := apply(x.be.OpPager(ctr)); err != nil {
-		x.abortOp(finish)
+	op := x.startOp(lsmKindName, opName)
+	if err := apply(op.pager()); err != nil {
+		op.abort()
 		return IOProfile{}, fmt.Errorf("pathcache: %w", err)
 	}
-	prof, err := finish(0, x.tr.Len(), nil)
+	prof, err := op.finish(0, x.tr.Len(), nil)
 	if err != nil {
 		return prof, err
 	}
@@ -332,28 +332,28 @@ func (x *LSMIndex) CompactBackground() <-chan error {
 // operation is checked against the dynamization bound. Unsupported on pure
 // interval bases ("segment", "interval").
 func (x *LSMIndex) Query(a, b int64) ([]Point, IOProfile, error) {
-	ctr, finish := x.startOp(lsmKindName, "query")
+	op := x.startOp(lsmKindName, "query")
 	bound := x.liveBound()
-	pts, err := x.tr.Query(x.be.OpPager(ctr), a, b)
+	pts, err := x.tr.Query(op.pager(), a, b)
 	if err != nil {
-		x.abortOp(finish)
+		op.abort()
 		return nil, IOProfile{}, fmt.Errorf("pathcache: %w", err)
 	}
-	prof, err := finish(len(pts), x.tr.Len(), bound)
+	prof, err := op.finish(len(pts), x.tr.Len(), bound)
 	return fromRecPoints(pts), prof, err
 }
 
 // Stab reports every live interval containing q, for bases that answer
 // stabbing queries ("segment", "interval", "stabbing").
 func (x *LSMIndex) Stab(q int64) ([]Interval, IOProfile, error) {
-	ctr, finish := x.startOp(lsmKindName, "stab")
+	op := x.startOp(lsmKindName, "stab")
 	bound := x.liveBound()
-	pts, err := x.tr.Stab(x.be.OpPager(ctr), q)
+	pts, err := x.tr.Stab(op.pager(), q)
 	if err != nil {
-		x.abortOp(finish)
+		op.abort()
 		return nil, IOProfile{}, fmt.Errorf("pathcache: %w", err)
 	}
-	prof, err := finish(len(pts), x.tr.Len(), bound)
+	prof, err := op.finish(len(pts), x.tr.Len(), bound)
 	ivs := make([]Interval, len(pts))
 	for i, p := range pts {
 		ivs[i] = pointToInterval(Point(p))
@@ -366,18 +366,18 @@ func (x *LSMIndex) Stab(q int64) ([]Interval, IOProfile, error) {
 // zero page reads per level; a present one costs a binary search of one
 // level's data chain.
 func (x *LSMIndex) Has(p Point) (bool, IOProfile, error) {
-	ctr, finish := x.startOp(lsmKindName, "probe")
+	op := x.startOp(lsmKindName, "probe")
 	bound := x.liveBound()
-	ok, err := x.tr.Has(x.be.OpPager(ctr), toRec(p))
+	ok, err := x.tr.Has(op.pager(), toRec(p))
 	if err != nil {
-		x.abortOp(finish)
+		op.abort()
 		return false, IOProfile{}, fmt.Errorf("pathcache: %w", err)
 	}
 	results := 0
 	if ok {
 		results = 1
 	}
-	prof, err := finish(results, x.tr.Len(), bound)
+	prof, err := op.finish(results, x.tr.Len(), bound)
 	return ok, prof, err
 }
 

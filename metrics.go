@@ -115,8 +115,12 @@ func (e *BoundError) Unwrap() error { return ErrBoundExceeded }
 
 // publicErr converts internal bound errors to the public *BoundError and
 // leaves every other error untouched (callers wrap those with the package
-// prefix as usual).
+// prefix as usual). A nil error returns before errors.As, whose target
+// would otherwise escape to the heap on every successful op.
 func publicErr(err error) error {
+	if err == nil {
+		return nil
+	}
 	var be *obs.BoundError
 	if errors.As(err, &be) {
 		return &BoundError{Event: toTraceEvent(be.Event), MaxRatio: be.MaxRatio, Slack: be.Slack}
@@ -226,42 +230,53 @@ func evalBound(bound obs.BoundFunc, pageSize, n, t int) float64 {
 	return bound(n, B(pageSize), t)
 }
 
-// startOp opens one recorded serial operation against the backend and
-// returns the op-scoped counter to route the operation's I/O through plus
-// the finish closure. finish must be called exactly once, with the op's
-// result count, the index size n, and the bound function (nil for none);
-// it folds the counter into the metric series and returns the op's I/O
-// profile fields — and, with strict bounds armed, a *BoundError on breach.
-func (c core) startOp(kindName, opName string) (*disk.Counter, func(results, n int, bound obs.BoundFunc) (IOProfile, error)) {
-	ctr := new(disk.Counter)
-	op := c.be.Obs().Begin(kindName, opName, obs.SerialWorker)
-	return ctr, func(results, n int, bound obs.BoundFunc) (IOProfile, error) {
-		cs := ctr.Stats()
-		ev, err := c.be.Obs().End(op, obs.Measure{
-			Reads:     cs.Reads,
-			Writes:    cs.Writes,
-			CacheHits: ctr.Hits(),
-			Results:   results,
-			Bound:     evalBound(bound, c.be.Pager().PageSize(), n, results),
-		})
-		prof := IOProfile{
-			Results:    results,
-			Reads:      ev.Reads,
-			Writes:     ev.Writes,
-			CacheHits:  ev.CacheHits,
-			Bound:      ev.Bound,
-			BoundRatio: ev.Ratio,
-		}
-		return prof, publicErr(err)
-	}
+// opRun is one recorded serial operation: the registry record it closes
+// and the op-scoped counter its I/O is routed through. It is one allocation
+// per op, counter included.
+type opRun struct {
+	c   core
+	op  obs.Op
+	ctr disk.Counter
 }
 
-// abortOp closes a recorded operation whose underlying query failed: the
-// partial I/O still lands in the series (and the inflight gauge drops),
-// but no bound is checked — the query's own error wins.
-func (c core) abortOp(finish func(int, int, obs.BoundFunc) (IOProfile, error)) {
-	finish(0, 0, nil)
+// startOp opens one recorded serial operation against the backend. Route
+// the operation's I/O through pager(), then call finish (or abort) exactly
+// once.
+func (c core) startOp(kindName, opName string) *opRun {
+	return &opRun{c: c, op: c.be.Obs().Begin(kindName, opName, obs.SerialWorker)}
 }
+
+// pager returns the backend's pager viewed through the op's counter.
+func (r *opRun) pager() disk.Pager { return r.c.be.OpPager(&r.ctr) }
+
+// finish folds the counter into the metric series, given the op's result
+// count, the index size n and the bound function (nil for none), and
+// returns the op's I/O profile — and, with strict bounds armed, a
+// *BoundError on breach.
+func (r *opRun) finish(results, n int, bound obs.BoundFunc) (IOProfile, error) {
+	cs := r.ctr.Stats()
+	ev, err := r.c.be.Obs().End(r.op, obs.Measure{
+		Reads:     cs.Reads,
+		Writes:    cs.Writes,
+		CacheHits: r.ctr.Hits(),
+		Results:   results,
+		Bound:     evalBound(bound, r.c.be.Pager().PageSize(), n, results),
+	})
+	prof := IOProfile{
+		Results:    results,
+		Reads:      ev.Reads,
+		Writes:     ev.Writes,
+		CacheHits:  ev.CacheHits,
+		Bound:      ev.Bound,
+		BoundRatio: ev.Ratio,
+	}
+	return prof, publicErr(err)
+}
+
+// abort closes an operation whose underlying query failed: the partial I/O
+// still lands in the series (and the inflight gauge drops), but no bound is
+// checked — the query's own error wins.
+func (r *opRun) abort() { r.finish(0, 0, nil) }
 
 // recordBuild attributes an index construction to the metric series as one
 // "build" op. A constructor starts from a fresh store, so the absolute

@@ -51,13 +51,13 @@ func (ix *RangeIndex) Delete(key int64, val uint64) error {
 // Search returns every value stored under key. Each search is recorded as
 // one "search" op against the B+-tree's O(log_B n + t/B) bound.
 func (ix *RangeIndex) Search(key int64) ([]uint64, error) {
-	ctr, finish := ix.startOp(rangeKindName, "search")
-	vals, err := ix.idx.WithPager(ix.be.OpPager(ctr)).Search(key)
+	op := ix.startOp(rangeKindName, "search")
+	vals, err := ix.idx.WithPager(op.pager()).Search(key)
 	if err != nil {
-		ix.abortOp(finish)
+		op.abort()
 		return nil, fmt.Errorf("pathcache: %w", err)
 	}
-	if _, err := finish(len(vals), ix.idx.Len(), obs.LogBBound); err != nil {
+	if _, err := op.finish(len(vals), ix.idx.Len(), obs.LogBBound); err != nil {
 		return nil, err
 	}
 	return vals, nil

@@ -38,13 +38,13 @@ func NewThreeSidedIndex(pts []Point, opts *Options) (*ThreeSidedIndex, error) {
 // the query's I/O profile: the exact page transfers attributed to this one
 // query by an op-scoped counter.
 func (ix *ThreeSidedIndex) QueryThreeSided(a1, a2, b int64) ([]Point, IOProfile, error) {
-	ctr, finish := ix.startOp(engine.KindName(kindThreeSide), "query")
-	pts, st, err := ix.idx.WithPager(ix.be.OpPager(ctr)).Query(a1, a2, b)
+	op := ix.startOp(engine.KindName(kindThreeSide), "query")
+	pts, st, err := ix.idx.WithPager(op.pager()).Query(a1, a2, b)
 	if err != nil {
-		ix.abortOp(finish)
+		op.abort()
 		return nil, IOProfile{}, fmt.Errorf("pathcache: %w", err)
 	}
-	prof, err := finish(len(pts), ix.idx.Len(), boundFor(kindThreeSide))
+	prof, err := op.finish(len(pts), ix.idx.Len(), boundFor(kindThreeSide))
 	prof.PathPages = st.PathPages
 	prof.ListPages = st.ListPages
 	prof.UsefulIOs = st.UsefulIOs

@@ -126,13 +126,13 @@ func (ix *TwoSidedIndex) QueryProfile(a, b int64) ([]Point, IOProfile, error) {
 // double-recording would break the invariant that per-op histogram sums
 // equal the store-level Stats diff.
 func (ix *TwoSidedIndex) queryAs(opName string, a, b int64) ([]Point, IOProfile, error) {
-	ctr, finish := ix.startOp(engine.KindName(ix.kind), opName)
-	pts, st, err := ix.idx.WithPager(ix.be.OpPager(ctr)).Query(a, b)
+	op := ix.startOp(engine.KindName(ix.kind), opName)
+	pts, st, err := ix.queryOn(op.pager(), a, b)
 	if err != nil {
-		ix.abortOp(finish)
+		op.abort()
 		return nil, IOProfile{}, fmt.Errorf("pathcache: %w", err)
 	}
-	prof, err := finish(len(pts), ix.idx.Len(), boundFor(ix.kind))
+	prof, err := op.finish(len(pts), ix.idx.Len(), boundFor(ix.kind))
 	prof.PathPages = st.PathPages
 	prof.ListPages = st.ListPages
 	prof.UsefulIOs = st.UsefulIOs
@@ -140,7 +140,20 @@ func (ix *TwoSidedIndex) queryAs(opName string, a, b int64) ([]Point, IOProfile,
 	if err != nil {
 		return nil, prof, err
 	}
-	return fromRecPoints(pts), prof, nil
+	return pts, prof, nil
+}
+
+// queryOn answers one 2-sided query through p. The walker, path and
+// result accumulator come from a pooled scratch; the answer leaves as a
+// copy before the scratch goes back.
+func (ix *TwoSidedIndex) queryOn(p disk.Pager, a, b int64) ([]Point, extpst.QueryStats, error) {
+	s := extpst.GetScratch()
+	defer s.Release()
+	pts, st, err := ix.idx.QueryOn(p, a, b, s)
+	if err != nil {
+		return nil, st, err
+	}
+	return fromRecPoints(pts), st, nil
 }
 
 // Len reports the number of indexed points.

@@ -41,13 +41,13 @@ func NewWindowIndex(pts []Point, opts *Options) (*WindowIndex, error) {
 // plus the query's I/O profile: the exact page transfers attributed to
 // this one query by an op-scoped counter.
 func (ix *WindowIndex) WindowQuery(x1, x2, y1, y2 int64) ([]Point, IOProfile, error) {
-	ctr, finish := ix.startOp(engine.KindName(kindWindow), "query")
-	pts, st, err := ix.idx.WithPager(ix.be.OpPager(ctr)).Query(x1, x2, y1, y2)
+	op := ix.startOp(engine.KindName(kindWindow), "query")
+	pts, st, err := ix.idx.WithPager(op.pager()).Query(x1, x2, y1, y2)
 	if err != nil {
-		ix.abortOp(finish)
+		op.abort()
 		return nil, IOProfile{}, fmt.Errorf("pathcache: %w", err)
 	}
-	prof, err := finish(len(pts), ix.idx.Len(), boundFor(kindWindow))
+	prof, err := op.finish(len(pts), ix.idx.Len(), boundFor(kindWindow))
 	prof.PathPages = st.PathPages
 	prof.ListPages = st.ListPages
 	prof.UsefulIOs = st.UsefulIOs
