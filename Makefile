@@ -68,10 +68,14 @@ fuzz-smoke:
 	$(GO) test ./internal/skeletal -run='^$$' -fuzz=FuzzMetaReopen -fuzztime=10s
 
 # The crash-consistency matrix: the every-write-point kill sweeps at the
-# store level and through every persisted index kind's public build path.
+# store level and through every persisted index kind's public build path,
+# plus the build golden and differential tests that pin the page-write
+# sequence those sweeps kill at.
 crash:
 	$(GO) test ./internal/disk -run='TestCrashSweepStoreLevel|TestCrashFile|TestFileStore' -v
 	$(GO) test . -run='TestCrashSweepIndexes' -v
+	$(GO) test . -run='TestBuildGolden' -count=1 -v
+	$(GO) test ./internal/pstcore -run='TestBuildMatchesReference' -count=1 -v
 	$(GO) test . -run='TestCrashSweepLSM' -v
 	$(GO) test . -run='TestCrashSweepShardMap|TestCrashSweepShardStore' -v
 

@@ -18,6 +18,7 @@ import (
 	"pathcache/internal/extint"
 	"pathcache/internal/extpst"
 	"pathcache/internal/extseg"
+	"pathcache/internal/extwindow"
 	"pathcache/internal/record"
 	"pathcache/internal/workload"
 )
@@ -113,6 +114,56 @@ func BenchmarkE2SpaceSegmented(b *testing.B) {
 func BenchmarkE2SpaceTwoLevel(b *testing.B) {
 	benchBuild(b, func(s *disk.Store) (int, error) {
 		tr, err := extpst.BuildTwoLevel(s, benchPts())
+		if err != nil {
+			return 0, err
+		}
+		return tr.TotalPages(), nil
+	})
+}
+
+// Construction at n = 100k: time, bytes and allocations per build of the
+// sort-once PST construction and its merge-built caches (DESIGN.md §2).
+var buildBenchPts = sync.OnceValue(func() []record.Point {
+	return workload.UniformPoints(100_000, 1<<30, 44)
+})
+
+func BenchmarkBuildTwoSidedSegmented(b *testing.B) {
+	b.ReportAllocs()
+	benchBuild(b, func(s *disk.Store) (int, error) {
+		tr, err := extpst.Build(s, buildBenchPts(), extpst.Segmented)
+		if err != nil {
+			return 0, err
+		}
+		return tr.TotalPages(), nil
+	})
+}
+
+func BenchmarkBuildTwoLevel(b *testing.B) {
+	b.ReportAllocs()
+	benchBuild(b, func(s *disk.Store) (int, error) {
+		tr, err := extpst.BuildTwoLevel(s, buildBenchPts())
+		if err != nil {
+			return 0, err
+		}
+		return tr.TotalPages(), nil
+	})
+}
+
+func BenchmarkBuildThreeSided(b *testing.B) {
+	b.ReportAllocs()
+	benchBuild(b, func(s *disk.Store) (int, error) {
+		tr, err := ext3side.Build(s, buildBenchPts())
+		if err != nil {
+			return 0, err
+		}
+		return tr.TotalPages(), nil
+	})
+}
+
+func BenchmarkBuildWindow(b *testing.B) {
+	b.ReportAllocs()
+	benchBuild(b, func(s *disk.Store) (int, error) {
+		tr, err := extwindow.Build(s, buildBenchPts())
 		if err != nil {
 			return 0, err
 		}

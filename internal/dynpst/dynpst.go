@@ -34,6 +34,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"pathcache/internal/disk"
@@ -286,7 +287,7 @@ func (t *Tree) bufClear(b *buffer) error {
 // --- list plumbing ----------------------------------------------------------
 
 func (t *Tree) writePoints(pts []record.Point) (disk.PageID, int, error) {
-	return disk.WriteChain(t.pager, record.PointSize, record.EncodePoints(pts))
+	return pstcore.WritePoints(t.pager, pts)
 }
 
 // readPoints scans a full chain (charged).
@@ -316,14 +317,14 @@ func (t *Tree) setLists(r *region, pts []record.Point) error {
 		return err
 	}
 	byX := append([]record.Point(nil), pts...)
-	pstcore.SortByXDesc(byX)
+	slices.SortFunc(byX, record.CmpXDesc)
 	var err error
 	r.xHead, r.xPages, err = t.writePoints(byX)
 	if err != nil {
 		return err
 	}
 	byY := append([]record.Point(nil), pts...)
-	pstcore.SortByYDesc(byY)
+	slices.SortFunc(byY, record.CmpYDesc)
 	r.yHead, r.yPages, err = t.writePoints(byY)
 	if err != nil {
 		return err
@@ -432,9 +433,9 @@ func (t *Tree) refreshSupernode(sr *region) error {
 	var build func(r *region, anc []record.Point, sib []record.Point) error
 	build = func(r *region, anc, sib []record.Point) error {
 		aPts := append([]record.Point(nil), anc...)
-		pstcore.SortByXDesc(aPts)
+		slices.SortFunc(aPts, record.CmpXDesc)
 		sPts := append([]record.Point(nil), sib...)
-		pstcore.SortByYDesc(sPts)
+		slices.SortFunc(sPts, record.CmpYDesc)
 		if err := t.freeIf(r.aHead); err != nil {
 			return err
 		}
@@ -733,7 +734,7 @@ func (t *Tree) relevel(sr *region) ([]*region, error) {
 		keep := pts
 		var rest []record.Point
 		if len(pts) > t.regionCap && (r.left != nil || r.right != nil) {
-			pstcore.SortByYDesc(pts)
+			slices.SortFunc(pts, record.CmpYDesc)
 			keep = pts[:t.regionCap]
 			rest = pts[t.regionCap:]
 		}

@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
 	"pathcache/internal/disk"
 	"pathcache/internal/pstcore"
@@ -99,7 +100,7 @@ func BuildLayout(p disk.Pager, pts []record.Point, layout disk.Layout) (*Tree, e
 		t.segLen = 1
 	}
 	root := pstcore.Build(pstcore.SortedAsc(pts), b)
-	bn, err := t.persist(root, 0, nil, nil, nil)
+	bn, err := (&cacheBuilder{t: t}).persist(root, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -115,14 +116,27 @@ func (t *Tree) chunkStart(depth int) int {
 	return (depth / t.segLen) * t.segLen
 }
 
-// persist writes node chains depth-first. ancestors[i] holds the points of
-// the depth-i ancestor; rsibs[i]/lsibs[i] hold the right/left sibling
-// hanging off the path at level i (nil when the path went the other way).
-func (t *Tree) persist(n *pstcore.MemNode, depth int, ancestors, rsibs, lsibs [][]record.Point) (*skeletal.BuildNode, error) {
+// cacheBuilder carries persist's state along the DFS path. For each depth
+// d on the current path it holds the runs the caches below merge: that
+// node's block y-descending as built (ay), re-sorted x-descending (axd)
+// and x-ascending (axa), and the block of the right (rs) or left (ls)
+// sibling the path passed there (nil when the path went the other way).
+// merger holds the buffers every cache list is merged in.
+type cacheBuilder struct {
+	t                    *Tree
+	ay, axd, axa, rs, ls [][]record.Point
+	merger               pstcore.Merger
+}
+
+// persist writes node chains depth-first. Each of a node's five caches is
+// the merge of its chunk path's runs, each already in order, so no list is
+// sorted whole and none outlives its write.
+func (cb *cacheBuilder) persist(n *pstcore.MemNode, depth int) (*skeletal.BuildNode, error) {
 	if n == nil {
 		return nil, nil
 	}
-	blockHead, pages, err := disk.WriteChain(t.pager, record.PointSize, record.EncodePoints(n.Pts))
+	t := cb.t
+	blockHead, pages, err := pstcore.WritePoints(t.pager, n.Pts)
 	if err != nil {
 		return nil, err
 	}
@@ -134,60 +148,59 @@ func (t *Tree) persist(n *pstcore.MemNode, depth int, ancestors, rsibs, lsibs []
 	binary.LittleEndian.PutUint64(payload[12:], uint64(n.MinY))
 	putChildMinY(payload[20:], n.Left)
 	putChildMinY(payload[28:], n.Right)
-
 	cs := t.chunkStart(depth)
-	var aPts, rsPts, lsPts []record.Point
-	for i := cs; i < depth; i++ {
-		aPts = append(aPts, ancestors[i]...)
-		if rsibs[i] != nil {
-			rsPts = append(rsPts, rsibs[i]...)
+	for _, l := range []struct {
+		off  int
+		runs [][]record.Point
+		cmp  func(p, q record.Point) int
+	}{
+		{offAY, cb.ay[cs:depth], record.CmpYDesc},
+		{offAXD, cb.axd[cs:depth], record.CmpXDesc},
+		{offAXA, cb.axa[cs:depth], record.CmpXAsc},
+		{offRS, cb.rs[cs:depth], record.CmpYDesc},
+		{offLS, cb.ls[cs:depth], record.CmpYDesc},
+	} {
+		if err := t.writeCache(payload[l.off:], cb.merger.Merge(l.runs, l.cmp)); err != nil {
+			return nil, err
 		}
-		if lsibs[i] != nil {
-			lsPts = append(lsPts, lsibs[i]...)
-		}
-	}
-	ay := append([]record.Point(nil), aPts...)
-	pstcore.SortByYDesc(ay)
-	if err := t.writeCache(payload[offAY:], ay); err != nil {
-		return nil, err
-	}
-	axd := append([]record.Point(nil), aPts...)
-	pstcore.SortByXDesc(axd)
-	if err := t.writeCache(payload[offAXD:], axd); err != nil {
-		return nil, err
-	}
-	pstcore.SortByXAsc(aPts)
-	if err := t.writeCache(payload[offAXA:], aPts); err != nil {
-		return nil, err
-	}
-	pstcore.SortByYDesc(rsPts)
-	if err := t.writeCache(payload[offRS:], rsPts); err != nil {
-		return nil, err
-	}
-	pstcore.SortByYDesc(lsPts)
-	if err := t.writeCache(payload[offLS:], lsPts); err != nil {
-		return nil, err
 	}
 
 	bn := &skeletal.BuildNode{Key: n.Split, Payload: payload}
-	ancestors = append(ancestors, n.Pts)
-	var leftPts, rightPts []record.Point
-	if n.Left != nil {
-		leftPts = n.Left.Pts
+	if n.Left == nil && n.Right == nil {
+		return bn, nil
 	}
-	if n.Right != nil {
-		rightPts = n.Right.Pts
+	for len(cb.ay) <= depth {
+		cb.ay = append(cb.ay, nil)
+		cb.axd = append(cb.axd, nil)
+		cb.axa = append(cb.axa, nil)
+		cb.rs = append(cb.rs, nil)
+		cb.ls = append(cb.ls, nil)
+	}
+	cb.ay[depth] = n.Pts
+	if t.chunkStart(depth+1) <= depth {
+		cb.axd[depth] = append(cb.axd[depth][:0], n.Pts...)
+		slices.SortFunc(cb.axd[depth], record.CmpXDesc)
+		cb.axa[depth] = append(cb.axa[depth][:0], n.Pts...)
+		slices.SortFunc(cb.axa[depth], record.CmpXAsc)
 	}
 	if n.Left != nil {
 		// Path goes left: the right child is a right-hanging sibling.
-		bn.Left, err = t.persist(n.Left, depth+1, ancestors, append(rsibs, rightPts), append(lsibs, nil))
+		cb.rs[depth], cb.ls[depth] = nil, nil
+		if n.Right != nil {
+			cb.rs[depth] = n.Right.Pts
+		}
+		bn.Left, err = cb.persist(n.Left, depth+1)
 		if err != nil {
 			return nil, err
 		}
 	}
 	if n.Right != nil {
 		// Path goes right: the left child is a left-hanging sibling.
-		bn.Right, err = t.persist(n.Right, depth+1, ancestors, append(rsibs, nil), append(lsibs, leftPts))
+		cb.rs[depth], cb.ls[depth] = nil, nil
+		if n.Left != nil {
+			cb.ls[depth] = n.Left.Pts
+		}
+		bn.Right, err = cb.persist(n.Right, depth+1)
 		if err != nil {
 			return nil, err
 		}
@@ -196,7 +209,7 @@ func (t *Tree) persist(n *pstcore.MemNode, depth int, ancestors, rsibs, lsibs []
 }
 
 func (t *Tree) writeCache(buf []byte, pts []record.Point) error {
-	head, pages, err := disk.WriteChain(t.pager, record.PointSize, record.EncodePoints(pts))
+	head, pages, err := pstcore.WritePoints(t.pager, pts)
 	if err != nil {
 		return err
 	}

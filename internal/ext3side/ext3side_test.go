@@ -1,7 +1,7 @@
 package ext3side
 
 import (
-	"sort"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -12,33 +12,10 @@ import (
 )
 
 func samePoints(a, b []record.Point) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	key := func(p record.Point) [3]int64 { return [3]int64{p.X, p.Y, int64(p.ID)} }
-	as := make([][3]int64, len(a))
-	bs := make([][3]int64, len(b))
-	for i := range a {
-		as[i], bs[i] = key(a[i]), key(b[i])
-	}
-	less := func(s [][3]int64) func(i, j int) bool {
-		return func(i, j int) bool {
-			for k := 0; k < 3; k++ {
-				if s[i][k] != s[j][k] {
-					return s[i][k] < s[j][k]
-				}
-			}
-			return false
-		}
-	}
-	sort.Slice(as, less(as))
-	sort.Slice(bs, less(bs))
-	for i := range as {
-		if as[i] != bs[i] {
-			return false
-		}
-	}
-	return true
+	as, bs := slices.Clone(a), slices.Clone(b)
+	slices.SortFunc(as, record.CmpXYID)
+	slices.SortFunc(bs, record.CmpXYID)
+	return slices.Equal(as, bs)
 }
 
 func TestEmptyTree(t *testing.T) {

@@ -28,6 +28,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"pathcache/internal/disk"
 	"pathcache/internal/pstcore"
@@ -132,7 +133,7 @@ func BuildChunkedLayout(p disk.Pager, pts []record.Point, scheme Scheme, chunkLe
 		t.segLen = chunkLen
 	}
 	root := pstcore.Build(pstcore.SortedAsc(pts), b)
-	bn, err := t.persist(root, 0, nil, nil)
+	bn, err := (&listBuilder{t: t}).persist(root, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -152,15 +153,28 @@ func (t *Tree) chunkStart(depth int) int {
 	return (depth / t.segLen) * t.segLen
 }
 
+// listBuilder carries persist's state along the DFS path. For each depth
+// d on the current path, xBlocks[d] holds that node's block re-sorted by
+// decreasing x, and sibs[d] the block of the right sibling the path passed
+// there (nil when the path went right). merger holds the buffers every
+// node's lists are merged in.
+type listBuilder struct {
+	t             *Tree
+	xBlocks, sibs [][]record.Point
+	merger        pstcore.Merger
+}
+
 // persist writes node chains depth-first and assembles the skeletal tree.
-// ancestors[i] holds the points of the depth-i ancestor; sibs[i] holds the
-// points of the right sibling hanging off the path at level i (nil when the
-// path went right there).
-func (t *Tree) persist(n *pstcore.MemNode, depth int, ancestors, sibs [][]record.Point) (*skeletal.BuildNode, error) {
+// A node's A-list (its chunk ancestors' points, x-descending) and S-list
+// (the right siblings off its chunk path, y-descending) are merges of the
+// path's runs, each already in order, so no list is sorted whole and none
+// outlives its write.
+func (lb *listBuilder) persist(n *pstcore.MemNode, depth int) (*skeletal.BuildNode, error) {
 	if n == nil {
 		return nil, nil
 	}
-	blockHead, pages, err := disk.WriteChain(t.pager, record.PointSize, record.EncodePoints(n.Pts))
+	t := lb.t
+	blockHead, pages, err := pstcore.WritePoints(t.pager, n.Pts)
 	if err != nil {
 		return nil, err
 	}
@@ -178,41 +192,44 @@ func (t *Tree) persist(n *pstcore.MemNode, depth int, ancestors, sibs [][]record
 
 	if t.scheme != IKO && depth > 0 {
 		cs := t.chunkStart(depth)
-		var aPts, sPts []record.Point
-		for i := cs; i < depth; i++ {
-			aPts = append(aPts, ancestors[i]...)
-			if sibs[i] != nil {
-				sPts = append(sPts, sibs[i]...)
-			}
-		}
-		pstcore.SortByXDesc(aPts)
-		aHead, pages, err := disk.WriteChain(t.pager, record.PointSize, record.EncodePoints(aPts))
+		a := lb.merger.Merge(lb.xBlocks[cs:depth], record.CmpXDesc)
+		aHead, pages, err := pstcore.WritePoints(t.pager, a)
 		if err != nil {
 			return nil, err
 		}
 		t.aPages += pages
 		binary.LittleEndian.PutUint64(payload[36:], uint64(aHead))
-		binary.LittleEndian.PutUint32(payload[44:], uint32(len(aPts)))
+		binary.LittleEndian.PutUint32(payload[44:], uint32(len(a)))
 
-		pstcore.SortByYDesc(sPts)
-		sHead, pages, err := disk.WriteChain(t.pager, record.PointSize, record.EncodePoints(sPts))
+		s := lb.merger.Merge(lb.sibs[cs:depth], record.CmpYDesc)
+		sHead, pages, err := pstcore.WritePoints(t.pager, s)
 		if err != nil {
 			return nil, err
 		}
 		t.sPages += pages
 		binary.LittleEndian.PutUint64(payload[48:], uint64(sHead))
-		binary.LittleEndian.PutUint32(payload[56:], uint32(len(sPts)))
+		binary.LittleEndian.PutUint32(payload[56:], uint32(len(s)))
 	}
 
 	bn := &skeletal.BuildNode{Key: n.Split, Payload: payload}
-	ancestors = append(ancestors, n.Pts)
-	// Path goes left below this node: the right child is the sibling.
-	var rightPts []record.Point
-	if n.Right != nil {
-		rightPts = n.Right.Pts
+	if n.Left == nil && n.Right == nil {
+		return bn, nil
+	}
+	for len(lb.sibs) <= depth {
+		lb.xBlocks = append(lb.xBlocks, nil)
+		lb.sibs = append(lb.sibs, nil)
+	}
+	if t.scheme != IKO && t.chunkStart(depth+1) <= depth {
+		lb.xBlocks[depth] = append(lb.xBlocks[depth][:0], n.Pts...)
+		slices.SortFunc(lb.xBlocks[depth], record.CmpXDesc)
 	}
 	if n.Left != nil {
-		bn.Left, err = t.persist(n.Left, depth+1, ancestors, append(sibs, rightPts))
+		// Path goes left below this node: the right child is the sibling.
+		lb.sibs[depth] = nil
+		if n.Right != nil {
+			lb.sibs[depth] = n.Right.Pts
+		}
+		bn.Left, err = lb.persist(n.Left, depth+1)
 		if err != nil {
 			return nil, err
 		}
@@ -220,7 +237,8 @@ func (t *Tree) persist(n *pstcore.MemNode, depth int, ancestors, sibs [][]record
 	if n.Right != nil {
 		// Path goes right: the left child is a *left* sibling, outside every
 		// 2-sided query's x-range, so no sibling points are recorded.
-		bn.Right, err = t.persist(n.Right, depth+1, ancestors, append(sibs, nil))
+		lb.sibs[depth] = nil
+		bn.Right, err = lb.persist(n.Right, depth+1)
 		if err != nil {
 			return nil, err
 		}

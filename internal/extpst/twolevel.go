@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
 	"pathcache/internal/disk"
 	"pathcache/internal/pstcore"
@@ -129,7 +130,7 @@ func buildLevel(p disk.Pager, b int, pts []record.Point, level, maxLevels int) (
 		rt.segLen = 1
 	}
 	mem := pstcore.Build(pstcore.SortedAsc(pts), regionCap)
-	bn, err := rt.persistRegion(mem, level, maxLevels, 0, nil, nil)
+	bn, err := (&regionBuilder{rt: rt}).persistRegion(mem, level, maxLevels, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -141,67 +142,61 @@ func buildLevel(p disk.Pager, b int, pts []record.Point, level, maxLevels int) (
 	return rt, nil
 }
 
-// regionLists holds the per-region data needed by descendants during the
-// build DFS.
-type regionLists struct {
-	firstX []record.Point // top B by x (descending)
-	firstY []record.Point // top B by y (descending)
+// regionBuilder carries persistRegion's state along the DFS path: for
+// each depth d on the current path, firstX[d] holds that region's first X
+// block and sibs[d] the first Y block of the right sibling the path passed
+// there (nil when the path went right). merger holds the buffers every
+// region's caches are merged in.
+type regionBuilder struct {
+	rt           *regionTree
+	firstX, sibs [][]record.Point
+	merger       pstcore.Merger
 }
 
-// persistRegion writes one region node: its X/Y lists, its A/S caches built
-// from ancestor/sibling first blocks, and its sub-structure.
-func (rt *regionTree) persistRegion(n *pstcore.MemNode, level, maxLevels, depth int, ancestors []regionLists, sibs []*regionLists) (*skeletal.BuildNode, error) {
+// persistRegion writes one region node: its X/Y lists, its A/S caches
+// (the chunk ancestors' first X blocks merged x-descending, the chunk's
+// right siblings' first Y blocks merged y-descending) and its
+// sub-structure.
+func (rb *regionBuilder) persistRegion(n *pstcore.MemNode, level, maxLevels, depth int) (*skeletal.BuildNode, error) {
+	rt := rb.rt
 	b := rt.b
 	// X ordering.
-	byX := append([]record.Point(nil), n.Pts...)
-	pstcore.SortByXDesc(byX)
-	fx := byX
-	if len(fx) > b {
-		fx = fx[:b]
-	}
-	xHead1, pages1, err := disk.WriteChain(rt.pager, record.PointSize, record.EncodePoints(fx))
+	byX := slices.Clone(n.Pts)
+	slices.SortFunc(byX, record.CmpXDesc)
+	fx := firstBlock(byX, b)
+	xHead1, pages1, err := pstcore.WritePoints(rt.pager, fx)
 	if err != nil {
 		return nil, err
 	}
 	xTail := byX[len(fx):]
-	xHead2, pages2, err := disk.WriteChain(rt.pager, record.PointSize, record.EncodePoints(xTail))
+	xHead2, pages2, err := pstcore.WritePoints(rt.pager, xTail)
 	if err != nil {
 		return nil, err
 	}
 	rt.listPages += pages1 + pages2
 
-	// Y ordering (n.Pts is already y-descending from buildMem).
-	fy := n.Pts
-	if len(fy) > b {
-		fy = fy[:b]
-	}
-	yHead1, pages1, err := disk.WriteChain(rt.pager, record.PointSize, record.EncodePoints(fy))
+	// Y ordering (n.Pts is already y-descending from pstcore.Build).
+	fy := firstBlock(n.Pts, b)
+	yHead1, pages1, err := pstcore.WritePoints(rt.pager, fy)
 	if err != nil {
 		return nil, err
 	}
 	yTail := n.Pts[len(fy):]
-	yHead2, pages2, err := disk.WriteChain(rt.pager, record.PointSize, record.EncodePoints(yTail))
+	yHead2, pages2, err := pstcore.WritePoints(rt.pager, yTail)
 	if err != nil {
 		return nil, err
 	}
 	rt.listPages += pages1 + pages2
 
-	// A/S caches from the chunk's ancestor/sibling first blocks.
 	cs := (depth / rt.segLen) * rt.segLen
-	var aPts, sPts []record.Point
-	for i := cs; i < depth; i++ {
-		aPts = append(aPts, ancestors[i].firstX...)
-		if sibs[i] != nil {
-			sPts = append(sPts, sibs[i].firstY...)
-		}
-	}
-	pstcore.SortByXDesc(aPts)
-	aHead, pagesA, err := disk.WriteChain(rt.pager, record.PointSize, record.EncodePoints(aPts))
+	a := rb.merger.Merge(rb.firstX[cs:depth], record.CmpXDesc)
+	aHead, pagesA, err := pstcore.WritePoints(rt.pager, a)
 	if err != nil {
 		return nil, err
 	}
-	pstcore.SortByYDesc(sPts)
-	sHead, pagesS, err := disk.WriteChain(rt.pager, record.PointSize, record.EncodePoints(sPts))
+	aCount := len(a)
+	s := rb.merger.Merge(rb.sibs[cs:depth], record.CmpYDesc)
+	sHead, pagesS, err := pstcore.WritePoints(rt.pager, s)
 	if err != nil {
 		return nil, err
 	}
@@ -225,36 +220,44 @@ func (rt *regionTree) persistRegion(n *pstcore.MemNode, level, maxLevels, depth 
 	putRegionList(payload[44:], xHead2, len(xTail))
 	putRegionList(payload[56:], yHead1, len(fy))
 	putRegionList(payload[68:], yHead2, len(yTail))
-	putRegionList(payload[80:], aHead, len(aPts))
-	putRegionList(payload[92:], sHead, len(sPts))
+	putRegionList(payload[80:], aHead, aCount)
+	putRegionList(payload[92:], sHead, len(s))
 	binary.LittleEndian.PutUint64(payload[104:], uint64(fx[len(fx)-1].X))
 	putChildFirstYMin(payload[112:], n.Left, b)
 	putChildFirstYMin(payload[120:], n.Right, b)
 
 	bn := &skeletal.BuildNode{Key: n.Split, Payload: payload}
-	mine := regionLists{firstX: fx, firstY: fy}
-	ancestors = append(ancestors, mine)
+	if n.Left == nil && n.Right == nil {
+		return bn, nil
+	}
+	for len(rb.sibs) <= depth {
+		rb.firstX = append(rb.firstX, nil)
+		rb.sibs = append(rb.sibs, nil)
+	}
+	rb.firstX[depth] = fx
 	if n.Left != nil {
-		var rightLists *regionLists
+		rb.sibs[depth] = nil
 		if n.Right != nil {
-			rfy := n.Right.Pts
-			if len(rfy) > b {
-				rfy = rfy[:b]
-			}
-			rightLists = &regionLists{firstY: rfy}
+			rb.sibs[depth] = firstBlock(n.Right.Pts, b)
 		}
-		bn.Left, err = rt.persistRegion(n.Left, level, maxLevels, depth+1, ancestors, append(sibs, rightLists))
+		bn.Left, err = rb.persistRegion(n.Left, level, maxLevels, depth+1)
 		if err != nil {
 			return nil, err
 		}
 	}
 	if n.Right != nil {
-		bn.Right, err = rt.persistRegion(n.Right, level, maxLevels, depth+1, ancestors, append(sibs, nil))
+		rb.sibs[depth] = nil
+		bn.Right, err = rb.persistRegion(n.Right, level, maxLevels, depth+1)
 		if err != nil {
 			return nil, err
 		}
 	}
 	return bn, nil
+}
+
+// firstBlock returns the first (at most b) points of pts.
+func firstBlock(pts []record.Point, b int) []record.Point {
+	return pts[:min(len(pts), b)]
 }
 
 func putRegionList(buf []byte, head disk.PageID, count int) {
@@ -265,10 +268,7 @@ func putRegionList(buf []byte, head disk.PageID, count int) {
 func putChildFirstYMin(buf []byte, c *pstcore.MemNode, b int) {
 	v := int64(math.MinInt64)
 	if c != nil {
-		fy := c.Pts
-		if len(fy) > b {
-			fy = fy[:b]
-		}
+		fy := firstBlock(c.Pts, b)
 		v = fy[len(fy)-1].Y
 	}
 	binary.LittleEndian.PutUint64(buf, uint64(v))

@@ -17,6 +17,7 @@ package extwindow
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"pathcache/internal/disk"
 	"pathcache/internal/pstcore"
@@ -96,7 +97,7 @@ func buildMem(sorted []record.Point, b int) *buildNode {
 	n := &buildNode{}
 	if len(sorted) <= b {
 		n.pts = append([]record.Point(nil), sorted...)
-		sortByYAsc(n.pts)
+		slices.SortFunc(n.pts, yAsc)
 		n.split = sorted[len(sorted)/2].X
 		return n
 	}
@@ -108,12 +109,9 @@ func buildMem(sorted []record.Point, b int) *buildNode {
 	return n
 }
 
-func sortByYAsc(pts []record.Point) {
-	pstcore.SortByYDesc(pts)
-	for i, j := 0, len(pts)-1; i < j; i, j = i+1, j-1 {
-		pts[i], pts[j] = pts[j], pts[i]
-	}
-}
+// yAsc is the reverse of record.CmpYDesc: increasing y, ties by
+// decreasing (X, Y, ID) point order.
+func yAsc(p, q record.Point) int { return record.CmpYDesc(q, p) }
 
 // mergeByY merges two y-ascending lists.
 func mergeByY(a, b []record.Point) []record.Point {

@@ -3,7 +3,7 @@ package lsm
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"pathcache/internal/disk"
@@ -570,7 +570,7 @@ func (t *Tree) flushLocked(p disk.Pager) (int, error) {
 			old.levels = append(old.levels, t.levels[slot])
 			slot++
 		}
-		sortPoints(carry)
+		slices.SortFunc(carry, record.CmpXYID)
 		var err error
 		sealed, err = buildLevel(p, t.cfg.Base, slot, carry, t.cfg.Layout)
 		if err != nil {
@@ -683,7 +683,7 @@ func (t *Tree) gatherLive(p disk.Pager, levels []*levelState, tombs map[record.P
 		}
 		old.levels = append(old.levels, lv)
 	}
-	sortPoints(live)
+	slices.SortFunc(live, record.CmpXYID)
 	return live, old, nil
 }
 
@@ -1070,7 +1070,3 @@ func (t *Tree) BaseName() string { return t.cfg.Base.Name() }
 
 // BaseKind reports the configured base kind's registry byte.
 func (t *Tree) BaseKind() byte { return t.cfg.Base.Kind() }
-
-func sortPoints(pts []record.Point) {
-	sort.Slice(pts, func(i, j int) bool { return pts[i].Less(pts[j]) })
-}

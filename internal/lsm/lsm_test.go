@@ -4,7 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"sync"
 	"testing"
 
@@ -60,8 +60,8 @@ func (v *volatileTree) reopen(t *testing.T) *Tree {
 func pt(x, y int64, id uint64) record.Point { return record.Point{X: x, Y: y, ID: id} }
 
 func sortedCopy(pts []record.Point) []record.Point {
-	out := append([]record.Point(nil), pts...)
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
+	out := slices.Clone(pts)
+	slices.SortFunc(out, record.CmpXYID)
 	return out
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"slices"
 
 	"pathcache/internal/disk"
 	"pathcache/internal/record"
@@ -343,7 +344,7 @@ func writeTombChain(p disk.Pager, tombs map[record.Point]bool) (disk.PageID, int
 	for pt := range tombs {
 		pts = append(pts, pt)
 	}
-	sortPoints(pts)
+	slices.SortFunc(pts, record.CmpXYID)
 	w, err := disk.NewChainWriter(p, record.PointSize)
 	if err != nil {
 		return disk.InvalidPage, 0, err

@@ -1,7 +1,9 @@
 package pstcore
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -133,28 +135,87 @@ func TestBuildProperty(t *testing.T) {
 
 func TestSortOrders(t *testing.T) {
 	pts := randomPoints(100, 9)
-	SortByYDesc(pts)
+	pts = append(pts, pts[:20]...) // whole-record duplicates
+	slices.SortFunc(pts, record.CmpYDesc)
 	for i := 1; i < len(pts); i++ {
-		if pts[i-1].Y < pts[i].Y {
-			t.Fatal("SortByYDesc not descending")
+		if pts[i-1].Y < pts[i].Y || pts[i-1].Y == pts[i].Y && pts[i].Less(pts[i-1]) {
+			t.Fatal("CmpYDesc: not y-descending with point-order ties")
 		}
 	}
-	SortByXDesc(pts)
+	slices.SortFunc(pts, record.CmpXDesc)
 	for i := 1; i < len(pts); i++ {
-		if pts[i-1].X < pts[i].X {
-			t.Fatal("SortByXDesc not descending")
+		if pts[i-1].X < pts[i].X || pts[i-1].X == pts[i].X && pts[i].Less(pts[i-1]) {
+			t.Fatal("CmpXDesc: not x-descending with point-order ties")
 		}
 	}
-	SortByXAsc(pts)
+	slices.SortFunc(pts, record.CmpXAsc)
 	for i := 1; i < len(pts); i++ {
-		if pts[i-1].X > pts[i].X {
-			t.Fatal("SortByXAsc not ascending")
+		if pts[i].Less(pts[i-1]) {
+			t.Fatal("CmpXAsc: not ascending in point order")
 		}
+	}
+	slices.Reverse(pts)
+	if got := SortedAsc(pts); !slices.IsSortedFunc(got, record.CmpXYID) || !slices.IsSortedFunc(pts, func(p, q record.Point) int { return record.CmpXYID(q, p) }) {
+		t.Fatal("SortedAsc: result unsorted or input mutated")
 	}
 	SortAsc(pts)
 	for i := 1; i < len(pts); i++ {
 		if pts[i].Less(pts[i-1]) {
 			t.Fatal("SortAsc not ascending")
+		}
+	}
+	if got := SortedAsc(pts); &got[0] != &pts[0] {
+		t.Fatal("SortedAsc copied already-sorted input")
+	}
+}
+
+// TestYDescOrderStable checks the radix y-order against a stable sort of
+// the positions, across byte-boundary and sign-straddling y values.
+func TestYDescOrderStable(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, n := range []int{1, 2, 7, 300, 5000} {
+		pts := make([]record.Point, n)
+		for i := range pts {
+			y := int64(rng.Intn(600) - 300)
+			if i%3 == 0 {
+				y <<= 40
+			}
+			pts[i] = record.Point{X: int64(i), Y: y}
+		}
+		order, tmp := make([]int32, n), make([]int32, n)
+		yDescOrder(pts, order, tmp)
+		want := make([]int32, n)
+		for i := range want {
+			want[i] = int32(i)
+		}
+		slices.SortStableFunc(want, func(a, b int32) int { return cmp.Compare(pts[b].Y, pts[a].Y) })
+		if !slices.Equal(order, want) {
+			t.Fatalf("n=%d: radix y-order differs from a stable sort", n)
+		}
+	}
+}
+
+// TestMergerMatchesSort checks Merger against a full sort for 0 to 9 runs,
+// empty runs among them and whole-record duplicates across runs, reusing
+// one Merger throughout.
+func TestMergerMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	var m Merger
+	for iter := 0; iter < 300; iter++ {
+		cmpf := []func(p, q record.Point) int{record.CmpYDesc, record.CmpXDesc, record.CmpXAsc}[iter%3]
+		runs := make([][]record.Point, rng.Intn(10))
+		var all []record.Point
+		for i := range runs {
+			for j := rng.Intn(4) * rng.Intn(12); j > 0; j-- {
+				p := record.Point{X: rng.Int63n(6), Y: rng.Int63n(6), ID: uint64(rng.Intn(3))}
+				runs[i] = append(runs[i], p)
+			}
+			slices.SortFunc(runs[i], cmpf)
+			all = append(all, runs[i]...)
+		}
+		slices.SortFunc(all, cmpf)
+		if got := m.Merge(runs, cmpf); !slices.Equal(got, all) {
+			t.Fatalf("iter %d: %d runs merged to %v, want %v", iter, len(runs), got, all)
 		}
 	}
 }

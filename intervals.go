@@ -147,14 +147,17 @@ func NewSegmentIndex(ivs []Interval, cached bool, opts *Options) (*SegmentIndex,
 	if cached {
 		v = extseg.PathCached
 	}
-	idx, err := extseg.BuildLayout(c.be.Pager(), toRecIntervals(ivs), v, c.layout)
+	var idx *extseg.Tree
+	err = c.recordBuild(engine.KindName(kindSegment), func() (int, error) {
+		var err error
+		if idx, err = extseg.BuildLayout(c.be.Pager(), toRecIntervals(ivs), v, c.layout); err != nil {
+			return 0, fmt.Errorf("pathcache: %w", err)
+		}
+		return idx.Len(), c.be.SaveMeta(kindSegment, idx.Meta().Encode())
+	})
 	if err != nil {
-		return nil, fmt.Errorf("pathcache: %w", err)
-	}
-	if err := c.be.SaveMeta(kindSegment, idx.Meta().Encode()); err != nil {
 		return nil, err
 	}
-	c.recordBuild(engine.KindName(kindSegment), idx.Len())
 	return &SegmentIndex{core: c, idx: idx}, nil
 }
 
@@ -212,14 +215,17 @@ func NewIntervalIndex(ivs []Interval, cached bool, opts *Options) (*IntervalInde
 	if cached {
 		v = extint.PathCached
 	}
-	idx, err := extint.BuildLayout(c.be.Pager(), toRecIntervals(ivs), v, c.layout)
+	var idx *extint.Tree
+	err = c.recordBuild(engine.KindName(kindInterval), func() (int, error) {
+		var err error
+		if idx, err = extint.BuildLayout(c.be.Pager(), toRecIntervals(ivs), v, c.layout); err != nil {
+			return 0, fmt.Errorf("pathcache: %w", err)
+		}
+		return idx.Len(), c.be.SaveMeta(kindInterval, idx.Meta().Encode())
+	})
 	if err != nil {
-		return nil, fmt.Errorf("pathcache: %w", err)
-	}
-	if err := c.be.SaveMeta(kindInterval, idx.Meta().Encode()); err != nil {
 		return nil, err
 	}
-	c.recordBuild(engine.KindName(kindInterval), idx.Len())
 	return &IntervalIndex{core: c, idx: idx}, nil
 }
 

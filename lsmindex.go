@@ -118,26 +118,29 @@ func BuildDynamic(base string, pts []Point, opts *Options) (*LSMIndex, error) {
 	if opts != nil {
 		flushEvery = opts.MemtableEntries
 	}
-	tr, err := lsm.New(lsmConfig(c.be, b, flushEvery, c.layout))
+	var tr *lsm.Tree
+	err = c.recordBuild(lsmKindName, func() (int, error) {
+		var err error
+		if tr, err = lsm.New(lsmConfig(c.be, b, flushEvery, c.layout)); err != nil {
+			return 0, err
+		}
+		for _, p := range pts {
+			if err := tr.Insert(c.be.Pager(), toRec(p)); err != nil {
+				return 0, err
+			}
+		}
+		if len(pts) > 0 {
+			if _, err := tr.Flush(c.be.Pager()); err != nil {
+				return 0, err
+			}
+		}
+		return len(pts), nil
+	})
 	if err != nil {
 		c.be.Close()
 		return nil, fmt.Errorf("pathcache: %w", err)
 	}
-	x := &LSMIndex{core: c, tr: tr}
-	for _, p := range pts {
-		if err := tr.Insert(c.be.Pager(), toRec(p)); err != nil {
-			c.be.Close()
-			return nil, fmt.Errorf("pathcache: %w", err)
-		}
-	}
-	if len(pts) > 0 {
-		if _, err := tr.Flush(c.be.Pager()); err != nil {
-			c.be.Close()
-			return nil, fmt.Errorf("pathcache: %w", err)
-		}
-	}
-	c.recordBuild(lsmKindName, len(pts))
-	return x, nil
+	return &LSMIndex{core: c, tr: tr}, nil
 }
 
 // OpenDynamic reopens a file-backed dynamic index, replaying any WAL

@@ -278,16 +278,25 @@ func (r *opRun) finish(results, n int, bound obs.BoundFunc) (IOProfile, error) {
 // checked — the query's own error wins.
 func (r *opRun) abort() { r.finish(0, 0, nil) }
 
-// recordBuild attributes an index construction to the metric series as one
-// "build" op. A constructor starts from a fresh store, so the absolute
-// store counters are exactly the build's I/O. Builds declare no bound —
-// the paper bounds construction space, not construction I/O.
-func (c core) recordBuild(kindName string, n int) {
+// recordBuild runs an index construction as one recorded "build" op. The
+// op opens before build runs and closes after it returns, meta save
+// included, so the event's Duration and a Tracer's span cover the whole
+// construction. build returns the index size. A constructor starts from a
+// fresh store, so the absolute store counters are exactly the build's I/O.
+// A failed build still closes its op, with no results, so every OpStart
+// has its OpEnd. Builds declare no bound — the paper bounds construction
+// space, not construction I/O.
+func (c core) recordBuild(kindName string, build func() (int, error)) error {
 	op := c.be.Obs().Begin(kindName, "build", obs.SerialWorker)
+	n, err := build()
+	if err != nil {
+		n = 0
+	}
 	st := c.be.Stats()
 	c.be.Obs().End(op, obs.Measure{
 		Reads:   st.Reads,
 		Writes:  st.Writes,
 		Results: n,
 	})
+	return err
 }

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"pathcache/internal/disk"
 )
 
 // These tests pin the public observability surface: Metrics() snapshots,
@@ -243,5 +245,83 @@ func TestMetricsSumMatchesStatsDiff(t *testing.T) {
 	}
 	if writes != after.Writes-before.Writes {
 		t.Fatalf("metric writes %d != store diff %d", writes, after.Writes-before.Writes)
+	}
+}
+
+// spanLog records tracer events and page writes in one sequence, so a test
+// can tell whether the build op's span encloses the construction's I/O.
+type spanLog struct {
+	disk.Pager
+	mu     sync.Mutex
+	events []string
+	builds []TraceEvent
+}
+
+func (l *spanLog) log(e string) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.events = append(l.events, e)
+}
+
+func (l *spanLog) OpStart(op TraceOp) { l.log("start:" + op.Name) }
+
+func (l *spanLog) OpEnd(ev TraceEvent) {
+	l.log("end:" + ev.Name)
+	if ev.Name == "build" {
+		l.mu.Lock()
+		l.builds = append(l.builds, ev)
+		l.mu.Unlock()
+	}
+}
+
+func (l *spanLog) Write(id disk.PageID, buf []byte) error {
+	l.log("write")
+	return l.Pager.Write(id, buf)
+}
+
+// TestBuildSpanCoversConstruction pins that every constructor opens its
+// "build" op before its first page write and closes it after its last, so
+// the event's Duration is the construction's wall time, not ~0.
+func TestBuildSpanCoversConstruction(t *testing.T) {
+	pts := uniformPoints(3_000, 100_000, 1511)
+	ivs := uniformIntervals(3_000, 100_000, 5_000, 1513)
+	builds := map[string]func(*Options) (Index, error){
+		"twosided":  func(o *Options) (Index, error) { return NewTwoSidedIndex(pts, SchemeSegmented, o) },
+		"twolevel":  func(o *Options) (Index, error) { return NewTwoSidedIndex(pts, SchemeTwoLevel, o) },
+		"stabbing":  func(o *Options) (Index, error) { return NewStabbingIndex(ivs, SchemeSegmented, o) },
+		"threeside": func(o *Options) (Index, error) { return NewThreeSidedIndex(pts, o) },
+		"window":    func(o *Options) (Index, error) { return NewWindowIndex(pts, o) },
+		"segment":   func(o *Options) (Index, error) { return NewSegmentIndex(ivs, true, o) },
+		"interval":  func(o *Options) (Index, error) { return NewIntervalIndex(ivs, true, o) },
+		"lsm":       func(o *Options) (Index, error) { return BuildDynamic("twosided", pts[:500], o) },
+	}
+	for name, build := range builds {
+		l := &spanLog{}
+		opts := &Options{PageSize: 512, Tracer: l, WrapPager: func(p disk.Pager) disk.Pager {
+			l.Pager = p
+			return l
+		}}
+		ix, err := build(opts)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		events := append([]string(nil), l.events...)
+		ix.Close()
+		if len(l.builds) != 1 || l.builds[0].Duration <= 0 {
+			t.Fatalf("%s: build events %+v, want one with a positive Duration", name, l.builds)
+		}
+		first, last := -1, -1
+		for i, e := range events {
+			if e == "write" {
+				if first < 0 {
+					first = i
+				}
+				last = i
+			}
+		}
+		if first < 0 || events[0] != "start:build" || events[len(events)-1] != "end:build" || last != len(events)-2 {
+			t.Fatalf("%s: build span does not enclose its writes: %d events, first write at %d, last at %d, first %q, final %q",
+				name, len(events), first, last, events[0], events[len(events)-1])
+		}
 	}
 }

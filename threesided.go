@@ -23,14 +23,17 @@ func NewThreeSidedIndex(pts []Point, opts *Options) (*ThreeSidedIndex, error) {
 	if err != nil {
 		return nil, err
 	}
-	idx, err := ext3side.BuildLayout(c.be.Pager(), toRecPoints(pts), c.layout)
+	var idx *ext3side.Tree
+	err = c.recordBuild(engine.KindName(kindThreeSide), func() (int, error) {
+		var err error
+		if idx, err = ext3side.BuildLayout(c.be.Pager(), toRecPoints(pts), c.layout); err != nil {
+			return 0, fmt.Errorf("pathcache: %w", err)
+		}
+		return idx.Len(), c.be.SaveMeta(kindThreeSide, idx.Meta().Encode())
+	})
 	if err != nil {
-		return nil, fmt.Errorf("pathcache: %w", err)
-	}
-	if err := c.be.SaveMeta(kindThreeSide, idx.Meta().Encode()); err != nil {
 		return nil, err
 	}
-	c.recordBuild(engine.KindName(kindThreeSide), idx.Len())
 	return &ThreeSidedIndex{core: c, idx: idx}, nil
 }
 

@@ -74,36 +74,41 @@ func newTwoSidedIndex(pts []Point, scheme Scheme, opts *Options, kind byte) (*Tw
 	if err != nil {
 		return nil, err
 	}
-	rec := toRecPoints(pts)
-	var idx extpst.PointIndex
+	var sc extpst.Scheme
 	switch scheme {
-	case SchemeIKO, SchemeBasic, SchemeSegmented:
-		var sc extpst.Scheme
-		switch scheme {
-		case SchemeIKO:
-			sc = extpst.IKO
-		case SchemeBasic:
-			sc = extpst.Basic
-		default:
-			sc = extpst.Segmented
-		}
-		idx, err = extpst.BuildLayout(c.be.Pager(), rec, sc, c.layout)
-	case SchemeTwoLevel:
-		idx, err = extpst.BuildTwoLevel(c.be.Pager(), rec)
-	case SchemeMultilevel:
-		idx, err = extpst.BuildMultilevel(c.be.Pager(), rec)
+	case SchemeIKO:
+		sc = extpst.IKO
+	case SchemeBasic:
+		sc = extpst.Basic
+	case SchemeSegmented:
+		sc = extpst.Segmented
+	case SchemeTwoLevel, SchemeMultilevel:
 	default:
 		return nil, fmt.Errorf("pathcache: unknown scheme %v", scheme)
 	}
-	if err != nil {
-		return nil, fmt.Errorf("pathcache: %w", err)
-	}
-	if flat, ok := idx.(*extpst.Tree); ok {
-		if err := c.be.SaveMeta(kind, flat.Meta().Encode()); err != nil {
-			return nil, err
+	var idx extpst.PointIndex
+	err = c.recordBuild(engine.KindName(kind), func() (int, error) {
+		var err error
+		rec := toRecPoints(pts)
+		switch scheme {
+		case SchemeTwoLevel:
+			idx, err = extpst.BuildTwoLevel(c.be.Pager(), rec)
+		case SchemeMultilevel:
+			idx, err = extpst.BuildMultilevel(c.be.Pager(), rec)
+		default:
+			idx, err = extpst.BuildLayout(c.be.Pager(), rec, sc, c.layout)
 		}
+		if err != nil {
+			return 0, fmt.Errorf("pathcache: %w", err)
+		}
+		if flat, ok := idx.(*extpst.Tree); ok {
+			return idx.Len(), c.be.SaveMeta(kind, flat.Meta().Encode())
+		}
+		return idx.Len(), nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	c.recordBuild(engine.KindName(kind), idx.Len())
 	return &TwoSidedIndex{core: c, idx: idx, scheme: scheme, kind: kind}, nil
 }
 

@@ -26,14 +26,17 @@ func NewWindowIndex(pts []Point, opts *Options) (*WindowIndex, error) {
 	if err != nil {
 		return nil, err
 	}
-	idx, err := extwindow.BuildLayout(c.be.Pager(), toRecPoints(pts), c.layout)
+	var idx *extwindow.Tree
+	err = c.recordBuild(engine.KindName(kindWindow), func() (int, error) {
+		var err error
+		if idx, err = extwindow.BuildLayout(c.be.Pager(), toRecPoints(pts), c.layout); err != nil {
+			return 0, fmt.Errorf("pathcache: %w", err)
+		}
+		return idx.Len(), c.be.SaveMeta(kindWindow, idx.Meta().Encode())
+	})
 	if err != nil {
-		return nil, fmt.Errorf("pathcache: %w", err)
-	}
-	if err := c.be.SaveMeta(kindWindow, idx.Meta().Encode()); err != nil {
 		return nil, err
 	}
-	c.recordBuild(engine.KindName(kindWindow), idx.Len())
 	return &WindowIndex{core: c, idx: idx}, nil
 }
 
