@@ -5,7 +5,7 @@
 GO ?= go
 BIN := bin
 
-.PHONY: all build test benchmark-check lint pcvet allowlist fuzz-smoke crash golden bench-json serve-smoke bench-layout clean
+.PHONY: all build test benchmark-check lint pcvet allowlist fuzz-smoke crash golden bench-json serve-smoke clean
 
 all: build lint test
 
@@ -100,17 +100,6 @@ serve-smoke:
 	$(GO) test ./cmd/pcserve -run TestServeSmokeAndSignals -v
 	PCSERVE_BENCH_OUT=$(CURDIR)/BENCH_serve.json \
 		$(GO) test ./internal/server -run TestServeLoadBench -v
-
-# The page-layout wall-clock battery: btree point queries under both
-# layouts, cold and through a pre-warmed pool, plus the public two-sided
-# index with the async prefetch pipeline off and on. Writes
-# BENCH_layout.json (committed at the repo root) — the ns/op evidence that
-# the Eytzinger layout's branchless zero-copy read path beats the sorted
-# layout's decoded reader at identical page I/O. Mirrors the CI
-# layout-battery job, which uploads the JSON as an artifact.
-bench-layout:
-	PCBENCH_LAYOUT_OUT=$(CURDIR)/BENCH_layout.json \
-		$(GO) test ./internal/bench -run TestLayoutBench -v -count=1
 
 clean:
 	rm -rf $(BIN)

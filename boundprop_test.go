@@ -9,14 +9,12 @@ import (
 )
 
 // Property suite for the runtime bound sentinels: every persisted kind,
-// built at randomized sizes and page sizes with strict bounds armed — and
-// under every page layout × prefetch variant — must answer a battery of
-// randomized queries without ever breaching its declared theorem bound
-// (reads ≤ DefaultMaxRatio·bound + DefaultSlack). The layout variants prove
-// the theorem sentinels hold verbatim under LayoutEytzinger (layouts touch
-// identical pages), and the prefetch variant proves warmed pages never
-// inflate measured reads — prefetched pages surface as cache hits, which the
-// sentinels do not count.
+// built at randomized sizes and page sizes with strict bounds armed, with
+// and without a buffer pool, must answer a battery of randomized queries
+// without ever breaching its declared theorem bound
+// (reads ≤ DefaultMaxRatio·bound + DefaultSlack). The pooled variant proves
+// a warm pool never inflates measured reads: pool hits surface as cache
+// hits, which the sentinels do not count.
 // This is the executable form of Theorems 3.2–3.5 and the window
 // extension: if an index structure regresses to more I/O than its theorem
 // allows, this suite names the kind, the op, and a seed that reproduces.
@@ -43,34 +41,27 @@ func propSeeds(t *testing.T) []int64 {
 	return []int64{1, 7, 23}
 }
 
-// propVariant is one layout × prefetch dimension of the battery.
+// propVariant is one buffer-pool dimension of the battery.
 type propVariant struct {
-	name     string
-	layout   Layout
-	prefetch bool
+	name   string
+	pooled bool
 }
 
 func propVariants() []propVariant {
 	return []propVariant{
-		{name: "sorted", layout: LayoutSorted},
-		{name: "eytzinger", layout: LayoutEytzinger},
-		{name: "eytzinger+prefetch", layout: LayoutEytzinger, prefetch: true},
+		{name: "sorted"},
+		{name: "pooled", pooled: true},
 	}
 }
 
 // strictProp builds the strict-mode options for one property run: the
 // sentinels are armed at their defaults, and the buffer pool flips on for
 // odd seeds so hit accounting rides along (hits never count as reads, so a
-// pool can only help the bound). A prefetching variant forces the pool on —
-// prefetch warms it — and must likewise never hurt the bound.
+// pool can only help the bound). The pooled variant forces the pool on.
 func strictProp(page int, rng *rand.Rand, v propVariant) *Options {
-	opts := &Options{PageSize: page, StrictBounds: true, Layout: v.layout}
-	if rng.Intn(2) == 1 {
+	opts := &Options{PageSize: page, StrictBounds: true}
+	if rng.Intn(2) == 1 || v.pooled {
 		opts.BufferPoolPages = 64
-	}
-	if v.prefetch {
-		opts.BufferPoolPages = 64
-		opts.PrefetchWorkers = 2
 	}
 	return opts
 }
@@ -281,10 +272,9 @@ func TestBoundPropertyAllKinds(t *testing.T) {
 							}
 						}
 					}
-					if !testing.Short() && v.name == "eytzinger+prefetch" {
-						// One large instance per kind, on the variant that
-						// stresses every new moving part at once; page ≥ 1024
-						// keeps build time sane.
+					if !testing.Short() && v.pooled {
+						// One large instance per kind, through the pool;
+						// page ≥ 1024 keeps build time sane.
 						if err := k.run(100_000, 1024, seeds[0], v); err != nil {
 							t.Fatal(shrinkFailure(k, v, 100_000, 1024, seeds[0], err))
 						}

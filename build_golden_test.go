@@ -20,10 +20,10 @@ import (
 	"pathcache/internal/record"
 )
 
-// Build golden battery: every static kind, scheme and page layout is built
-// over fixed seeded inputs on a file-backed store, and two digests are
-// compared with constants recorded before construction switched to the
-// sort-once algorithm (DESIGN.md §2):
+// Build golden battery: every static kind and scheme is built over fixed
+// seeded inputs on a file-backed store, and two digests are compared with
+// constants recorded before construction switched to the sort-once
+// algorithm (DESIGN.md §2):
 //
 //   - file: sha256 of the store file after Close — the bytes on disk;
 //   - writes: sha256 of the pager call sequence the build made — every
@@ -146,21 +146,20 @@ func (w *writeTrace) Write(id disk.PageID, buf []byte) error {
 
 // goldenDigests builds one case and returns its file and write-trace
 // digests.
-func goldenDigests(t *testing.T, k goldenKind, in goldenInput, layout Layout) (file, writes string) {
+func goldenDigests(t *testing.T, k goldenKind, in goldenInput) (file, writes string) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "golden.pc")
 	tr := &writeTrace{h: sha256.New()}
 	ix, err := k.build(in, &Options{
 		PageSize: goldenPageSize,
 		Path:     path,
-		Layout:   layout,
 		WrapPager: func(p disk.Pager) disk.Pager {
 			tr.Pager = p
 			return tr
 		},
 	})
 	if err != nil {
-		t.Fatalf("%s/%s/%v: build: %v", k.name, in.name, layout, err)
+		t.Fatalf("%s/%s: build: %v", k.name, in.name, err)
 	}
 	if err := ix.Close(); err != nil {
 		t.Fatal(err)
@@ -185,11 +184,11 @@ func TestBuildGolden(t *testing.T) {
 	got := map[string]string{}
 	for _, k := range goldenKinds() {
 		for _, in := range goldenInputs(b) {
-			for _, layout := range []Layout{LayoutSorted, LayoutEytzinger} {
-				key := fmt.Sprintf("%s/%s/%v", k.name, in.name, layout)
-				file, writes := goldenDigests(t, k, in, layout)
-				got[key] = file + " " + writes
-			}
+			// The /sorted suffix names the page format the digests were
+			// recorded under; the bytes have not changed since.
+			key := fmt.Sprintf("%s/%s/sorted", k.name, in.name)
+			file, writes := goldenDigests(t, k, in)
+			got[key] = file + " " + writes
 		}
 	}
 	if *buildGoldenPrint {
@@ -215,103 +214,55 @@ func TestBuildGolden(t *testing.T) {
 	}
 }
 
-// buildGolden maps kind/input/layout to "file-digest writes-digest"
+// buildGolden maps kind/input/format to "file-digest writes-digest"
 // (truncated sha256), recorded on the per-node-sort construction.
 var buildGolden = map[string]string{
-	"interval-cached=false/dup/eytzinger":   "9c063312fc445073 168de5a6f1e57a82",
-	"interval-cached=false/dup/sorted":      "5e43deb192026f21 f96623832e8407a9",
-	"interval-cached=false/eqB/eytzinger":   "58dc5c808eea88db bc60f7796b1811ae",
-	"interval-cached=false/eqB/sorted":      "3e988ac35a2f299f a337a5a71cac52c1",
-	"interval-cached=false/multi/eytzinger": "afe82ac350bd488d 5251415c091f33e1",
-	"interval-cached=false/multi/sorted":    "ffb66769af5f9096 bf250a140483dc9b",
-	"interval-cached=false/small/eytzinger": "9f361c34ebcd56f6 801d4675842195ba",
-	"interval-cached=false/small/sorted":    "7adc821b98117661 60d361ec2b278d22",
-	"interval-cached=true/dup/eytzinger":    "dd4bb2f4f063a776 168de5a6f1e57a82",
-	"interval-cached=true/dup/sorted":       "3c52d86802d9e3c5 f96623832e8407a9",
-	"interval-cached=true/eqB/eytzinger":    "9d4ccfb900e7e6a6 65a7a203089412a3",
-	"interval-cached=true/eqB/sorted":       "3da54fda877b4fb2 9adabbe05cd4bce5",
-	"interval-cached=true/multi/eytzinger":  "abfb4b1bf9b78dd2 652670fd372311c6",
-	"interval-cached=true/multi/sorted":     "6d59dd063e7e3297 54483c09844df5c7",
-	"interval-cached=true/small/eytzinger":  "bd9aedda054b15b1 b5bcb66649fbe649",
-	"interval-cached=true/small/sorted":     "11434435f129f852 dc357b68be05702a",
-	"segment-cached=false/dup/eytzinger":    "d94303d61d0dfc8e 933224821d4d1cbc",
-	"segment-cached=false/dup/sorted":       "7a8160d8cd4c1af5 a0268a1907dd6c08",
-	"segment-cached=false/eqB/eytzinger":    "bab1ece4cc2cbae9 4d1a36cab417d1d7",
-	"segment-cached=false/eqB/sorted":       "ac4107d432c4fddd 145d94bc53583a48",
-	"segment-cached=false/multi/eytzinger":  "771f9aa0c3af36dd 0f8a3aba0d24c17e",
-	"segment-cached=false/multi/sorted":     "0430ddf12572b711 287b4af2f992b5d0",
-	"segment-cached=false/small/eytzinger":  "52a9685ecfd36afe 5ddf7bcd6e35abc2",
-	"segment-cached=false/small/sorted":     "a89a2946d9d3370c ff8fda24768c6702",
-	"segment-cached=true/dup/eytzinger":     "2be40c1abaa3d3d4 933224821d4d1cbc",
-	"segment-cached=true/dup/sorted":        "d912f11bb8890fa4 a0268a1907dd6c08",
-	"segment-cached=true/eqB/eytzinger":     "309aef324134e06c 4d1a36cab417d1d7",
-	"segment-cached=true/eqB/sorted":        "e452659a63dfc2ac 145d94bc53583a48",
-	"segment-cached=true/multi/eytzinger":   "af8e9c34770ccd0d f142df852102a9df",
-	"segment-cached=true/multi/sorted":      "fae0f2bfa5fee11d 52da236ef4e1e4d0",
-	"segment-cached=true/small/eytzinger":   "91c4ad1da5f9f262 5ddf7bcd6e35abc2",
-	"segment-cached=true/small/sorted":      "9d3488fecc223afa ff8fda24768c6702",
-	"stabbing/dup/eytzinger":                "dc6f4bc535907694 3883761471804e7d",
-	"stabbing/dup/sorted":                   "91d630c2d47c2c20 af8630133ea670fd",
-	"stabbing/eqB/eytzinger":                "f43beb9e782ece08 2496520e6c78fe48",
-	"stabbing/eqB/sorted":                   "103ad4d26164f75c 7de9b6930e45bd95",
-	"stabbing/multi/eytzinger":              "fe29a5bdb54006bb 98fe2e702612cd79",
-	"stabbing/multi/sorted":                 "2ae15a1d28721943 970bc0e15b39f95c",
-	"stabbing/small/eytzinger":              "4665599c5a805fe8 bf01091522b9e7d2",
-	"stabbing/small/sorted":                 "eedaa911ab442326 c8b87099033315a4",
-	"threeside/dup/eytzinger":               "f106272528f3bdab c635530fa2ff8a4b",
-	"threeside/dup/sorted":                  "6dcece8fa5b41288 80f8b04216a42992",
-	"threeside/eqB/eytzinger":               "217eafb00f509bec cf7e7bc1b9f243f9",
-	"threeside/eqB/sorted":                  "ce796ac1b45e1bd0 4ff43e77a730c2a5",
-	"threeside/multi/eytzinger":             "12e4bf68e134d057 8418ea7bc6d50911",
-	"threeside/multi/sorted":                "e70235d603ef952c 39b8dd100ba6b3b0",
-	"threeside/small/eytzinger":             "966afd196d99dfcf 51c732c6ffb2615c",
-	"threeside/small/sorted":                "8a7281da87f0939a 11cf23607a1add72",
-	"twosided-basic/dup/eytzinger":          "031c71010383796d aa2dfd8149b0bce3",
-	"twosided-basic/dup/sorted":             "b647bb7040850ffd 143552183d0c323b",
-	"twosided-basic/eqB/eytzinger":          "c4203af522677477 98f1fea9cae39aca",
-	"twosided-basic/eqB/sorted":             "1ebce736046d7427 08d300efcda24c1f",
-	"twosided-basic/multi/eytzinger":        "ae911a6c8767f3a7 bb795dcb40adc39a",
-	"twosided-basic/multi/sorted":           "693c80ff0eab091d e253cc82c129a82d",
-	"twosided-basic/small/eytzinger":        "d40e1856367f9a07 9f4633ce59603189",
-	"twosided-basic/small/sorted":           "1ed337413f51227a b130401bd1b3e85a",
-	"twosided-iko/dup/eytzinger":            "5d42cfc18a68ad66 ade01476fdd95402",
-	"twosided-iko/dup/sorted":               "52136be65d8888cd 2c6578839773cb4a",
-	"twosided-iko/eqB/eytzinger":            "7a3ef56b93790acc 98f1fea9cae39aca",
-	"twosided-iko/eqB/sorted":               "77cb0eb09c7eee56 08d300efcda24c1f",
-	"twosided-iko/multi/eytzinger":          "0ef07a2c29031611 4d8d40742230d256",
-	"twosided-iko/multi/sorted":             "b2cca374f8731d37 1928b8d6994d6a19",
-	"twosided-iko/small/eytzinger":          "ae90f427bb7e932b 9f4633ce59603189",
-	"twosided-iko/small/sorted":             "d7b338b748243a0d b130401bd1b3e85a",
-	"twosided-multilevel/dup/eytzinger":     "e8af6694fb1c50d4 479422e3234f2f86",
-	"twosided-multilevel/dup/sorted":        "e8af6694fb1c50d4 479422e3234f2f86",
-	"twosided-multilevel/eqB/eytzinger":     "1f615594340533ac 08d300efcda24c1f",
-	"twosided-multilevel/eqB/sorted":        "1f615594340533ac 08d300efcda24c1f",
-	"twosided-multilevel/multi/eytzinger":   "d726ac1d7db8d953 3501338e1bf6b26d",
-	"twosided-multilevel/multi/sorted":      "d726ac1d7db8d953 3501338e1bf6b26d",
-	"twosided-multilevel/small/eytzinger":   "1ef32e5783912e00 b130401bd1b3e85a",
-	"twosided-multilevel/small/sorted":      "1ef32e5783912e00 b130401bd1b3e85a",
-	"twosided-segmented/dup/eytzinger":      "fdd819b397598490 4af8372081aa0679",
-	"twosided-segmented/dup/sorted":         "6395227e3f112c87 8190db5dd7a13521",
-	"twosided-segmented/eqB/eytzinger":      "70627c92b8ceb01a 98f1fea9cae39aca",
-	"twosided-segmented/eqB/sorted":         "cd83d58fbca5b354 08d300efcda24c1f",
-	"twosided-segmented/multi/eytzinger":    "5b490bf17057a182 bf4eeafc910ffed9",
-	"twosided-segmented/multi/sorted":       "036ee70f61cedf80 205b146a21800293",
-	"twosided-segmented/small/eytzinger":    "fb50bdf9812603d3 9f4633ce59603189",
-	"twosided-segmented/small/sorted":       "c2d0a49409bb2671 b130401bd1b3e85a",
-	"twosided-two-level/dup/eytzinger":      "5ebdf2b1bd4d4a83 2a0b124a1b89649d",
-	"twosided-two-level/dup/sorted":         "5ebdf2b1bd4d4a83 2a0b124a1b89649d",
-	"twosided-two-level/eqB/eytzinger":      "1f615594340533ac 08d300efcda24c1f",
-	"twosided-two-level/eqB/sorted":         "1f615594340533ac 08d300efcda24c1f",
-	"twosided-two-level/multi/eytzinger":    "c531e78dba1499d2 cf958820c2022e8b",
-	"twosided-two-level/multi/sorted":       "c531e78dba1499d2 cf958820c2022e8b",
-	"twosided-two-level/small/eytzinger":    "1ef32e5783912e00 b130401bd1b3e85a",
-	"twosided-two-level/small/sorted":       "1ef32e5783912e00 b130401bd1b3e85a",
-	"window/dup/eytzinger":                  "b297b805a9577523 a5e79d7ded03b185",
-	"window/dup/sorted":                     "53b04a3945d7ab6f cec67d3366be62fc",
-	"window/eqB/eytzinger":                  "37047d81899e02be 73a4229896ee9589",
-	"window/eqB/sorted":                     "8d2bad2ea99238df 5e2fb18ba704a089",
-	"window/multi/eytzinger":                "04c483a035d3286d d947c133ec84c10c",
-	"window/multi/sorted":                   "e007059fef87f476 d812575e2ace9164",
-	"window/small/eytzinger":                "1e2d9e21f4f61939 003487d8df5e91db",
-	"window/small/sorted":                   "181ee15114842f3a 289f70d7acd11d74",
+	"interval-cached=false/dup/sorted":   "5e43deb192026f21 f96623832e8407a9",
+	"interval-cached=false/eqB/sorted":   "3e988ac35a2f299f a337a5a71cac52c1",
+	"interval-cached=false/multi/sorted": "ffb66769af5f9096 bf250a140483dc9b",
+	"interval-cached=false/small/sorted": "7adc821b98117661 60d361ec2b278d22",
+	"interval-cached=true/dup/sorted":    "3c52d86802d9e3c5 f96623832e8407a9",
+	"interval-cached=true/eqB/sorted":    "3da54fda877b4fb2 9adabbe05cd4bce5",
+	"interval-cached=true/multi/sorted":  "6d59dd063e7e3297 54483c09844df5c7",
+	"interval-cached=true/small/sorted":  "11434435f129f852 dc357b68be05702a",
+	"segment-cached=false/dup/sorted":    "7a8160d8cd4c1af5 a0268a1907dd6c08",
+	"segment-cached=false/eqB/sorted":    "ac4107d432c4fddd 145d94bc53583a48",
+	"segment-cached=false/multi/sorted":  "0430ddf12572b711 287b4af2f992b5d0",
+	"segment-cached=false/small/sorted":  "a89a2946d9d3370c ff8fda24768c6702",
+	"segment-cached=true/dup/sorted":     "d912f11bb8890fa4 a0268a1907dd6c08",
+	"segment-cached=true/eqB/sorted":     "e452659a63dfc2ac 145d94bc53583a48",
+	"segment-cached=true/multi/sorted":   "fae0f2bfa5fee11d 52da236ef4e1e4d0",
+	"segment-cached=true/small/sorted":   "9d3488fecc223afa ff8fda24768c6702",
+	"stabbing/dup/sorted":                "91d630c2d47c2c20 af8630133ea670fd",
+	"stabbing/eqB/sorted":                "103ad4d26164f75c 7de9b6930e45bd95",
+	"stabbing/multi/sorted":              "2ae15a1d28721943 970bc0e15b39f95c",
+	"stabbing/small/sorted":              "eedaa911ab442326 c8b87099033315a4",
+	"threeside/dup/sorted":               "6dcece8fa5b41288 80f8b04216a42992",
+	"threeside/eqB/sorted":               "ce796ac1b45e1bd0 4ff43e77a730c2a5",
+	"threeside/multi/sorted":             "e70235d603ef952c 39b8dd100ba6b3b0",
+	"threeside/small/sorted":             "8a7281da87f0939a 11cf23607a1add72",
+	"twosided-basic/dup/sorted":          "b647bb7040850ffd 143552183d0c323b",
+	"twosided-basic/eqB/sorted":          "1ebce736046d7427 08d300efcda24c1f",
+	"twosided-basic/multi/sorted":        "693c80ff0eab091d e253cc82c129a82d",
+	"twosided-basic/small/sorted":        "1ed337413f51227a b130401bd1b3e85a",
+	"twosided-iko/dup/sorted":            "52136be65d8888cd 2c6578839773cb4a",
+	"twosided-iko/eqB/sorted":            "77cb0eb09c7eee56 08d300efcda24c1f",
+	"twosided-iko/multi/sorted":          "b2cca374f8731d37 1928b8d6994d6a19",
+	"twosided-iko/small/sorted":          "d7b338b748243a0d b130401bd1b3e85a",
+	"twosided-multilevel/dup/sorted":     "e8af6694fb1c50d4 479422e3234f2f86",
+	"twosided-multilevel/eqB/sorted":     "1f615594340533ac 08d300efcda24c1f",
+	"twosided-multilevel/multi/sorted":   "d726ac1d7db8d953 3501338e1bf6b26d",
+	"twosided-multilevel/small/sorted":   "1ef32e5783912e00 b130401bd1b3e85a",
+	"twosided-segmented/dup/sorted":      "6395227e3f112c87 8190db5dd7a13521",
+	"twosided-segmented/eqB/sorted":      "cd83d58fbca5b354 08d300efcda24c1f",
+	"twosided-segmented/multi/sorted":    "036ee70f61cedf80 205b146a21800293",
+	"twosided-segmented/small/sorted":    "c2d0a49409bb2671 b130401bd1b3e85a",
+	"twosided-two-level/dup/sorted":      "5ebdf2b1bd4d4a83 2a0b124a1b89649d",
+	"twosided-two-level/eqB/sorted":      "1f615594340533ac 08d300efcda24c1f",
+	"twosided-two-level/multi/sorted":    "c531e78dba1499d2 cf958820c2022e8b",
+	"twosided-two-level/small/sorted":    "1ef32e5783912e00 b130401bd1b3e85a",
+	"window/dup/sorted":                  "53b04a3945d7ab6f cec67d3366be62fc",
+	"window/eqB/sorted":                  "8d2bad2ea99238df 5e2fb18ba704a089",
+	"window/multi/sorted":                "e007059fef87f476 d812575e2ace9164",
+	"window/small/sorted":                "181ee15114842f3a 289f70d7acd11d74",
 }

@@ -109,7 +109,6 @@ func runBuild(args []string) error {
 	in := fs.String("in", "", "input CSV (points: x,y,id — intervals: lo,hi,id)")
 	out := fs.String("out", "", "output index file (a directory with -shards)")
 	page := fs.Int("page", pathcache.DefaultPageSize, "page size in bytes")
-	layoutName := fs.String("layout", "sorted", "in-page entry layout: sorted|eytzinger")
 	shards := fs.Int("shards", 1, "shard count; >= 2 builds a sharded store under -out")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -117,16 +116,7 @@ func runBuild(args []string) error {
 	if *in == "" || *out == "" {
 		return fmt.Errorf("build requires -in and -out")
 	}
-	var layout pathcache.Layout
-	switch *layoutName {
-	case "sorted":
-		layout = pathcache.LayoutSorted
-	case "eytzinger":
-		layout = pathcache.LayoutEytzinger
-	default:
-		return fmt.Errorf("unknown layout %q (use sorted or eytzinger)", *layoutName)
-	}
-	opts := &pathcache.Options{PageSize: *page, Path: *out, Layout: layout}
+	opts := &pathcache.Options{PageSize: *page, Path: *out}
 	var sc pathcache.Scheme
 	switch *scheme {
 	case "iko":
@@ -141,7 +131,7 @@ func runBuild(args []string) error {
 
 	if *shards >= 2 {
 		return buildSharded(*typ, *base, *in, *out, pathcache.ShardPlan{Shards: *shards, Scheme: sc, Base: *base},
-			&pathcache.Options{PageSize: *page, MemtableEntries: *memtable, Layout: layout})
+			&pathcache.Options{PageSize: *page, MemtableEntries: *memtable})
 	}
 
 	switch *typ {
@@ -411,12 +401,6 @@ func runInfo(args []string) error {
 		}
 	default:
 		fmt.Printf("kind: %s\n", ix.Kind())
-	}
-	// Persisted single-tree kinds self-describe their in-page layout (the
-	// header byte dispatch); the LSM tier may mix layouts per level and the
-	// sharded router delegates to its shards, so neither exposes one.
-	if l, ok := ix.(interface{ Layout() pathcache.Layout }); ok {
-		fmt.Printf("layout: %s\n", l.Layout())
 	}
 	fmt.Printf("records: %d\npages: %d\n", ix.Len(), ix.Pages())
 	for _, line := range tail {

@@ -17,20 +17,12 @@
 //     helpers (ScanChain, ChainCap, NewChainWriter, WriteChain, ChainPages):
 //     a literal cannot be cross-checked against the encoder, so the one
 //     constant the B-derivation uses must be named (record.PointSize,
-//     opSize, dirRecSize, ...);
-//   - magic integer literals where a disk.Layout is expected — as the layout
-//     argument of the layout-taking constructors (skeletal.BuildLayout,
-//     btree.NewLayout) or inside a disk.Layout conversion. The layout byte is
-//     part of the persisted page header: readers dispatch their search on it,
-//     so its value must come from the named disk.LayoutSorted /
-//     disk.LayoutEytzinger constants the codecs are written against, never
-//     from a raw number that can drift when a layout is added.
+//     opSize, dirRecSize, ...).
 package fixedwidth
 
 import (
 	"go/ast"
 	"go/token"
-	"go/types"
 
 	"pathcache/internal/analysis"
 )
@@ -57,13 +49,6 @@ var chainRecSizeArg = map[string]int{
 	"NewChainWriter": 1, "WriteChain": 1,
 }
 
-// layoutArg maps each layout-taking constructor (package path suffix plus
-// function name) to the index of its disk.Layout parameter.
-var layoutArg = map[[2]string]int{
-	{"internal/skeletal", "BuildLayout"}: 3,
-	{"internal/btree", "NewLayout"}:      1,
-}
-
 func run(pass *analysis.Pass) error {
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -71,7 +56,6 @@ func run(pass *analysis.Pass) error {
 			if !ok {
 				return true
 			}
-			checkLayoutConversion(pass, call)
 			fn := analysis.CalleeOf(pass.TypesInfo, call)
 			if fn == nil {
 				return true
@@ -98,54 +82,11 @@ func run(pass *analysis.Pass) error {
 					pass.Reportf(lit.Pos(),
 						"magic record size %s passed to disk.%s: if the encoder changes width this call silently desynchronizes from it; name the constant next to the encoder (like record.PointSize) and use it here", lit.Value, fn.Name())
 				}
-			case analysis.RecvNamed(fn) == nil:
-				for pkg, idx := range layoutArg {
-					if pkg[1] != fn.Name() || !analysis.PkgIs(fn.Pkg(), pkg[0]) || idx >= len(call.Args) {
-						continue
-					}
-					if lit := layoutLiteral(pass, call.Args[idx]); lit != nil {
-						pass.Reportf(lit.Pos(),
-							"magic layout %s passed to %s.%s: the layout byte is persisted in every page header and dispatches the read path; use the named disk.LayoutSorted/disk.LayoutEytzinger constants", lit.Value, fn.Pkg().Name(), fn.Name())
-					}
-				}
 			}
 			return true
 		})
 	}
 	return nil
-}
-
-// checkLayoutConversion flags disk.Layout(<int literal>) conversions. The
-// named constants exist so the header byte and the codecs that dispatch on
-// it cannot desynchronize; a literal inside the conversion defeats that.
-// The disk package itself (where the constants are defined) is exempt.
-func checkLayoutConversion(pass *analysis.Pass, call *ast.CallExpr) {
-	if analysis.PkgIs(pass.Pkg, "internal/disk") {
-		return
-	}
-	if len(call.Args) != 1 || !pass.TypesInfo.Types[call.Fun].IsType() {
-		return
-	}
-	named, ok := pass.TypesInfo.TypeOf(call.Fun).(*types.Named)
-	if !ok || named.Obj().Name() != "Layout" || !analysis.PkgIs(named.Obj().Pkg(), "internal/disk") {
-		return
-	}
-	if lit := intLiteral(call.Args[0]); lit != nil {
-		pass.Reportf(lit.Pos(),
-			"magic layout disk.Layout(%s): the layout byte is persisted in every page header; use the named disk.LayoutSorted/disk.LayoutEytzinger constants", lit.Value)
-	}
-}
-
-// layoutLiteral unwraps a layout argument to its integer literal, if any:
-// either a bare literal or one wrapped in a disk.Layout conversion (the
-// conversion case is reported by checkLayoutConversion at its own position,
-// so only the bare literal is returned here).
-func layoutLiteral(pass *analysis.Pass, e ast.Expr) *ast.BasicLit {
-	e = ast.Unparen(e)
-	if call, ok := e.(*ast.CallExpr); ok && len(call.Args) == 1 && pass.TypesInfo.Types[call.Fun].IsType() {
-		return nil
-	}
-	return intLiteral(e)
 }
 
 // intLiteral unwraps parens and returns e's integer literal, if that is what

@@ -9,9 +9,7 @@ import (
 	"encoding/gob"
 	"encoding/json"
 
-	"pathcache/internal/btree"
 	"pathcache/internal/disk"
-	"pathcache/internal/skeletal"
 )
 
 type header struct {
@@ -54,20 +52,4 @@ func capMagic(pageSize int) int {
 
 func writerMagic(p disk.Pager) (*disk.ChainWriter, error) {
 	return disk.NewChainWriter(p, 32) // want `magic record size 32 passed to disk\.NewChainWriter`
-}
-
-func layoutMagicSkeletal(p disk.Pager, root *skeletal.BuildNode) (*skeletal.Tree, error) {
-	return skeletal.BuildLayout(p, root, 8, 1) // want `magic layout 1 passed to skeletal\.BuildLayout`
-}
-
-func layoutMagicBtree(p disk.Pager) (*btree.Tree, error) {
-	return btree.NewLayout(p, 0) // want `magic layout 0 passed to btree\.NewLayout`
-}
-
-func layoutMagicConversion() disk.Layout {
-	return disk.Layout(1) // want `magic layout disk\.Layout\(1\)`
-}
-
-func layoutMagicConvertedArg(p disk.Pager) (*btree.Tree, error) {
-	return btree.NewLayout(p, disk.Layout(2)) // want `magic layout disk\.Layout\(2\)`
 }

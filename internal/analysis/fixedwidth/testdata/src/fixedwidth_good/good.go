@@ -6,10 +6,8 @@ package fixedwidth_good
 import (
 	"encoding/binary"
 
-	"pathcache/internal/btree"
 	"pathcache/internal/disk"
 	"pathcache/internal/record"
-	"pathcache/internal/skeletal"
 )
 
 // descSize is the fixture's one named record width; the encoder below and
@@ -39,16 +37,4 @@ func capNamed(pageSize int) int {
 
 func pagesDerived(pageSize, count int) int {
 	return disk.ChainPages(pageSize, 2*record.PointSize, count)
-}
-
-func layoutNamed(p disk.Pager, root *skeletal.BuildNode) (*skeletal.Tree, error) {
-	return skeletal.BuildLayout(p, root, descSize, disk.LayoutEytzinger)
-}
-
-func layoutForwarded(p disk.Pager, l disk.Layout) (*btree.Tree, error) {
-	return btree.NewLayout(p, l)
-}
-
-func layoutFromByte(b byte) (disk.Layout, error) {
-	return disk.CheckLayout(b) // runtime header bytes go through the checker
 }

@@ -38,7 +38,6 @@ func (e Entry) less(o Entry) bool {
 // Tree is an external B+-tree. Not safe for concurrent mutation.
 type Tree struct {
 	pager   disk.Pager
-	layout  disk.Layout
 	root    disk.PageID
 	height  int // levels below the root (0 = root is a leaf)
 	size    int
@@ -46,28 +45,18 @@ type Tree struct {
 	intCap  int // max separator count of an internal node
 }
 
-// Layout reports the node layout the tree writes and searches with.
-func (t *Tree) Layout() disk.Layout { return t.layout }
-
 // ErrNotFound is returned by Delete when the entry is absent.
 var ErrNotFound = errors.New("btree: entry not found")
 
 // Node layout.
 //
-// Common header: kind uint8 (1=leaf, 2=internal), layout uint8
-// (disk.Layout), count uint16.
+// Common header: kind uint8 (1=leaf, 2=internal), layout uint8 (always 0;
+// see disk.CheckLayoutByte), count uint16.
 // Leaf:     [header][next PageID int64][entries: key int64, val uint64]...
 // Internal: [header][child0 PageID][sep entries: key, val, child PageID]...
 //
-// Under disk.LayoutSorted the entry slots hold entries in ascending order.
-// Under disk.LayoutEytzinger the slots hold the same entries permuted into
-// implicit-binary-tree order (1-based slot k has children 2k and 2k+1; the
-// in-order traversal of that complete tree is the sorted order). An internal
-// separator's child pointer travels with it, so the pointer at a slot is
-// always the right child of the separator stored there; child0 stays in the
-// fixed header position. Search on an Eytzinger node runs directly over the
-// page bytes — branch-free index arithmetic, no entry decoding, no
-// allocation.
+// Entry slots hold entries in ascending order; the pointer stored with a
+// separator is its right child.
 const (
 	kindLeaf     = 1
 	kindInternal = 2
@@ -78,21 +67,10 @@ const (
 	intEntry     = 24
 )
 
-// New creates an empty tree on p under disk.LayoutSorted.
+// New creates an empty tree on p.
 func New(p disk.Pager) (*Tree, error) {
-	return NewLayout(p, disk.LayoutSorted)
-}
-
-// NewLayout creates an empty tree on p with an explicit node layout. Both
-// layouts support the full API, including Insert and Delete: mutations on an
-// Eytzinger tree un-permute the node on read and re-permute on write.
-func NewLayout(p disk.Pager, layout disk.Layout) (*Tree, error) {
-	if !layout.Valid() {
-		return nil, fmt.Errorf("btree: unknown layout %d", layout)
-	}
 	t := &Tree{
 		pager:   p,
-		layout:  layout,
 		leafCap: (p.PageSize() - leafFixed) / leafEntry,
 		intCap:  (p.PageSize() - intFixed) / intEntry,
 	}
@@ -119,16 +97,15 @@ type node struct {
 }
 
 // checkHeader validates a node header against the page size before any slot
-// bytes are trusted, returning the kind, layout and count. Every violation
-// wraps disk.ErrCorrupt so callers (and the fuzzers) can classify it.
-func checkHeader(buf []byte, id disk.PageID) (kind byte, layout disk.Layout, count int, err error) {
+// bytes are trusted, returning the kind and count. Every violation wraps
+// disk.ErrCorrupt so callers (and the fuzzers) can classify it.
+func checkHeader(buf []byte, id disk.PageID) (kind byte, count int, err error) {
 	kind = buf[0]
 	if kind != kindLeaf && kind != kindInternal {
-		return 0, 0, 0, fmt.Errorf("btree: corrupt node %d kind %d: %w", id, kind, disk.ErrCorrupt)
+		return 0, 0, fmt.Errorf("btree: corrupt node %d kind %d: %w", id, kind, disk.ErrCorrupt)
 	}
-	layout, lerr := disk.CheckLayout(buf[1])
-	if lerr != nil {
-		return 0, 0, 0, fmt.Errorf("btree: node %d: %w", id, lerr)
+	if err := disk.CheckLayoutByte(buf[1]); err != nil {
+		return 0, 0, fmt.Errorf("btree: node %d: %w", id, err)
 	}
 	count = int(le16(buf[2:]))
 	fixed, entry := leafFixed, leafEntry
@@ -136,66 +113,37 @@ func checkHeader(buf []byte, id disk.PageID) (kind byte, layout disk.Layout, cou
 		fixed, entry = intFixed, intEntry
 	}
 	if fixed+count*entry > len(buf) {
-		return 0, 0, 0, fmt.Errorf("btree: node %d count %d overflows page: %w", id, count, disk.ErrCorrupt)
+		return 0, 0, fmt.Errorf("btree: node %d count %d overflows page: %w", id, count, disk.ErrCorrupt)
 	}
-	return kind, layout, count, nil
+	return kind, count, nil
 }
 
-// eytzOrder returns the slot->rank permutation for n entries: ord[s] is the
-// in-order (sorted) position of 0-based Eytzinger slot s in the complete
-// binary tree on n nodes.
-func eytzOrder(n int) []int {
-	ord := make([]int, n)
-	rank := 0
-	var fill func(s int)
-	fill = func(s int) {
-		if s >= n {
-			return
-		}
-		fill(2*s + 1)
-		ord[s] = rank
-		rank++
-		fill(2*s + 2)
-	}
-	fill(0)
-	return ord
-}
-
+// readNode decodes one page for the mutating and checking paths; Search and
+// Range read through rangeRaw instead.
 func (t *Tree) readNode(id disk.PageID) (*node, error) {
 	buf := make([]byte, t.pager.PageSize())
 	if err := t.pager.Read(id, buf); err != nil {
 		return nil, err
 	}
-	kind, layout, count, err := checkHeader(buf, id)
+	kind, count, err := checkHeader(buf, id)
 	if err != nil {
 		return nil, err
 	}
 	n := &node{kind: kind}
-	var ord []int
-	if layout == disk.LayoutEytzinger {
-		ord = eytzOrder(count)
-	}
-	at := func(s int) int {
-		if ord != nil {
-			return ord[s]
-		}
-		return s
-	}
 	switch kind {
 	case kindLeaf:
 		n.next = disk.PageID(le64(buf[hdrSize:]))
 		n.entries = make([]Entry, count)
-		for s := 0; s < count; s++ {
-			off := leafFixed + s*leafEntry
-			n.entries[at(s)] = Entry{Key: int64(le64(buf[off:])), Val: le64(buf[off+8:])}
+		for i := range n.entries {
+			off := leafFixed + i*leafEntry
+			n.entries[i] = Entry{Key: int64(le64(buf[off:])), Val: le64(buf[off+8:])}
 		}
 	case kindInternal:
 		n.children = make([]disk.PageID, count+1)
 		n.children[0] = disk.PageID(le64(buf[hdrSize:]))
 		n.entries = make([]Entry, count)
-		for s := 0; s < count; s++ {
-			off := intFixed + s*intEntry
-			i := at(s)
+		for i := range n.entries {
+			off := intFixed + i*intEntry
 			n.entries[i] = Entry{Key: int64(le64(buf[off:])), Val: le64(buf[off+8:])}
 			n.children[i+1] = disk.PageID(le64(buf[off+16:]))
 		}
@@ -205,34 +153,20 @@ func (t *Tree) readNode(id disk.PageID) (*node, error) {
 
 func (t *Tree) writeNode(id disk.PageID, n *node) error {
 	buf := make([]byte, t.pager.PageSize())
-	buf[0] = n.kind
-	buf[1] = byte(t.layout)
+	buf[0] = n.kind // buf[1], the layout byte, stays 0
 	put16(buf[2:], uint16(len(n.entries)))
-	var ord []int
-	if t.layout == disk.LayoutEytzinger {
-		ord = eytzOrder(len(n.entries))
-	}
-	at := func(s int) int {
-		if ord != nil {
-			return ord[s]
-		}
-		return s
-	}
 	switch n.kind {
 	case kindLeaf:
 		put64(buf[hdrSize:], uint64(n.next))
-		for s := range n.entries {
-			e := n.entries[at(s)]
-			off := leafFixed + s*leafEntry
+		for i, e := range n.entries {
+			off := leafFixed + i*leafEntry
 			put64(buf[off:], uint64(e.Key))
 			put64(buf[off+8:], e.Val)
 		}
 	case kindInternal:
 		put64(buf[hdrSize:], uint64(n.children[0]))
-		for s := range n.entries {
-			i := at(s)
-			e := n.entries[i]
-			off := intFixed + s*intEntry
+		for i, e := range n.entries {
+			off := intFixed + i*intEntry
 			put64(buf[off:], uint64(e.Key))
 			put64(buf[off+8:], e.Val)
 			put64(buf[off+16:], uint64(n.children[i+1]))
@@ -565,43 +499,7 @@ func (t *Tree) Range(lo, hi int64, fn func(key int64, val uint64) bool) error {
 	if lo > hi {
 		return nil
 	}
-	if t.layout == disk.LayoutEytzinger {
-		// Eytzinger trees search through the zero-copy branchless path; the
-		// sorted layout keeps the decoded-node reader below.
-		return t.rangeRaw(lo, hi, fn)
-	}
-	start := Entry{Key: lo, Val: 0}
-	id := t.root
-	for {
-		n, err := t.readNode(id)
-		if err != nil {
-			return err
-		}
-		if n.kind == kindLeaf {
-			// Scan forward across the leaf chain.
-			for {
-				i := lowerBound(n.entries, start)
-				for ; i < len(n.entries); i++ {
-					e := n.entries[i]
-					if e.Key > hi {
-						return nil
-					}
-					if !fn(e.Key, e.Val) {
-						return nil
-					}
-				}
-				if n.next == disk.InvalidPage {
-					return nil
-				}
-				id = n.next
-				n, err = t.readNode(id)
-				if err != nil {
-					return err
-				}
-			}
-		}
-		id = n.children[childIndex(n.entries, start)]
-	}
+	return t.rangeRaw(lo, hi, fn)
 }
 
 // Min returns the smallest entry, or ok=false when empty.
@@ -727,12 +625,7 @@ func put64(b []byte, v uint64) {
 // writes instead of n·O(log_B n). Entries are sorted internally if needed;
 // duplicate (Key, Val) pairs are rejected.
 func BulkLoad(p disk.Pager, entries []Entry) (*Tree, error) {
-	return BulkLoadLayout(p, entries, disk.LayoutSorted)
-}
-
-// BulkLoadLayout is BulkLoad with an explicit node layout.
-func BulkLoadLayout(p disk.Pager, entries []Entry, layout disk.Layout) (*Tree, error) {
-	t, err := NewLayout(p, layout)
+	t, err := New(p)
 	if err != nil {
 		return nil, err
 	}

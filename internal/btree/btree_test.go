@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"pathcache/internal/disk"
+	"pathcache/internal/race"
 )
 
 func newTestTree(t *testing.T, pageSize int) (*Tree, *disk.Store) {
@@ -410,5 +411,40 @@ func TestBulkLoad(t *testing.T) {
 	s := disk.MustStore(256)
 	if _, err := BulkLoad(s, []Entry{{1, 1}, {1, 1}}); err == nil {
 		t.Fatal("duplicate entries accepted")
+	}
+}
+
+// TestRangeSearchAllocs caps the allocations of one Range over a
+// bulk-loaded tree of 100,000 entries at 4 KiB pages. The read path works
+// on the raw page bytes in one pooled scratch page, so a range that reports
+// about 20 entries through a non-retaining callback allocates nothing.
+func TestRangeSearchAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector drops sync.Pool items and allocates")
+	}
+	const n = 100_000
+	entries := make([]Entry, n)
+	for i := range entries {
+		entries[i] = Entry{Key: int64(i / 2), Val: uint64(i)}
+	}
+	tr, err := BulkLoad(disk.MustStore(4096), entries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seen, i int
+	visit := func(int64, uint64) bool { seen++; return true }
+	rangeOp := func() {
+		lo := int64(i*7919) % (n / 2)
+		i++
+		if err := tr.Range(lo, lo+9, visit); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rangeOp()
+	if seen != 20 {
+		t.Fatalf("range reported %d entries, want 20", seen)
+	}
+	if got := testing.AllocsPerRun(500, rangeOp); got > 0 {
+		t.Fatalf("Tree.Range: %.1f allocs per range, want 0", got)
 	}
 }

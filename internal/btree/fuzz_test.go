@@ -2,6 +2,7 @@ package btree
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"pathcache/internal/disk"
@@ -41,23 +42,21 @@ func fuzzTolerable(err error) bool {
 }
 
 // FuzzLayoutPageDecode splices arbitrary bytes into one page of a valid
-// B+-tree — under both layouts, since the two read paths are different
-// code (the sorted layout decodes nodes, the Eytzinger layout searches the
-// raw page bytes) — and drives Search/Range/Min/Max over the damaged tree.
-// The contract: no input may panic or hang, and every failure is a
-// classified error. A corrupt layout byte in particular must be flagged as
-// disk.ErrCorrupt before any slot bytes are trusted.
+// B+-tree and drives Search/Range/Min/Max over the damaged tree — both read
+// paths, since Search and Range work on the raw page bytes while Min and
+// Max decode nodes. The contract: no input may panic or hang, and every
+// failure is a classified error. A non-zero layout byte in particular must
+// be flagged as disk.ErrCorrupt before any slot bytes are trusted.
 func FuzzLayoutPageDecode(f *testing.F) {
 	f.Add(uint8(0), uint16(0), uint16(0), []byte{}, int64(50))
 	f.Add(uint8(1), uint16(1), uint16(1), []byte{0xFF, 0xFF, 0xFF, 0xFF}, int64(120))
 	f.Add(uint8(1), uint16(2), uint16(3), []byte{kindInternal, 7, 0xFF, 0x7F}, int64(-3))
 	f.Add(uint8(0), uint16(3), uint16(8), []byte{kindLeaf, 0, 2, 0, 9, 9, 9, 9, 9, 9, 9, 9}, int64(7))
 
-	f.Fuzz(func(t *testing.T, layoutSel uint8, pageSel, off uint16, patch []byte, key int64) {
+	f.Fuzz(func(t *testing.T, badSel uint8, pageSel, off uint16, patch []byte, key int64) {
 		const pageSize = 256
-		layout := disk.Layout(layoutSel % 2)
 		s := disk.MustStore(pageSize)
-		tr, err := NewLayout(s, layout)
+		tr, err := New(s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,7 +98,7 @@ func FuzzLayoutPageDecode(f *testing.F) {
 		if err := s.Read(tr.root, buf); err != nil {
 			t.Fatal(err)
 		}
-		buf[1] = 2 + byte(layoutSel)%250 // any value outside the two valid layouts
+		buf[1] = 1 + badSel%255 // any non-zero value, the retired byte 1 included
 		if err := s.Write(tr.root, buf); err != nil {
 			t.Fatal(err)
 		}
@@ -108,4 +107,48 @@ func FuzzLayoutPageDecode(f *testing.F) {
 			t.Fatalf("Search with invalid root layout byte: err=%v, want ErrCorrupt", err)
 		}
 	})
+}
+
+// TestLayoutByteRejected pins the page header's layout byte: 0 is the only
+// valid value, so a page stamped with anything else fails with an error
+// wrapping disk.ErrCorrupt on every read path, and byte 1 — the retired
+// Eytzinger layout, whose slots are permuted — says to rebuild rather than
+// being misread as sorted.
+func TestLayoutByteRejected(t *testing.T) {
+	for _, tc := range []struct {
+		b       byte
+		retired bool
+	}{{1, true}, {2, false}, {255, false}} {
+		s := disk.MustStore(256)
+		tr, err := New(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := int64(0); i < 50; i++ {
+			if err := tr.Insert(i, uint64(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		buf := make([]byte, 256)
+		if err := s.Read(tr.root, buf); err != nil {
+			t.Fatal(err)
+		}
+		buf[1] = tc.b
+		if err := s.Write(tr.root, buf); err != nil {
+			t.Fatal(err)
+		}
+		_, searchErr := tr.Search(7)
+		_, _, minErr := tr.Min()
+		for _, op := range []struct {
+			name string
+			err  error
+		}{{"Search", searchErr}, {"Min", minErr}, {"Insert", tr.Insert(100, 100)}} {
+			if !errors.Is(op.err, disk.ErrCorrupt) {
+				t.Fatalf("byte %d: %s: err=%v, want ErrCorrupt", tc.b, op.name, op.err)
+			}
+			if got := strings.Contains(op.err.Error(), "retired"); got != tc.retired {
+				t.Fatalf("byte %d: %s: error %q mentions retirement = %v, want %v", tc.b, op.name, op.err, got, tc.retired)
+			}
+		}
+	}
 }

@@ -2,54 +2,23 @@ package disk
 
 import "fmt"
 
-// Layout selects the intra-page placement scheme of a fixed-width node or
-// entry codec. The layout is chosen at build time, stamped into every page
-// header (and into the structure's reopen metadata), and never changes for
-// the lifetime of the structure: readers self-dispatch on the recorded byte.
-//
-// The layout only affects CPU behaviour inside a page. Node-to-page
-// assignment, page allocation order and descent page sequences are layout
-// independent, so two structures built from the same input under different
-// layouts perform identical page I/O.
-type Layout uint8
+// Every B⁺-tree page header, skeletal page header and skeletal reopen meta
+// carries one layout byte. Pages hold their entries in key order, the one
+// in-page layout, so the byte is always written as 0. It stays in the
+// format so that every byte offset of older files is unchanged and a file
+// stamped with a retired layout fails typed instead of being misread.
 
-const (
-	// LayoutSorted is the classic format: entries stored in key order,
-	// searched by binary search over decoded entries.
-	LayoutSorted Layout = 0
-	// LayoutEytzinger stores entries in implicit-binary-tree (BFS/heap)
-	// order: the root at slot 0, children of slot i at 2i+1 and 2i+2.
-	// Searches descend by index arithmetic with branch-free compares, which
-	// keeps the hot cache lines at the top of the tree and removes the
-	// unpredictable branch per probe of binary search.
-	LayoutEytzinger Layout = 1
-)
-
-// numLayouts bounds the valid layout bytes; anything >= this is corrupt.
-const numLayouts = 2
-
-// Valid reports whether l is a known layout byte.
-func (l Layout) Valid() bool { return l < numLayouts }
-
-// String names the layout for CLI output and error messages.
-func (l Layout) String() string {
-	switch l {
-	case LayoutSorted:
-		return "sorted"
-	case LayoutEytzinger:
-		return "eytzinger"
+// CheckLayoutByte validates a layout byte, returning an error wrapping
+// ErrCorrupt for anything but 0. Byte 1 marks the retired Eytzinger layout:
+// its pages are well formed but permuted, so reading them as sorted would
+// answer wrongly, and the error says to rebuild the index.
+func CheckLayoutByte(b byte) error {
+	switch b {
+	case 0:
+		return nil
+	case 1:
+		return fmt.Errorf("layout byte 1: the Eytzinger page layout is retired, rebuild the index: %w", ErrCorrupt)
 	default:
-		return fmt.Sprintf("layout(%d)", uint8(l))
+		return fmt.Errorf("invalid layout byte %d: %w", b, ErrCorrupt)
 	}
-}
-
-// CheckLayout returns a corruption error (wrapping ErrCorrupt) when b is not
-// a valid layout byte — the shared validation every page codec applies to
-// its header before trusting the rest of the page.
-func CheckLayout(b byte) (Layout, error) {
-	l := Layout(b)
-	if !l.Valid() {
-		return 0, fmt.Errorf("invalid layout byte %d: %w", b, ErrCorrupt)
-	}
-	return l, nil
 }

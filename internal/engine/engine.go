@@ -33,7 +33,6 @@ type Backend struct {
 	store Metered
 	pager disk.Pager
 	pool  *disk.BufferPool
-	pf    *Prefetcher     // non-nil when the prefetch pipeline is enabled
 	file  *disk.FileStore // non-nil when the backend is file-backed
 	reg   *obs.Registry   // per-store metric registry; never nil
 }
@@ -68,15 +67,6 @@ type Config struct {
 	// the obs defaults.
 	BoundMaxRatio float64
 	BoundSlack    float64
-	// PrefetchWorkers, when positive, starts that many background workers
-	// that warm the buffer pool with the path pages query descents hint at.
-	// Requires BufferPoolPages > 0 — without a pool a prefetch read has
-	// nowhere to land. Prefetch reads never touch per-op counters; they only
-	// convert some op reads into pool hits.
-	PrefetchWorkers int
-	// PrefetchDepth bounds the prefetch hint queue (default 64). Hints
-	// beyond the bound are dropped, never executed inline.
-	PrefetchDepth int
 }
 
 // New builds a backend from cfg. Errors are returned unwrapped; the public
@@ -87,9 +77,6 @@ func New(cfg Config) (*Backend, error) {
 	}
 	if cfg.BufferPoolPages < 0 {
 		return nil, fmt.Errorf("invalid BufferPoolPages %d: must be positive (zero disables the pool)", cfg.BufferPoolPages)
-	}
-	if err := cfg.checkPrefetch(); err != nil {
-		return nil, err
 	}
 	ps := cfg.PageSize
 	if ps == 0 {
@@ -133,21 +120,7 @@ func New(cfg Config) (*Backend, error) {
 	if cfg.WrapPager != nil {
 		be.pager = cfg.WrapPager(be.pager)
 	}
-	if cfg.PrefetchWorkers > 0 {
-		be.pf = newPrefetcher(be.pager, cfg.PrefetchWorkers, cfg.PrefetchDepth)
-	}
 	return be, nil
-}
-
-// checkPrefetch validates the prefetch configuration.
-func (cfg Config) checkPrefetch() error {
-	if cfg.PrefetchWorkers < 0 {
-		return fmt.Errorf("invalid PrefetchWorkers %d: must be positive (zero disables prefetch)", cfg.PrefetchWorkers)
-	}
-	if cfg.PrefetchWorkers > 0 && cfg.BufferPoolPages <= 0 {
-		return fmt.Errorf("PrefetchWorkers %d requires BufferPoolPages > 0: prefetch warms the pool", cfg.PrefetchWorkers)
-	}
-	return nil
 }
 
 // Open attaches a backend to an existing index file. Like New, errors come
@@ -165,9 +138,6 @@ func Open(path string) (*Backend, error) {
 func OpenWith(path string, cfg Config) (*Backend, error) {
 	if cfg.BufferPoolPages < 0 {
 		return nil, fmt.Errorf("invalid BufferPoolPages %d: must be positive (zero disables the pool)", cfg.BufferPoolPages)
-	}
-	if err := cfg.checkPrefetch(); err != nil {
-		return nil, err
 	}
 	fs, err := disk.OpenFileStore(path)
 	if err != nil {
@@ -193,9 +163,6 @@ func OpenWith(path string, cfg Config) (*Backend, error) {
 	if cfg.WrapPager != nil {
 		be.pager = cfg.WrapPager(be.pager)
 	}
-	if cfg.PrefetchWorkers > 0 {
-		be.pf = newPrefetcher(be.pager, cfg.PrefetchWorkers, cfg.PrefetchDepth)
-	}
 	return be, nil
 }
 
@@ -207,22 +174,7 @@ func (be *Backend) Pager() disk.Pager { return be.pager }
 // cheap and safe for concurrent use (each operation should get its own
 // counter).
 func (be *Backend) OpPager(c *disk.Counter) disk.Pager {
-	p := disk.WithCounter(be.pager, c)
-	if be.pf != nil {
-		// Expose the Prefetch extension so descent code can hint the next
-		// path pages; hints bypass the counter by construction.
-		return prefetchPager{Pager: p, pf: be.pf}
-	}
-	return p
-}
-
-// PrefetchStats reports accepted and dropped prefetch hints (zeros when
-// prefetch is disabled).
-func (be *Backend) PrefetchStats() (enqueued, dropped int64) {
-	if be.pf == nil {
-		return 0, 0
-	}
-	return be.pf.Stats()
+	return disk.WithCounter(be.pager, c)
 }
 
 // Obs returns the backend's metric registry. Every index operation on this
@@ -248,10 +200,6 @@ func (be *Backend) ResetStats() {
 // Close flushes and closes a file-backed backend (no-op for in-memory).
 // Errors are returned unwrapped.
 func (be *Backend) Close() error {
-	if be.pf != nil {
-		be.pf.Close()
-		be.pf = nil
-	}
 	if be.pool != nil {
 		if err := be.pool.Flush(); err != nil {
 			return err

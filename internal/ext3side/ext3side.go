@@ -82,14 +82,9 @@ type QueryStats struct {
 	Results     int
 }
 
-// Build constructs the structure over pts under disk.LayoutSorted. The
-// input slice is not retained or modified.
+// Build constructs the structure over pts. The input slice is not retained
+// or modified.
 func Build(p disk.Pager, pts []record.Point) (*Tree, error) {
-	return BuildLayout(p, pts, disk.LayoutSorted)
-}
-
-// BuildLayout is Build with an explicit skeletal page layout.
-func BuildLayout(p disk.Pager, pts []record.Point, layout disk.Layout) (*Tree, error) {
 	b := disk.ChainCap(p.PageSize(), record.PointSize)
 	if b < 2 {
 		return nil, fmt.Errorf("ext3side: page size %d holds %d points; need >= 2", p.PageSize(), b)
@@ -104,7 +99,7 @@ func BuildLayout(p disk.Pager, pts []record.Point, layout disk.Layout) (*Tree, e
 	if err != nil {
 		return nil, err
 	}
-	skel, err := skeletal.BuildLayout(p, bn, payloadSize, layout)
+	skel, err := skeletal.Build(p, bn, payloadSize)
 	if err != nil {
 		return nil, err
 	}
@@ -251,9 +246,6 @@ func (t *Tree) B() int { return t.b }
 
 // Height reports the binary tree height.
 func (t *Tree) Height() int { return t.skel.Height() }
-
-// Layout reports the skeletal page layout the tree was built with.
-func (t *Tree) Layout() disk.Layout { return t.skel.Layout() }
 
 // SpacePages breaks down storage: skeleton, point blocks, caches.
 func (t *Tree) SpacePages() (skeleton, blocks, caches int) {

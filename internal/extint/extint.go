@@ -102,14 +102,8 @@ type memNode struct {
 	left, right *memNode
 }
 
-// Build constructs the tree over ivs under disk.LayoutSorted. Intervals
-// must satisfy Lo <= Hi.
+// Build constructs the tree over ivs. Intervals must satisfy Lo <= Hi.
 func Build(p disk.Pager, ivs []record.Interval, v Variant) (*Tree, error) {
-	return BuildLayout(p, ivs, v, disk.LayoutSorted)
-}
-
-// BuildLayout is Build with an explicit skeletal page layout.
-func BuildLayout(p disk.Pager, ivs []record.Interval, v Variant, layout disk.Layout) (*Tree, error) {
 	b := disk.ChainCap(p.PageSize(), record.IntervalSize)
 	if b < 2 {
 		return nil, fmt.Errorf("extint: page size %d holds %d intervals; need >= 2", p.PageSize(), b)
@@ -121,7 +115,7 @@ func BuildLayout(p disk.Pager, ivs []record.Interval, v Variant, layout disk.Lay
 	}
 	t := &Tree{pager: p, variant: v, b: b, n: len(ivs)}
 	if len(ivs) == 0 {
-		skel, err := skeletal.BuildLayout(p, nil, payloadSize, layout)
+		skel, err := skeletal.Build(p, nil, payloadSize)
 		if err != nil {
 			return nil, err
 		}
@@ -149,7 +143,7 @@ func BuildLayout(p disk.Pager, ivs []record.Interval, v Variant, layout disk.Lay
 	if err != nil {
 		return nil, err
 	}
-	skel, err := skeletal.BuildLayout(p, bn, payloadSize, layout)
+	skel, err := skeletal.Build(p, bn, payloadSize)
 	if err != nil {
 		return nil, err
 	}
@@ -351,9 +345,6 @@ func (t *Tree) Len() int { return t.n }
 
 // B reports the page capacity in intervals.
 func (t *Tree) B() int { return t.b }
-
-// Layout reports the skeletal page layout the tree was built with.
-func (t *Tree) Layout() disk.Layout { return t.skel.Layout() }
 
 // Variant reports the construction variant.
 func (t *Tree) Variant() Variant { return t.variant }

@@ -98,15 +98,10 @@ type QueryStats struct {
 	Results     int
 }
 
-// Build constructs a tree over pts with the given scheme under
-// disk.LayoutSorted. The input slice is not modified.
+// Build constructs a tree over pts with the given scheme. The input slice
+// is not modified.
 func Build(p disk.Pager, pts []record.Point, scheme Scheme) (*Tree, error) {
-	return BuildChunkedLayout(p, pts, scheme, 0, disk.LayoutSorted)
-}
-
-// BuildLayout is Build with an explicit skeletal page layout.
-func BuildLayout(p disk.Pager, pts []record.Point, scheme Scheme, layout disk.Layout) (*Tree, error) {
-	return BuildChunkedLayout(p, pts, scheme, 0, layout)
+	return BuildChunked(p, pts, scheme, 0)
 }
 
 // BuildChunked is Build with an explicit cache chunk length in tree levels
@@ -115,11 +110,6 @@ func BuildLayout(p disk.Pager, pts []record.Point, scheme Scheme, layout disk.La
 // smaller caches but more chunk boundaries per query, longer chunks the
 // reverse, with Basic as the limiting case.
 func BuildChunked(p disk.Pager, pts []record.Point, scheme Scheme, chunkLen int) (*Tree, error) {
-	return BuildChunkedLayout(p, pts, scheme, chunkLen, disk.LayoutSorted)
-}
-
-// BuildChunkedLayout is BuildChunked with an explicit skeletal page layout.
-func BuildChunkedLayout(p disk.Pager, pts []record.Point, scheme Scheme, chunkLen int, layout disk.Layout) (*Tree, error) {
 	b := disk.ChainCap(p.PageSize(), record.PointSize)
 	if b < 2 {
 		return nil, fmt.Errorf("extpst: page size %d holds %d points; need >= 2", p.PageSize(), b)
@@ -137,7 +127,7 @@ func BuildChunkedLayout(p disk.Pager, pts []record.Point, scheme Scheme, chunkLe
 	if err != nil {
 		return nil, err
 	}
-	skel, err := skeletal.BuildLayout(p, bn, payloadSize, layout)
+	skel, err := skeletal.Build(p, bn, payloadSize)
 	if err != nil {
 		return nil, err
 	}
@@ -279,9 +269,6 @@ func (t *Tree) Scheme() Scheme { return t.scheme }
 
 // SegLen reports the chunk length in levels (meaningful for Segmented).
 func (t *Tree) SegLen() int { return t.segLen }
-
-// Layout reports the skeletal page layout the tree was built with.
-func (t *Tree) Layout() disk.Layout { return t.skel.Layout() }
 
 // Height reports the binary tree height.
 func (t *Tree) Height() int { return t.skel.Height() }

@@ -89,14 +89,9 @@ type buildNode struct {
 	left, right  *buildNode
 }
 
-// Build constructs the tree over ivs with the given variant under
-// disk.LayoutSorted. Intervals with Lo > Hi or Hi = MaxInt64 are rejected.
+// Build constructs the tree over ivs with the given variant. Intervals with
+// Lo > Hi or Hi = MaxInt64 are rejected.
 func Build(p disk.Pager, ivs []record.Interval, v Variant) (*Tree, error) {
-	return BuildLayout(p, ivs, v, disk.LayoutSorted)
-}
-
-// BuildLayout is Build with an explicit skeletal page layout.
-func BuildLayout(p disk.Pager, ivs []record.Interval, v Variant, layout disk.Layout) (*Tree, error) {
 	b := disk.ChainCap(p.PageSize(), record.IntervalSize)
 	if b < 2 {
 		return nil, fmt.Errorf("extseg: page size %d holds %d intervals; need >= 2", p.PageSize(), b)
@@ -111,7 +106,7 @@ func BuildLayout(p disk.Pager, ivs []record.Interval, v Variant, layout disk.Lay
 	}
 	t := &Tree{pager: p, variant: v, b: b, n: len(ivs)}
 	if len(ivs) == 0 {
-		skel, err := skeletal.BuildLayout(p, nil, payloadSize, layout)
+		skel, err := skeletal.Build(p, nil, payloadSize)
 		if err != nil {
 			return nil, err
 		}
@@ -142,7 +137,7 @@ func BuildLayout(p disk.Pager, ivs []record.Interval, v Variant, layout disk.Lay
 	if err != nil {
 		return nil, err
 	}
-	skel, err := skeletal.BuildLayout(p, bn, payloadSize, layout)
+	skel, err := skeletal.Build(p, bn, payloadSize)
 	if err != nil {
 		return nil, err
 	}
@@ -359,6 +354,3 @@ func (t *Tree) TotalPages() int {
 
 // Height reports the height of the underlying binary tree.
 func (t *Tree) Height() int { return t.skel.Height() }
-
-// Layout reports the skeletal page layout the tree was built with.
-func (t *Tree) Layout() disk.Layout { return t.skel.Layout() }

@@ -58,21 +58,16 @@ type buildNode struct {
 	left, right *buildNode
 }
 
-// Build constructs the tree over pts under disk.LayoutSorted. The input
-// slice is not retained or modified.
+// Build constructs the tree over pts. The input slice is not retained or
+// modified.
 func Build(p disk.Pager, pts []record.Point) (*Tree, error) {
-	return BuildLayout(p, pts, disk.LayoutSorted)
-}
-
-// BuildLayout is Build with an explicit skeletal page layout.
-func BuildLayout(p disk.Pager, pts []record.Point, layout disk.Layout) (*Tree, error) {
 	b := disk.ChainCap(p.PageSize(), record.PointSize)
 	if b < 2 {
 		return nil, fmt.Errorf("extwindow: page size %d holds %d points; need >= 2", p.PageSize(), b)
 	}
 	t := &Tree{pager: p, b: b, n: len(pts)}
 	if len(pts) == 0 {
-		skel, err := skeletal.BuildLayout(p, nil, payloadSize, layout)
+		skel, err := skeletal.Build(p, nil, payloadSize)
 		if err != nil {
 			return nil, err
 		}
@@ -84,7 +79,7 @@ func BuildLayout(p disk.Pager, pts []record.Point, layout disk.Layout) (*Tree, e
 	if err != nil {
 		return nil, err
 	}
-	skel, err := skeletal.BuildLayout(p, bn, payloadSize, layout)
+	skel, err := skeletal.Build(p, bn, payloadSize)
 	if err != nil {
 		return nil, err
 	}
@@ -215,9 +210,6 @@ func (t *Tree) SpacePages() (skeleton, lists, dirs int) {
 func (t *Tree) TotalPages() int {
 	return t.skel.NumPages() + t.listPages + t.dirPages
 }
-
-// Layout reports the skeletal page layout the tree was built with.
-func (t *Tree) Layout() disk.Layout { return t.skel.Layout() }
 
 // Meta is the reopen metadata of a window tree.
 type Meta struct {

@@ -61,9 +61,8 @@ type Base interface {
 	Kind() byte
 	Name() string
 	// Build seals pts (sorted by record.Point.Less) into a fresh static
-	// structure on p with the given page layout. Build is never called
-	// with an empty slice.
-	Build(p disk.Pager, pts []record.Point, layout disk.Layout) (LevelTree, error)
+	// structure on p. Build is never called with an empty slice.
+	Build(p disk.Pager, pts []record.Point) (LevelTree, error)
 	Reopen(p disk.Pager, meta []byte) (LevelTree, error)
 }
 
@@ -99,8 +98,8 @@ type pstBase struct {
 func (b pstBase) Kind() byte   { return b.kind }
 func (b pstBase) Name() string { return b.name }
 
-func (b pstBase) Build(p disk.Pager, pts []record.Point, layout disk.Layout) (LevelTree, error) {
-	t, err := extpst.BuildLayout(p, pts, extpst.Segmented, layout)
+func (b pstBase) Build(p disk.Pager, pts []record.Point) (LevelTree, error) {
+	t, err := extpst.Build(p, pts, extpst.Segmented)
 	if err != nil {
 		return nil, fmt.Errorf("lsm: sealing %s level: %w", b.name, err)
 	}
@@ -147,8 +146,8 @@ type threeSideBase struct{}
 func (threeSideBase) Kind() byte   { return BaseThreeSide }
 func (threeSideBase) Name() string { return "threeside" }
 
-func (threeSideBase) Build(p disk.Pager, pts []record.Point, layout disk.Layout) (LevelTree, error) {
-	t, err := ext3side.BuildLayout(p, pts, layout)
+func (threeSideBase) Build(p disk.Pager, pts []record.Point) (LevelTree, error) {
+	t, err := ext3side.Build(p, pts)
 	if err != nil {
 		return nil, fmt.Errorf("lsm: sealing threeside level: %w", err)
 	}
@@ -188,8 +187,8 @@ type windowBase struct{}
 func (windowBase) Kind() byte   { return BaseWindow }
 func (windowBase) Name() string { return "window" }
 
-func (windowBase) Build(p disk.Pager, pts []record.Point, layout disk.Layout) (LevelTree, error) {
-	t, err := extwindow.BuildLayout(p, pts, layout)
+func (windowBase) Build(p disk.Pager, pts []record.Point) (LevelTree, error) {
+	t, err := extwindow.Build(p, pts)
 	if err != nil {
 		return nil, fmt.Errorf("lsm: sealing window level: %w", err)
 	}
@@ -229,8 +228,8 @@ type segBase struct{}
 func (segBase) Kind() byte   { return BaseSegment }
 func (segBase) Name() string { return "segment" }
 
-func (segBase) Build(p disk.Pager, pts []record.Point, layout disk.Layout) (LevelTree, error) {
-	t, err := extseg.BuildLayout(p, toIntervals(pts), extseg.PathCached, layout)
+func (segBase) Build(p disk.Pager, pts []record.Point) (LevelTree, error) {
+	t, err := extseg.Build(p, toIntervals(pts), extseg.PathCached)
 	if err != nil {
 		return nil, fmt.Errorf("lsm: sealing segment level: %w", err)
 	}
@@ -272,8 +271,8 @@ type intBase struct{}
 func (intBase) Kind() byte   { return BaseInterval }
 func (intBase) Name() string { return "interval" }
 
-func (intBase) Build(p disk.Pager, pts []record.Point, layout disk.Layout) (LevelTree, error) {
-	t, err := extint.BuildLayout(p, toIntervals(pts), extint.PathCached, layout)
+func (intBase) Build(p disk.Pager, pts []record.Point) (LevelTree, error) {
+	t, err := extint.Build(p, toIntervals(pts), extint.PathCached)
 	if err != nil {
 		return nil, fmt.Errorf("lsm: sealing interval level: %w", err)
 	}

@@ -35,11 +35,6 @@ type Config struct {
 	// FlushEvery is the number of WAL entries that triggers a memtable
 	// flush; zero selects DefaultFlushEvery.
 	FlushEvery int
-	// Layout is the skeletal page layout newly sealed levels are built
-	// with. Existing levels self-describe (the layout is recorded in their
-	// page headers and metadata), so a tree may legitimately mix layouts
-	// across levels after a reopen under a different Layout.
-	Layout disk.Layout
 	// Sync is the durability barrier run after every acknowledged WAL
 	// append (engine.Backend.Sync for file-backed trees); nil means none.
 	Sync func() error
@@ -473,9 +468,9 @@ func freeLevel(p disk.Pager, lv *levelState) error {
 // buildLevel seals pts (sorted) into a fresh level at slot: static tree
 // (pages tracked for later wholesale free), sorted data chain (compaction
 // and membership probes read it), and bloom filter.
-func buildLevel(p disk.Pager, base Base, slot int, pts []record.Point, layout disk.Layout) (*levelState, error) {
+func buildLevel(p disk.Pager, base Base, slot int, pts []record.Point) (*levelState, error) {
 	tracked := disk.Track(p)
-	tree, err := base.Build(tracked, pts, layout)
+	tree, err := base.Build(tracked, pts)
 	if err != nil {
 		return nil, err
 	}
@@ -572,7 +567,7 @@ func (t *Tree) flushLocked(p disk.Pager) (int, error) {
 		}
 		slices.SortFunc(carry, record.CmpXYID)
 		var err error
-		sealed, err = buildLevel(p, t.cfg.Base, slot, carry, t.cfg.Layout)
+		sealed, err = buildLevel(p, t.cfg.Base, slot, carry)
 		if err != nil {
 			return 0, err
 		}
@@ -697,7 +692,7 @@ func (t *Tree) commitCompactLocked(p disk.Pager, live []record.Point, old oldRes
 	var sealed *levelState
 	if len(live) > 0 {
 		var err error
-		sealed, err = buildLevel(p, t.cfg.Base, slot, live, t.cfg.Layout)
+		sealed, err = buildLevel(p, t.cfg.Base, slot, live)
 		if err != nil {
 			return 0, err
 		}
@@ -767,7 +762,7 @@ func (t *Tree) CompactSnapshot(p disk.Pager) (int, error) {
 	}
 	var sealed *levelState
 	if len(live) > 0 {
-		sealed, err = buildLevel(p, t.cfg.Base, slot, live, t.cfg.Layout)
+		sealed, err = buildLevel(p, t.cfg.Base, slot, live)
 		if err != nil {
 			return 0, err
 		}

@@ -2,6 +2,7 @@ package skeletal
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"pathcache/internal/disk"
@@ -18,11 +19,12 @@ func tolerable(err error) bool {
 }
 
 // FuzzLayoutPageDecode splices arbitrary bytes into one page of a valid
-// skeletal tree, under both layouts, then decodes every slot and runs a
-// bounded descent. View.Node validates the header and the occupancy
-// bitmap before trusting any slot bytes, so every failure must classify
-// as disk.ErrCorrupt or disk.ErrBadPage — never a panic, never garbage
-// served as a node from an unoccupied slot.
+// skeletal tree, then decodes every slot and runs a bounded descent.
+// View.Node validates the header and the occupancy bitmap before trusting
+// any slot bytes, so every failure must classify as disk.ErrCorrupt or
+// disk.ErrBadPage — never a panic, never garbage served as a node from an
+// unoccupied slot. Finally a non-zero layout byte is forced onto the root
+// page, which must then fail every slot with disk.ErrCorrupt.
 func FuzzLayoutPageDecode(f *testing.F) {
 	f.Add(uint8(0), uint16(0), uint16(0), []byte{})
 	f.Add(uint8(1), uint16(1), uint16(0), []byte{0xFF, 0xFF, 0x02})
@@ -30,15 +32,14 @@ func FuzzLayoutPageDecode(f *testing.F) {
 	f.Add(uint8(0), uint16(2), uint16(3), []byte{0xFF, 0xFF}) // bitmap
 	f.Add(uint8(0), uint16(0), uint16(40), []byte{1, 2, 3, 4, 5, 6, 7, 8})
 
-	f.Fuzz(func(t *testing.T, layoutSel uint8, pageSel, off uint16, patch []byte) {
+	f.Fuzz(func(t *testing.T, badSel uint8, pageSel, off uint16, patch []byte) {
 		const pageSize = 256
-		layout := disk.Layout(layoutSel % 2)
 		s := disk.MustStore(pageSize)
 		keys := make([]int64, 200)
 		for i := range keys {
 			keys[i] = int64(i) * 3
 		}
-		tr, err := BuildLayout(s, buildBST(keys), 8, layout)
+		tr, err := Build(s, buildBST(keys), 8)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,6 +85,23 @@ func FuzzLayoutPageDecode(f *testing.F) {
 		if !tolerable(err) {
 			t.Fatalf("Descend over corrupted page %d: %v", victim, err)
 		}
+
+		root := tr.Root().Page
+		if err := s.Read(root, buf); err != nil {
+			t.Fatal(err)
+		}
+		buf[2] = 1 + badSel%255 // any non-zero value, the retired byte 1 included
+		if err := s.Write(root, buf); err != nil {
+			t.Fatal(err)
+		}
+		if v, err = tr.LoadPage(root); err != nil {
+			t.Fatal(err)
+		}
+		for idx := 0; idx < (1<<tr.SubHeight())-1; idx++ {
+			if _, err := v.Node(uint16(idx)); !errors.Is(err, disk.ErrCorrupt) {
+				t.Fatalf("Node(%d) with layout byte %d: err=%v, want ErrCorrupt", idx, buf[2], err)
+			}
+		}
 	})
 }
 
@@ -92,11 +110,11 @@ func FuzzLayoutPageDecode(f *testing.F) {
 // offset computation, so corrupt meta must be rejected up front: decode
 // either fails cleanly or yields a meta that Reopen validates, and a tree
 // that does reopen must survive a bounded descent with classified errors
-// only. An invalid layout byte must be flagged as disk.ErrCorrupt.
+// only. A non-zero layout byte must be flagged as disk.ErrCorrupt.
 func FuzzMetaReopen(f *testing.F) {
 	s := disk.MustStore(256)
 	keys := []int64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	tr, err := BuildLayout(s, buildBST(keys), 8, disk.LayoutEytzinger)
+	tr, err := Build(s, buildBST(keys), 8)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -112,21 +130,24 @@ func FuzzMetaReopen(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		m, rest, err := DecodeMeta(raw)
+		if len(raw) >= metaSize && raw[30] != 0 {
+			if !errors.Is(err, disk.ErrCorrupt) {
+				t.Fatalf("DecodeMeta with layout byte %d: err=%v, want ErrCorrupt", raw[30], err)
+			}
+			return
+		}
 		if err != nil {
 			return // rejected: fine, as long as it did not panic
 		}
 		if len(raw)-len(rest) != metaSize {
 			t.Fatalf("DecodeMeta consumed %d bytes, want %d", len(raw)-len(rest), metaSize)
 		}
-		if !m.Layout.Valid() {
-			t.Fatalf("DecodeMeta accepted invalid layout %d", m.Layout)
-		}
 		store := disk.MustStore(256)
 		keys := make([]int64, 100)
 		for i := range keys {
 			keys[i] = int64(i)
 		}
-		if _, err := BuildLayout(store, buildBST(keys), 8, m.Layout); err != nil {
+		if _, err := Build(store, buildBST(keys), 8); err != nil {
 			t.Fatal(err)
 		}
 		re, err := Reopen(store, m)
@@ -144,4 +165,58 @@ func FuzzMetaReopen(f *testing.F) {
 			t.Fatalf("Descend on reopened fuzzed meta %+v: %v", m, err)
 		}
 	})
+}
+
+// TestLayoutByteRejected pins the layout byte of both skeletal decoders,
+// the page header and the reopen meta: 0 is the only valid value, anything
+// else fails with an error wrapping disk.ErrCorrupt, and byte 1 — the
+// retired Eytzinger layout, whose nodes sit at heap slots — says to rebuild
+// rather than being misread as sorted.
+func TestLayoutByteRejected(t *testing.T) {
+	for _, tc := range []struct {
+		b       byte
+		retired bool
+	}{{1, true}, {2, false}, {255, false}} {
+		s := disk.MustStore(256)
+		keys := make([]int64, 100)
+		for i := range keys {
+			keys[i] = int64(i)
+		}
+		tr, err := Build(s, buildBST(keys), 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check := func(what string, err error) {
+			t.Helper()
+			if !errors.Is(err, disk.ErrCorrupt) {
+				t.Fatalf("byte %d: %s: err=%v, want ErrCorrupt", tc.b, what, err)
+			}
+			if got := strings.Contains(err.Error(), "retired"); got != tc.retired {
+				t.Fatalf("byte %d: %s: error %q mentions retirement = %v, want %v", tc.b, what, err, got, tc.retired)
+			}
+		}
+
+		meta := tr.Meta().Append(nil)
+		if meta[30] != 0 {
+			t.Fatalf("meta layout byte written as %d, want 0", meta[30])
+		}
+		meta[30] = tc.b
+		_, _, err = DecodeMeta(meta)
+		check("DecodeMeta", err)
+
+		root := tr.Root()
+		buf := make([]byte, 256)
+		if err := s.Read(root.Page, buf); err != nil {
+			t.Fatal(err)
+		}
+		if buf[2] != 0 {
+			t.Fatalf("page layout byte written as %d, want 0", buf[2])
+		}
+		buf[2] = tc.b
+		if err := s.Write(root.Page, buf); err != nil {
+			t.Fatal(err)
+		}
+		_, err = tr.Descend(func(Node) Dir { return Left })
+		check("Descend", err)
+	}
 }

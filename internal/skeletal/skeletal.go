@@ -9,14 +9,7 @@
 // binary node carries a caller-defined fixed-width payload: page references
 // to cover-lists, top-B point blocks, caches, and so on.
 //
-// Pages support two intra-page placement schemes, selected at build time and
-// stamped into every page header and the reopen metadata (disk.Layout):
-// LayoutSorted packs the subtree's nodes contiguously in BFS order, while
-// LayoutEytzinger places each node at its implicit heap slot (root at 0,
-// children of slot i at 2i+1 and 2i+2), so the top of every subtree shares
-// cache lines across probes. Both layouts use the same subtree height and
-// the same page allocation order, so the page-level shape of the tree — and
-// therefore every descent's I/O count — is identical across layouts.
+// A page packs its subtree's nodes contiguously in BFS order.
 package skeletal
 
 import (
@@ -71,12 +64,11 @@ func (n Node) IsLeaf() bool { return !n.Left.Valid() && !n.Right.Valid() }
 // right page(8) + right idx(2).
 const entryOverhead = 28
 
-// Page header: node count (uint16) + layout byte. An occupancy bitmap of
-// (pageCap+7)/8 bytes follows the header under both layouts: sorted pages
-// occupy slots 0..count-1 contiguously, Eytzinger pages occupy the heap
-// slots of the nodes present. The bitmap is authoritative — a reference to
-// an unoccupied slot is a corruption, not a decode of stale bytes (slot 0
-// would otherwise decode child page 0, a valid page ID).
+// Page header: node count (uint16) + layout byte (always 0; see
+// disk.CheckLayoutByte). An occupancy bitmap of (pageCap+7)/8 bytes follows
+// the header; a page occupies slots 0..count-1. The bitmap is authoritative
+// — a reference to an unoccupied slot is a corruption, not a decode of
+// stale bytes (slot 0 would otherwise decode child page 0, a valid page ID).
 const pageHeader = 3
 
 // bitmapLen is the occupancy bitmap size for a page holding up to cap nodes.
@@ -84,9 +76,7 @@ func bitmapLen(cap int) int { return (cap + 7) / 8 }
 
 // fitSubHeight returns the largest subtree height h such that a full binary
 // subtree of height h — header, occupancy bitmap and (2^h - 1) entries —
-// fits in pageSize, or 0 when not even a single node fits. The height is
-// layout independent by construction, which is what makes the two layouts'
-// page shapes (and I/O counts) identical.
+// fits in pageSize, or 0 when not even a single node fits.
 func fitSubHeight(pageSize, entry int) int {
 	h := 0
 	for {
@@ -106,7 +96,6 @@ type Tree struct {
 	pageCap     int // slots per page: 2^subHeight - 1
 	subHeight   int // height of the subtree packed per page
 	entryBase   int // offset of slot 0: pageHeader + bitmap
-	layout      disk.Layout
 	root        NodeRef
 	numNodes    int
 	numPages    int
@@ -114,20 +103,11 @@ type Tree struct {
 	pages       []disk.PageID
 }
 
-// Build persists the binary tree rooted at root under LayoutSorted, packing
-// height-subHeight subtrees into pages. payloadSize is the fixed width of
-// every node payload.
+// Build persists the binary tree rooted at root, packing height-subHeight
+// subtrees into pages. payloadSize is the fixed width of every node payload.
 func Build(p disk.Pager, root *BuildNode, payloadSize int) (*Tree, error) {
-	return BuildLayout(p, root, payloadSize, disk.LayoutSorted)
-}
-
-// BuildLayout is Build with an explicit intra-page layout scheme.
-func BuildLayout(p disk.Pager, root *BuildNode, payloadSize int, layout disk.Layout) (*Tree, error) {
 	if payloadSize < 0 {
 		return nil, errors.New("skeletal: negative payload size")
-	}
-	if !layout.Valid() {
-		return nil, fmt.Errorf("skeletal: unknown layout %d", layout)
 	}
 	entry := entryOverhead + payloadSize
 	h := fitSubHeight(p.PageSize(), entry)
@@ -142,7 +122,6 @@ func BuildLayout(p disk.Pager, root *BuildNode, payloadSize int, layout disk.Lay
 		pageCap:     cap,
 		subHeight:   h,
 		entryBase:   pageHeader + bitmapLen(cap),
-		layout:      layout,
 	}
 	if root == nil {
 		t.root = NilRef
@@ -170,8 +149,6 @@ func measureHeight(n *BuildNode) int {
 
 // writeSub packs the top height-subHeight levels of the subtree rooted at n
 // into one page, recursing for the frontier children, and returns n's ref.
-// The node set per page and the recursion (hence allocation) order are the
-// same under both layouts; only the slot each node lands in differs.
 func (t *Tree) writeSub(n *BuildNode) (NodeRef, error) {
 	page, err := t.pager.Alloc()
 	if err != nil {
@@ -180,36 +157,25 @@ func (t *Tree) writeSub(n *BuildNode) (NodeRef, error) {
 	t.numPages++
 	t.pages = append(t.pages, page)
 
-	// BFS-collect up to subHeight levels. slot is the heap position within
-	// the page's implicit subtree; sorted pages compact to BFS order while
-	// Eytzinger pages keep the heap slot (holes stay unoccupied).
+	// BFS-collect up to subHeight levels; a node's slot is its BFS rank.
 	type qent struct {
 		n     *BuildNode
 		depth int
-		slot  int
 	}
-	type placed struct {
-		n   *BuildNode
-		idx int
-	}
-	var nodes []placed
+	var nodes []*BuildNode
 	idxOf := make(map[*BuildNode]uint16)
-	queue := []qent{{n, 0, 0}}
+	queue := []qent{{n, 0}}
 	for len(queue) > 0 {
 		e := queue[0]
 		queue = queue[1:]
-		idx := len(nodes)
-		if t.layout == disk.LayoutEytzinger {
-			idx = e.slot
-		}
-		idxOf[e.n] = uint16(idx)
-		nodes = append(nodes, placed{e.n, idx})
+		idxOf[e.n] = uint16(len(nodes))
+		nodes = append(nodes, e.n)
 		if e.depth+1 < t.subHeight {
 			if e.n.Left != nil {
-				queue = append(queue, qent{e.n.Left, e.depth + 1, 2*e.slot + 1})
+				queue = append(queue, qent{e.n.Left, e.depth + 1})
 			}
 			if e.n.Right != nil {
-				queue = append(queue, qent{e.n.Right, e.depth + 1, 2*e.slot + 2})
+				queue = append(queue, qent{e.n.Right, e.depth + 1})
 			}
 		}
 	}
@@ -228,11 +194,9 @@ func (t *Tree) writeSub(n *BuildNode) (NodeRef, error) {
 	}
 
 	buf := make([]byte, t.pager.PageSize())
-	binary.LittleEndian.PutUint16(buf[0:2], uint16(len(nodes)))
-	buf[2] = byte(t.layout)
+	binary.LittleEndian.PutUint16(buf[0:2], uint16(len(nodes))) // buf[2], the layout byte, stays 0
 	bitmap := buf[pageHeader:t.entryBase]
-	for _, pl := range nodes {
-		bn := pl.n
+	for idx, bn := range nodes {
 		if len(bn.Payload) != t.payloadSize {
 			return NilRef, fmt.Errorf("skeletal: node payload %d bytes, want %d", len(bn.Payload), t.payloadSize)
 		}
@@ -244,8 +208,8 @@ func (t *Tree) writeSub(n *BuildNode) (NodeRef, error) {
 		if err != nil {
 			return NilRef, err
 		}
-		bitmap[pl.idx/8] |= 1 << (pl.idx % 8)
-		off := t.entryBase + pl.idx*t.entrySize
+		bitmap[idx/8] |= 1 << (idx % 8)
+		off := t.entryBase + idx*t.entrySize
 		binary.LittleEndian.PutUint64(buf[off:], uint64(bn.Key))
 		binary.LittleEndian.PutUint64(buf[off+8:], uint64(l.Page))
 		binary.LittleEndian.PutUint16(buf[off+16:], l.Idx)
@@ -291,9 +255,6 @@ func (t *Tree) SubHeight() int { return t.subHeight }
 // PayloadSize reports the fixed node payload width.
 func (t *Tree) PayloadSize() int { return t.payloadSize }
 
-// Layout reports the intra-page placement scheme the tree was built with.
-func (t *Tree) Layout() disk.Layout { return t.layout }
-
 // Meta is the handful of values needed to reopen a persisted skeletal tree.
 type Meta struct {
 	Root        NodeRef
@@ -302,7 +263,6 @@ type Meta struct {
 	NumNodes    int
 	NumPages    int
 	Height      int
-	Layout      disk.Layout
 }
 
 // Meta returns the tree's reopen metadata.
@@ -314,11 +274,11 @@ func (t *Tree) Meta() Meta {
 		NumNodes:    t.numNodes,
 		NumPages:    t.numPages,
 		Height:      t.height,
-		Layout:      t.layout,
 	}
 }
 
-// metaSize is the encoded size of Meta.
+// metaSize is the encoded size of Meta: its fields plus the layout byte,
+// always 0 (see disk.CheckLayoutByte).
 const metaSize = 8 + 2 + 5*4 + 1
 
 // Append serializes the meta after buf.
@@ -331,7 +291,6 @@ func (m Meta) Append(buf []byte) []byte {
 	binary.LittleEndian.PutUint32(tmp[18:], uint32(m.NumNodes))
 	binary.LittleEndian.PutUint32(tmp[22:], uint32(m.NumPages))
 	binary.LittleEndian.PutUint32(tmp[26:], uint32(m.Height))
-	tmp[30] = byte(m.Layout)
 	return append(buf, tmp[:]...)
 }
 
@@ -340,8 +299,7 @@ func DecodeMeta(buf []byte) (Meta, []byte, error) {
 	if len(buf) < metaSize {
 		return Meta{}, nil, errors.New("skeletal: truncated meta")
 	}
-	layout, err := disk.CheckLayout(buf[30])
-	if err != nil {
+	if err := disk.CheckLayoutByte(buf[30]); err != nil {
 		return Meta{}, nil, fmt.Errorf("skeletal: meta: %w", err)
 	}
 	m := Meta{
@@ -354,7 +312,6 @@ func DecodeMeta(buf []byte) (Meta, []byte, error) {
 		NumNodes:    int(int32(binary.LittleEndian.Uint32(buf[18:]))),
 		NumPages:    int(int32(binary.LittleEndian.Uint32(buf[22:]))),
 		Height:      int(int32(binary.LittleEndian.Uint32(buf[26:]))),
-		Layout:      layout,
 	}
 	return m, buf[metaSize:], nil
 }
@@ -365,9 +322,6 @@ func DecodeMeta(buf []byte) (Meta, []byte, error) {
 func Reopen(p disk.Pager, m Meta) (*Tree, error) {
 	if m.PayloadSize < 0 {
 		return nil, errors.New("skeletal: negative payload size in meta")
-	}
-	if !m.Layout.Valid() {
-		return nil, fmt.Errorf("skeletal: unknown layout %d in meta", m.Layout)
 	}
 	entry := entryOverhead + m.PayloadSize
 	if fitSubHeight(p.PageSize(), entry) < 1 {
@@ -392,7 +346,6 @@ func Reopen(p disk.Pager, m Meta) (*Tree, error) {
 		pageCap:     cap,
 		subHeight:   m.SubHeight,
 		entryBase:   pageHeader + bitmapLen(cap),
-		layout:      m.Layout,
 		root:        m.Root,
 		numNodes:    m.NumNodes,
 		numPages:    m.NumPages,
@@ -446,7 +399,7 @@ func (v *View) Node(idx uint16) (Node, error) {
 	if n > v.t.pageCap {
 		return Node{}, fmt.Errorf("skeletal: page %d count %d exceeds capacity %d: %w", v.page, n, v.t.pageCap, disk.ErrCorrupt)
 	}
-	if _, err := disk.CheckLayout(v.buf[2]); err != nil {
+	if err := disk.CheckLayoutByte(v.buf[2]); err != nil {
 		return Node{}, fmt.Errorf("skeletal: page %d: %w", v.page, err)
 	}
 	if int(idx) >= v.t.pageCap {
@@ -471,13 +424,6 @@ func (v *View) Node(idx uint16) (Node, error) {
 	}, nil
 }
 
-// pagePrefetcher is the optional extension a pager can implement to accept
-// prefetch hints (engine's prefetch-enabled op pagers do). Hints are
-// background pool fills: they never touch the issuing operation's counters.
-type pagePrefetcher interface {
-	Prefetch(disk.PageID)
-}
-
 // Walker navigates the tree during one logical operation (one query), caching
 // every page it has loaded so far. This models the standard working-memory
 // assumption of the I/O model: a query holds the O(log_B n) pages of its
@@ -493,7 +439,6 @@ type Walker struct {
 	t     *Tree
 	p     disk.Pager
 	views []walkView
-	pf    pagePrefetcher
 }
 
 // walkView is one loaded page and the pooled buffer that holds it.
@@ -516,7 +461,6 @@ func (t *Tree) NewWalker() *Walker {
 func (w *Walker) Reset(t *Tree, p disk.Pager) {
 	w.Release()
 	w.t, w.p = t, p
-	w.pf, _ = p.(pagePrefetcher)
 }
 
 // Release returns every loaded page buffer to the pool and empties the
@@ -528,7 +472,7 @@ func (w *Walker) Release() {
 		w.views[i] = walkView{}
 	}
 	w.views = w.views[:0]
-	w.t, w.p, w.pf = nil, nil, nil
+	w.t, w.p = nil, nil
 }
 
 // view returns the view of page id, reading the page on first use. The
@@ -551,10 +495,7 @@ func (w *Walker) view(id disk.PageID) (*View, error) {
 }
 
 // Node loads the node addressed by ref, reading its page only if this walker
-// has not seen it yet. When the pager accepts prefetch hints, the node's
-// external children are enqueued as soon as the node is decoded, so the pool
-// warms the next level of the path while the caller is still deciding which
-// way to descend.
+// has not seen it yet.
 func (w *Walker) Node(ref NodeRef) (Node, error) {
 	if !ref.Valid() {
 		return Node{}, errors.New("skeletal: walk to nil reference")
@@ -563,19 +504,7 @@ func (w *Walker) Node(ref NodeRef) (Node, error) {
 	if err != nil {
 		return Node{}, err
 	}
-	n, err := v.Node(ref.Idx)
-	if err != nil {
-		return Node{}, err
-	}
-	if w.pf != nil {
-		if n.Left.Valid() && n.Left.Page != ref.Page {
-			w.pf.Prefetch(n.Left.Page)
-		}
-		if n.Right.Valid() && n.Right.Page != ref.Page {
-			w.pf.Prefetch(n.Right.Page)
-		}
-	}
-	return n, nil
+	return v.Node(ref.Idx)
 }
 
 // PagesLoaded reports how many distinct pages the walker has read.

@@ -72,9 +72,6 @@ func (si *StabbingIndex) Kind() string { return si.ix.Kind() }
 // Shape reports ShapeStab.
 func (si *StabbingIndex) Shape() Shape { return shapeOf(kindStabbing, 0) }
 
-// Layout reports the in-page layout of the underlying 2-sided engine.
-func (si *StabbingIndex) Layout() Layout { return si.ix.Layout() }
-
 // Pages reports the storage footprint in pages.
 func (si *StabbingIndex) Pages() int { return si.ix.Pages() }
 
@@ -150,7 +147,7 @@ func NewSegmentIndex(ivs []Interval, cached bool, opts *Options) (*SegmentIndex,
 	var idx *extseg.Tree
 	err = c.recordBuild(engine.KindName(kindSegment), func() (int, error) {
 		var err error
-		if idx, err = extseg.BuildLayout(c.be.Pager(), toRecIntervals(ivs), v, c.layout); err != nil {
+		if idx, err = extseg.Build(c.be.Pager(), toRecIntervals(ivs), v); err != nil {
 			return 0, fmt.Errorf("pathcache: %w", err)
 		}
 		return idx.Len(), c.be.SaveMeta(kindSegment, idx.Meta().Encode())
@@ -191,9 +188,6 @@ func (ix *SegmentIndex) Kind() string { return engine.KindName(kindSegment) }
 // Shape reports ShapeStab.
 func (ix *SegmentIndex) Shape() Shape { return shapeOf(kindSegment, 0) }
 
-// Layout reports the in-page layout of the persisted structure.
-func (ix *SegmentIndex) Layout() Layout { return Layout(ix.idx.Layout()) }
-
 // Pages reports the storage footprint in pages.
 func (ix *SegmentIndex) Pages() int { return ix.idx.TotalPages() }
 
@@ -218,7 +212,7 @@ func NewIntervalIndex(ivs []Interval, cached bool, opts *Options) (*IntervalInde
 	var idx *extint.Tree
 	err = c.recordBuild(engine.KindName(kindInterval), func() (int, error) {
 		var err error
-		if idx, err = extint.BuildLayout(c.be.Pager(), toRecIntervals(ivs), v, c.layout); err != nil {
+		if idx, err = extint.Build(c.be.Pager(), toRecIntervals(ivs), v); err != nil {
 			return 0, fmt.Errorf("pathcache: %w", err)
 		}
 		return idx.Len(), c.be.SaveMeta(kindInterval, idx.Meta().Encode())
@@ -258,9 +252,6 @@ func (ix *IntervalIndex) Kind() string { return engine.KindName(kindInterval) }
 
 // Shape reports ShapeStab.
 func (ix *IntervalIndex) Shape() Shape { return shapeOf(kindInterval, 0) }
-
-// Layout reports the in-page layout of the persisted structure.
-func (ix *IntervalIndex) Layout() Layout { return Layout(ix.idx.Layout()) }
 
 // Pages reports the storage footprint in pages.
 func (ix *IntervalIndex) Pages() int { return ix.idx.TotalPages() }

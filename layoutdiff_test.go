@@ -8,13 +8,14 @@ import (
 	"testing"
 )
 
-// Cross-layout differential battery: every persisted static kind is built
-// twice over the same dataset — once per page layout — and driven through an
-// identical randomized query stream. Both builds must return byte-identical
-// results AND touch exactly the same number of pages per operation
-// (Reads+CacheHits; without a pool CacheHits is zero, and prefetch only
-// shifts reads into hits, never changes the sum). The layout is a physical
-// in-page encoding, so any divergence — in results or in I/O — is a bug.
+// Store-configuration differential battery: every persisted static kind is
+// built as a cold reference (no buffer pool) and once per configuration
+// below over the same dataset, and every build is driven through an
+// identical randomized query stream. Each configuration must return
+// byte-identical results AND touch exactly the same number of pages per
+// operation (Reads+CacheHits) as the reference: a build is a pure function
+// of its input, and a pool only moves reads into hits. Any divergence — in
+// results or in I/O — is a bug.
 //
 // Failures shrink by halving the op count while the divergence persists
 // (runs are deterministic in (ops, seed)) and print a one-line reproducer:
@@ -36,42 +37,37 @@ func layoutDiffSeeds(t *testing.T) []int64 {
 	return []int64{201, 202}
 }
 
-// layoutDiffConfig is one store configuration the battery runs both layouts
-// under. The prefetching config also exercises the async pipeline: the
-// Reads+CacheHits sum must stay identical even though the split moves.
+// layoutDiffConfig is one store configuration compared against the cold
+// reference. The cold one rebuilds the reference, so it pins that answers
+// and touched pages repeat exactly from build to build; the pooled one
+// interposes a buffer pool, which moves the Reads/CacheHits split but must
+// leave their sum unchanged.
 type layoutDiffConfig struct {
-	name     string
-	pool     int
-	prefetch int
+	name string
+	pool int
 }
 
 func layoutDiffConfigs() []layoutDiffConfig {
 	return []layoutDiffConfig{
-		{name: "cold", pool: 0, prefetch: 0},
-		{name: "pool", pool: 16, prefetch: 0},
-		{name: "pool+prefetch", pool: 16, prefetch: 2},
+		{name: "cold"},
+		{name: "pool", pool: 16},
 	}
 }
 
-func layoutDiffOpts(layout Layout, cfg layoutDiffConfig) *Options {
-	return &Options{
-		PageSize:        512,
-		BufferPoolPages: cfg.pool,
-		Layout:          layout,
-		PrefetchWorkers: cfg.prefetch,
-	}
+func layoutDiffOpts(cfg layoutDiffConfig) *Options {
+	return &Options{PageSize: 512, BufferPoolPages: cfg.pool}
 }
 
-// layoutKindDriver builds one kind under a layout/config and answers one
-// query of the stream, returning a canonical result string plus the op's
+// layoutKindDriver builds one kind under a config and answers one query of
+// the stream, returning a canonical result string plus the op's
 // touched-page count (Reads+CacheHits).
 type layoutKindDriver struct {
 	name  string
-	build func(rng *rand.Rand, n int, layout Layout, cfg layoutDiffConfig) (layoutProbe, error)
+	build func(rng *rand.Rand, n int, cfg layoutDiffConfig) (layoutProbe, error)
 }
 
-// layoutProbe runs queries against one built index. Both layout instances of
-// a kind receive the same query parameters, so probe implementations must
+// layoutProbe runs queries against one built index. Every instance of a
+// kind receives the same query parameters, so probe implementations must
 // derive nothing from per-instance randomness.
 type layoutProbe interface {
 	query(q [4]int64) (string, int64, error)
@@ -176,70 +172,70 @@ func layoutDiffIntervals(rng *rand.Rand, n int) []Interval {
 
 func layoutDiffDrivers() []layoutKindDriver {
 	return []layoutKindDriver{
-		{name: "twosided", build: func(rng *rand.Rand, n int, l Layout, cfg layoutDiffConfig) (layoutProbe, error) {
-			ix, err := NewTwoSidedIndex(layoutDiffPoints(rng, n), SchemeSegmented, layoutDiffOpts(l, cfg))
+		{name: "twosided", build: func(rng *rand.Rand, n int, cfg layoutDiffConfig) (layoutProbe, error) {
+			ix, err := NewTwoSidedIndex(layoutDiffPoints(rng, n), SchemeSegmented, layoutDiffOpts(cfg))
 			return pointProbe{kind: "twosided", two: ix}, err
 		}},
-		{name: "threeside", build: func(rng *rand.Rand, n int, l Layout, cfg layoutDiffConfig) (layoutProbe, error) {
-			ix, err := NewThreeSidedIndex(layoutDiffPoints(rng, n), layoutDiffOpts(l, cfg))
+		{name: "threeside", build: func(rng *rand.Rand, n int, cfg layoutDiffConfig) (layoutProbe, error) {
+			ix, err := NewThreeSidedIndex(layoutDiffPoints(rng, n), layoutDiffOpts(cfg))
 			return pointProbe{kind: "threeside", thr: ix}, err
 		}},
-		{name: "window", build: func(rng *rand.Rand, n int, l Layout, cfg layoutDiffConfig) (layoutProbe, error) {
-			ix, err := NewWindowIndex(layoutDiffPoints(rng, n), layoutDiffOpts(l, cfg))
+		{name: "window", build: func(rng *rand.Rand, n int, cfg layoutDiffConfig) (layoutProbe, error) {
+			ix, err := NewWindowIndex(layoutDiffPoints(rng, n), layoutDiffOpts(cfg))
 			return pointProbe{kind: "window", win: ix}, err
 		}},
-		{name: "segment", build: func(rng *rand.Rand, n int, l Layout, cfg layoutDiffConfig) (layoutProbe, error) {
-			ix, err := NewSegmentIndex(layoutDiffIntervals(rng, n), true, layoutDiffOpts(l, cfg))
+		{name: "segment", build: func(rng *rand.Rand, n int, cfg layoutDiffConfig) (layoutProbe, error) {
+			ix, err := NewSegmentIndex(layoutDiffIntervals(rng, n), true, layoutDiffOpts(cfg))
 			return stabProbe{kind: "segment", seg: ix}, err
 		}},
-		{name: "interval", build: func(rng *rand.Rand, n int, l Layout, cfg layoutDiffConfig) (layoutProbe, error) {
-			ix, err := NewIntervalIndex(layoutDiffIntervals(rng, n), true, layoutDiffOpts(l, cfg))
+		{name: "interval", build: func(rng *rand.Rand, n int, cfg layoutDiffConfig) (layoutProbe, error) {
+			ix, err := NewIntervalIndex(layoutDiffIntervals(rng, n), true, layoutDiffOpts(cfg))
 			return stabProbe{kind: "interval", itv: ix}, err
 		}},
-		{name: "stabbing", build: func(rng *rand.Rand, n int, l Layout, cfg layoutDiffConfig) (layoutProbe, error) {
-			ix, err := NewStabbingIndex(layoutDiffIntervals(rng, n), SchemeSegmented, layoutDiffOpts(l, cfg))
+		{name: "stabbing", build: func(rng *rand.Rand, n int, cfg layoutDiffConfig) (layoutProbe, error) {
+			ix, err := NewStabbingIndex(layoutDiffIntervals(rng, n), SchemeSegmented, layoutDiffOpts(cfg))
 			return stabProbe{kind: "stabbing", stb: ix}, err
 		}},
 	}
 }
 
-// runLayoutDifferential builds the kind under both layouts from the same
-// seeded dataset and compares every query of the stream. The dataset and the
-// query stream come from two independent rngs so a shrink over ops keeps the
-// dataset fixed.
+// runLayoutDifferential builds the kind as the cold reference and under cfg
+// from the same seeded dataset and compares every query of the stream. The
+// dataset and the query stream come from two independent rngs so a shrink
+// over ops keeps the dataset fixed.
 func runLayoutDifferential(driver layoutKindDriver, cfg layoutDiffConfig, ops int, seed int64) error {
 	const n = 600
-	build := func(l Layout) (layoutProbe, error) {
-		// Same seed per layout so both instances index identical data.
-		return driver.build(rand.New(rand.NewSource(seed)), n, l, cfg)
+	build := func(cfg layoutDiffConfig) (layoutProbe, error) {
+		// Same seed per build so every instance indexes identical data.
+		return driver.build(rand.New(rand.NewSource(seed)), n, cfg)
 	}
-	sorted, err := build(LayoutSorted)
+	ref, err := build(layoutDiffConfig{})
 	if err != nil {
-		return fmt.Errorf("build sorted: %w", err)
+		return fmt.Errorf("build reference: %w", err)
 	}
-	defer sorted.close()
-	eytz, err := build(LayoutEytzinger)
+	defer ref.close()
+	got, err := build(cfg)
 	if err != nil {
-		return fmt.Errorf("build eytzinger: %w", err)
+		return fmt.Errorf("build %s: %w", cfg.name, err)
 	}
-	defer eytz.close()
+	defer got.close()
 
 	qrng := rand.New(rand.NewSource(seed ^ 0x5eed))
 	for op := 0; op < ops; op++ {
 		q := [4]int64{qrng.Int63n(2400), qrng.Int63n(2400), qrng.Int63n(2400), qrng.Int63n(2400)}
-		sRes, sIO, err := sorted.query(q)
+		rRes, rIO, err := ref.query(q)
 		if err != nil {
-			return fmt.Errorf("op %d sorted query %v: %w", op, q, err)
+			return fmt.Errorf("op %d reference query %v: %w", op, q, err)
 		}
-		eRes, eIO, err := eytz.query(q)
+		gRes, gIO, err := got.query(q)
 		if err != nil {
-			return fmt.Errorf("op %d eytzinger query %v: %w", op, q, err)
+			return fmt.Errorf("op %d %s query %v: %w", op, cfg.name, q, err)
 		}
-		if sRes != eRes {
-			return fmt.Errorf("op %d query %v: results diverge across layouts\nsorted:    %s\neytzinger: %s", op, q, sRes, eRes)
+		if rRes != gRes {
+			return fmt.Errorf("op %d query %v: results diverge\nreference: %s\n%s: %s", op, q, rRes, cfg.name, gRes)
 		}
-		if sIO != eIO {
-			return fmt.Errorf("op %d query %v: touched-page counts diverge: sorted %d, eytzinger %d (Reads+CacheHits must be layout-invariant)", op, q, sIO, eIO)
+		if rIO != gIO {
+			return fmt.Errorf("op %d query %v: touched-page counts diverge: reference %d, %s %d (Reads+CacheHits must not depend on the store configuration)", op, q, rIO, cfg.name, gIO)
 		}
 	}
 	return nil
@@ -255,7 +251,7 @@ func shrinkLayoutDiff(t *testing.T, driver layoutKindDriver, cfg layoutDiffConfi
 		err = rerr
 	}
 	return fmt.Sprintf(
-		"%s/%s diverges across layouts at ops=%d seed=%d\n"+
+		"%s/%s diverges from the cold reference at ops=%d seed=%d\n"+
 			"reproduce: PC_LAYOUTDIFF_SEED=%d go test -run 'TestLayoutDifferential/%s/%s'\nerror: %v",
 		driver.name, cfg.name, ops, seed, seed, driver.name, cfg.name, err)
 }
@@ -282,46 +278,44 @@ func TestLayoutDifferential(t *testing.T) {
 	}
 }
 
-// TestLayoutBatchDifferential drives the concurrent batch path under both
-// layouts: worker goroutines share the sharded buffer pool and the
-// prefetcher, so -race exercises the full async pipeline, and the merged
-// results must agree exactly.
+// TestLayoutBatchDifferential drives the concurrent batch path over a
+// shared buffer pool: the workers share the sharded pool, so -race
+// exercises its latches, and every answer must match a cold build's serial
+// query exactly.
 func TestLayoutBatchDifferential(t *testing.T) {
 	for _, seed := range layoutDiffSeeds(t) {
 		seed := seed
 		t.Run(strconv.FormatInt(seed, 10), func(t *testing.T) {
 			t.Parallel()
-			cfg := layoutDiffConfig{pool: 32, prefetch: 2}
-			build := func(l Layout) *TwoSidedIndex {
+			build := func(cfg layoutDiffConfig) *TwoSidedIndex {
 				rng := rand.New(rand.NewSource(seed))
-				ix, err := NewTwoSidedIndex(layoutDiffPoints(rng, 800), SchemeSegmented, layoutDiffOpts(l, cfg))
+				ix, err := NewTwoSidedIndex(layoutDiffPoints(rng, 800), SchemeSegmented, layoutDiffOpts(cfg))
 				if err != nil {
 					t.Fatal(err)
 				}
 				return ix
 			}
-			sorted := build(LayoutSorted)
-			defer sorted.Close()
-			eytz := build(LayoutEytzinger)
-			defer eytz.Close()
+			cold := build(layoutDiffConfig{})
+			defer cold.Close()
+			pooled := build(layoutDiffConfig{pool: 32})
+			defer pooled.Close()
 
 			qrng := rand.New(rand.NewSource(seed ^ 0xba7c4))
 			qs := make([]TwoSidedQuery, 64)
 			for i := range qs {
 				qs[i] = TwoSidedQuery{A: qrng.Int63n(2400), B: qrng.Int63n(2400)}
 			}
-			sRes, _, err := sorted.QueryBatch(qs, 4)
+			got, _, err := pooled.QueryBatch(qs, 4)
 			if err != nil {
-				t.Fatalf("sorted batch: %v", err)
+				t.Fatalf("pooled batch: %v", err)
 			}
-			eRes, _, err := eytz.QueryBatch(qs, 4)
-			if err != nil {
-				t.Fatalf("eytzinger batch: %v", err)
-			}
-			for i := range qs {
-				if fmt.Sprint(sRes[i]) != fmt.Sprint(eRes[i]) {
-					t.Fatalf("batch query %d (%+v): results diverge across layouts\nsorted:    %v\neytzinger: %v",
-						i, qs[i], sRes[i], eRes[i])
+			for i, q := range qs {
+				want, _, err := cold.Query(q.A, q.B)
+				if err != nil {
+					t.Fatalf("cold query %d: %v", i, err)
+				}
+				if fmt.Sprint(want) != fmt.Sprint(got[i]) {
+					t.Fatalf("batch query %d (%+v): results diverge\ncold:   %v\npooled: %v", i, q, want, got[i])
 				}
 			}
 		})

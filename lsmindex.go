@@ -87,12 +87,11 @@ func lsmBaseFor(name string) (lsm.Base, error) {
 // lsmConfig wires a tree to a backend: all I/O through the backend's pager,
 // WAL durability through its sync barrier, manifest commits through the
 // metadata-page flip.
-func lsmConfig(be *engine.Backend, base lsm.Base, flushEvery int, layout disk.Layout) lsm.Config {
+func lsmConfig(be *engine.Backend, base lsm.Base, flushEvery int) lsm.Config {
 	return lsm.Config{
 		Pager:      be.Pager(),
 		Base:       base,
 		FlushEvery: flushEvery,
-		Layout:     layout,
 		Sync:       be.Sync,
 		Commit: func(blob []byte) error {
 			return be.ReplaceMeta(kindLSM, blob)
@@ -121,7 +120,7 @@ func BuildDynamic(base string, pts []Point, opts *Options) (*LSMIndex, error) {
 	var tr *lsm.Tree
 	err = c.recordBuild(lsmKindName, func() (int, error) {
 		var err error
-		if tr, err = lsm.New(lsmConfig(c.be, b, flushEvery, c.layout)); err != nil {
+		if tr, err = lsm.New(lsmConfig(c.be, b, flushEvery)); err != nil {
 			return 0, err
 		}
 		for _, p := range pts {
@@ -162,7 +161,7 @@ func openLSM(be *engine.Backend, blob []byte) (any, error) {
 	if err != nil {
 		return nil, fmt.Errorf("pathcache: %w", err)
 	}
-	tr, err := lsm.Open(lsmConfig(be, base, 0, disk.LayoutSorted), blob)
+	tr, err := lsm.Open(lsmConfig(be, base, 0), blob)
 	if err != nil {
 		return nil, fmt.Errorf("pathcache: %w", err)
 	}

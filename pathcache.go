@@ -51,24 +51,6 @@ type Interval struct {
 	ID     uint64
 }
 
-// Layout selects the physical ordering of entries within index pages. The
-// choice is recorded in every page header and in the index metadata, so
-// reopen paths self-dispatch; both layouts touch exactly the same pages per
-// operation (identical I/O counts), they differ only in CPU cost per page.
-type Layout uint8
-
-// Layouts.
-const (
-	// LayoutSorted stores page entries in key order and binary-searches
-	// them. The default, and the only layout prior formats used.
-	LayoutSorted Layout = Layout(disk.LayoutSorted)
-	// LayoutEytzinger stores page entries in implicit-binary-tree (BFS)
-	// order, enabling a branchless cache-friendly in-page search.
-	LayoutEytzinger Layout = Layout(disk.LayoutEytzinger)
-)
-
-func (l Layout) String() string { return disk.Layout(l).String() }
-
 // Options configures the disk behind an index. Invalid values (a negative
 // PageSize or BufferPoolPages, or a PageSize below the store's minimum) are
 // rejected with an error by every constructor.
@@ -87,23 +69,6 @@ type Options struct {
 	// in-memory simulator. Static indexes built this way persist: reopen
 	// them with the matching Open function. Call Close when done.
 	Path string
-
-	// Layout selects the in-page entry layout new indexes are built with
-	// (LayoutSorted by default). Reopened indexes ignore it: they dispatch
-	// on the layout recorded in their pages and metadata.
-	Layout Layout
-
-	// PrefetchWorkers, when positive, starts that many background page
-	// prefetchers that warm the buffer pool along predicted search paths.
-	// Requires BufferPoolPages > 0 (prefetch warms the pool; without one
-	// there is nothing to warm, and constructors reject the combination).
-	// Prefetch never changes which pages an operation touches — per-op
-	// counters attribute a prefetched page as a cache hit instead of a
-	// read, so Reads+CacheHits is invariant under prefetching.
-	PrefetchWorkers int
-	// PrefetchDepth bounds the pending prefetch-hint queue (default 64).
-	// Hints beyond the bound are dropped, never executed inline.
-	PrefetchDepth int
 
 	// MemtableEntries is the dynamic write tier's flush threshold: a
 	// BuildDynamic index seals its memtable into a static level every this
@@ -201,14 +166,10 @@ type IOProfile struct {
 // what is specific to their structure.
 type core struct {
 	be *engine.Backend
-	// layout is the page layout new structures on this store are built
-	// with; reopen paths ignore it and dispatch on persisted metadata.
-	layout disk.Layout
 }
 
 func newCore(opts *Options) (core, error) {
 	var cfg engine.Config
-	var layout disk.Layout
 	if opts != nil {
 		cfg = engine.Config{
 			PageSize:        opts.PageSize,
@@ -219,22 +180,16 @@ func newCore(opts *Options) (core, error) {
 			StrictBounds:    opts.StrictBounds,
 			BoundMaxRatio:   opts.BoundMaxRatio,
 			BoundSlack:      opts.BoundSlack,
-			PrefetchWorkers: opts.PrefetchWorkers,
-			PrefetchDepth:   opts.PrefetchDepth,
 		}
 		if opts.Tracer != nil {
 			cfg.Tracer = tracerAdapter{t: opts.Tracer}
-		}
-		layout = disk.Layout(opts.Layout)
-		if !layout.Valid() {
-			return core{}, fmt.Errorf("pathcache: invalid layout %d", opts.Layout)
 		}
 	}
 	be, err := engine.New(cfg)
 	if err != nil {
 		return core{}, fmt.Errorf("pathcache: %w", err)
 	}
-	return core{be: be, layout: layout}, nil
+	return core{be: be}, nil
 }
 
 // backend exposes the engine backend to in-package composites: the sharded

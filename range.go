@@ -22,15 +22,12 @@ func NewRangeIndex(opts *Options) (*RangeIndex, error) {
 	if err != nil {
 		return nil, err
 	}
-	idx, err := btree.NewLayout(c.be.Pager(), c.layout)
+	idx, err := btree.New(c.be.Pager())
 	if err != nil {
 		return nil, fmt.Errorf("pathcache: %w", err)
 	}
 	return &RangeIndex{core: c, idx: idx}, nil
 }
-
-// Layout reports the page layout the tree was created with.
-func (ix *RangeIndex) Layout() Layout { return Layout(ix.idx.Layout()) }
 
 // Insert adds a (key, value) pair. The pair must be unique.
 func (ix *RangeIndex) Insert(key int64, val uint64) error {

@@ -26,7 +26,7 @@ func NewThreeSidedIndex(pts []Point, opts *Options) (*ThreeSidedIndex, error) {
 	var idx *ext3side.Tree
 	err = c.recordBuild(engine.KindName(kindThreeSide), func() (int, error) {
 		var err error
-		if idx, err = ext3side.BuildLayout(c.be.Pager(), toRecPoints(pts), c.layout); err != nil {
+		if idx, err = ext3side.Build(c.be.Pager(), toRecPoints(pts)); err != nil {
 			return 0, fmt.Errorf("pathcache: %w", err)
 		}
 		return idx.Len(), c.be.SaveMeta(kindThreeSide, idx.Meta().Encode())
@@ -66,9 +66,6 @@ func (ix *ThreeSidedIndex) Kind() string { return engine.KindName(kindThreeSide)
 
 // Shape reports ShapeThreeSided.
 func (ix *ThreeSidedIndex) Shape() Shape { return shapeOf(kindThreeSide, 0) }
-
-// Layout reports the in-page layout of the persisted structure.
-func (ix *ThreeSidedIndex) Layout() Layout { return Layout(ix.idx.Layout()) }
 
 // Pages reports the storage footprint in pages.
 func (ix *ThreeSidedIndex) Pages() int { return ix.idx.TotalPages() }

@@ -96,7 +96,7 @@ func newTwoSidedIndex(pts []Point, scheme Scheme, opts *Options, kind byte) (*Tw
 		case SchemeMultilevel:
 			idx, err = extpst.BuildMultilevel(c.be.Pager(), rec)
 		default:
-			idx, err = extpst.BuildLayout(c.be.Pager(), rec, sc, c.layout)
+			idx, err = extpst.Build(c.be.Pager(), rec, sc)
 		}
 		if err != nil {
 			return 0, fmt.Errorf("pathcache: %w", err)
@@ -166,16 +166,6 @@ func (ix *TwoSidedIndex) Len() int { return ix.idx.Len() }
 
 // Scheme reports which construction the index uses.
 func (ix *TwoSidedIndex) Scheme() Scheme { return ix.scheme }
-
-// Layout reports the in-page layout of the persisted structure. The
-// recursive schemes (two-level, multilevel) keep in-memory tables over
-// sorted pages and always report LayoutSorted.
-func (ix *TwoSidedIndex) Layout() Layout {
-	if l, ok := ix.idx.(interface{ Layout() disk.Layout }); ok {
-		return Layout(l.Layout())
-	}
-	return LayoutSorted
-}
 
 // Kind reports the index's registry name.
 func (ix *TwoSidedIndex) Kind() string { return engine.KindName(ix.kind) }

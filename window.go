@@ -29,7 +29,7 @@ func NewWindowIndex(pts []Point, opts *Options) (*WindowIndex, error) {
 	var idx *extwindow.Tree
 	err = c.recordBuild(engine.KindName(kindWindow), func() (int, error) {
 		var err error
-		if idx, err = extwindow.BuildLayout(c.be.Pager(), toRecPoints(pts), c.layout); err != nil {
+		if idx, err = extwindow.Build(c.be.Pager(), toRecPoints(pts)); err != nil {
 			return 0, fmt.Errorf("pathcache: %w", err)
 		}
 		return idx.Len(), c.be.SaveMeta(kindWindow, idx.Meta().Encode())
@@ -69,9 +69,6 @@ func (ix *WindowIndex) Kind() string { return engine.KindName(kindWindow) }
 
 // Shape reports ShapeWindow.
 func (ix *WindowIndex) Shape() Shape { return shapeOf(kindWindow, 0) }
-
-// Layout reports the in-page layout of the persisted structure.
-func (ix *WindowIndex) Layout() Layout { return Layout(ix.idx.Layout()) }
 
 // Pages reports the storage footprint in pages.
 func (ix *WindowIndex) Pages() int { return ix.idx.TotalPages() }
