@@ -1,6 +1,7 @@
 package pathcache
 
 import (
+	"io"
 	"math/rand"
 	"path/filepath"
 	"runtime"
@@ -9,50 +10,158 @@ import (
 	"pathcache/internal/race"
 )
 
-// TestTwoSidedQueryAllocs caps the allocations of one 2-sided query on a
-// reopened file-backed store of 200,000 uniform points, at the served
-// benchmark's answer size of about 20 points. The walker's views, the
-// descent path, the result accumulator and every page buffer come from
-// pools, so what remains is the op record, its counted pager view and the
-// answer itself.
-func TestTwoSidedQueryAllocs(t *testing.T) {
+// allocCase is one shape's row of TestQueryAllocs: open builds a
+// file-backed index under dir, closes and reopens it, and returns its i-th
+// query, which reports the answer size.
+type allocCase struct {
+	name   string
+	budget float64 // allocs per query
+	open   func(t *testing.T, dir string) func(i int) (int, error)
+}
+
+// TestQueryAllocs caps the allocations of one serial query per shape on a
+// reopened file-backed store with 4 KiB pages, at answer sizes of about
+// 1 to 20 records. The walker's page buffers, the 2-sided scratch and every
+// chain page come from pools, so what remains is the op recorder, its
+// counted pager view, the walker's view slice and the growing answer.
+// The test logs each count (Go 1.24, linux/amd64): twosided 3, threesided
+// 12, window 15, segment 14, interval 15, stabbing 4, range 3. Twosided
+// keeps its budget of 6; every other budget is one above its count.
+func TestQueryAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector drops sync.Pool items and allocates")
 	}
-	const n, span = 200_000, int64(1) << 30
-	rng := rand.New(rand.NewSource(1))
-	pts := make([]Point, n)
-	for i := range pts {
-		pts[i] = Point{X: rng.Int63n(span), Y: rng.Int63n(span), ID: uint64(i)}
+	const span = int64(1) << 30
+	points := func(n int) []Point {
+		rng := rand.New(rand.NewSource(1))
+		pts := make([]Point, n)
+		for i := range pts {
+			pts[i] = Point{X: rng.Int63n(span), Y: rng.Int63n(span), ID: uint64(i)}
+		}
+		return pts
 	}
-	path := filepath.Join(t.TempDir(), "twosided.pc")
-	built, err := NewTwoSidedIndex(pts, SchemeSegmented, &Options{Path: path})
+	// Intervals of mean length span/10,000 over 100,000 records: a stab
+	// hits about 10.
+	intervals := func() []Interval { return uniformIntervals(100_000, span, span/5_000, 1) }
+	// stab rotates the stabbing point over the span.
+	stab := func(i int) int64 { return span / 101 * int64(1+i%97) }
+	d := span / 100
+	cases := []allocCase{
+		// Corners (span - d·f/3, span - d·3/f) cover about 20 of 200,000
+		// points.
+		{"twosided", 6, func(t *testing.T, dir string) func(int) (int, error) {
+			ix := reopen(t, dir, func(o *Options) (io.Closer, error) { return NewTwoSidedIndex(points(200_000), SchemeSegmented, o) },
+				OpenTwoSidedIndex)
+			return func(i int) (int, error) {
+				f := int64(1 + i%9)
+				pts, _, err := ix.Query(span-d*f/3, span-d*3/f)
+				return len(pts), err
+			}
+		}},
+		// A 1% x-slab above the top 2% of y: about 20 points.
+		{"threesided", 13, func(t *testing.T, dir string) func(int) (int, error) {
+			ix := reopen(t, dir, func(o *Options) (io.Closer, error) { return NewThreeSidedIndex(points(100_000), o) },
+				OpenThreeSidedIndex)
+			return func(i int) (int, error) {
+				a1 := d * int64(i%97)
+				pts, _, err := ix.QueryThreeSided(a1, a1+d, span-2*d)
+				return len(pts), err
+			}
+		}},
+		// A 1% × 2% window: about 20 points.
+		{"window", 16, func(t *testing.T, dir string) func(int) (int, error) {
+			ix := reopen(t, dir, func(o *Options) (io.Closer, error) { return NewWindowIndex(points(100_000), o) },
+				OpenWindowIndex)
+			return func(i int) (int, error) {
+				x1, y1 := d*int64(i%97), d*int64((i*7)%97)
+				pts, _, err := ix.WindowQuery(x1, x1+d, y1, y1+2*d)
+				return len(pts), err
+			}
+		}},
+		{"segment", 15, func(t *testing.T, dir string) func(int) (int, error) {
+			ix := reopen(t, dir, func(o *Options) (io.Closer, error) { return NewSegmentIndex(intervals(), true, o) },
+				OpenSegmentIndex)
+			return func(i int) (int, error) {
+				ivs, _, err := ix.Stab(stab(i))
+				return len(ivs), err
+			}
+		}},
+		{"interval", 16, func(t *testing.T, dir string) func(int) (int, error) {
+			ix := reopen(t, dir, func(o *Options) (io.Closer, error) { return NewIntervalIndex(intervals(), true, o) },
+				OpenIntervalIndex)
+			return func(i int) (int, error) {
+				ivs, _, err := ix.Stab(stab(i))
+				return len(ivs), err
+			}
+		}},
+		{"stabbing", 5, func(t *testing.T, dir string) func(int) (int, error) {
+			ix := reopen(t, dir, func(o *Options) (io.Closer, error) { return NewStabbingIndex(intervals(), SchemeSegmented, o) },
+				OpenStabbingIndex)
+			return func(i int) (int, error) {
+				ivs, _, err := ix.Stab(stab(i))
+				return len(ivs), err
+			}
+		}},
+		// One value per key; RangeIndex has no reopen, so it is queried
+		// as built.
+		{"range", 4, func(t *testing.T, dir string) func(int) (int, error) {
+			ix, err := NewRangeIndex(&Options{Path: filepath.Join(dir, "range.pc")})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { ix.Close() })
+			keys := points(100_000)
+			for _, p := range keys {
+				if err := ix.Insert(p.X, p.ID); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return func(i int) (int, error) {
+				vals, err := ix.Search(keys[(i*7919)%len(keys)].X)
+				return len(vals), err
+			}
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			query := c.open(t, t.TempDir())
+			i, results := 0, 0
+			run := func() {
+				n, err := query(i)
+				if err != nil {
+					t.Fatal(err)
+				}
+				i++
+				results += n
+			}
+			run()
+			got := testing.AllocsPerRun(500, run)
+			t.Logf("%s: %.1f allocs per query, %.1f results per query", c.name, got, float64(results)/float64(i))
+			if got > c.budget {
+				t.Fatalf("%s: %.1f allocs per query, want <= %.0f", c.name, got, c.budget)
+			}
+		})
+	}
+}
+
+// reopen builds an index with build into a file under dir, closes it, and
+// reopens it with open; the reopened index closes at cleanup.
+func reopen[I io.Closer](t *testing.T, dir string, build func(*Options) (io.Closer, error), open func(string) (I, error)) I {
+	t.Helper()
+	path := filepath.Join(dir, "index.pc")
+	built, err := build(&Options{Path: path})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := built.Close(); err != nil {
 		t.Fatal(err)
 	}
-	ix, err := OpenTwoSidedIndex(path)
+	ix, err := open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ix.Close()
-
-	// Corners (span - d·f/3, span - d·3/f) cover about 20 of the points.
-	d := span / 100
-	i := 0
-	query := func() {
-		f := int64(1 + i%9)
-		i++
-		if _, _, err := ix.Query(span-d*f/3, span-d*3/f); err != nil {
-			t.Fatal(err)
-		}
-	}
-	query()
-	if got := testing.AllocsPerRun(500, query); got > 6 {
-		t.Fatalf("TwoSidedIndex.Query: %.1f allocs per query, want <= 6", got)
-	}
+	t.Cleanup(func() { ix.Close() })
+	return ix
 }
 
 // buildAllocBudget is what a 100,000-point Segmented build allocated with

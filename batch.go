@@ -4,10 +4,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-
-	"pathcache/internal/disk"
-	"pathcache/internal/engine"
-	"pathcache/internal/obs"
 )
 
 // This file is the parallel batch-query engine: every static (read-only)
@@ -71,72 +67,54 @@ func batchWorkers(n, workers int) int {
 	return workers
 }
 
-// runBatch executes n queries across the given number of workers. newRun is
-// called once per worker with that worker's counted pager and returns the
-// function answering query i through it; the returned function reports the
-// result count for i and must write its answer to a caller-owned slot
-// (disjoint per i, so no synchronization is needed). The first error by
-// query order aborts the batch's remaining work on that worker; other
-// workers finish their partitions.
-//
-// Every query is additionally recorded as one metric op tagged with its
-// worker — counter deltas around the query give exact per-op I/O without a
-// second counting layer — and checked against the kind's theorem bound
-// (idxLen records through a bound-declaring kind; bound may be nil). With
-// strict bounds armed a breach aborts the worker like a query error.
-func runBatch(be *engine.Backend, kindName, opName string, idxLen, n, workers int, bound obs.BoundFunc, newRun func(p disk.Pager) func(i int) (int, error)) (BatchStats, error) {
+// batch answers every query in qs with run across up to workers
+// goroutines; out[i] holds the answer to qs[i]. Each worker records its
+// queries through its own recorder, tagged with its worker number, so
+// every query is one metric op with exact I/O, checked against spec's
+// bound. The first error by query order — a query's own or, with strict
+// bounds armed, a breach — aborts the rest of that worker's partition;
+// other workers finish theirs.
+func batch[Q, R any](c core, spec opSpec, qs []Q, workers int, run queryFunc[Q, R]) ([][]R, BatchStats, error) {
+	n := len(qs)
+	out := make([][]R, n)
 	workers = batchWorkers(n, workers)
 	st := BatchStats{
 		Workers:   workers,
 		Queries:   n,
 		PerWorker: make([]WorkerBatchStats, workers),
 	}
-	counters := make([]disk.Counter, workers)
-	pageSize := be.Pager().PageSize()
-
+	recs := make([]*recorder, workers)
 	errs := make([]error, workers)
 	errIdx := make([]int, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
+		recs[w] = c.newRecorder(spec, w)
 		wg.Add(1)
-		go func(w int) {
+		go func(r *recorder, ws *WorkerBatchStats) {
 			defer wg.Done()
-			ctr := &counters[w]
-			run := newRun(be.OpPager(ctr))
-			ws := &st.PerWorker[w]
-			for i := w; i < n; i += workers {
-				op := be.Obs().Begin(kindName, opName, w)
-				before := ctr.Stats()
-				beforeHits := ctr.Hits()
-				t, err := run(i)
-				after := ctr.Stats()
-				m := obs.Measure{
-					Reads:     after.Reads - before.Reads,
-					Writes:    after.Writes - before.Writes,
-					CacheHits: ctr.Hits() - beforeHits,
-					Results:   t,
+			for i := r.worker; i < n; i += workers {
+				r.begin()
+				res, qst, err := run(r.pager, qs[i])
+				_, berr := r.end(len(res), qst, err)
+				if err == nil {
+					out[i] = res
+					err = berr
 				}
 				if err != nil {
-					be.Obs().End(op, m) // close the op; the query error wins
-					errs[w], errIdx[w] = err, i
-					return
-				}
-				m.Bound = evalBound(bound, pageSize, idxLen, t)
-				if _, serr := be.Obs().End(op, m); serr != nil {
-					errs[w], errIdx[w] = publicErr(serr), i
+					errs[r.worker], errIdx[r.worker] = err, i
 					return
 				}
 				ws.Queries++
-				ws.Results += t
+				ws.Results += len(res)
 			}
-		}(w)
+		}(recs[w], &st.PerWorker[w])
 	}
 	wg.Wait()
 
-	for w := range st.PerWorker {
+	for w, r := range recs {
 		ws := &st.PerWorker[w]
-		cs := counters[w].Stats()
-		ws.Reads, ws.Writes, ws.CacheHits = cs.Reads, cs.Writes, counters[w].Hits()
+		cs := r.ctr.Stats()
+		ws.Reads, ws.Writes, ws.CacheHits = cs.Reads, cs.Writes, r.ctr.Hits()
 		st.Results += ws.Results
 		st.Reads += ws.Reads
 		st.Writes += ws.Writes
@@ -151,102 +129,40 @@ func runBatch(be *engine.Backend, kindName, opName string, idxLen, n, workers in
 		}
 	}
 	if first != nil {
-		return st, fmt.Errorf("pathcache: batch query %d: %w", firstIdx, first)
+		return out, st, fmt.Errorf("pathcache: batch query %d: %w", firstIdx, first)
 	}
-	return st, nil
+	return out, st, nil
 }
 
 // QueryBatch answers every query with up to workers concurrent goroutines
 // (workers <= 0 means GOMAXPROCS). out[i] holds the points matching qs[i],
 // in input order. The index must not be mutated during the batch.
 func (ix *TwoSidedIndex) QueryBatch(qs []TwoSidedQuery, workers int) ([][]Point, BatchStats, error) {
-	out := make([][]Point, len(qs))
-	st, err := runBatch(ix.be, ix.Kind(), "query", ix.idx.Len(), len(qs), workers, boundFor(ix.kind), func(p disk.Pager) func(i int) (int, error) {
-		return func(i int) (int, error) {
-			pts, _, err := ix.queryOn(p, qs[i].A, qs[i].B)
-			if err != nil {
-				return 0, err
-			}
-			out[i] = pts
-			return len(pts), nil
-		}
-	})
-	return out, st, err
+	return batch(ix.core, ix.op("query"), qs, workers, ix.queryOn)
 }
 
 // QueryThreeSidedBatch answers every 3-sided query concurrently; out[i]
 // matches qs[i].
 func (ix *ThreeSidedIndex) QueryThreeSidedBatch(qs []ThreeSidedQuery, workers int) ([][]Point, BatchStats, error) {
-	out := make([][]Point, len(qs))
-	st, err := runBatch(ix.be, ix.Kind(), "query", ix.idx.Len(), len(qs), workers, boundFor(kindThreeSide), func(p disk.Pager) func(i int) (int, error) {
-		view := ix.idx.WithPager(p)
-		return func(i int) (int, error) {
-			pts, _, err := view.Query(qs[i].A1, qs[i].A2, qs[i].B)
-			if err != nil {
-				return 0, err
-			}
-			out[i] = fromRecPoints(pts)
-			return len(out[i]), nil
-		}
-	})
-	return out, st, err
+	return batch(ix.core, ix.op(), qs, workers, ix.queryOn)
 }
 
 // StabBatch answers every stabbing query concurrently; out[i] holds the
 // intervals containing qs[i].
 func (ix *SegmentIndex) StabBatch(qs []int64, workers int) ([][]Interval, BatchStats, error) {
-	out := make([][]Interval, len(qs))
-	st, err := runBatch(ix.be, ix.Kind(), "stab", ix.idx.Len(), len(qs), workers, boundFor(kindSegment), func(p disk.Pager) func(i int) (int, error) {
-		view := ix.idx.WithPager(p)
-		return func(i int) (int, error) {
-			ivs, _, err := view.Stab(qs[i])
-			if err != nil {
-				return 0, err
-			}
-			out[i] = fromRecIntervals(ivs)
-			return len(out[i]), nil
-		}
-	})
-	return out, st, err
+	return batch(ix.core, ix.op(), qs, workers, ix.stabOn)
 }
 
 // StabBatch answers every stabbing query concurrently; out[i] holds the
 // intervals containing qs[i].
 func (ix *IntervalIndex) StabBatch(qs []int64, workers int) ([][]Interval, BatchStats, error) {
-	out := make([][]Interval, len(qs))
-	st, err := runBatch(ix.be, ix.Kind(), "stab", ix.idx.Len(), len(qs), workers, boundFor(kindInterval), func(p disk.Pager) func(i int) (int, error) {
-		view := ix.idx.WithPager(p)
-		return func(i int) (int, error) {
-			ivs, _, err := view.Stab(qs[i])
-			if err != nil {
-				return 0, err
-			}
-			out[i] = fromRecIntervals(ivs)
-			return len(out[i]), nil
-		}
-	})
-	return out, st, err
+	return batch(ix.core, ix.op(), qs, workers, ix.stabOn)
 }
 
 // StabBatch answers every stabbing query concurrently through the
 // diagonal-corner reduction; out[i] holds the intervals containing qs[i].
 func (si *StabbingIndex) StabBatch(qs []int64, workers int) ([][]Interval, BatchStats, error) {
-	out := make([][]Interval, len(qs))
-	st, err := runBatch(si.be, si.Kind(), "stab", si.ix.idx.Len(), len(qs), workers, boundFor(kindStabbing), func(p disk.Pager) func(i int) (int, error) {
-		return func(i int) (int, error) {
-			pts, _, err := si.ix.queryOn(p, -qs[i], qs[i])
-			if err != nil {
-				return 0, err
-			}
-			ivs := make([]Interval, len(pts))
-			for j, pt := range pts {
-				ivs[j] = pointToInterval(pt)
-			}
-			out[i] = ivs
-			return len(ivs), nil
-		}
-	})
-	return out, st, err
+	return batch(si.core, si.ix.op("stab"), qs, workers, si.stabOn)
 }
 
 // WindowQuery is one 4-sided query {x1 <= X <= x2, y1 <= Y <= y2} for
@@ -256,35 +172,11 @@ type WindowQuery struct{ X1, X2, Y1, Y2 int64 }
 // WindowQueryBatch answers every window query concurrently; out[i] matches
 // qs[i].
 func (ix *WindowIndex) WindowQueryBatch(qs []WindowQuery, workers int) ([][]Point, BatchStats, error) {
-	out := make([][]Point, len(qs))
-	st, err := runBatch(ix.be, ix.Kind(), "query", ix.idx.Len(), len(qs), workers, boundFor(kindWindow), func(p disk.Pager) func(i int) (int, error) {
-		view := ix.idx.WithPager(p)
-		return func(i int) (int, error) {
-			pts, _, err := view.Query(qs[i].X1, qs[i].X2, qs[i].Y1, qs[i].Y2)
-			if err != nil {
-				return 0, err
-			}
-			out[i] = fromRecPoints(pts)
-			return len(out[i]), nil
-		}
-	})
-	return out, st, err
+	return batch(ix.core, ix.op(), qs, workers, ix.queryOn)
 }
 
 // SearchBatch looks up every key concurrently; out[i] holds the values
 // stored under keys[i]. No Insert or Delete may run during the batch.
 func (ix *RangeIndex) SearchBatch(keys []int64, workers int) ([][]uint64, BatchStats, error) {
-	out := make([][]uint64, len(keys))
-	st, err := runBatch(ix.be, rangeKindName, "search", ix.idx.Len(), len(keys), workers, obs.LogBBound, func(p disk.Pager) func(i int) (int, error) {
-		view := ix.idx.WithPager(p)
-		return func(i int) (int, error) {
-			vals, err := view.Search(keys[i])
-			if err != nil {
-				return 0, err
-			}
-			out[i] = vals
-			return len(vals), nil
-		}
-	})
-	return out, st, err
+	return batch(ix.core, ix.op(), keys, workers, ix.searchOn)
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
 
@@ -115,13 +116,29 @@ func TestBatchPerWorkerStatsDeterministic(t *testing.T) {
 	}
 }
 
-// Every batch-capable index type answers identically to its serial path.
+// Every batch-capable index type answers identically to its serial path
+// and records every query as the serial path does. Each kind's store has
+// no pool, so a query's reads do not depend on what ran before it: the
+// batch op recorded for query i must carry the serial op's Reads, Results
+// and Bound. Serial and batch methods run one per-query function through
+// one recorder, and this pins it.
 func TestBatchAllIndexTypes(t *testing.T) {
 	pts := uniformPoints(3_000, 100_000, 911)
 	ivs := uniformIntervals(3_000, 100_000, 5_000, 913)
 	stabs := workload.StabQueries(24, 105_000, 915)
+	tr := &recordingTracer{}
+	opts := (&Options{PageSize: 512}).WithTracer(tr)
 
-	three, err := NewThreeSidedIndex(pts, &Options{PageSize: 512})
+	two, err := NewTwoSidedIndex(pts, SchemeSegmented, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q2 := batchQueries2(24, 916)
+	checkBatchParity(t, tr, "twosided", len(q2), 4,
+		func(i int) ([]Point, error) { pts, _, err := two.Query(q2[i].A, q2[i].B); return pts, err },
+		func(w int) ([][]Point, BatchStats, error) { return two.QueryBatch(q2, w) })
+
+	three, err := NewThreeSidedIndex(pts, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,52 +147,71 @@ func TestBatchAllIndexTypes(t *testing.T) {
 	for i, q := range q3raw {
 		q3[i] = ThreeSidedQuery{A1: q.A1, A2: q.A2, B: q.B}
 	}
-	want3 := make([][]Point, len(q3))
-	for i, q := range q3 {
-		if want3[i], _, err = three.QueryThreeSided(q.A1, q.A2, q.B); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got3, st3, err := three.QueryThreeSidedBatch(q3, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got3, want3) {
-		t.Fatal("3-sided batch differs from serial")
-	}
+	st3 := checkBatchParity(t, tr, "threeside", len(q3), 6,
+		func(i int) ([]Point, error) {
+			pts, _, err := three.QueryThreeSided(q3[i].A1, q3[i].A2, q3[i].B)
+			return pts, err
+		},
+		func(w int) ([][]Point, BatchStats, error) { return three.QueryThreeSidedBatch(q3, w) })
 	if st3.Reads == 0 {
 		t.Fatal("3-sided batch reported zero reads")
 	}
 
-	seg, err := NewSegmentIndex(ivs, true, &Options{PageSize: 512})
+	win, err := NewWindowIndex(pts, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	itv, err := NewIntervalIndex(ivs, true, &Options{PageSize: 512})
+	qw := make([]WindowQuery, 24)
+	for i := range qw {
+		x, y := int64(i)*4_000, int64(i*7%24)*4_000
+		qw[i] = WindowQuery{X1: x, X2: x + 10_000, Y1: y, Y2: y + 20_000}
+	}
+	checkBatchParity(t, tr, "window", len(qw), 5,
+		func(i int) ([]Point, error) {
+			pts, _, err := win.WindowQuery(qw[i].X1, qw[i].X2, qw[i].Y1, qw[i].Y2)
+			return pts, err
+		},
+		func(w int) ([][]Point, BatchStats, error) { return win.WindowQueryBatch(qw, w) })
+
+	seg, err := NewSegmentIndex(ivs, true, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stab, err := NewStabbingIndex(ivs, SchemeSegmented, &Options{PageSize: 512, BufferPoolPages: 64})
+	itv, err := NewIntervalIndex(ivs, true, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stab, err := NewStabbingIndex(ivs, SchemeSegmented, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for name, ix := range map[string]Stabber{"segment": seg, "interval": itv, "stabbing": stab} {
-		want := make([][]Interval, len(stabs))
-		for i, q := range stabs {
-			if want[i], _, err = ix.Stab(q); err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-		}
-		got, _, err := ix.StabBatch(stabs, 5)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: batch differs from serial", name)
-		}
+		checkBatchParity(t, tr, name, len(stabs), 5,
+			func(i int) ([]Interval, error) { ivs, _, err := ix.Stab(stabs[i]); return ivs, err },
+			func(w int) ([][]Interval, BatchStats, error) { return ix.StabBatch(stabs, w) })
 	}
 
-	rng, err := NewRangeIndex(&Options{PageSize: 512})
+	// The stabbing reduction's batch also answers as serially through a
+	// shared buffer pool.
+	pooled, err := NewStabbingIndex(ivs, SchemeSegmented, &Options{PageSize: 512, BufferPoolPages: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([][]Interval, len(stabs))
+	for i, q := range stabs {
+		if want[i], _, err = pooled.Stab(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, _, err := pooled.StabBatch(stabs, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("pooled stabbing: batch differs from serial")
+	}
+
+	rng, err := NewRangeIndex(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,22 +224,74 @@ func TestBatchAllIndexTypes(t *testing.T) {
 	for i := range keys {
 		keys[i] = pts[i*3].X
 	}
-	wantR := make([][]uint64, len(keys))
-	for i, k := range keys {
-		if wantR[i], err = rng.Search(k); err != nil {
-			t.Fatal(err)
-		}
-	}
-	gotR, stR, err := rng.SearchBatch(keys, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(gotR, wantR) {
-		t.Fatal("range batch differs from serial")
-	}
+	stR := checkBatchParity(t, tr, "range", len(keys), 7,
+		func(i int) ([]uint64, error) { return rng.Search(keys[i]) },
+		func(w int) ([][]uint64, BatchStats, error) { return rng.SearchBatch(keys, w) })
 	if stR.Workers != 7 {
 		t.Fatalf("range batch workers = %d, want 7", stR.Workers)
 	}
+}
+
+// checkBatchParity answers n queries serially and then as one batch of the
+// given width on an index whose store records into tr. The answers must be
+// equal, and so must each query's serial and batch op in Reads, Results
+// and Bound. A batch worker w runs queries w, w+W, ... in order, so its
+// ops in sequence order map back to their queries.
+func checkBatchParity[R any](t *testing.T, tr *recordingTracer, name string, n, workers int,
+	serial func(i int) ([]R, error), batch func(workers int) ([][]R, BatchStats, error)) BatchStats {
+	t.Helper()
+	ops := func() []TraceEvent {
+		tr.mu.Lock()
+		defer tr.mu.Unlock()
+		evs := tr.ends
+		tr.starts, tr.ends = nil, nil
+		return evs
+	}
+	ops() // drop the build and any earlier kind's ops
+	want := make([][]R, n)
+	for i := range want {
+		var err error
+		if want[i], err = serial(i); err != nil {
+			t.Fatalf("%s: serial query %d: %v", name, i, err)
+		}
+	}
+	serialOps := ops()
+	got, st, err := batch(workers)
+	if err != nil {
+		t.Fatalf("%s: batch: %v", name, err)
+	}
+	batchOps := ops()
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: batch differs from serial", name)
+	}
+	if len(serialOps) != n || len(batchOps) != n {
+		t.Fatalf("%s: %d serial and %d batch ops recorded, want %d each", name, len(serialOps), len(batchOps), n)
+	}
+	byQuery := make([]TraceEvent, n)
+	next := make([]int, st.Workers) // next query of each worker
+	for w := range next {
+		next[w] = w
+	}
+	sort.Slice(batchOps, func(i, j int) bool { return batchOps[i].Seq < batchOps[j].Seq })
+	for _, ev := range batchOps {
+		if ev.Worker < 0 || ev.Worker >= st.Workers {
+			t.Fatalf("%s: batch op from worker %d of %d", name, ev.Worker, st.Workers)
+		}
+		byQuery[next[ev.Worker]] = ev
+		next[ev.Worker] += st.Workers
+	}
+	for i, s := range serialOps {
+		b := byQuery[i]
+		if s.Worker != SerialWorker || b.Kind != s.Kind || b.Name != s.Name {
+			t.Fatalf("%s: query %d recorded as %s/%s worker %d serially, %s/%s in the batch",
+				name, i, s.Kind, s.Name, s.Worker, b.Kind, b.Name)
+		}
+		if b.Reads != s.Reads || b.Results != s.Results || b.Bound != s.Bound {
+			t.Fatalf("%s: query %d: batch op reads=%d results=%d bound=%v, serial op reads=%d results=%d bound=%v",
+				name, i, b.Reads, b.Results, b.Bound, s.Reads, s.Results, s.Bound)
+		}
+	}
+	return st
 }
 
 // Worker counts clamp: more workers than queries collapses to one worker

@@ -1,9 +1,9 @@
 // Package obsdiscipline protects the metric-recording seams of the
 // observability layer: a store's obs.Registry is owned by its
 // engine.Backend, and only the sanctioned recording layers — internal/obs
-// itself, internal/engine, and the pathcache root package (startOp,
-// runBatch, recordBuild) — may record operations into it or reconfigure
-// it.
+// itself, internal/engine, and the pathcache root package (its one op
+// recorder, which every serial, batch and LSM operation runs through, and
+// recordBuild) — may record operations into it or reconfigure it.
 //
 // Everywhere else, three constructs are reported:
 //

@@ -1,7 +1,8 @@
 // Package pagerdiscipline enforces the repository's I/O-accounting contract:
-// index structures touch pages only through the disk.Pager they were built
-// with, and never retain aliases of page buffers past the read that produced
-// them.
+// index structures touch pages only through a disk.Pager — the one they
+// were built with, or the op-scoped one a query entry (QueryOn, StabOn,
+// SearchOn) is passed by the operation — and never retain aliases of page
+// buffers past the read that produced them.
 //
 // Three families of violations are reported:
 //

@@ -209,16 +209,6 @@ func childIndex(seps []Entry, e Entry) int {
 // Len reports the number of entries.
 func (t *Tree) Len() int { return t.size }
 
-// WithPager returns a read-only view of the tree whose page reads go
-// through p — the hook for per-operation I/O attribution during concurrent
-// Search/Range batches. The view snapshots the root and height, so it must
-// not be used for Insert/Delete and goes stale once the original mutates.
-func (t *Tree) WithPager(p disk.Pager) *Tree {
-	c := *t
-	c.pager = p
-	return &c
-}
-
 // Height reports the number of levels below the root.
 func (t *Tree) Height() int { return t.height }
 
@@ -485,8 +475,15 @@ func (t *Tree) rebalanceChild(id disk.PageID, n *node, ci int) (bool, error) {
 // Search returns all values stored under key, in ascending value order, and
 // costs O(log_B n + t/B) I/Os.
 func (t *Tree) Search(key int64) ([]uint64, error) {
+	return t.SearchOn(t.pager, key)
+}
+
+// SearchOn is Search reading every page through p — the entry concurrent
+// searches take, each through its own op-scoped pager. It must not race
+// with Insert or Delete.
+func (t *Tree) SearchOn(p disk.Pager, key int64) ([]uint64, error) {
 	var out []uint64
-	err := t.Range(key, key, func(_ int64, v uint64) bool {
+	err := t.rangeRaw(p, key, key, func(_ int64, v uint64) bool {
 		out = append(out, v)
 		return true
 	})
@@ -499,7 +496,7 @@ func (t *Tree) Range(lo, hi int64, fn func(key int64, val uint64) bool) error {
 	if lo > hi {
 		return nil
 	}
-	return t.rangeRaw(lo, hi, fn)
+	return t.rangeRaw(t.pager, lo, hi, fn)
 }
 
 // Min returns the smallest entry, or ok=false when empty.

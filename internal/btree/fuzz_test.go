@@ -29,6 +29,14 @@ func (p *budgetPager) Read(id disk.PageID, buf []byte) error {
 	return p.Pager.Read(id, buf)
 }
 
+// budgeted returns a read-only copy of tr whose page reads go through one
+// fresh budgetPager over s.
+func budgeted(tr *Tree, s disk.Pager) *Tree {
+	c := *tr
+	c.pager = &budgetPager{Pager: s, left: 256}
+	return &c
+}
+
 // fuzzTolerable classifies the errors the read path may legitimately
 // surface on a corrupted image: a header violation (wrapping
 // disk.ErrCorrupt), a pointer into a freed or out-of-range page
@@ -79,7 +87,7 @@ func FuzzLayoutPageDecode(f *testing.F) {
 			t.Fatal(err)
 		}
 
-		rd := tr.WithPager(&budgetPager{Pager: s, left: 256})
+		rd := budgeted(tr, s)
 		if _, err := rd.Search(key); !fuzzTolerable(err) {
 			t.Fatalf("Search on corrupted page %d: %v", victim, err)
 		}
@@ -102,7 +110,7 @@ func FuzzLayoutPageDecode(f *testing.F) {
 		if err := s.Write(tr.root, buf); err != nil {
 			t.Fatal(err)
 		}
-		rd = tr.WithPager(&budgetPager{Pager: s, left: 256})
+		rd = budgeted(tr, s)
 		if _, err := rd.Search(key); !errors.Is(err, disk.ErrCorrupt) {
 			t.Fatalf("Search with invalid root layout byte: err=%v, want ErrCorrupt", err)
 		}

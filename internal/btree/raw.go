@@ -64,19 +64,19 @@ func rawChild(buf []byte, n int, ku, val uint64) disk.PageID {
 	return disk.PageID(le64(buf[intFixed+(lo-1)*intEntry+16:]))
 }
 
-// rangeRaw is Range over the zero-copy path. One pooled page buffer serves
-// the whole operation; fn receives copies, so nothing aliases the buffer
-// once rangeRaw returns it.
-func (t *Tree) rangeRaw(lo, hi int64, fn func(key int64, val uint64) bool) error {
+// rangeRaw is Range over the zero-copy path, reading through p. One pooled
+// page buffer serves the whole operation; fn receives copies, so nothing
+// aliases the buffer once rangeRaw returns it.
+func (t *Tree) rangeRaw(p disk.Pager, lo, hi int64, fn func(key int64, val uint64) bool) error {
 	ku := uint64(lo) ^ signFlip
 	hku := uint64(hi) ^ signFlip
 	const val = 0 // range start at Val 0: first entry with Key >= lo
-	bp := disk.GetPageBuf(t.pager.PageSize())
+	bp := disk.GetPageBuf(p.PageSize())
 	defer disk.PutPageBuf(bp)
 	buf := *bp
 	id := t.root
 	for {
-		if err := t.pager.Read(id, buf); err != nil {
+		if err := p.Read(id, buf); err != nil {
 			return err
 		}
 		kind, count, err := checkHeader(buf, id)
@@ -84,15 +84,15 @@ func (t *Tree) rangeRaw(lo, hi int64, fn func(key int64, val uint64) bool) error
 			return err
 		}
 		if kind == kindLeaf {
-			return t.scanLeavesRaw(buf, leafLower(buf, count, ku, val), count, hku, fn)
+			return scanLeavesRaw(p, buf, leafLower(buf, count, ku, val), count, hku, fn)
 		}
 		id = rawChild(buf, count, ku, val)
 	}
 }
 
 // scanLeavesRaw emits entries up to hku from index i of the leaf in buf
-// onward, following the leaf chain.
-func (t *Tree) scanLeavesRaw(buf []byte, i, count int, hku uint64, fn func(key int64, val uint64) bool) error {
+// onward, following the leaf chain through p.
+func scanLeavesRaw(p disk.Pager, buf []byte, i, count int, hku uint64, fn func(key int64, val uint64) bool) error {
 	for {
 		for ; i < count; i++ {
 			off := leafFixed + i*leafEntry
@@ -108,7 +108,7 @@ func (t *Tree) scanLeavesRaw(buf []byte, i, count int, hku uint64, fn func(key i
 		if id == disk.InvalidPage {
 			return nil
 		}
-		if err := t.pager.Read(id, buf); err != nil {
+		if err := p.Read(id, buf); err != nil {
 			return err
 		}
 		kind, c, err := checkHeader(buf, id)

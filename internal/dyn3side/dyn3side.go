@@ -23,6 +23,7 @@ import (
 	"pathcache/internal/disk"
 	"pathcache/internal/ext3side"
 	"pathcache/internal/record"
+	"pathcache/internal/skeletal"
 )
 
 // op is one buffered update: kind(1) + pad(7) + point(24).
@@ -224,8 +225,8 @@ func (t *Tree) rebuild() error {
 
 // Query reports every live point with a1 <= x <= a2 and y >= b, merging the
 // static answer with the buffered operations (newest wins per point).
-func (t *Tree) Query(a1, a2, b int64) ([]record.Point, ext3side.QueryStats, error) {
-	var st ext3side.QueryStats
+func (t *Tree) Query(a1, a2, b int64) ([]record.Point, skeletal.QueryStats, error) {
+	var st skeletal.QueryStats
 	var listed []record.Point
 	if t.main != nil {
 		var err error

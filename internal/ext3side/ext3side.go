@@ -73,15 +73,6 @@ type Tree struct {
 	cachePages int
 }
 
-// QueryStats profiles one 3-sided query.
-type QueryStats struct {
-	PathPages   int
-	ListPages   int
-	UsefulIOs   int
-	WastefulIOs int
-	Results     int
-}
-
 // Build constructs the structure over pts. The input slice is not retained
 // or modified.
 func Build(p disk.Pager, pts []record.Point) (*Tree, error) {
@@ -228,15 +219,6 @@ func plList(p []byte, off int) (disk.PageID, int) {
 func plMinY(p []byte) int64      { return int64(binary.LittleEndian.Uint64(p[12:])) }
 func plLeftMinY(p []byte) int64  { return int64(binary.LittleEndian.Uint64(p[20:])) }
 func plRightMinY(p []byte) int64 { return int64(binary.LittleEndian.Uint64(p[28:])) }
-
-// WithPager returns a read-only view of the tree whose queries run through
-// p — the hook for per-operation I/O attribution via disk.WithCounter.
-func (t *Tree) WithPager(p disk.Pager) *Tree {
-	c := *t
-	c.pager = p
-	c.skel = t.skel.WithPager(p)
-	return &c
-}
 
 // Len reports the number of indexed points.
 func (t *Tree) Len() int { return t.n }

@@ -9,18 +9,27 @@ import (
 // tsQuery carries the state of one 3-sided query.
 type tsQuery struct {
 	t         *Tree
-	w         *skeletal.Walker
+	p         disk.Pager
+	w         skeletal.Walker
 	a1, a2, b int64
 	out       []record.Point
-	st        QueryStats
+	st        skeletal.QueryStats
 }
 
 // Query reports every indexed point with a1 <= x <= a2 and y >= b.
-func (t *Tree) Query(a1, a2, b int64) ([]record.Point, QueryStats, error) {
-	q := &tsQuery{t: t, w: t.skel.NewWalker(), a1: a1, a2: a2, b: b}
+func (t *Tree) Query(a1, a2, b int64) ([]record.Point, skeletal.QueryStats, error) {
+	return t.QueryOn(t.pager, a1, a2, b)
+}
+
+// QueryOn is Query reading every page through p. The walker's page buffers
+// go back to their pool when it returns; the answer is decoded by value.
+func (t *Tree) QueryOn(p disk.Pager, a1, a2, b int64) ([]record.Point, skeletal.QueryStats, error) {
 	if t.n == 0 || a1 > a2 {
-		return nil, q.st, nil
+		return nil, skeletal.QueryStats{}, nil
 	}
+	q := &tsQuery{t: t, p: p, a1: a1, a2: a2, b: b}
+	q.w.Reset(t.skel, p)
+	defer q.w.Release()
 
 	// Fork descent: follow the window while both bounds route the same way
 	// and the subtree can still reach y >= b. Strict comparisons guarantee
@@ -286,7 +295,7 @@ func (q *tsQuery) scanBlockWindow(payload []byte) error {
 		return nil
 	}
 	matched := 0
-	pages, err := disk.ScanChain(q.t.pager, record.PointSize, head, func(rec []byte) bool {
+	pages, err := disk.ScanChain(q.p, record.PointSize, head, func(rec []byte) bool {
 		v := record.PointView(rec)
 		if x := v.X(); x >= q.a1 && x <= q.a2 && v.Y() >= q.b {
 			q.out = append(q.out, v.Point())
@@ -297,7 +306,7 @@ func (q *tsQuery) scanBlockWindow(payload []byte) error {
 	if err != nil {
 		return err
 	}
-	q.account(pages, matched)
+	q.st.Account(pages, matched, q.t.b)
 	return nil
 }
 
@@ -305,7 +314,7 @@ func (q *tsQuery) scanBlockWindow(payload []byte) error {
 // filter; used for AY, RS and LS caches.
 func (q *tsQuery) scanYDescWindow(head disk.PageID) error {
 	matched := 0
-	pages, err := disk.ScanChain(q.t.pager, record.PointSize, head, func(rec []byte) bool {
+	pages, err := disk.ScanChain(q.p, record.PointSize, head, func(rec []byte) bool {
 		v := record.PointView(rec)
 		if v.Y() < q.b {
 			return false
@@ -319,7 +328,7 @@ func (q *tsQuery) scanYDescWindow(head disk.PageID) error {
 	if err != nil {
 		return err
 	}
-	q.account(pages, matched)
+	q.st.Account(pages, matched, q.t.b)
 	return nil
 }
 
@@ -328,7 +337,7 @@ func (q *tsQuery) scanYDescWindow(head disk.PageID) error {
 // x <= a2, so the window filter only trims defensively.
 func (q *tsQuery) scanXDescFromA1(head disk.PageID) error {
 	matched := 0
-	pages, err := disk.ScanChain(q.t.pager, record.PointSize, head, func(rec []byte) bool {
+	pages, err := disk.ScanChain(q.p, record.PointSize, head, func(rec []byte) bool {
 		v := record.PointView(rec)
 		x := v.X()
 		if x < q.a1 {
@@ -343,14 +352,14 @@ func (q *tsQuery) scanXDescFromA1(head disk.PageID) error {
 	if err != nil {
 		return err
 	}
-	q.account(pages, matched)
+	q.st.Account(pages, matched, q.t.b)
 	return nil
 }
 
 // scanXAscToA2 mirrors scanXDescFromA1 for the a2 side.
 func (q *tsQuery) scanXAscToA2(head disk.PageID) error {
 	matched := 0
-	pages, err := disk.ScanChain(q.t.pager, record.PointSize, head, func(rec []byte) bool {
+	pages, err := disk.ScanChain(q.p, record.PointSize, head, func(rec []byte) bool {
 		v := record.PointView(rec)
 		x := v.X()
 		if x > q.a2 {
@@ -365,13 +374,6 @@ func (q *tsQuery) scanXAscToA2(head disk.PageID) error {
 	if err != nil {
 		return err
 	}
-	q.account(pages, matched)
+	q.st.Account(pages, matched, q.t.b)
 	return nil
-}
-
-func (q *tsQuery) account(pages, matched int) {
-	q.st.ListPages += pages
-	full := matched / q.t.b
-	q.st.UsefulIOs += full
-	q.st.WastefulIOs += pages - full
 }

@@ -83,15 +83,6 @@ type Tree struct {
 	localPages int
 }
 
-// QueryStats profiles one stabbing query.
-type QueryStats struct {
-	PathPages   int
-	ListPages   int
-	UsefulIOs   int
-	WastefulIOs int
-	Results     int
-}
-
 // memNode is the in-memory tree used during construction.
 type memNode struct {
 	gLo, gHi    int // group index range [gLo, gHi)
@@ -330,15 +321,6 @@ func getList(p []byte, off int) (disk.PageID, int) {
 
 func firstLMaxLo(p []byte) int64 { return int64(binary.LittleEndian.Uint64(p[84:])) }
 func firstRMinHi(p []byte) int64 { return int64(binary.LittleEndian.Uint64(p[92:])) }
-
-// WithPager returns a read-only view of the tree whose queries run through
-// p — the hook for per-operation I/O attribution via disk.WithCounter.
-func (t *Tree) WithPager(p disk.Pager) *Tree {
-	c := *t
-	c.pager = p
-	c.skel = t.skel.WithPager(p)
-	return &c
-}
 
 // Len reports the number of indexed intervals.
 func (t *Tree) Len() int { return t.n }

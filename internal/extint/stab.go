@@ -9,19 +9,28 @@ import (
 // stabQuery carries the state of one stabbing query.
 type stabQuery struct {
 	t   *Tree
+	p   disk.Pager
 	q   int64
 	out []record.Interval
-	st  QueryStats
+	st  skeletal.QueryStats
 }
 
 // Stab reports every interval containing q, with the query's I/O profile.
 // Cost: O(log_B n + t/B) for PathCached, O(log n + t/B) for Naive.
-func (t *Tree) Stab(q int64) ([]record.Interval, QueryStats, error) {
-	s := &stabQuery{t: t, q: q}
+func (t *Tree) Stab(q int64) ([]record.Interval, skeletal.QueryStats, error) {
+	return t.StabOn(t.pager, q)
+}
+
+// StabOn is Stab reading every page through p. The walker's page buffers
+// go back to their pool when it returns; the answer is decoded by value.
+func (t *Tree) StabOn(p disk.Pager, q int64) ([]record.Interval, skeletal.QueryStats, error) {
 	if t.n == 0 {
-		return nil, s.st, nil
+		return nil, skeletal.QueryStats{}, nil
 	}
-	w := t.skel.NewWalker()
+	s := &stabQuery{t: t, p: p, q: q}
+	var w skeletal.Walker
+	w.Reset(t.skel, p)
+	defer w.Release()
 	path, err := w.Descend(t.skel.Root(), func(n skeletal.Node) skeletal.Dir {
 		if n.IsLeaf() {
 			return skeletal.Stop
@@ -151,7 +160,7 @@ func (s *stabQuery) continueTail(p []byte, left bool) error {
 // Hi >= center > q, so Lo <= q implies containment.
 func (s *stabQuery) scanLoAsc(head disk.PageID) (stopped bool, err error) {
 	matched := 0
-	pages, err := disk.ScanChain(s.t.pager, record.IntervalSize, head, func(rec []byte) bool {
+	pages, err := disk.ScanChain(s.p, record.IntervalSize, head, func(rec []byte) bool {
 		iv := record.DecodeInterval(rec)
 		if iv.Lo > s.q {
 			stopped = true
@@ -164,7 +173,7 @@ func (s *stabQuery) scanLoAsc(head disk.PageID) (stopped bool, err error) {
 	if err != nil {
 		return false, err
 	}
-	s.account(pages, matched)
+	s.st.Account(pages, matched, s.t.b)
 	return stopped, nil
 }
 
@@ -173,7 +182,7 @@ func (s *stabQuery) scanLoAsc(head disk.PageID) (stopped bool, err error) {
 // <= q, so Hi >= q implies containment.
 func (s *stabQuery) scanHiDesc(head disk.PageID) (stopped bool, err error) {
 	matched := 0
-	pages, err := disk.ScanChain(s.t.pager, record.IntervalSize, head, func(rec []byte) bool {
+	pages, err := disk.ScanChain(s.p, record.IntervalSize, head, func(rec []byte) bool {
 		iv := record.DecodeInterval(rec)
 		if iv.Hi < s.q {
 			stopped = true
@@ -186,14 +195,14 @@ func (s *stabQuery) scanHiDesc(head disk.PageID) (stopped bool, err error) {
 	if err != nil {
 		return false, err
 	}
-	s.account(pages, matched)
+	s.st.Account(pages, matched, s.t.b)
 	return stopped, nil
 }
 
 // scanFiltered scans a leaf-local chain with an explicit containment filter.
 func (s *stabQuery) scanFiltered(head disk.PageID) error {
 	matched := 0
-	pages, err := disk.ScanChain(s.t.pager, record.IntervalSize, head, func(rec []byte) bool {
+	pages, err := disk.ScanChain(s.p, record.IntervalSize, head, func(rec []byte) bool {
 		iv := record.DecodeInterval(rec)
 		if iv.Contains(s.q) {
 			s.out = append(s.out, iv)
@@ -204,13 +213,6 @@ func (s *stabQuery) scanFiltered(head disk.PageID) error {
 	if err != nil {
 		return err
 	}
-	s.account(pages, matched)
+	s.st.Account(pages, matched, s.t.b)
 	return nil
-}
-
-func (s *stabQuery) account(pages, matched int) {
-	s.st.ListPages += pages
-	full := matched / s.t.b
-	s.st.UsefulIOs += full
-	s.st.WastefulIOs += pages - full
 }

@@ -89,15 +89,6 @@ type Tree struct {
 	sPages     int
 }
 
-// QueryStats profiles one 2-sided query.
-type QueryStats struct {
-	PathPages   int // skeletal pages read during the corner descent
-	ListPages   int // pages read from blocks, A-lists and S-lists
-	UsefulIOs   int
-	WastefulIOs int
-	Results     int
-}
-
 // Build constructs a tree over pts with the given scheme. The input slice
 // is not modified.
 func Build(p disk.Pager, pts []record.Point, scheme Scheme) (*Tree, error) {

@@ -13,21 +13,21 @@ type pstQuery struct {
 	w    *skeletal.Walker
 	a, b int64
 	out  []record.Point
-	st   QueryStats
+	st   skeletal.QueryStats
 }
 
 // Query reports every indexed point with x >= a and y >= b, together with
 // the query's I/O profile. Cost: O(log_B n + t/B) for Basic and Segmented,
 // O(log n + t/B) for IKO.
-func (t *Tree) Query(a, b int64) ([]record.Point, QueryStats, error) {
+func (t *Tree) Query(a, b int64) ([]record.Point, skeletal.QueryStats, error) {
 	return QueryOwned(t, t.pager, a, b)
 }
 
 // QueryOn implements PointIndex: Query reading every page through p, with
 // the walker, path and result kept in s.
-func (t *Tree) QueryOn(p disk.Pager, a, b int64, s *Scratch) ([]record.Point, QueryStats, error) {
+func (t *Tree) QueryOn(p disk.Pager, a, b int64, s *Scratch) ([]record.Point, skeletal.QueryStats, error) {
 	if t.n == 0 {
-		return nil, QueryStats{}, nil
+		return nil, skeletal.QueryStats{}, nil
 	}
 	s.w.Reset(t.skel, p)
 	q := &pstQuery{t: t, p: p, w: &s.w, a: a, b: b, out: s.out[:0]}
@@ -165,7 +165,7 @@ func (q *pstQuery) scanBlock(payload []byte) error {
 	if err != nil {
 		return err
 	}
-	q.account(pages, matched)
+	q.st.Account(pages, matched, q.t.b)
 	return nil
 }
 
@@ -188,7 +188,7 @@ func (q *pstQuery) scanAList(head disk.PageID) error {
 	if err != nil {
 		return err
 	}
-	q.account(pages, matched)
+	q.st.Account(pages, matched, q.t.b)
 	return nil
 }
 
@@ -210,7 +210,7 @@ func (q *pstQuery) scanSList(head disk.PageID) error {
 	if err != nil {
 		return err
 	}
-	q.account(pages, matched)
+	q.st.Account(pages, matched, q.t.b)
 	return nil
 }
 
@@ -260,13 +260,4 @@ func (q *pstQuery) exploreChildren(ref skeletal.NodeRef) error {
 		return q.explore(right)
 	}
 	return nil
-}
-
-// account classifies list I/Os as useful (a full page of reported points)
-// or wasteful, per Figure 3's accounting.
-func (q *pstQuery) account(pages, matched int) {
-	q.st.ListPages += pages
-	full := matched / q.t.b
-	q.st.UsefulIOs += full
-	q.st.WastefulIOs += pages - full
 }

@@ -13,11 +13,11 @@ type regionQuery struct {
 	w    *skeletal.Walker
 	a, b int64
 	out  []record.Point
-	st   QueryStats
+	st   skeletal.QueryStats
 }
 
 // Query implements PointIndex for one level of the hierarchy.
-func (rt *regionTree) Query(a, b int64) ([]record.Point, QueryStats, error) {
+func (rt *regionTree) Query(a, b int64) ([]record.Point, skeletal.QueryStats, error) {
 	return QueryOwned(rt, rt.pager, a, b)
 }
 
@@ -25,7 +25,7 @@ func (rt *regionTree) Query(a, b int64) ([]record.Point, QueryStats, error) {
 // Section 4.1: locate the corner region, query its second-level structure,
 // serve ancestors/siblings from the A/S caches with X/Y-list continuation,
 // and traverse descendants of fully-contained regions via their Y-lists.
-func (rt *regionTree) QueryOn(p disk.Pager, a, b int64, s *Scratch) ([]record.Point, QueryStats, error) {
+func (rt *regionTree) QueryOn(p disk.Pager, a, b int64, s *Scratch) ([]record.Point, skeletal.QueryStats, error) {
 	s.w.Reset(rt.skel, p)
 	q := &regionQuery{rt: rt, p: p, w: &s.w, a: a, b: b, out: s.out[:0]}
 	path, err := q.w.AppendDescent(s.path[:0], rt.skel.Root(), func(n skeletal.Node) skeletal.Dir {
@@ -241,7 +241,7 @@ func (q *regionQuery) scanXDesc(head disk.PageID) (stopped bool, err error) {
 	if err != nil {
 		return false, err
 	}
-	q.account(pages, matched)
+	q.st.Account(pages, matched, q.rt.b)
 	return stopped, nil
 }
 
@@ -265,13 +265,6 @@ func (q *regionQuery) scanYDesc(head disk.PageID, filterX bool) (stopped bool, e
 	if err != nil {
 		return false, err
 	}
-	q.account(pages, matched)
+	q.st.Account(pages, matched, q.rt.b)
 	return stopped, nil
-}
-
-func (q *regionQuery) account(pages, matched int) {
-	q.st.ListPages += pages
-	full := matched / q.rt.b
-	q.st.UsefulIOs += full
-	q.st.WastefulIOs += pages - full
 }

@@ -46,7 +46,7 @@ func (s *Scratch) Release() {
 
 // QueryOwned answers one query through p with pooled working memory and
 // returns a result the caller owns (nil when empty).
-func QueryOwned(ix PointIndex, p disk.Pager, a, b int64) ([]record.Point, QueryStats, error) {
+func QueryOwned(ix PointIndex, p disk.Pager, a, b int64) ([]record.Point, skeletal.QueryStats, error) {
 	s := GetScratch()
 	defer s.Release()
 	pts, st, err := ix.QueryOn(p, a, b, s)

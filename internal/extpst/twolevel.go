@@ -18,12 +18,12 @@ import (
 type PointIndex interface {
 	// Query reports every indexed point with x >= a and y >= b, as a
 	// slice the caller owns.
-	Query(a, b int64) ([]record.Point, QueryStats, error)
+	Query(a, b int64) ([]record.Point, skeletal.QueryStats, error)
 	// QueryOn is Query reading every page through p — the hook for
 	// per-operation I/O attribution: give each concurrent operation its own
 	// disk.WithCounter(pager, c) — with its working memory in s. The
 	// result may alias s and is valid until s is released.
-	QueryOn(p disk.Pager, a, b int64, s *Scratch) ([]record.Point, QueryStats, error)
+	QueryOn(p disk.Pager, a, b int64, s *Scratch) ([]record.Point, skeletal.QueryStats, error)
 	// Len reports the number of indexed points.
 	Len() int
 	// TotalPages reports the storage footprint in pages.
@@ -297,15 +297,15 @@ const (
 )
 
 // Query implements PointIndex for the hierarchy root.
-func (h *Hierarchical) Query(a, b int64) ([]record.Point, QueryStats, error) {
+func (h *Hierarchical) Query(a, b int64) ([]record.Point, skeletal.QueryStats, error) {
 	return QueryOwned(h, h.pager, a, b)
 }
 
 // QueryOn implements PointIndex for the hierarchy root: every level of the
 // recursion reads through p.
-func (h *Hierarchical) QueryOn(p disk.Pager, a, b int64, s *Scratch) ([]record.Point, QueryStats, error) {
+func (h *Hierarchical) QueryOn(p disk.Pager, a, b int64, s *Scratch) ([]record.Point, skeletal.QueryStats, error) {
 	if h.n == 0 {
-		return nil, QueryStats{}, nil
+		return nil, skeletal.QueryStats{}, nil
 	}
 	return h.root.QueryOn(p, a, b, s)
 }

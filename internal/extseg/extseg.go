@@ -70,17 +70,6 @@ type Tree struct {
 	cachePages int
 }
 
-// QueryStats describes the I/O behaviour of one stabbing query, using the
-// paper's accounting: a list I/O is useful if it returns a full page of B
-// reported intervals and wasteful otherwise (Figure 3).
-type QueryStats struct {
-	PathPages   int // skeletal pages read to locate the leaf
-	ListPages   int // pages read from cover-lists, local lists and caches
-	UsefulIOs   int
-	WastefulIOs int
-	Results     int
-}
-
 // buildNode is the in-memory tree used during construction.
 type buildNode struct {
 	loIdx, hiIdx int // boundary index span [loIdx, hiIdx)
@@ -254,12 +243,20 @@ func getList(buf []byte) (disk.PageID, int) {
 
 // Stab reports every interval containing q, together with the query's I/O
 // profile.
-func (t *Tree) Stab(q int64) ([]record.Interval, QueryStats, error) {
-	var st QueryStats
+func (t *Tree) Stab(q int64) ([]record.Interval, skeletal.QueryStats, error) {
+	return t.StabOn(t.pager, q)
+}
+
+// StabOn is Stab reading every page through p. The walker's page buffers
+// go back to their pool when it returns; the answer is decoded by value.
+func (t *Tree) StabOn(p disk.Pager, q int64) ([]record.Interval, skeletal.QueryStats, error) {
+	var st skeletal.QueryStats
 	if t.n == 0 || q < t.lo || q >= t.hi {
 		return nil, st, nil
 	}
-	w := t.skel.NewWalker()
+	var w skeletal.Walker
+	w.Reset(t.skel, p)
+	defer w.Release()
 	path, err := w.Descend(t.skel.Root(), func(n skeletal.Node) skeletal.Dir {
 		if n.IsLeaf() {
 			return skeletal.Stop
@@ -277,7 +274,7 @@ func (t *Tree) Stab(q int64) ([]record.Interval, QueryStats, error) {
 	var out []record.Interval
 	scan := func(head disk.PageID, filter bool) error {
 		matched := 0
-		pages, err := disk.ScanChain(t.pager, record.IntervalSize, head, func(rec []byte) bool {
+		pages, err := disk.ScanChain(p, record.IntervalSize, head, func(rec []byte) bool {
 			iv := record.DecodeInterval(rec)
 			if !filter || iv.Contains(q) {
 				out = append(out, iv)
@@ -288,10 +285,7 @@ func (t *Tree) Stab(q int64) ([]record.Interval, QueryStats, error) {
 		if err != nil {
 			return err
 		}
-		st.ListPages += pages
-		full := matched / t.b
-		st.UsefulIOs += full
-		st.WastefulIOs += pages - full
+		st.Account(pages, matched, t.b)
 		return nil
 	}
 
@@ -322,15 +316,6 @@ func (t *Tree) Stab(q int64) ([]record.Interval, QueryStats, error) {
 	}
 	st.Results = len(out)
 	return out, st, nil
-}
-
-// WithPager returns a read-only view of the tree whose queries run through
-// p — the hook for per-operation I/O attribution via disk.WithCounter.
-func (t *Tree) WithPager(p disk.Pager) *Tree {
-	c := *t
-	c.pager = p
-	c.skel = t.skel.WithPager(p)
-	return &c
 }
 
 // Len reports the number of indexed intervals.

@@ -42,15 +42,6 @@ type Tree struct {
 	dirPages  int
 }
 
-// QueryStats profiles one window query.
-type QueryStats struct {
-	PathPages   int
-	ListPages   int
-	UsefulIOs   int
-	WastefulIOs int
-	Results     int
-}
-
 // buildNode carries the per-node y-sorted points during construction.
 type buildNode struct {
 	pts         []record.Point // y-ascending
@@ -184,15 +175,6 @@ func plYList(p []byte) (disk.PageID, int) {
 }
 func plDir(p []byte) (disk.PageID, int) {
 	return disk.PageID(binary.LittleEndian.Uint64(p[12:])), int(binary.LittleEndian.Uint32(p[20:]))
-}
-
-// WithPager returns a read-only view of the tree whose queries run through
-// p — the hook for per-operation I/O attribution via disk.WithCounter.
-func (t *Tree) WithPager(p disk.Pager) *Tree {
-	c := *t
-	c.pager = p
-	c.skel = t.skel.WithPager(p)
-	return &c
 }
 
 // Len reports the number of indexed points.

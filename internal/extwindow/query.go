@@ -11,18 +11,27 @@ import (
 // winQuery carries the state of one window query.
 type winQuery struct {
 	t              *Tree
+	p              disk.Pager
 	x1, x2, y1, y2 int64
-	w              *skeletal.Walker
+	w              skeletal.Walker
 	out            []record.Point
-	st             QueryStats
+	st             skeletal.QueryStats
 }
 
 // Query reports every point with x1 <= x <= x2 and y1 <= y <= y2.
-func (t *Tree) Query(x1, x2, y1, y2 int64) ([]record.Point, QueryStats, error) {
-	q := &winQuery{t: t, x1: x1, x2: x2, y1: y1, y2: y2, w: t.skel.NewWalker()}
+func (t *Tree) Query(x1, x2, y1, y2 int64) ([]record.Point, skeletal.QueryStats, error) {
+	return t.QueryOn(t.pager, x1, x2, y1, y2)
+}
+
+// QueryOn is Query reading every page through p. The walker's page buffers
+// go back to their pool when it returns; the answer is decoded by value.
+func (t *Tree) QueryOn(p disk.Pager, x1, x2, y1, y2 int64) ([]record.Point, skeletal.QueryStats, error) {
 	if t.n == 0 || x1 > x2 || y1 > y2 {
-		return nil, q.st, nil
+		return nil, skeletal.QueryStats{}, nil
 	}
+	q := &winQuery{t: t, p: p, x1: x1, x2: x2, y1: y1, y2: y2}
+	q.w.Reset(t.skel, p)
+	defer q.w.Release()
 	// Fork descent: internal nodes always have two children, so the walk
 	// ends at a leaf or at the first node whose split lies in [x1, x2].
 	fpath, err := q.w.Descend(t.skel.Root(), func(n skeletal.Node) skeletal.Dir {
@@ -115,7 +124,7 @@ func (q *winQuery) scanCanonical(ref skeletal.NodeRef) error {
 	}
 	// Locate the last page whose first y is <= y1; start there.
 	start := head
-	pages, err := disk.ScanChain(q.t.pager, dirRecSize, dirHead, func(rec []byte) bool {
+	pages, err := disk.ScanChain(q.p, dirRecSize, dirHead, func(rec []byte) bool {
 		page := disk.PageID(binary.LittleEndian.Uint64(rec[0:]))
 		firstY := int64(binary.LittleEndian.Uint64(rec[8:]))
 		if firstY > q.y1 {
@@ -130,7 +139,7 @@ func (q *winQuery) scanCanonical(ref skeletal.NodeRef) error {
 	q.st.ListPages += pages
 
 	matched := 0
-	pages, err = disk.ScanChain(q.t.pager, record.PointSize, start, func(rec []byte) bool {
+	pages, err = disk.ScanChain(q.p, record.PointSize, start, func(rec []byte) bool {
 		v := record.PointView(rec)
 		y := v.Y()
 		if y > q.y2 {
@@ -145,7 +154,7 @@ func (q *winQuery) scanCanonical(ref skeletal.NodeRef) error {
 	if err != nil {
 		return err
 	}
-	q.account(pages, matched)
+	q.st.Account(pages, matched, q.t.b)
 	return nil
 }
 
@@ -156,7 +165,7 @@ func (q *winQuery) scanFiltered(payload []byte) error {
 		return nil
 	}
 	matched := 0
-	pages, err := disk.ScanChain(q.t.pager, record.PointSize, head, func(rec []byte) bool {
+	pages, err := disk.ScanChain(q.p, record.PointSize, head, func(rec []byte) bool {
 		v := record.PointView(rec)
 		y := v.Y()
 		if y > q.y2 {
@@ -171,13 +180,6 @@ func (q *winQuery) scanFiltered(payload []byte) error {
 	if err != nil {
 		return err
 	}
-	q.account(pages, matched)
+	q.st.Account(pages, matched, q.t.b)
 	return nil
-}
-
-func (q *winQuery) account(pages, matched int) {
-	q.st.ListPages += pages
-	full := matched / q.t.b
-	q.st.UsefulIOs += full
-	q.st.WastefulIOs += pages - full
 }

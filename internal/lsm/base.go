@@ -172,7 +172,7 @@ func (l threeSideLevel) Len() int           { return l.t.Len() }
 func (l threeSideLevel) EncodeMeta() []byte { return l.t.Meta().Encode() }
 
 func (l threeSideLevel) Query(p disk.Pager, a, b int64) ([]record.Point, error) {
-	pts, _, err := l.t.WithPager(p).Query(a, math.MaxInt64, b)
+	pts, _, err := l.t.QueryOn(p, a, math.MaxInt64, b)
 	return pts, err
 }
 
@@ -213,7 +213,7 @@ func (l windowLevel) Len() int           { return l.t.Len() }
 func (l windowLevel) EncodeMeta() []byte { return l.t.Meta().Encode() }
 
 func (l windowLevel) Query(p disk.Pager, a, b int64) ([]record.Point, error) {
-	pts, _, err := l.t.WithPager(p).Query(a, math.MaxInt64, b, math.MaxInt64)
+	pts, _, err := l.t.QueryOn(p, a, math.MaxInt64, b, math.MaxInt64)
 	return pts, err
 }
 
@@ -258,7 +258,7 @@ func (l segLevel) Query(disk.Pager, int64, int64) ([]record.Point, error) {
 }
 
 func (l segLevel) Stab(p disk.Pager, q int64) ([]record.Point, error) {
-	ivs, _, err := l.t.WithPager(p).Stab(q)
+	ivs, _, err := l.t.StabOn(p, q)
 	if err != nil {
 		return nil, err
 	}
@@ -301,7 +301,7 @@ func (l intLevel) Query(disk.Pager, int64, int64) ([]record.Point, error) {
 }
 
 func (l intLevel) Stab(p disk.Pager, q int64) ([]record.Point, error) {
-	ivs, _, err := l.t.WithPager(p).Stab(q)
+	ivs, _, err := l.t.StabOn(p, q)
 	if err != nil {
 		return nil, err
 	}

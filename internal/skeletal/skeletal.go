@@ -224,17 +224,6 @@ func (t *Tree) writeSub(n *BuildNode) (NodeRef, error) {
 	return NodeRef{Page: page, Idx: 0}, nil
 }
 
-// WithPager returns a read-only view of the tree whose page reads go
-// through p instead of the pager the tree was built with. The view shares
-// the immutable structure (node layout, page table); it exists so that
-// concurrent operations can each route their I/O through a per-operation
-// counted pager (disk.WithCounter) for exact attribution.
-func (t *Tree) WithPager(p disk.Pager) *Tree {
-	c := *t
-	c.pager = p
-	return &c
-}
-
 // Root returns the root reference (NilRef for an empty tree).
 func (t *Tree) Root() NodeRef { return t.root }
 
@@ -422,6 +411,29 @@ func (v *View) Node(idx uint16) (Node, error) {
 		},
 		Payload: v.buf[off+entryOverhead : off+v.t.entrySize],
 	}, nil
+}
+
+// QueryStats profiles one path-cached query in the paper's two terms: the
+// skeletal pages read to locate the search path (the log_B n search term)
+// and the pages read from blocks, lists and caches (the t/B output term).
+// Each list page is useful when it returns a full page of reported records
+// and wasteful otherwise, per Figure 3's accounting. Every static engine
+// reports its queries through this one type.
+type QueryStats struct {
+	PathPages   int
+	ListPages   int
+	UsefulIOs   int
+	WastefulIOs int
+	Results     int
+}
+
+// Account charges one list scan that read pages pages and reported matched
+// records, at b records per page.
+func (s *QueryStats) Account(pages, matched, b int) {
+	s.ListPages += pages
+	full := matched / b
+	s.UsefulIOs += full
+	s.WastefulIOs += pages - full
 }
 
 // Walker navigates the tree during one logical operation (one query), caching

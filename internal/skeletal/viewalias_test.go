@@ -30,13 +30,15 @@ func TestViewAliasSurvivesEviction(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pooled := tr.WithPager(pool)
 
-		// Descend to several targets, retaining the path nodes (whose
-		// payloads alias the walkers' view buffers).
+		// Descend to several targets through the pool, one walker each,
+		// retaining the path nodes (whose payloads alias the walkers' view
+		// buffers).
 		var retained []Node
 		for _, target := range []int64{0, 150, 298, 599} {
-			path, err := pooled.Descend(func(n Node) Dir {
+			w := new(Walker)
+			w.Reset(tr, pool)
+			path, err := w.Descend(tr.Root(), func(n Node) Dir {
 				switch {
 				case n.Key == target:
 					return Stop

@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"math"
 
+	"pathcache/internal/disk"
 	"pathcache/internal/engine"
 	"pathcache/internal/extint"
 	"pathcache/internal/extseg"
 	"pathcache/internal/record"
+	"pathcache/internal/skeletal"
 )
 
 // The diagonal-corner reduction of [KRV], used by both stabbing indexes:
@@ -52,15 +54,21 @@ func NewStabbingIndex(ivs []Interval, scheme Scheme, opts *Options) (*StabbingIn
 // kind — not an inner 2-sided "query" — so metric series reflect the
 // operation the caller asked for.
 func (si *StabbingIndex) Stab(q int64) ([]Interval, IOProfile, error) {
-	pts, prof, err := si.ix.queryAs("stab", -q, q)
+	return serial(si.core, si.ix.op("stab"), q, si.stabOn)
+}
+
+// stabOn answers one stabbing query through p as the 2-sided corner query
+// {x >= -q, y >= q}.
+func (si *StabbingIndex) stabOn(p disk.Pager, q int64) ([]Interval, skeletal.QueryStats, error) {
+	pts, st, err := si.ix.queryOn(p, TwoSidedQuery{-q, q})
 	if err != nil {
-		return nil, prof, err
+		return nil, st, err
 	}
 	out := make([]Interval, len(pts))
-	for i, p := range pts {
-		out[i] = pointToInterval(p)
+	for i, pt := range pts {
+		out[i] = pointToInterval(pt)
 	}
-	return out, prof, nil
+	return out, st, nil
 }
 
 // Len reports the number of indexed intervals.
@@ -162,21 +170,18 @@ func NewSegmentIndex(ivs []Interval, cached bool, opts *Options) (*SegmentIndex,
 // the exact page transfers attributed to this one query by an op-scoped
 // counter.
 func (ix *SegmentIndex) Stab(q int64) ([]Interval, IOProfile, error) {
-	op := ix.startOp(engine.KindName(kindSegment), "stab")
-	ivs, st, err := ix.idx.WithPager(op.pager()).Stab(q)
+	return serial(ix.core, ix.op(), q, ix.stabOn)
+}
+
+func (ix *SegmentIndex) op() opSpec { return queryOp(kindSegment, "stab", ix.idx.Len()) }
+
+// stabOn answers one stabbing query through p.
+func (ix *SegmentIndex) stabOn(p disk.Pager, q int64) ([]Interval, skeletal.QueryStats, error) {
+	ivs, st, err := ix.idx.StabOn(p, q)
 	if err != nil {
-		op.abort()
-		return nil, IOProfile{}, fmt.Errorf("pathcache: %w", err)
+		return nil, st, err
 	}
-	prof, err := op.finish(len(ivs), ix.idx.Len(), boundFor(kindSegment))
-	prof.PathPages = st.PathPages
-	prof.ListPages = st.ListPages
-	prof.UsefulIOs = st.UsefulIOs
-	prof.WastefulIOs = st.WastefulIOs
-	if err != nil {
-		return nil, prof, err
-	}
-	return fromRecIntervals(ivs), prof, nil
+	return fromRecIntervals(ivs), st, nil
 }
 
 // Len reports the number of indexed intervals.
@@ -227,21 +232,18 @@ func NewIntervalIndex(ivs []Interval, cached bool, opts *Options) (*IntervalInde
 // the exact page transfers attributed to this one query by an op-scoped
 // counter.
 func (ix *IntervalIndex) Stab(q int64) ([]Interval, IOProfile, error) {
-	op := ix.startOp(engine.KindName(kindInterval), "stab")
-	ivs, st, err := ix.idx.WithPager(op.pager()).Stab(q)
+	return serial(ix.core, ix.op(), q, ix.stabOn)
+}
+
+func (ix *IntervalIndex) op() opSpec { return queryOp(kindInterval, "stab", ix.idx.Len()) }
+
+// stabOn answers one stabbing query through p.
+func (ix *IntervalIndex) stabOn(p disk.Pager, q int64) ([]Interval, skeletal.QueryStats, error) {
+	ivs, st, err := ix.idx.StabOn(p, q)
 	if err != nil {
-		op.abort()
-		return nil, IOProfile{}, fmt.Errorf("pathcache: %w", err)
+		return nil, st, err
 	}
-	prof, err := op.finish(len(ivs), ix.idx.Len(), boundFor(kindInterval))
-	prof.PathPages = st.PathPages
-	prof.ListPages = st.ListPages
-	prof.UsefulIOs = st.UsefulIOs
-	prof.WastefulIOs = st.WastefulIOs
-	if err != nil {
-		return nil, prof, err
-	}
-	return fromRecIntervals(ivs), prof, nil
+	return fromRecIntervals(ivs), st, nil
 }
 
 // Len reports the number of indexed intervals.

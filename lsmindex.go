@@ -9,6 +9,7 @@ import (
 	"pathcache/internal/engine"
 	"pathcache/internal/lsm"
 	"pathcache/internal/obs"
+	"pathcache/internal/skeletal"
 )
 
 // kindLSM is the write tier's registry kind byte.
@@ -210,14 +211,12 @@ func (x *LSMIndex) Delete(p Point) (IOProfile, error) {
 func (x *LSMIndex) update(opName string, apply func(disk.Pager) error) (IOProfile, error) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	op := x.startOp(lsmKindName, opName)
-	if err := apply(op.pager()); err != nil {
-		op.abort()
-		return IOProfile{}, fmt.Errorf("pathcache: %w", err)
-	}
-	prof, err := op.finish(0, x.tr.Len(), nil)
+	r := x.newRecorder(opSpec{kind: lsmKindName, name: opName}, obs.SerialWorker)
+	r.begin()
+	err := apply(r.pager)
+	prof, _ := r.end(0, skeletal.QueryStats{}, err) // no bound, so no breach
 	if err != nil {
-		return prof, err
+		return IOProfile{}, fmt.Errorf("pathcache: %w", err)
 	}
 	return prof, x.maintainLocked()
 }
@@ -242,16 +241,10 @@ func (x *LSMIndex) maintainLocked() error {
 // op tagged with the level it seals into, so per-level write amplification
 // is visible in Metrics.
 func (x *LSMIndex) runMaint(opName string, slot int, run func(disk.Pager) (int, error)) error {
-	ctr := new(disk.Counter)
-	op := x.be.Obs().Begin(lsmKindName, opName, slot)
-	sealed, err := run(x.be.OpPager(ctr))
-	cs := ctr.Stats()
-	x.be.Obs().End(op, obs.Measure{
-		Reads:     cs.Reads,
-		Writes:    cs.Writes,
-		CacheHits: ctr.Hits(),
-		Results:   sealed,
-	})
+	r := x.newRecorder(opSpec{kind: lsmKindName, name: opName}, slot)
+	r.begin()
+	sealed, err := run(r.pager)
+	r.end(sealed, skeletal.QueryStats{}, err)
 	if err != nil {
 		return fmt.Errorf("pathcache: %w", err)
 	}
@@ -334,33 +327,57 @@ func (x *LSMIndex) CompactBackground() <-chan error {
 // operation is checked against the dynamization bound. Unsupported on pure
 // interval bases ("segment", "interval").
 func (x *LSMIndex) Query(a, b int64) ([]Point, IOProfile, error) {
-	op := x.startOp(lsmKindName, "query")
-	bound := x.liveBound()
-	pts, err := x.tr.Query(op.pager(), a, b)
+	r := x.newRecorder(x.readOp("query"), obs.SerialWorker)
+	r.begin()
+	pts, st, err := x.queryOn(r.pager, TwoSidedQuery{a, b})
+	prof, berr := r.end(len(pts), st, err)
 	if err != nil {
-		op.abort()
 		return nil, IOProfile{}, fmt.Errorf("pathcache: %w", err)
 	}
-	prof, err := op.finish(len(pts), x.tr.Len(), bound)
-	return fromRecPoints(pts), prof, err
+	return pts, prof, berr
+}
+
+// readOp is the spec of one read operation, checked against the
+// dynamization bound at the current level count and tombstone chain. The
+// serial reads return their answer alongside a bound breach, so they run
+// through the recorder directly rather than through serial.
+func (x *LSMIndex) readOp(name string) opSpec {
+	return opSpec{kind: lsmKindName, name: name, n: x.tr.Len(), bound: x.liveBound()}
+}
+
+// queryOn answers one 2-sided query through p.
+func (x *LSMIndex) queryOn(p disk.Pager, q TwoSidedQuery) ([]Point, skeletal.QueryStats, error) {
+	pts, err := x.tr.Query(p, q.A, q.B)
+	if err != nil {
+		return nil, skeletal.QueryStats{}, err
+	}
+	return fromRecPoints(pts), skeletal.QueryStats{}, nil
+}
+
+// stabOn answers one stabbing query through p.
+func (x *LSMIndex) stabOn(p disk.Pager, q int64) ([]Interval, skeletal.QueryStats, error) {
+	pts, err := x.tr.Stab(p, q)
+	if err != nil {
+		return nil, skeletal.QueryStats{}, err
+	}
+	ivs := make([]Interval, len(pts))
+	for i, pt := range pts {
+		ivs[i] = pointToInterval(Point(pt))
+	}
+	return ivs, skeletal.QueryStats{}, nil
 }
 
 // Stab reports every live interval containing q, for bases that answer
 // stabbing queries ("segment", "interval", "stabbing").
 func (x *LSMIndex) Stab(q int64) ([]Interval, IOProfile, error) {
-	op := x.startOp(lsmKindName, "stab")
-	bound := x.liveBound()
-	pts, err := x.tr.Stab(op.pager(), q)
+	r := x.newRecorder(x.readOp("stab"), obs.SerialWorker)
+	r.begin()
+	ivs, st, err := x.stabOn(r.pager, q)
+	prof, berr := r.end(len(ivs), st, err)
 	if err != nil {
-		op.abort()
 		return nil, IOProfile{}, fmt.Errorf("pathcache: %w", err)
 	}
-	prof, err := op.finish(len(pts), x.tr.Len(), bound)
-	ivs := make([]Interval, len(pts))
-	for i, p := range pts {
-		ivs[i] = pointToInterval(Point(p))
-	}
-	return ivs, prof, err
+	return ivs, prof, berr
 }
 
 // Has reports whether the exact record (X, Y, ID) is live — the negative
@@ -368,60 +385,31 @@ func (x *LSMIndex) Stab(q int64) ([]Interval, IOProfile, error) {
 // zero page reads per level; a present one costs a binary search of one
 // level's data chain.
 func (x *LSMIndex) Has(p Point) (bool, IOProfile, error) {
-	op := x.startOp(lsmKindName, "probe")
-	bound := x.liveBound()
-	ok, err := x.tr.Has(op.pager(), toRec(p))
-	if err != nil {
-		op.abort()
-		return false, IOProfile{}, fmt.Errorf("pathcache: %w", err)
-	}
+	r := x.newRecorder(x.readOp("probe"), obs.SerialWorker)
+	r.begin()
+	ok, err := x.tr.Has(r.pager, toRec(p))
 	results := 0
 	if ok {
 		results = 1
 	}
-	prof, err := op.finish(results, x.tr.Len(), bound)
-	return ok, prof, err
+	prof, berr := r.end(results, skeletal.QueryStats{}, err)
+	if err != nil {
+		return false, IOProfile{}, fmt.Errorf("pathcache: %w", err)
+	}
+	return ok, prof, berr
 }
 
 // QueryBatch answers every 2-sided query with up to workers concurrent
 // goroutines; out[i] matches qs[i]. Updates may run concurrently — each
 // query sees some committed state.
 func (x *LSMIndex) QueryBatch(qs []TwoSidedQuery, workers int) ([][]Point, BatchStats, error) {
-	out := make([][]Point, len(qs))
-	bound := x.liveBound()
-	st, err := runBatch(x.be, lsmKindName, "query", x.tr.Len(), len(qs), workers, bound, func(p disk.Pager) func(i int) (int, error) {
-		return func(i int) (int, error) {
-			pts, err := x.tr.Query(p, qs[i].A, qs[i].B)
-			if err != nil {
-				return 0, err
-			}
-			out[i] = fromRecPoints(pts)
-			return len(out[i]), nil
-		}
-	})
-	return out, st, err
+	return batch(x.core, x.readOp("query"), qs, workers, x.queryOn)
 }
 
 // StabBatch answers every stabbing query concurrently; out[i] holds the
 // intervals containing qs[i].
 func (x *LSMIndex) StabBatch(qs []int64, workers int) ([][]Interval, BatchStats, error) {
-	out := make([][]Interval, len(qs))
-	bound := x.liveBound()
-	st, err := runBatch(x.be, lsmKindName, "stab", x.tr.Len(), len(qs), workers, bound, func(p disk.Pager) func(i int) (int, error) {
-		return func(i int) (int, error) {
-			pts, err := x.tr.Stab(p, qs[i])
-			if err != nil {
-				return 0, err
-			}
-			ivs := make([]Interval, len(pts))
-			for j, pt := range pts {
-				ivs[j] = pointToInterval(Point(pt))
-			}
-			out[i] = ivs
-			return len(ivs), nil
-		}
-	})
-	return out, st, err
+	return batch(x.core, x.readOp("stab"), qs, workers, x.stabOn)
 }
 
 // Kind reports the registry name "lsm".

@@ -8,6 +8,7 @@ import (
 	"pathcache/internal/disk"
 	"pathcache/internal/engine"
 	"pathcache/internal/obs"
+	"pathcache/internal/skeletal"
 )
 
 // This file is the public face of the observability layer (internal/obs):
@@ -230,53 +231,109 @@ func evalBound(bound obs.BoundFunc, pageSize, n, t int) float64 {
 	return bound(n, B(pageSize), t)
 }
 
-// opRun is one recorded serial operation: the registry record it closes
-// and the op-scoped counter its I/O is routed through. It is one allocation
-// per op, counter included.
-type opRun struct {
-	c   core
-	op  obs.Op
-	ctr disk.Counter
+// opSpec names one recorded operation: the kind and operation its metric
+// series is keyed by, and the theorem bound it is checked against at index
+// size n (a nil bound declares none: updates and maintenance).
+type opSpec struct {
+	kind, name string
+	n          int
+	bound      obs.BoundFunc
 }
 
-// startOp opens one recorded serial operation against the backend. Route
-// the operation's I/O through pager(), then call finish (or abort) exactly
-// once.
-func (c core) startOp(kindName, opName string) *opRun {
-	return &opRun{c: c, op: c.be.Obs().Begin(kindName, opName, obs.SerialWorker)}
+// queryOp is the spec of a query-class operation on a registered kind,
+// checked against the kind's registered bound.
+func queryOp(kind byte, name string, n int) opSpec {
+	return opSpec{kind: engine.KindName(kind), name: name, n: n, bound: boundFor(kind)}
 }
 
-// pager returns the backend's pager viewed through the op's counter.
-func (r *opRun) pager() disk.Pager { return r.c.be.OpPager(&r.ctr) }
+// recorder is the one op recorder. Every index operation but a build — a
+// serial query, one batch worker's query, an LSM update or maintenance
+// pass — opens with begin, routes its I/O through the recorder's pager and
+// closes with end, which records the op-scoped counter's delta since begin
+// into the metric series and checks the bound. A serial operation takes a
+// fresh recorder; a batch worker keeps one for all its queries, so its
+// counter also totals the worker's share.
+type recorder struct {
+	be     *engine.Backend
+	spec   opSpec
+	worker int
+	ctr    disk.Counter
+	pager  disk.Pager // be's pager viewed through ctr
 
-// finish folds the counter into the metric series, given the op's result
-// count, the index size n and the bound function (nil for none), and
-// returns the op's I/O profile — and, with strict bounds armed, a
-// *BoundError on breach.
-func (r *opRun) finish(results, n int, bound obs.BoundFunc) (IOProfile, error) {
-	cs := r.ctr.Stats()
-	ev, err := r.c.be.Obs().End(r.op, obs.Measure{
-		Reads:     cs.Reads,
-		Writes:    cs.Writes,
-		CacheHits: r.ctr.Hits(),
-		Results:   results,
-		Bound:     evalBound(bound, r.c.be.Pager().PageSize(), n, results),
-	})
-	prof := IOProfile{
-		Results:    results,
-		Reads:      ev.Reads,
-		Writes:     ev.Writes,
-		CacheHits:  ev.CacheHits,
-		Bound:      ev.Bound,
-		BoundRatio: ev.Ratio,
+	op         obs.Op
+	before     disk.Stats
+	beforeHits int64
+}
+
+// newRecorder makes a recorder for spec's operations run by worker
+// (SerialWorker outside a batch). It is one allocation, counter included.
+func (c core) newRecorder(spec opSpec, worker int) *recorder {
+	r := &recorder{be: c.be, spec: spec, worker: worker}
+	r.pager = c.be.OpPager(&r.ctr)
+	return r
+}
+
+// begin opens one operation.
+func (r *recorder) begin() {
+	r.op = r.be.Obs().Begin(r.spec.kind, r.spec.name, r.worker)
+	r.before, r.beforeHits = r.ctr.Stats(), r.ctr.Hits()
+}
+
+// end closes the operation begun last, given its result count, its
+// path-cache accounting and its own error. A failed operation still lands
+// its partial I/O in the series (and drops the inflight gauge) but records
+// no results and checks no bound — the operation's error wins — and gets a
+// zero profile. Otherwise end returns the operation's I/O profile and, with
+// strict bounds armed, a *BoundError on breach.
+func (r *recorder) end(results int, st skeletal.QueryStats, opErr error) (IOProfile, error) {
+	after := r.ctr.Stats()
+	m := obs.Measure{
+		Reads:     after.Reads - r.before.Reads,
+		Writes:    after.Writes - r.before.Writes,
+		CacheHits: r.ctr.Hits() - r.beforeHits,
 	}
-	return prof, publicErr(err)
+	if opErr != nil {
+		r.be.Obs().End(r.op, m)
+		return IOProfile{}, nil
+	}
+	m.Results = results
+	m.Bound = evalBound(r.spec.bound, r.be.Pager().PageSize(), r.spec.n, results)
+	ev, err := r.be.Obs().End(r.op, m)
+	return IOProfile{
+		PathPages:   st.PathPages,
+		ListPages:   st.ListPages,
+		UsefulIOs:   st.UsefulIOs,
+		WastefulIOs: st.WastefulIOs,
+		Results:     results,
+		Reads:       ev.Reads,
+		Writes:      ev.Writes,
+		CacheHits:   ev.CacheHits,
+		Bound:       ev.Bound,
+		BoundRatio:  ev.Ratio,
+	}, publicErr(err)
 }
 
-// abort closes an operation whose underlying query failed: the partial I/O
-// still lands in the series (and the inflight gauge drops), but no bound is
-// checked — the query's own error wins.
-func (r *opRun) abort() { r.finish(0, 0, nil) }
+// queryFunc is a static kind's one per-query function: answer q by reading
+// every page through p, and report the answer and its path-cache
+// accounting. Serial and batch methods both run it through a recorder.
+type queryFunc[Q, R any] func(p disk.Pager, q Q) ([]R, skeletal.QueryStats, error)
+
+// serial answers q as one recorded serial operation. A failed query
+// returns its error and a zero profile; a bound breach returns the
+// profile and the *BoundError, with no answer.
+func serial[Q, R any](c core, spec opSpec, q Q, run queryFunc[Q, R]) ([]R, IOProfile, error) {
+	r := c.newRecorder(spec, obs.SerialWorker)
+	r.begin()
+	out, st, err := run(r.pager, q)
+	prof, berr := r.end(len(out), st, err)
+	if err != nil {
+		return nil, IOProfile{}, fmt.Errorf("pathcache: %w", err)
+	}
+	if berr != nil {
+		return nil, prof, berr
+	}
+	return out, prof, nil
+}
 
 // recordBuild runs an index construction as one recorded "build" op. The
 // op opens before build runs and closes after it returns, meta save

@@ -4,7 +4,9 @@ import (
 	"fmt"
 
 	"pathcache/internal/btree"
+	"pathcache/internal/disk"
 	"pathcache/internal/obs"
+	"pathcache/internal/skeletal"
 )
 
 // RangeIndex is an external B+-tree over (key, value) pairs — the paper's
@@ -48,16 +50,19 @@ func (ix *RangeIndex) Delete(key int64, val uint64) error {
 // Search returns every value stored under key. Each search is recorded as
 // one "search" op against the B+-tree's O(log_B n + t/B) bound.
 func (ix *RangeIndex) Search(key int64) ([]uint64, error) {
-	op := ix.startOp(rangeKindName, "search")
-	vals, err := ix.idx.WithPager(op.pager()).Search(key)
-	if err != nil {
-		op.abort()
-		return nil, fmt.Errorf("pathcache: %w", err)
-	}
-	if _, err := op.finish(len(vals), ix.idx.Len(), obs.LogBBound); err != nil {
-		return nil, err
-	}
-	return vals, nil
+	vals, _, err := serial(ix.core, ix.op(), key, ix.searchOn)
+	return vals, err
+}
+
+func (ix *RangeIndex) op() opSpec {
+	return opSpec{kind: rangeKindName, name: "search", n: ix.idx.Len(), bound: obs.LogBBound}
+}
+
+// searchOn looks key up through p. A B+-tree has no path caches, so the
+// accounting stays zero.
+func (ix *RangeIndex) searchOn(p disk.Pager, key int64) ([]uint64, skeletal.QueryStats, error) {
+	vals, err := ix.idx.SearchOn(p, key)
+	return vals, skeletal.QueryStats{}, err
 }
 
 // rangeKindName tags the B+-tree's metric series. RangeIndex is not a

@@ -3,8 +3,10 @@ package pathcache
 import (
 	"fmt"
 
+	"pathcache/internal/disk"
 	"pathcache/internal/engine"
 	"pathcache/internal/ext3side"
+	"pathcache/internal/skeletal"
 )
 
 // ThreeSidedIndex is a static index answering 3-sided queries
@@ -41,21 +43,18 @@ func NewThreeSidedIndex(pts []Point, opts *Options) (*ThreeSidedIndex, error) {
 // the query's I/O profile: the exact page transfers attributed to this one
 // query by an op-scoped counter.
 func (ix *ThreeSidedIndex) QueryThreeSided(a1, a2, b int64) ([]Point, IOProfile, error) {
-	op := ix.startOp(engine.KindName(kindThreeSide), "query")
-	pts, st, err := ix.idx.WithPager(op.pager()).Query(a1, a2, b)
+	return serial(ix.core, ix.op(), ThreeSidedQuery{a1, a2, b}, ix.queryOn)
+}
+
+func (ix *ThreeSidedIndex) op() opSpec { return queryOp(kindThreeSide, "query", ix.idx.Len()) }
+
+// queryOn answers one 3-sided query through p.
+func (ix *ThreeSidedIndex) queryOn(p disk.Pager, q ThreeSidedQuery) ([]Point, skeletal.QueryStats, error) {
+	pts, st, err := ix.idx.QueryOn(p, q.A1, q.A2, q.B)
 	if err != nil {
-		op.abort()
-		return nil, IOProfile{}, fmt.Errorf("pathcache: %w", err)
+		return nil, st, err
 	}
-	prof, err := op.finish(len(pts), ix.idx.Len(), boundFor(kindThreeSide))
-	prof.PathPages = st.PathPages
-	prof.ListPages = st.ListPages
-	prof.UsefulIOs = st.UsefulIOs
-	prof.WastefulIOs = st.WastefulIOs
-	if err != nil {
-		return nil, prof, err
-	}
-	return fromRecPoints(pts), prof, nil
+	return fromRecPoints(pts), st, nil
 }
 
 // Len reports the number of indexed points.

@@ -6,6 +6,7 @@ import (
 	"pathcache/internal/disk"
 	"pathcache/internal/engine"
 	"pathcache/internal/extpst"
+	"pathcache/internal/skeletal"
 )
 
 // Scheme selects a static 2-sided construction from the paper's ladder.
@@ -116,7 +117,7 @@ func newTwoSidedIndex(pts []Point, scheme Scheme, opts *Options, kind byte) (*Tw
 // profile: the exact page transfers attributed to this one query by an
 // op-scoped counter.
 func (ix *TwoSidedIndex) Query(a, b int64) ([]Point, IOProfile, error) {
-	return ix.queryAs("query", a, b)
+	return serial(ix.core, ix.op("query"), TwoSidedQuery{a, b}, ix.queryOn)
 }
 
 // QueryProfile is Query under its older name, which the benchmark module
@@ -125,36 +126,20 @@ func (ix *TwoSidedIndex) QueryProfile(a, b int64) ([]Point, IOProfile, error) {
 	return ix.Query(a, b)
 }
 
-// queryAs runs one recorded 2-sided query under the given operation name.
-// It is shared by Query and by the stabbing reduction, which records
-// exactly one "stab" op under its own kind instead of an inner "query" —
-// double-recording would break the invariant that per-op histogram sums
-// equal the store-level Stats diff.
-func (ix *TwoSidedIndex) queryAs(opName string, a, b int64) ([]Point, IOProfile, error) {
-	op := ix.startOp(engine.KindName(ix.kind), opName)
-	pts, st, err := ix.queryOn(op.pager(), a, b)
-	if err != nil {
-		op.abort()
-		return nil, IOProfile{}, fmt.Errorf("pathcache: %w", err)
-	}
-	prof, err := op.finish(len(pts), ix.idx.Len(), boundFor(ix.kind))
-	prof.PathPages = st.PathPages
-	prof.ListPages = st.ListPages
-	prof.UsefulIOs = st.UsefulIOs
-	prof.WastefulIOs = st.WastefulIOs
-	if err != nil {
-		return nil, prof, err
-	}
-	return pts, prof, nil
-}
+// op is the spec of one recorded operation under the index's kind: "query"
+// for Query, "stab" for the stabbing reduction, which records exactly one
+// op under its own kind instead of an inner "query" — double-recording
+// would break the invariant that per-op histogram sums equal the
+// store-level Stats diff.
+func (ix *TwoSidedIndex) op(name string) opSpec { return queryOp(ix.kind, name, ix.idx.Len()) }
 
 // queryOn answers one 2-sided query through p. The walker, path and
 // result accumulator come from a pooled scratch; the answer leaves as a
 // copy before the scratch goes back.
-func (ix *TwoSidedIndex) queryOn(p disk.Pager, a, b int64) ([]Point, extpst.QueryStats, error) {
+func (ix *TwoSidedIndex) queryOn(p disk.Pager, q TwoSidedQuery) ([]Point, skeletal.QueryStats, error) {
 	s := extpst.GetScratch()
 	defer s.Release()
-	pts, st, err := ix.idx.QueryOn(p, a, b, s)
+	pts, st, err := ix.idx.QueryOn(p, q.A, q.B, s)
 	if err != nil {
 		return nil, st, err
 	}

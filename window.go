@@ -3,8 +3,10 @@ package pathcache
 import (
 	"fmt"
 
+	"pathcache/internal/disk"
 	"pathcache/internal/engine"
 	"pathcache/internal/extwindow"
+	"pathcache/internal/skeletal"
 )
 
 // WindowIndex answers general 4-sided window queries
@@ -44,21 +46,18 @@ func NewWindowIndex(pts []Point, opts *Options) (*WindowIndex, error) {
 // plus the query's I/O profile: the exact page transfers attributed to
 // this one query by an op-scoped counter.
 func (ix *WindowIndex) WindowQuery(x1, x2, y1, y2 int64) ([]Point, IOProfile, error) {
-	op := ix.startOp(engine.KindName(kindWindow), "query")
-	pts, st, err := ix.idx.WithPager(op.pager()).Query(x1, x2, y1, y2)
+	return serial(ix.core, ix.op(), WindowQuery{x1, x2, y1, y2}, ix.queryOn)
+}
+
+func (ix *WindowIndex) op() opSpec { return queryOp(kindWindow, "query", ix.idx.Len()) }
+
+// queryOn answers one window query through p.
+func (ix *WindowIndex) queryOn(p disk.Pager, q WindowQuery) ([]Point, skeletal.QueryStats, error) {
+	pts, st, err := ix.idx.QueryOn(p, q.X1, q.X2, q.Y1, q.Y2)
 	if err != nil {
-		op.abort()
-		return nil, IOProfile{}, fmt.Errorf("pathcache: %w", err)
+		return nil, st, err
 	}
-	prof, err := op.finish(len(pts), ix.idx.Len(), boundFor(kindWindow))
-	prof.PathPages = st.PathPages
-	prof.ListPages = st.ListPages
-	prof.UsefulIOs = st.UsefulIOs
-	prof.WastefulIOs = st.WastefulIOs
-	if err != nil {
-		return nil, prof, err
-	}
-	return fromRecPoints(pts), prof, nil
+	return fromRecPoints(pts), st, nil
 }
 
 // Len reports the number of indexed points.
