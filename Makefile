@@ -60,6 +60,7 @@ fuzz-smoke:
 	$(GO) test ./internal/disk -run='^$$' -fuzz=FuzzChainReadWrite -fuzztime=10s
 	$(GO) test ./internal/disk -run='^$$' -fuzz=FuzzChainThroughPool -fuzztime=10s
 	$(GO) test ./internal/disk -run='^$$' -fuzz=FuzzFileStoreOpen -fuzztime=10s
+	$(GO) test ./internal/disk -run='^$$' -fuzz=FuzzMetaCodec -fuzztime=10s
 	$(GO) test ./internal/server -run='^$$' -fuzz=FuzzServerRequestDecode -fuzztime=10s
 	$(GO) test ./internal/server -run='^$$' -fuzz=FuzzResponseEncode -fuzztime=10s
 	$(GO) test ./internal/server -run='^$$' -fuzz=FuzzRequestDecodeFast -fuzztime=10s

@@ -109,10 +109,12 @@ func goldenKinds() []goldenKind {
 	return ks
 }
 
-// writeTrace hashes every mutating pager call in order.
+// writeTrace hashes every mutating pager call in order. A build over
+// several files (a sharded store) wraps each file's pager in its own
+// writeTrace sharing one mutex and hash.
 type writeTrace struct {
 	disk.Pager
-	mu sync.Mutex
+	mu *sync.Mutex
 	h  hash.Hash
 }
 
@@ -149,31 +151,121 @@ func (w *writeTrace) Write(id disk.PageID, buf []byte) error {
 func goldenDigests(t *testing.T, k goldenKind, in goldenInput) (file, writes string) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "golden.pc")
-	tr := &writeTrace{h: sha256.New()}
-	ix, err := k.build(in, &Options{
-		PageSize: goldenPageSize,
-		Path:     path,
-		WrapPager: func(p disk.Pager) disk.Pager {
-			tr.Pager = p
-			return tr
-		},
-	})
+	opts, writesDigest := goldenOptions(path)
+	ix, err := k.build(in, opts)
 	if err != nil {
 		t.Fatalf("%s/%s: build: %v", k.name, in.name, err)
 	}
 	if err := ix.Close(); err != nil {
 		t.Fatal(err)
 	}
+	fh := sha256.New()
+	hashFile(t, fh, path)
+	return hex.EncodeToString(fh.Sum(nil))[:16], writesDigest()
+}
+
+// goldenOptions is the golden build configuration for path: 512-byte
+// pages and every file's pager wrapped in a writeTrace feeding one hash,
+// whose truncated digest the returned function reports.
+func goldenOptions(path string) (*Options, func() string) {
+	mu, h := &sync.Mutex{}, sha256.New()
+	opts := &Options{
+		PageSize: goldenPageSize,
+		Path:     path,
+		WrapPager: func(p disk.Pager) disk.Pager {
+			return &writeTrace{Pager: p, mu: mu, h: h}
+		},
+	}
+	return opts, func() string { return hex.EncodeToString(h.Sum(nil))[:16] }
+}
+
+func hashFile(t *testing.T, h hash.Hash, path string) {
+	t.Helper()
 	f, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	fh := sha256.New()
-	if _, err := io.Copy(fh, f); err != nil {
+	if _, err := io.Copy(h, f); err != nil {
 		t.Fatal(err)
 	}
-	return hex.EncodeToString(fh.Sum(nil))[:16], hex.EncodeToString(tr.h.Sum(nil))[:16]
+}
+
+// lsmGoldenDigests builds a dynamic index over base from a quarter of in's
+// records, inserts the rest through the public update path (MemtableEntries
+// 64 seals several levels and runs cascade merges), deletes every 64th
+// record (a tombstone chain, below the compaction cap), and returns the
+// file and write-trace digests. Every flush rewrites the manifest, so the
+// digests pin its bytes.
+func lsmGoldenDigests(t *testing.T, base string, in goldenInput) (file, writes string) {
+	t.Helper()
+	pts := in.pts
+	if base == "interval" {
+		pts = make([]Point, len(in.ivs))
+		for i, iv := range in.ivs {
+			pts[i] = IntervalToDynamicPoint(iv)
+		}
+	}
+	path := filepath.Join(t.TempDir(), "golden.pc")
+	opts, writesDigest := goldenOptions(path)
+	opts.MemtableEntries = 64
+	seed := len(pts) / 4
+	ix, err := BuildDynamic(base, pts[:seed], opts)
+	if err != nil {
+		t.Fatalf("lsm-%s/%s: build: %v", base, in.name, err)
+	}
+	for _, p := range pts[seed:] {
+		if _, err := ix.Insert(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < len(pts); i += 64 {
+		if _, err := ix.Delete(pts[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ix.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if lv := len(ix.Levels()); lv < 2 {
+		t.Fatalf("lsm-%s/%s: %d sealed levels, want several", base, in.name, lv)
+	}
+	if err := ix.Close(); err != nil {
+		t.Fatal(err)
+	}
+	fh := sha256.New()
+	hashFile(t, fh, path)
+	return hex.EncodeToString(fh.Sum(nil))[:16], writesDigest()
+}
+
+// shardGoldenDigests builds a 4-shard twosided store from in and returns a
+// digest over every file of the directory in name order (name, then
+// bytes) — the shard map's file included — and the shards' write-trace
+// digest.
+func shardGoldenDigests(t *testing.T, in goldenInput) (file, writes string) {
+	t.Helper()
+	dir := filepath.Join(t.TempDir(), "golden.shards")
+	opts, writesDigest := goldenOptions("")
+	s, err := BuildShardedPoints(dir, "twosided", in.pts, ShardPlan{Shards: 4, Scheme: SchemeSegmented}, opts)
+	if err != nil {
+		t.Fatalf("sharded/%s: build: %v", in.name, err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ents, err := os.ReadDir(dir) // sorted by name
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ents) != 5 {
+		t.Fatalf("sharded/%s: %d files, want 4 shards and the map", in.name, len(ents))
+	}
+	fh := sha256.New()
+	for _, e := range ents {
+		io.WriteString(fh, e.Name())
+		hashFile(t, fh, filepath.Join(dir, e.Name()))
+	}
+	return hex.EncodeToString(fh.Sum(nil))[:16], writesDigest()
 }
 
 func TestBuildGolden(t *testing.T) {
@@ -190,6 +282,17 @@ func TestBuildGolden(t *testing.T) {
 			file, writes := goldenDigests(t, k, in)
 			got[key] = file + " " + writes
 		}
+	}
+	for _, in := range goldenInputs(b) {
+		if in.name != "multi" {
+			continue
+		}
+		for _, base := range []string{"twosided", "interval"} {
+			file, writes := lsmGoldenDigests(t, base, in)
+			got["lsm-"+base+"/"+in.name+"/sorted"] = file + " " + writes
+		}
+		file, writes := shardGoldenDigests(t, in)
+		got["sharded-twosided-4/"+in.name+"/sorted"] = file + " " + writes
 	}
 	if *buildGoldenPrint {
 		keys := make([]string, 0, len(got))
@@ -215,8 +318,14 @@ func TestBuildGolden(t *testing.T) {
 }
 
 // buildGolden maps kind/input/format to "file-digest writes-digest"
-// (truncated sha256), recorded on the per-node-sort construction.
+// (truncated sha256), recorded on the per-node-sort construction. The lsm-
+// and sharded- rows were recorded before the write tier's manifest, the
+// shard map and the engine metas moved onto one shared codec
+// (internal/disk/codec.go); that move changed no byte.
 var buildGolden = map[string]string{
+	"lsm-interval/multi/sorted":          "a7598aecd2b929ec f6f2ca2a00417cf0",
+	"lsm-twosided/multi/sorted":          "622f02c3e5876b02 eb2df4a165b52037",
+	"sharded-twosided-4/multi/sorted":    "fee1ae0b244f7cd3 9926fc0b22c853f6",
 	"interval-cached=false/dup/sorted":   "5e43deb192026f21 f96623832e8407a9",
 	"interval-cached=false/eqB/sorted":   "3e988ac35a2f299f a337a5a71cac52c1",
 	"interval-cached=false/multi/sorted": "ffb66769af5f9096 bf250a140483dc9b",

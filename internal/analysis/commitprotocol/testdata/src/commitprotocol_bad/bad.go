@@ -50,6 +50,17 @@ func (s *store) writeAfterFlip(id disk.PageID, page, blob []byte) error {
 	return s.p.Write(id, page) // want `write reachable after a commit flip`
 }
 
+// blobAfterFlip writes the payload the flip was meant to publish only after
+// publishing it: a crash in between leaves metadata naming an unwritten
+// chain.
+func (s *store) blobAfterFlip(raw, blob []byte) error {
+	if err := s.cfg.Commit(blob); err != nil {
+		return err
+	}
+	_, _, err := disk.WriteCommitted(s.p, 0x4d747374, 1, raw) // want `write reachable after a commit flip`
+	return err
+}
+
 // sealTail delegates its writes; the caller's ordering is still checked
 // through the call-graph summary.
 func (s *store) sealTail(ids []disk.PageID, page []byte) error {

@@ -17,7 +17,9 @@
 //     helpers (ScanChain, ChainCap, NewChainWriter, WriteChain, ChainPages):
 //     a literal cannot be cross-checked against the encoder, so the one
 //     constant the B-derivation uses must be named (record.PointSize,
-//     opSize, dirRecSize, ...).
+//     opSize, dirRecSize, ...). The metadata codec's blob helpers
+//     (WriteBlob, ReadBlob, BlobPages, WriteCommitted, ReadCommitted) take
+//     no record size: they chunk at the named disk.BlobRec.
 package fixedwidth
 
 import (

@@ -1,9 +1,6 @@
 package ext3side
 
 import (
-	"encoding/binary"
-	"errors"
-	"fmt"
 	"math/bits"
 
 	"pathcache/internal/disk"
@@ -33,42 +30,31 @@ func (t *Tree) Meta() Meta {
 
 // Encode serializes the meta.
 func (m Meta) Encode() []byte {
-	var hdr [16]byte
-	binary.LittleEndian.PutUint32(hdr[0:], metaMagic)
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(m.N))
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(m.BlockPages))
-	binary.LittleEndian.PutUint32(hdr[12:], uint32(m.CachePages))
-	return m.Skel.Append(hdr[:])
+	w := disk.FieldWriter{Buf: make([]byte, 0, 64)}
+	w.U32(metaMagic)
+	w.Int(m.N)
+	w.Int(m.BlockPages)
+	w.Int(m.CachePages)
+	m.Skel.Put(&w)
+	return w.Buf
 }
 
 // DecodeMeta deserializes a meta blob produced by Encode.
 func DecodeMeta(buf []byte) (Meta, error) {
-	if len(buf) < 16 {
-		return Meta{}, errors.New("ext3side: truncated meta")
-	}
-	if binary.LittleEndian.Uint32(buf[0:]) != metaMagic {
-		return Meta{}, errors.New("ext3side: bad meta magic")
-	}
+	r := disk.NewFieldReader("ext3side: meta", buf)
+	r.Magic(metaMagic)
 	m := Meta{
-		N:          int(int32(binary.LittleEndian.Uint32(buf[4:]))),
-		BlockPages: int(int32(binary.LittleEndian.Uint32(buf[8:]))),
-		CachePages: int(int32(binary.LittleEndian.Uint32(buf[12:]))),
+		N:          r.Int(),
+		BlockPages: r.Int(),
+		CachePages: r.Int(),
+		Skel:       skeletal.ReadMeta(&r),
 	}
-	var err error
-	m.Skel, _, err = skeletal.DecodeMeta(buf[16:])
-	return m, err
+	return m, r.Err()
 }
 
 // Reopen attaches to a previously built tree persisted on p.
 func Reopen(p disk.Pager, m Meta) (*Tree, error) {
-	b := disk.ChainCap(p.PageSize(), record.PointSize)
-	if b < 2 {
-		return nil, fmt.Errorf("ext3side: page size %d too small", p.PageSize())
-	}
-	if m.Skel.PayloadSize != payloadSize {
-		return nil, fmt.Errorf("ext3side: payload size %d, want %d (format drift)", m.Skel.PayloadSize, payloadSize)
-	}
-	skel, err := skeletal.Reopen(p, m.Skel)
+	skel, b, err := skeletal.ReopenEngine(p, m.Skel, "ext3side", record.PointSize, payloadSize)
 	if err != nil {
 		return nil, err
 	}

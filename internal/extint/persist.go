@@ -1,10 +1,6 @@
 package extint
 
 import (
-	"encoding/binary"
-	"errors"
-	"fmt"
-
 	"pathcache/internal/disk"
 	"pathcache/internal/record"
 	"pathcache/internal/skeletal"
@@ -36,46 +32,35 @@ func (t *Tree) Meta() Meta {
 
 // Encode serializes the meta.
 func (m Meta) Encode() []byte {
-	var hdr [24]byte
-	binary.LittleEndian.PutUint32(hdr[0:], metaMagic)
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(m.Variant))
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(m.N))
-	binary.LittleEndian.PutUint32(hdr[12:], uint32(m.ListPages))
-	binary.LittleEndian.PutUint32(hdr[16:], uint32(m.CachePages))
-	binary.LittleEndian.PutUint32(hdr[20:], uint32(m.LocalPages))
-	return m.Skel.Append(hdr[:])
+	w := disk.FieldWriter{Buf: make([]byte, 0, 64)}
+	w.U32(metaMagic)
+	w.U32(uint32(m.Variant))
+	w.Int(m.N)
+	w.Int(m.ListPages)
+	w.Int(m.CachePages)
+	w.Int(m.LocalPages)
+	m.Skel.Put(&w)
+	return w.Buf
 }
 
 // DecodeMeta deserializes a meta blob produced by Encode.
 func DecodeMeta(buf []byte) (Meta, error) {
-	if len(buf) < 24 {
-		return Meta{}, errors.New("extint: truncated meta")
-	}
-	if binary.LittleEndian.Uint32(buf[0:]) != metaMagic {
-		return Meta{}, errors.New("extint: bad meta magic")
-	}
+	r := disk.NewFieldReader("extint: meta", buf)
+	r.Magic(metaMagic)
 	m := Meta{
-		Variant:    Variant(binary.LittleEndian.Uint32(buf[4:])),
-		N:          int(int32(binary.LittleEndian.Uint32(buf[8:]))),
-		ListPages:  int(int32(binary.LittleEndian.Uint32(buf[12:]))),
-		CachePages: int(int32(binary.LittleEndian.Uint32(buf[16:]))),
-		LocalPages: int(int32(binary.LittleEndian.Uint32(buf[20:]))),
+		Variant:    Variant(r.U32()),
+		N:          r.Int(),
+		ListPages:  r.Int(),
+		CachePages: r.Int(),
+		LocalPages: r.Int(),
+		Skel:       skeletal.ReadMeta(&r),
 	}
-	var err error
-	m.Skel, _, err = skeletal.DecodeMeta(buf[24:])
-	return m, err
+	return m, r.Err()
 }
 
 // Reopen attaches to a previously built tree persisted on p.
 func Reopen(p disk.Pager, m Meta) (*Tree, error) {
-	b := disk.ChainCap(p.PageSize(), record.IntervalSize)
-	if b < 2 {
-		return nil, fmt.Errorf("extint: page size %d too small", p.PageSize())
-	}
-	if m.Skel.PayloadSize != payloadSize {
-		return nil, fmt.Errorf("extint: payload size %d, want %d (format drift)", m.Skel.PayloadSize, payloadSize)
-	}
-	skel, err := skeletal.Reopen(p, m.Skel)
+	skel, b, err := skeletal.ReopenEngine(p, m.Skel, "extint", record.IntervalSize, payloadSize)
 	if err != nil {
 		return nil, err
 	}

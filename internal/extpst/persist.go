@@ -1,8 +1,6 @@
 package extpst
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
 	"math/bits"
 
@@ -41,38 +39,32 @@ func (t *Tree) Meta() Meta {
 
 // Encode serializes the meta.
 func (m Meta) Encode() []byte {
-	buf := make([]byte, 0, 64)
-	var hdr [28]byte
-	binary.LittleEndian.PutUint32(hdr[0:], metaMagic)
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(m.Scheme))
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(m.N))
-	binary.LittleEndian.PutUint32(hdr[12:], uint32(m.BlockPages))
-	binary.LittleEndian.PutUint32(hdr[16:], uint32(m.APages))
-	binary.LittleEndian.PutUint32(hdr[20:], uint32(m.SPages))
-	binary.LittleEndian.PutUint32(hdr[24:], uint32(m.SegLen))
-	buf = append(buf, hdr[:]...)
-	return m.Skel.Append(buf)
+	w := disk.FieldWriter{Buf: make([]byte, 0, 64)}
+	w.U32(metaMagic)
+	w.U32(uint32(m.Scheme))
+	w.Int(m.N)
+	w.Int(m.BlockPages)
+	w.Int(m.APages)
+	w.Int(m.SPages)
+	w.Int(m.SegLen)
+	m.Skel.Put(&w)
+	return w.Buf
 }
 
 // DecodeMeta deserializes a meta blob produced by Encode.
 func DecodeMeta(buf []byte) (Meta, error) {
-	if len(buf) < 28 {
-		return Meta{}, errors.New("extpst: truncated meta")
-	}
-	if binary.LittleEndian.Uint32(buf[0:]) != metaMagic {
-		return Meta{}, errors.New("extpst: bad meta magic")
-	}
+	r := disk.NewFieldReader("extpst: meta", buf)
+	r.Magic(metaMagic)
 	m := Meta{
-		Scheme:     Scheme(binary.LittleEndian.Uint32(buf[4:])),
-		N:          int(int32(binary.LittleEndian.Uint32(buf[8:]))),
-		BlockPages: int(int32(binary.LittleEndian.Uint32(buf[12:]))),
-		APages:     int(int32(binary.LittleEndian.Uint32(buf[16:]))),
-		SPages:     int(int32(binary.LittleEndian.Uint32(buf[20:]))),
-		SegLen:     int(int32(binary.LittleEndian.Uint32(buf[24:]))),
+		Scheme:     Scheme(r.U32()),
+		N:          r.Int(),
+		BlockPages: r.Int(),
+		APages:     r.Int(),
+		SPages:     r.Int(),
+		SegLen:     r.Int(),
+		Skel:       skeletal.ReadMeta(&r),
 	}
-	var err error
-	m.Skel, _, err = skeletal.DecodeMeta(buf[28:])
-	return m, err
+	return m, r.Err()
 }
 
 // Reopen attaches to a previously built tree persisted on p.
@@ -82,15 +74,13 @@ func Reopen(p disk.Pager, m Meta) (*Tree, error) {
 	default:
 		return nil, fmt.Errorf("extpst: scheme %v is not persistable", m.Scheme)
 	}
-	b := disk.ChainCap(p.PageSize(), record.PointSize)
-	if b < 2 {
-		return nil, fmt.Errorf("extpst: page size %d too small", p.PageSize())
-	}
-	if m.Skel.PayloadSize != payloadSize {
-		return nil, fmt.Errorf("extpst: payload size %d, want %d (format drift)", m.Skel.PayloadSize, payloadSize)
+	skel, b, err := skeletal.ReopenEngine(p, m.Skel, "extpst", record.PointSize, payloadSize)
+	if err != nil {
+		return nil, err
 	}
 	t := &Tree{
 		pager:      p,
+		skel:       skel,
 		scheme:     m.Scheme,
 		b:          b,
 		n:          m.N,
@@ -102,11 +92,6 @@ func Reopen(p disk.Pager, m Meta) (*Tree, error) {
 	if m.SegLen > 0 {
 		t.segLen = m.SegLen
 	}
-	skel, err := skeletal.Reopen(p, m.Skel)
-	if err != nil {
-		return nil, err
-	}
-	t.skel = skel
 	return t, nil
 }
 

@@ -1,10 +1,6 @@
 package extseg
 
 import (
-	"encoding/binary"
-	"errors"
-	"fmt"
-
 	"pathcache/internal/disk"
 	"pathcache/internal/record"
 	"pathcache/internal/skeletal"
@@ -39,50 +35,39 @@ func (t *Tree) Meta() Meta {
 
 // Encode serializes the meta.
 func (m Meta) Encode() []byte {
-	var hdr [40]byte
-	binary.LittleEndian.PutUint32(hdr[0:], metaMagic)
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(m.Variant))
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(m.N))
-	binary.LittleEndian.PutUint64(hdr[12:], uint64(m.Lo))
-	binary.LittleEndian.PutUint64(hdr[20:], uint64(m.Hi))
-	binary.LittleEndian.PutUint32(hdr[28:], uint32(m.CoverPages))
-	binary.LittleEndian.PutUint32(hdr[32:], uint32(m.LocalPages))
-	binary.LittleEndian.PutUint32(hdr[36:], uint32(m.CachePages))
-	return m.Skel.Append(hdr[:])
+	w := disk.FieldWriter{Buf: make([]byte, 0, 80)}
+	w.U32(metaMagic)
+	w.U32(uint32(m.Variant))
+	w.Int(m.N)
+	w.U64(uint64(m.Lo))
+	w.U64(uint64(m.Hi))
+	w.Int(m.CoverPages)
+	w.Int(m.LocalPages)
+	w.Int(m.CachePages)
+	m.Skel.Put(&w)
+	return w.Buf
 }
 
 // DecodeMeta deserializes a meta blob produced by Encode.
 func DecodeMeta(buf []byte) (Meta, error) {
-	if len(buf) < 40 {
-		return Meta{}, errors.New("extseg: truncated meta")
-	}
-	if binary.LittleEndian.Uint32(buf[0:]) != metaMagic {
-		return Meta{}, errors.New("extseg: bad meta magic")
-	}
+	r := disk.NewFieldReader("extseg: meta", buf)
+	r.Magic(metaMagic)
 	m := Meta{
-		Variant:    Variant(binary.LittleEndian.Uint32(buf[4:])),
-		N:          int(int32(binary.LittleEndian.Uint32(buf[8:]))),
-		Lo:         int64(binary.LittleEndian.Uint64(buf[12:])),
-		Hi:         int64(binary.LittleEndian.Uint64(buf[20:])),
-		CoverPages: int(int32(binary.LittleEndian.Uint32(buf[28:]))),
-		LocalPages: int(int32(binary.LittleEndian.Uint32(buf[32:]))),
-		CachePages: int(int32(binary.LittleEndian.Uint32(buf[36:]))),
+		Variant:    Variant(r.U32()),
+		N:          r.Int(),
+		Lo:         int64(r.U64()),
+		Hi:         int64(r.U64()),
+		CoverPages: r.Int(),
+		LocalPages: r.Int(),
+		CachePages: r.Int(),
+		Skel:       skeletal.ReadMeta(&r),
 	}
-	var err error
-	m.Skel, _, err = skeletal.DecodeMeta(buf[40:])
-	return m, err
+	return m, r.Err()
 }
 
 // Reopen attaches to a previously built tree persisted on p.
 func Reopen(p disk.Pager, m Meta) (*Tree, error) {
-	b := disk.ChainCap(p.PageSize(), record.IntervalSize)
-	if b < 2 {
-		return nil, fmt.Errorf("extseg: page size %d too small", p.PageSize())
-	}
-	if m.Skel.PayloadSize != payloadSize {
-		return nil, fmt.Errorf("extseg: payload size %d, want %d (format drift)", m.Skel.PayloadSize, payloadSize)
-	}
-	skel, err := skeletal.Reopen(p, m.Skel)
+	skel, b, err := skeletal.ReopenEngine(p, m.Skel, "extseg", record.IntervalSize, payloadSize)
 	if err != nil {
 		return nil, err
 	}

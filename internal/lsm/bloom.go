@@ -91,7 +91,7 @@ func (f *bloom) mayPoint(pt record.Point) bool {
 // writeBloom persists the filter as a byte chain and returns its head and
 // page count.
 func writeBloom(p disk.Pager, f *bloom) (disk.PageID, int, error) {
-	head, pages, err := writeBlobChain(p, f.bits)
+	head, pages, err := disk.WriteBlob(p, f.bits)
 	if err != nil {
 		return disk.InvalidPage, 0, fmt.Errorf("lsm: writing bloom chain: %w", err)
 	}
@@ -100,7 +100,7 @@ func writeBloom(p disk.Pager, f *bloom) (disk.PageID, int, error) {
 
 // readBloom loads a persisted filter of nbits bits from its chain.
 func readBloom(p disk.Pager, head disk.PageID, nbits uint64) (*bloom, error) {
-	raw, err := readBlobChain(p, head, int(nbits/8))
+	raw, err := disk.ReadBlob(p, head, int(nbits/8))
 	if err != nil {
 		return nil, fmt.Errorf("lsm: reading bloom chain: %w", err)
 	}

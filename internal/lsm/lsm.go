@@ -137,7 +137,7 @@ func Open(cfg Config, blob []byte) (*Tree, error) {
 		return nil, err
 	}
 	p := cfg.Pager
-	m, err := readManifest(p, blob)
+	m, head, err := readManifest(p, blob)
 	if err != nil {
 		return nil, err
 	}
@@ -147,11 +147,7 @@ func Open(cfg Config, blob []byte) (*Tree, error) {
 	if m.flushEvery >= 1 && cfg.FlushEvery == 0 {
 		t.flushEvery = int(m.flushEvery)
 	}
-	mb, err := decodeMetaBlob(blob)
-	if err != nil {
-		return nil, err
-	}
-	t.manifestHead = mb.head
+	t.manifestHead = head
 	t.seq = m.seq
 	t.flushedN = int(m.liveN)
 	t.n = t.flushedN
@@ -222,7 +218,6 @@ func reopenLevel(p disk.Pager, base Base, lr levelRecord) (*levelState, error) {
 	if err != nil {
 		return nil, err
 	}
-	bloomBytes := int(lr.bloomBits / 8)
 	return &levelState{
 		slot:       int(lr.slot),
 		n:          int(lr.n),
@@ -232,7 +227,7 @@ func reopenLevel(p disk.Pager, base Base, lr levelRecord) (*levelState, error) {
 		treePages:  lr.treePages,
 		bloomHead:  lr.bloomHead,
 		bloomBits:  lr.bloomBits,
-		bloomPages: disk.ChainPages(p.PageSize(), blobRec, (bloomBytes+blobRec-1)/blobRec),
+		bloomPages: disk.BlobPages(p.PageSize(), int(lr.bloomBits/8)),
 		bloom:      bl,
 	}, nil
 }

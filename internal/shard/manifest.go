@@ -1,209 +1,71 @@
 package shard
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 
 	"pathcache/internal/disk"
 	"pathcache/internal/engine"
 )
 
-// The shard map persists exactly like the write tier's manifest
-// (internal/lsm/manifest.go, DESIGN.md §8/§11): the encoded map is chunked
-// into a chain of fresh pages, and the commit point is the engine metadata
-// flip installing a fixed-width blob {magic, content kind, chain head,
-// byte length, CRC}. The chain the superseded map used is freed only after
-// the flip, so a crash on either side recovers a committed map — the old
-// one before the flip landed, the new one after — and a torn write
-// surfaces as a checksum error, never as a partial partition. The
-// commitprotocol analyzer enforces the ordering on this package.
+// The shard map is a variable-length record (epoch, sequence, kinds, split
+// keys, file names) persisted through the codec in internal/disk/codec.go,
+// the one the write tier's manifest also uses (DESIGN.md §8/§11): Save
+// writes the encoded map as a fresh blob chain named by a commit record
+// {magic, content kind, chain head, byte length, CRC}, and the commit point
+// is the engine metadata flip installing that record. The chain the
+// superseded map used is freed only after the flip, so a crash on either
+// side recovers a committed map — the old one before the flip landed, the
+// new one after — and a torn write surfaces as a checksum error, never as
+// a partial partition. The field list and both magics are this package's;
+// the commitprotocol analyzer enforces the ordering on it.
 
-// mapMagic and mapMetaMagic version the two encodings.
+// mapMagic versions the map encoding; mapMetaMagic versions the commit
+// record naming it.
 const (
 	mapMagic     = 0x3170616d // "map1"
 	mapMetaMagic = 0x4d647273 // "srdM"
 )
 
-// blobRec is the record width the map chain is chunked into.
-const blobRec = 8
-
-// castagnoli matches the FileStore's checksum polynomial.
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// writeBlobChain chunks raw into a chain of blobRec-wide records, padding
-// the tail chunk with zeros.
-func writeBlobChain(p disk.Pager, raw []byte) (disk.PageID, error) {
-	w, err := disk.NewChainWriter(p, blobRec)
-	if err != nil {
-		return disk.InvalidPage, err
-	}
-	var chunk [blobRec]byte
-	for off := 0; off < len(raw); off += blobRec {
-		for i := range chunk {
-			chunk[i] = 0
-		}
-		copy(chunk[:], raw[off:])
-		if err := w.Append(chunk[:]); err != nil {
-			return disk.InvalidPage, err
-		}
-	}
-	head, _, _, err := w.Close()
-	return head, err
-}
-
-// readBlobChain reads a blob chain back and truncates to size bytes.
-func readBlobChain(p disk.Pager, head disk.PageID, size int) ([]byte, error) {
-	raw := make([]byte, 0, size+blobRec)
-	_, err := disk.ScanChain(p, blobRec, head, func(rec []byte) bool {
-		raw = append(raw, rec...)
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	if len(raw) < size {
-		return nil, fmt.Errorf("shard: map chain holds %d bytes, need %d: %w", len(raw), size, disk.ErrCorrupt)
-	}
-	return raw[:size], nil
-}
-
-func putU32(buf []byte, v uint32) []byte {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	return append(buf, b[:]...)
-}
-
-func putU64(buf []byte, v uint64) []byte {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	return append(buf, b[:]...)
-}
-
 // encodeMap serializes the map.
 func encodeMap(m *Map) []byte {
-	buf := make([]byte, 0, 64+16*len(m.Files))
-	buf = putU32(buf, mapMagic)
-	buf = putU64(buf, m.Epoch)
-	buf = putU64(buf, m.Seq)
-	buf = append(buf, m.Kind, m.Base)
-	buf = putU32(buf, uint32(len(m.Files)))
+	w := disk.FieldWriter{Buf: make([]byte, 0, 64+16*len(m.Files))}
+	w.U32(mapMagic)
+	w.U64(m.Epoch)
+	w.U64(m.Seq)
+	w.U8(m.Kind)
+	w.U8(m.Base)
+	w.U32(uint32(len(m.Files)))
 	for _, k := range m.Splits {
-		buf = putU64(buf, uint64(k))
+		w.U64(uint64(k))
 	}
 	for _, f := range m.Files {
-		buf = putU32(buf, uint32(len(f)))
-		buf = append(buf, f...)
+		w.Bytes([]byte(f))
 	}
-	return buf
-}
-
-// mapReader decodes with bounds checking; any overrun marks corruption.
-type mapReader struct {
-	buf []byte
-	off int
-	err error
-}
-
-func (r *mapReader) take(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if n < 0 || r.off+n > len(r.buf) {
-		r.err = fmt.Errorf("shard: map truncated at offset %d: %w", r.off, disk.ErrCorrupt)
-		return nil
-	}
-	b := r.buf[r.off : r.off+n]
-	r.off += n
-	return b
-}
-
-func (r *mapReader) u32() uint32 {
-	b := r.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-func (r *mapReader) u64() uint64 {
-	b := r.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
+	return w.Buf
 }
 
 // decodeMap parses raw into a validated map.
 func decodeMap(raw []byte) (*Map, error) {
-	r := &mapReader{buf: raw}
-	if magic := r.u32(); r.err == nil && magic != mapMagic {
-		return nil, fmt.Errorf("shard: bad map magic %#x: %w", magic, disk.ErrCorrupt)
-	}
-	m := &Map{}
-	m.Epoch = r.u64()
-	m.Seq = r.u64()
-	if b := r.take(2); b != nil {
-		m.Kind, m.Base = b[0], b[1]
-	}
-	n := int(r.u32())
-	if r.err == nil && (n <= 0 || n > MaxShards) {
+	r := disk.NewFieldReader("shard: map", raw)
+	r.Magic(mapMagic)
+	m := &Map{Epoch: r.U64(), Seq: r.U64(), Kind: r.U8(), Base: r.U8()}
+	n := int(r.U32())
+	if r.Err() == nil && (n <= 0 || n > MaxShards) {
 		return nil, fmt.Errorf("shard: map names %d shards: %w", n, disk.ErrCorrupt)
 	}
-	for i := 0; i < n-1 && r.err == nil; i++ {
-		m.Splits = append(m.Splits, int64(r.u64()))
+	for i := 0; i < n-1 && r.Err() == nil; i++ {
+		m.Splits = append(m.Splits, int64(r.U64()))
 	}
-	for i := 0; i < n && r.err == nil; i++ {
-		nameLen := int(r.u32())
-		if b := r.take(nameLen); b != nil {
-			m.Files = append(m.Files, string(b))
-		}
+	for i := 0; i < n && r.Err() == nil; i++ {
+		m.Files = append(m.Files, string(r.Bytes()))
 	}
-	if r.err != nil {
-		return nil, r.err
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
 	if err := m.Validate(); err != nil {
 		return nil, fmt.Errorf("%w: %w", err, disk.ErrCorrupt)
 	}
 	return m, nil
-}
-
-// metaBlobSize is the fixed width of the engine metadata blob: magic,
-// content kind, chain head, map length, map CRC.
-const metaBlobSize = 4 + 1 + 8 + 4 + 4
-
-// encodeMetaBlob builds the metadata blob committing a map chain.
-func encodeMetaBlob(contentKind byte, head disk.PageID, mapLen int, sum uint32) []byte {
-	buf := make([]byte, 0, metaBlobSize)
-	buf = putU32(buf, mapMetaMagic)
-	buf = append(buf, contentKind)
-	buf = putU64(buf, uint64(head))
-	buf = putU32(buf, uint32(mapLen))
-	buf = putU32(buf, sum)
-	return buf
-}
-
-// metaBlob is the decoded engine metadata blob.
-type metaBlob struct {
-	contentKind byte
-	head        disk.PageID
-	mapLen      int
-	sum         uint32
-}
-
-func decodeMetaBlob(blob []byte) (metaBlob, error) {
-	if len(blob) != metaBlobSize {
-		return metaBlob{}, fmt.Errorf("shard: metadata blob is %d bytes, want %d: %w", len(blob), metaBlobSize, disk.ErrCorrupt)
-	}
-	if magic := binary.LittleEndian.Uint32(blob[0:4]); magic != mapMetaMagic {
-		return metaBlob{}, fmt.Errorf("shard: bad metadata magic %#x: %w", magic, disk.ErrCorrupt)
-	}
-	return metaBlob{
-		contentKind: blob[4],
-		head:        disk.PageID(binary.LittleEndian.Uint64(blob[5:13])),
-		mapLen:      int(binary.LittleEndian.Uint32(blob[13:17])),
-		sum:         binary.LittleEndian.Uint32(blob[17:21]),
-	}, nil
 }
 
 // Save commits m to the shard-map backend with the write-all-new -> flip ->
@@ -218,20 +80,15 @@ func Save(be *engine.Backend, m *Map) error {
 	}
 	oldHead := disk.InvalidPage
 	if kind, blob, err := be.ReadKind(); err == nil && kind == Kind {
-		if mb, err := decodeMetaBlob(blob); err == nil {
-			oldHead = mb.head
+		if c, err := disk.DecodeCommitRecord(blob, mapMetaMagic); err == nil {
+			oldHead = c.Head
 		}
 	}
-	raw := encodeMap(m)
-	head, err := writeBlobChain(be.Pager(), raw)
+	_, blob, err := disk.WriteCommitted(be.Pager(), mapMetaMagic, m.Kind, encodeMap(m))
 	if err != nil {
-		return fmt.Errorf("shard: writing map chain: %w", err)
+		return fmt.Errorf("shard: writing map: %w", err)
 	}
-	if head == disk.InvalidPage {
-		return fmt.Errorf("shard: empty map encoding")
-	}
-	sum := crc32.Checksum(raw, castagnoli)
-	if err := be.ReplaceMeta(Kind, encodeMetaBlob(m.Kind, head, len(raw), sum)); err != nil {
+	if err := be.ReplaceMeta(Kind, blob); err != nil {
 		return fmt.Errorf("shard: committing map: %w", err)
 	}
 	if oldHead != disk.InvalidPage {
@@ -256,26 +113,16 @@ func Load(be *engine.Backend) (*Map, error) {
 // LoadBlob decodes and validates the map a metadata blob points at — the
 // registered-opener path, where the engine already read the blob.
 func LoadBlob(be *engine.Backend, blob []byte) (*Map, error) {
-	mb, err := decodeMetaBlob(blob)
+	c, raw, err := disk.ReadCommitted(be.Pager(), blob, mapMetaMagic)
 	if err != nil {
-		return nil, err
-	}
-	if mb.mapLen <= 0 {
-		return nil, fmt.Errorf("shard: metadata names a %d-byte map: %w", mb.mapLen, disk.ErrCorrupt)
-	}
-	raw, err := readBlobChain(be.Pager(), mb.head, mb.mapLen)
-	if err != nil {
-		return nil, fmt.Errorf("shard: reading map chain: %w", err)
-	}
-	if sum := crc32.Checksum(raw, castagnoli); sum != mb.sum {
-		return nil, fmt.Errorf("shard: map checksum mismatch (%#x != %#x): %w", sum, mb.sum, disk.ErrCorrupt)
+		return nil, fmt.Errorf("shard: reading map: %w", err)
 	}
 	m, err := decodeMap(raw)
 	if err != nil {
 		return nil, err
 	}
-	if m.Kind != mb.contentKind {
-		return nil, fmt.Errorf("shard: map content kind %d != metadata kind %d: %w", m.Kind, mb.contentKind, disk.ErrCorrupt)
+	if m.Kind != c.Kind {
+		return nil, fmt.Errorf("shard: map content kind %d != metadata kind %d: %w", m.Kind, c.Kind, disk.ErrCorrupt)
 	}
 	return m, nil
 }

@@ -105,7 +105,7 @@ func FuzzLayoutPageDecode(f *testing.F) {
 	})
 }
 
-// FuzzMetaReopen feeds arbitrary bytes to DecodeMeta/Reopen. A reopened
+// FuzzMetaReopen feeds arbitrary bytes to ReadMeta/Reopen. A reopened
 // tree's geometry (sub-height, payload size, counters) drives every slot
 // offset computation, so corrupt meta must be rejected up front: decode
 // either fails cleanly or yields a meta that Reopen validates, and a tree
@@ -118,7 +118,7 @@ func FuzzMetaReopen(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	genuine := tr.Meta().Append(nil)
+	genuine := encodeMeta(tr.Meta())
 	f.Add(genuine)
 	for i := 0; i < len(genuine); i++ {
 		mut := append([]byte(nil), genuine...)
@@ -129,18 +129,18 @@ func FuzzMetaReopen(f *testing.F) {
 	f.Add([]byte("not a meta"))
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		m, rest, err := DecodeMeta(raw)
+		m, consumed, err := decodeMeta(raw)
 		if len(raw) >= metaSize && raw[30] != 0 {
 			if !errors.Is(err, disk.ErrCorrupt) {
-				t.Fatalf("DecodeMeta with layout byte %d: err=%v, want ErrCorrupt", raw[30], err)
+				t.Fatalf("ReadMeta with layout byte %d: err=%v, want ErrCorrupt", raw[30], err)
 			}
 			return
 		}
 		if err != nil {
 			return // rejected: fine, as long as it did not panic
 		}
-		if len(raw)-len(rest) != metaSize {
-			t.Fatalf("DecodeMeta consumed %d bytes, want %d", len(raw)-len(rest), metaSize)
+		if consumed != metaSize {
+			t.Fatalf("ReadMeta consumed %d bytes, want %d", consumed, metaSize)
 		}
 		store := disk.MustStore(256)
 		keys := make([]int64, 100)
@@ -196,13 +196,13 @@ func TestLayoutByteRejected(t *testing.T) {
 			}
 		}
 
-		meta := tr.Meta().Append(nil)
+		meta := encodeMeta(tr.Meta())
 		if meta[30] != 0 {
 			t.Fatalf("meta layout byte written as %d, want 0", meta[30])
 		}
 		meta[30] = tc.b
-		_, _, err = DecodeMeta(meta)
-		check("DecodeMeta", err)
+		_, _, err = decodeMeta(meta)
+		check("ReadMeta", err)
 
 		root := tr.Root()
 		buf := make([]byte, 256)

@@ -266,43 +266,54 @@ func (t *Tree) Meta() Meta {
 	}
 }
 
-// metaSize is the encoded size of Meta: its fields plus the layout byte,
+// Put appends the meta's fields to w: 30 bytes, then the layout byte,
 // always 0 (see disk.CheckLayoutByte).
-const metaSize = 8 + 2 + 5*4 + 1
-
-// Append serializes the meta after buf.
-func (m Meta) Append(buf []byte) []byte {
-	var tmp [metaSize]byte
-	binary.LittleEndian.PutUint64(tmp[0:], uint64(m.Root.Page))
-	binary.LittleEndian.PutUint16(tmp[8:], m.Root.Idx)
-	binary.LittleEndian.PutUint32(tmp[10:], uint32(m.PayloadSize))
-	binary.LittleEndian.PutUint32(tmp[14:], uint32(m.SubHeight))
-	binary.LittleEndian.PutUint32(tmp[18:], uint32(m.NumNodes))
-	binary.LittleEndian.PutUint32(tmp[22:], uint32(m.NumPages))
-	binary.LittleEndian.PutUint32(tmp[26:], uint32(m.Height))
-	return append(buf, tmp[:]...)
+func (m Meta) Put(w *disk.FieldWriter) {
+	w.Page(m.Root.Page)
+	w.U16(m.Root.Idx)
+	w.Int(m.PayloadSize)
+	w.Int(m.SubHeight)
+	w.Int(m.NumNodes)
+	w.Int(m.NumPages)
+	w.Int(m.Height)
+	w.U8(0) // layout byte
 }
 
-// DecodeMeta reads a Meta from the front of buf, returning the remainder.
-func DecodeMeta(buf []byte) (Meta, []byte, error) {
-	if len(buf) < metaSize {
-		return Meta{}, nil, errors.New("skeletal: truncated meta")
-	}
-	if err := disk.CheckLayoutByte(buf[30]); err != nil {
-		return Meta{}, nil, fmt.Errorf("skeletal: meta: %w", err)
-	}
+// ReadMeta reads a Meta that Put wrote from r; a non-zero layout byte
+// fails r with disk.ErrCorrupt.
+func ReadMeta(r *disk.FieldReader) Meta {
 	m := Meta{
-		Root: NodeRef{
-			Page: disk.PageID(binary.LittleEndian.Uint64(buf[0:])),
-			Idx:  binary.LittleEndian.Uint16(buf[8:]),
-		},
-		PayloadSize: int(int32(binary.LittleEndian.Uint32(buf[10:]))),
-		SubHeight:   int(int32(binary.LittleEndian.Uint32(buf[14:]))),
-		NumNodes:    int(int32(binary.LittleEndian.Uint32(buf[18:]))),
-		NumPages:    int(int32(binary.LittleEndian.Uint32(buf[22:]))),
-		Height:      int(int32(binary.LittleEndian.Uint32(buf[26:]))),
+		Root:        NodeRef{Page: r.Page(), Idx: r.U16()},
+		PayloadSize: r.Int(),
+		SubHeight:   r.Int(),
+		NumNodes:    r.Int(),
+		NumPages:    r.Int(),
+		Height:      r.Int(),
 	}
-	return m, buf[metaSize:], nil
+	if err := disk.CheckLayoutByte(r.U8()); err != nil {
+		r.Fail(err)
+	}
+	return m
+}
+
+// ReopenEngine is the reopen check every engine built on a skeleton runs
+// before attaching to it: the page must hold at least two recSize-byte
+// chain records, the meta's node payload must be payloadSize wide (any
+// other width is format drift), and the skeleton must reopen. pkg prefixes
+// the first two errors. It returns the skeleton and the chain capacity B.
+func ReopenEngine(p disk.Pager, m Meta, pkg string, recSize, payloadSize int) (*Tree, int, error) {
+	b := disk.ChainCap(p.PageSize(), recSize)
+	if b < 2 {
+		return nil, 0, fmt.Errorf("%s: page size %d too small", pkg, p.PageSize())
+	}
+	if m.PayloadSize != payloadSize {
+		return nil, 0, fmt.Errorf("%s: payload size %d, want %d (format drift)", pkg, m.PayloadSize, payloadSize)
+	}
+	t, err := Reopen(p, m)
+	if err != nil {
+		return nil, 0, err
+	}
+	return t, b, nil
 }
 
 // Reopen attaches to a previously persisted skeletal tree. The reopened

@@ -2,6 +2,7 @@ package skeletal
 
 import (
 	"encoding/binary"
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -286,6 +287,23 @@ func TestReopen(t *testing.T) {
 	}
 }
 
+// metaSize is the encoded width of Meta; the layout byte is its last.
+const metaSize = 8 + 2 + 5*4 + 1
+
+func encodeMeta(m Meta) []byte {
+	var w disk.FieldWriter
+	m.Put(&w)
+	return w.Buf
+}
+
+// decodeMeta reads a Meta from the front of buf and reports how many
+// bytes it consumed.
+func decodeMeta(buf []byte) (Meta, int, error) {
+	r := disk.NewFieldReader("skeletal: meta", buf)
+	m := ReadMeta(&r)
+	return m, len(buf) - r.Len(), r.Err()
+}
+
 // Meta must survive its binary encoding.
 func TestMetaRoundTrip(t *testing.T) {
 	m := Meta{
@@ -296,18 +314,18 @@ func TestMetaRoundTrip(t *testing.T) {
 		NumPages:    99,
 		Height:      17,
 	}
-	buf := m.Append([]byte("prefix")[6:])
-	got, rest, err := DecodeMeta(buf)
+	buf := encodeMeta(m)
+	got, consumed, err := decodeMeta(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != m {
 		t.Fatalf("round trip: %+v vs %+v", got, m)
 	}
-	if len(rest) != 0 {
-		t.Fatalf("leftover bytes: %d", len(rest))
+	if consumed != len(buf) || len(buf) != metaSize {
+		t.Fatalf("consumed %d of %d bytes, want %d", consumed, len(buf), metaSize)
 	}
-	if _, _, err := DecodeMeta(buf[:5]); err == nil {
-		t.Fatal("truncated meta accepted")
+	if _, _, err := decodeMeta(buf[:5]); !errors.Is(err, disk.ErrCorrupt) {
+		t.Fatalf("truncated meta: err=%v, want ErrCorrupt", err)
 	}
 }

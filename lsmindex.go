@@ -154,7 +154,7 @@ func OpenDynamic(path string) (*LSMIndex, error) {
 // openLSM is the registered opener: decode the base kind from the metadata
 // blob, then recover the tree (manifest, levels, blooms, tombstones, WAL).
 func openLSM(be *engine.Backend, blob []byte) (any, error) {
-	baseKind, err := lsm.DecodeMetaBlob(blob)
+	baseKind, err := lsm.BaseKindOf(blob)
 	if err != nil {
 		return nil, fmt.Errorf("pathcache: %w", err)
 	}

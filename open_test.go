@@ -6,6 +6,10 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"pathcache/internal/disk"
+	"pathcache/internal/engine"
+	"pathcache/internal/shard"
 )
 
 // Open must round-trip every persisted kind: build with Options.Path,
@@ -187,5 +191,69 @@ func TestOpenNoIndex(t *testing.T) {
 	}
 	if _, err := Open(filepath.Join(t.TempDir(), "missing.pc")); err == nil {
 		t.Fatal("Open on missing file succeeded")
+	}
+}
+
+// Every registered kind's opener must classify a metadata blob that lost
+// its last byte, or whose magic is wrong, as corruption: an error wrapping
+// disk.ErrCorrupt, never a plain error or a misread index. A kind added to
+// the registry without a row here fails the test.
+func TestOpenCorruptMeta(t *testing.T) {
+	dir := t.TempDir()
+	pts := uniformPoints(500, 10_000, 809)
+	ivs := uniformIntervals(500, 10_000, 1_000, 811)
+	opts := func(name string) *Options {
+		return &Options{PageSize: 512, Path: filepath.Join(dir, name+".pc")}
+	}
+	builds := map[string]func() (Index, error){
+		"twosided":  func() (Index, error) { return NewTwoSidedIndex(pts, SchemeSegmented, opts("twosided")) },
+		"threeside": func() (Index, error) { return NewThreeSidedIndex(pts, opts("threeside")) },
+		"segment":   func() (Index, error) { return NewSegmentIndex(ivs, true, opts("segment")) },
+		"interval":  func() (Index, error) { return NewIntervalIndex(ivs, true, opts("interval")) },
+		"stabbing":  func() (Index, error) { return NewStabbingIndex(ivs, SchemeSegmented, opts("stabbing")) },
+		"window":    func() (Index, error) { return NewWindowIndex(pts, opts("window")) },
+		"lsm":       func() (Index, error) { return BuildDynamic("twosided", pts, opts("lsm")) },
+		"shard": func() (Index, error) {
+			return BuildShardedPoints(filepath.Join(dir, "shard"), "twosided", pts,
+				ShardPlan{Shards: 2, Scheme: SchemeSegmented}, &Options{PageSize: 512})
+		},
+	}
+	for _, d := range engine.Kinds() {
+		build, ok := builds[d.Name]
+		if !ok {
+			t.Fatalf("registered kind %q has no corrupt-meta row", d.Name)
+		}
+		ix, err := build()
+		if err != nil {
+			t.Fatalf("%s: build: %v", d.Name, err)
+		}
+		if err := ix.Close(); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, d.Name+".pc")
+		if d.Name == "shard" {
+			path = filepath.Join(dir, "shard", shard.MapFileName)
+		}
+		be, err := engine.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kind, blob, err := be.ReadKind()
+		if err != nil || kind != d.Kind {
+			t.Fatalf("%s: ReadKind = %d, %v", d.Name, kind, err)
+		}
+		badMagic := append([]byte(nil), blob...)
+		badMagic[0] ^= 0xff
+		for _, tc := range []struct {
+			name string
+			blob []byte
+		}{{"truncated", blob[:len(blob)-1]}, {"bad magic", badMagic}} {
+			if _, err := d.Open(be, tc.blob); !errors.Is(err, disk.ErrCorrupt) {
+				t.Errorf("%s: %s meta: err = %v, want disk.ErrCorrupt", d.Name, tc.name, err)
+			}
+		}
+		if err := be.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
