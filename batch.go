@@ -94,7 +94,7 @@ func batch[Q, R any](c core, spec opSpec, qs []Q, workers int, run queryFunc[Q, 
 			defer wg.Done()
 			for i := r.worker; i < n; i += workers {
 				r.begin()
-				res, qst, err := run(r.pager, qs[i])
+				res, qst, err := run(r.pager, nil, qs[i])
 				_, berr := r.end(len(res), qst, err)
 				if err == nil {
 					out[i] = res

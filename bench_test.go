@@ -6,6 +6,7 @@ package pathcache_test
 
 import (
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -377,4 +378,51 @@ func BenchmarkPublicQueryBatch(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkShardedQuery is the report-sharded workload's query in
+// process: a reopened file-backed 4-shard twosided store of 250,000
+// points answering corners of about 2,000 points, whose x bound in the
+// lower half of the domain makes 3 or 4 shards answer. B/op set against
+// the answer's own bytes (results/op × 24) is the garbage the gather
+// leaves behind.
+func BenchmarkShardedQuery(b *testing.B) {
+	const n, results = 250_000, 2000
+	const span = int64(1) << 30
+	pts := make([]pathcache.Point, n)
+	for i, p := range workload.UniformPoints(n, span, 42) {
+		pts[i] = pathcache.Point(p)
+	}
+	dir := b.TempDir()
+	s, err := pathcache.BuildShardedPoints(dir, "twosided", pts, pathcache.ShardPlan{Shards: 4, Scheme: pathcache.SchemeSegmented}, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		b.Fatal(err)
+	}
+	if s, err = pathcache.OpenSharded(dir, nil); err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	// A corner (a, c) holds (span-a)(span-c)/span² of the points.
+	rng := rand.New(rand.NewSource(43))
+	qs := make([]pathcache.TwoSidedQuery, 64)
+	for i := range qs {
+		a := rng.Int63n(span / 2)
+		c := span - int64(results/float64(n)*float64(span)*float64(span)/float64(span-a))
+		qs[i] = pathcache.TwoSidedQuery{A: a, B: c}
+	}
+	got := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q := qs[i%len(qs)]
+		pts, _, err := s.Query(q.A, q.B)
+		if err != nil {
+			b.Fatal(err)
+		}
+		got += len(pts)
+	}
+	b.ReportMetric(float64(got)/float64(b.N), "results/op")
 }

@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"slices"
 	"strconv"
 
 	"pathcache"
@@ -262,11 +263,11 @@ func ioOfBatch(st pathcache.BatchStats) ioJSON {
 
 func (io ioJSON) appendJSON(b []byte) []byte {
 	b = append(b, `{"reads":`...)
-	b = strconv.AppendInt(b, io.Reads, 10)
+	b = appendInt(b, io.Reads)
 	b = append(b, `,"writes":`...)
-	b = strconv.AppendInt(b, io.Writes, 10)
+	b = appendInt(b, io.Writes)
 	b = append(b, `,"cache_hits":`...)
-	b = strconv.AppendInt(b, io.CacheHits, 10)
+	b = appendInt(b, io.CacheHits)
 	if io.Bound != 0 {
 		b = append(b, `,"bound":`...)
 		b = appendFloat(b, io.Bound)
@@ -288,7 +289,7 @@ type queryResponse struct {
 
 func (r *queryResponse) appendJSON(b []byte) []byte {
 	b = append(b, `{"count":`...)
-	b = strconv.AppendInt(b, int64(len(r.Points)+len(r.Intervals)), 10)
+	b = appendInt(b, int64(len(r.Points)+len(r.Intervals)))
 	if len(r.Points) > 0 {
 		b = append(b, `,"points":`...)
 		b = appendPoints(b, r.Points)
@@ -329,12 +330,20 @@ type batchResponse struct {
 }
 
 func (r *batchResponse) appendJSON(b []byte) []byte {
+	n := len(r.Points) + len(r.Intervals) // a list's brackets count as a record
+	for _, pts := range r.Points {
+		n += len(pts)
+	}
+	for _, ivs := range r.Intervals {
+		n += len(ivs)
+	}
+	b = growRecords(b, n)
 	b = append(b, `{"queries":`...)
-	b = strconv.AppendInt(b, int64(r.Queries), 10)
+	b = appendInt(b, int64(r.Queries))
 	b = append(b, `,"workers":`...)
-	b = strconv.AppendInt(b, int64(r.Workers), 10)
+	b = appendInt(b, int64(r.Workers))
 	b = append(b, `,"results":`...)
-	b = strconv.AppendInt(b, int64(r.Results), 10)
+	b = appendInt(b, int64(r.Results))
 	if len(r.Points) > 0 {
 		b = append(b, `,"point_results":[`...)
 		for i, pts := range r.Points {
@@ -369,7 +378,7 @@ type updateResponse struct {
 
 func (r *updateResponse) appendJSON(b []byte) []byte {
 	b = append(b, `{"records":`...)
-	b = strconv.AppendInt(b, int64(r.Records), 10)
+	b = appendInt(b, int64(r.Records))
 	b = append(b, `,"io":`...)
 	b = r.IO.appendJSON(b)
 	return append(b, '}')
@@ -391,19 +400,29 @@ func (r *okResponse) appendJSON(b []byte) []byte {
 	return append(b, '}')
 }
 
+// maxRecordLen bounds one encoded point or interval with its separator:
+// {"lo":,"hi":,"id":}, a comma and three integers.
+const maxRecordLen = 20 + 3*maxIntLen
+
+// growRecords grows b once for n records, their brackets and the digit
+// kernel's word overhang, so encoding them never grows it again.
+func growRecords(b []byte, n int) []byte {
+	return slices.Grow(b, n*maxRecordLen+maxIntLen+8)
+}
+
 // appendPoints appends [{"x","y","id"},...]; nil and empty are both [].
 func appendPoints(b []byte, pts []pathcache.Point) []byte {
-	b = append(b, '[')
+	b = append(growRecords(b, len(pts)), '[')
 	for i, p := range pts {
 		if i > 0 {
 			b = append(b, ',')
 		}
 		b = append(b, `{"x":`...)
-		b = strconv.AppendInt(b, p.X, 10)
+		b = appendInt(b, p.X)
 		b = append(b, `,"y":`...)
-		b = strconv.AppendInt(b, p.Y, 10)
+		b = appendInt(b, p.Y)
 		b = append(b, `,"id":`...)
-		b = strconv.AppendUint(b, p.ID, 10)
+		b = appendUint(b, p.ID)
 		b = append(b, '}')
 	}
 	return append(b, ']')
@@ -411,17 +430,17 @@ func appendPoints(b []byte, pts []pathcache.Point) []byte {
 
 // appendIntervals appends [{"lo","hi","id"},...]; nil and empty are both [].
 func appendIntervals(b []byte, ivs []pathcache.Interval) []byte {
-	b = append(b, '[')
+	b = append(growRecords(b, len(ivs)), '[')
 	for i, iv := range ivs {
 		if i > 0 {
 			b = append(b, ',')
 		}
 		b = append(b, `{"lo":`...)
-		b = strconv.AppendInt(b, iv.Lo, 10)
+		b = appendInt(b, iv.Lo)
 		b = append(b, `,"hi":`...)
-		b = strconv.AppendInt(b, iv.Hi, 10)
+		b = appendInt(b, iv.Hi)
 		b = append(b, `,"id":`...)
-		b = strconv.AppendUint(b, iv.ID, 10)
+		b = appendUint(b, iv.ID)
 		b = append(b, '}')
 	}
 	return append(b, ']')

@@ -191,6 +191,13 @@ func FuzzResponseEncode(f *testing.F) {
 			seed{shape, 12, 7, 7, 7, 7, 5e-324, math.MaxFloat64},
 		)
 	}
+	// One-record point and interval answers at every digit-length
+	// boundary: a short randomized run may never land on one.
+	for _, v := range digitBoundaries() {
+		for shape := uint8(0); shape < 2; shape++ {
+			seeds = append(seeds, seed{shape, 1, v.i, -v.i, v.u, v.i, 0, 0})
+		}
+	}
 	for _, s := range seeds {
 		f.Add(s.shape, s.n, s.x, s.y, s.id, s.reads, s.bound, s.ratio)
 	}
@@ -221,6 +228,54 @@ func FuzzResponseEncode(f *testing.F) {
 			t.Fatalf("Content-Length %q for a %d-byte body", cl, want.Len())
 		}
 	})
+}
+
+// digitBoundary is one value at a digit-length boundary, as the int64 and
+// uint64 fields carry it: i is u where u fits an int64, and otherwise
+// u's wrapped int64 value.
+type digitBoundary struct {
+	i int64
+	u uint64
+}
+
+// digitBoundaries lists 10^k-1, 10^k and 10^k+1 for k = 0..19, with the
+// three extremes MinInt64, MaxInt64 and MaxUint64.
+func digitBoundaries() []digitBoundary {
+	out := []digitBoundary{{math.MinInt64, 1 << 63}, {math.MaxInt64, math.MaxInt64}, {-1, math.MaxUint64}}
+	p := uint64(1)
+	for k := 0; k <= 19; k++ {
+		for _, u := range []uint64{p - 1, p, p + 1} {
+			out = append(out, digitBoundary{int64(u), u})
+		}
+		p *= 10
+	}
+	return out
+}
+
+// TestEncodeDigitBoundaries holds appendPoints and appendIntervals to
+// encoding/json at every digit-length boundary of both signs, where the
+// digit kernel switches between its 8-digit word, its 1- or 2-digit head
+// and its longer prefixes.
+func TestEncodeDigitBoundaries(t *testing.T) {
+	var pts []pathcache.Point
+	var ivs []pathcache.Interval
+	for _, v := range digitBoundaries() {
+		pts = append(pts, pathcache.Point{X: v.i, Y: -v.i, ID: v.u})
+		ivs = append(ivs, pathcache.Interval{Lo: -v.i, Hi: v.i, ID: v.u})
+	}
+	want, err := json.Marshal(pointsRef(pts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := appendPoints(nil, pts); !bytes.Equal(got, want) {
+		t.Fatalf("appendPoints differs from encoding/json\n got: %s\nwant: %s", got, want)
+	}
+	if want, err = json.Marshal(intervalsRef(ivs)); err != nil {
+		t.Fatal(err)
+	}
+	if got := appendIntervals(nil, ivs); !bytes.Equal(got, want) {
+		t.Fatalf("appendIntervals differs from encoding/json\n got: %s\nwant: %s", got, want)
+	}
 }
 
 // reportResponse is a 2,000-point query answer with served-benchmark-sized

@@ -3,10 +3,12 @@ package pathcache
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"pathcache/internal/disk"
 	"pathcache/internal/engine"
 	"pathcache/internal/extint"
+	"pathcache/internal/extpst"
 	"pathcache/internal/extseg"
 	"pathcache/internal/record"
 	"pathcache/internal/skeletal"
@@ -54,21 +56,34 @@ func NewStabbingIndex(ivs []Interval, scheme Scheme, opts *Options) (*StabbingIn
 // kind — not an inner 2-sided "query" — so metric series reflect the
 // operation the caller asked for.
 func (si *StabbingIndex) Stab(q int64) ([]Interval, IOProfile, error) {
-	return serial(si.core, si.ix.op("stab"), q, si.stabOn)
+	return si.appendStab(nil, q)
+}
+
+func (si *StabbingIndex) appendStab(dst []Interval, q int64) ([]Interval, IOProfile, error) {
+	return serial(si.core, si.ix.op("stab"), dst, q, si.stabOn)
 }
 
 // stabOn answers one stabbing query through p as the 2-sided corner query
-// {x >= -q, y >= q}.
-func (si *StabbingIndex) stabOn(p disk.Pager, q int64) ([]Interval, skeletal.QueryStats, error) {
-	pts, st, err := si.ix.queryOn(p, TwoSidedQuery{-q, q})
+// {x >= -q, y >= q}, on the pooled scratch the 2-sided engine runs on.
+func (si *StabbingIndex) stabOn(p disk.Pager, dst []Interval, q int64) ([]Interval, skeletal.QueryStats, error) {
+	s := extpst.GetScratch()
+	defer s.Release()
+	pts, st, err := si.ix.idx.QueryOn(p, -q, q, s)
 	if err != nil {
-		return nil, st, err
+		return dst, st, err
 	}
-	out := make([]Interval, len(pts))
-	for i, pt := range pts {
-		out[i] = pointToInterval(pt)
+	return appendCorners(dst, pts), st, nil
+}
+
+// appendCorners appends the intervals the diagonal corners pts encode to
+// dst, growing it once by len(pts).
+func appendCorners(dst []Interval, pts []record.Point) []Interval {
+	n := len(dst)
+	dst = slices.Grow(dst, len(pts))[:n+len(pts)]
+	for i, p := range pts {
+		dst[n+i] = pointToInterval(Point(p))
 	}
-	return out, st, nil
+	return dst
 }
 
 // Len reports the number of indexed intervals.
@@ -170,18 +185,22 @@ func NewSegmentIndex(ivs []Interval, cached bool, opts *Options) (*SegmentIndex,
 // the exact page transfers attributed to this one query by an op-scoped
 // counter.
 func (ix *SegmentIndex) Stab(q int64) ([]Interval, IOProfile, error) {
-	return serial(ix.core, ix.op(), q, ix.stabOn)
+	return ix.appendStab(nil, q)
+}
+
+func (ix *SegmentIndex) appendStab(dst []Interval, q int64) ([]Interval, IOProfile, error) {
+	return serial(ix.core, ix.op(), dst, q, ix.stabOn)
 }
 
 func (ix *SegmentIndex) op() opSpec { return queryOp(kindSegment, "stab", ix.idx.Len()) }
 
 // stabOn answers one stabbing query through p.
-func (ix *SegmentIndex) stabOn(p disk.Pager, q int64) ([]Interval, skeletal.QueryStats, error) {
+func (ix *SegmentIndex) stabOn(p disk.Pager, dst []Interval, q int64) ([]Interval, skeletal.QueryStats, error) {
 	ivs, st, err := ix.idx.StabOn(p, q)
 	if err != nil {
-		return nil, st, err
+		return dst, st, err
 	}
-	return fromRecIntervals(ivs), st, nil
+	return appendRecIntervals(dst, ivs), st, nil
 }
 
 // Len reports the number of indexed intervals.
@@ -232,18 +251,22 @@ func NewIntervalIndex(ivs []Interval, cached bool, opts *Options) (*IntervalInde
 // the exact page transfers attributed to this one query by an op-scoped
 // counter.
 func (ix *IntervalIndex) Stab(q int64) ([]Interval, IOProfile, error) {
-	return serial(ix.core, ix.op(), q, ix.stabOn)
+	return ix.appendStab(nil, q)
+}
+
+func (ix *IntervalIndex) appendStab(dst []Interval, q int64) ([]Interval, IOProfile, error) {
+	return serial(ix.core, ix.op(), dst, q, ix.stabOn)
 }
 
 func (ix *IntervalIndex) op() opSpec { return queryOp(kindInterval, "stab", ix.idx.Len()) }
 
 // stabOn answers one stabbing query through p.
-func (ix *IntervalIndex) stabOn(p disk.Pager, q int64) ([]Interval, skeletal.QueryStats, error) {
+func (ix *IntervalIndex) stabOn(p disk.Pager, dst []Interval, q int64) ([]Interval, skeletal.QueryStats, error) {
 	ivs, st, err := ix.idx.StabOn(p, q)
 	if err != nil {
-		return nil, st, err
+		return dst, st, err
 	}
-	return fromRecIntervals(ivs), st, nil
+	return appendRecIntervals(dst, ivs), st, nil
 }
 
 // Len reports the number of indexed intervals.

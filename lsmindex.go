@@ -327,14 +327,25 @@ func (x *LSMIndex) CompactBackground() <-chan error {
 // operation is checked against the dynamization bound. Unsupported on pure
 // interval bases ("segment", "interval").
 func (x *LSMIndex) Query(a, b int64) ([]Point, IOProfile, error) {
-	r := x.newRecorder(x.readOp("query"), obs.SerialWorker)
+	return lsmRead(x.core, x.readOp("query"), nil, TwoSidedQuery{a, b}, x.queryOn)
+}
+
+func (x *LSMIndex) appendQuery(dst []Point, a, b int64) ([]Point, IOProfile, error) {
+	return lsmRead(x.core, x.readOp("query"), dst, TwoSidedQuery{a, b}, x.queryOn)
+}
+
+// lsmRead is serial for the write tier's reads, which return their answer
+// alongside a bound breach: it answers q through a fresh recorder,
+// appending the answer to dst.
+func lsmRead[Q, R any](c core, spec opSpec, dst []R, q Q, run queryFunc[Q, R]) ([]R, IOProfile, error) {
+	r := c.newRecorder(spec, obs.SerialWorker)
 	r.begin()
-	pts, st, err := x.queryOn(r.pager, TwoSidedQuery{a, b})
-	prof, berr := r.end(len(pts), st, err)
+	out, st, err := run(r.pager, dst, q)
+	prof, berr := r.end(len(out)-len(dst), st, err)
 	if err != nil {
-		return nil, IOProfile{}, fmt.Errorf("pathcache: %w", err)
+		return dst, IOProfile{}, fmt.Errorf("pathcache: %w", err)
 	}
-	return pts, prof, berr
+	return out, prof, berr
 }
 
 // readOp is the spec of one read operation, checked against the
@@ -346,38 +357,32 @@ func (x *LSMIndex) readOp(name string) opSpec {
 }
 
 // queryOn answers one 2-sided query through p.
-func (x *LSMIndex) queryOn(p disk.Pager, q TwoSidedQuery) ([]Point, skeletal.QueryStats, error) {
+func (x *LSMIndex) queryOn(p disk.Pager, dst []Point, q TwoSidedQuery) ([]Point, skeletal.QueryStats, error) {
 	pts, err := x.tr.Query(p, q.A, q.B)
 	if err != nil {
-		return nil, skeletal.QueryStats{}, err
+		return dst, skeletal.QueryStats{}, err
 	}
-	return fromRecPoints(pts), skeletal.QueryStats{}, nil
+	return appendRecPoints(dst, pts), skeletal.QueryStats{}, nil
 }
 
-// stabOn answers one stabbing query through p.
-func (x *LSMIndex) stabOn(p disk.Pager, q int64) ([]Interval, skeletal.QueryStats, error) {
+// stabOn answers one stabbing query through p; the levels store the
+// diagonal corners.
+func (x *LSMIndex) stabOn(p disk.Pager, dst []Interval, q int64) ([]Interval, skeletal.QueryStats, error) {
 	pts, err := x.tr.Stab(p, q)
 	if err != nil {
-		return nil, skeletal.QueryStats{}, err
+		return dst, skeletal.QueryStats{}, err
 	}
-	ivs := make([]Interval, len(pts))
-	for i, pt := range pts {
-		ivs[i] = pointToInterval(Point(pt))
-	}
-	return ivs, skeletal.QueryStats{}, nil
+	return appendCorners(dst, pts), skeletal.QueryStats{}, nil
 }
 
 // Stab reports every live interval containing q, for bases that answer
 // stabbing queries ("segment", "interval", "stabbing").
 func (x *LSMIndex) Stab(q int64) ([]Interval, IOProfile, error) {
-	r := x.newRecorder(x.readOp("stab"), obs.SerialWorker)
-	r.begin()
-	ivs, st, err := x.stabOn(r.pager, q)
-	prof, berr := r.end(len(ivs), st, err)
-	if err != nil {
-		return nil, IOProfile{}, fmt.Errorf("pathcache: %w", err)
-	}
-	return ivs, prof, berr
+	return lsmRead(x.core, x.readOp("stab"), nil, q, x.stabOn)
+}
+
+func (x *LSMIndex) appendStab(dst []Interval, q int64) ([]Interval, IOProfile, error) {
+	return lsmRead(x.core, x.readOp("stab"), dst, q, x.stabOn)
 }
 
 // Has reports whether the exact record (X, Y, ID) is live — the negative

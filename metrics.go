@@ -314,23 +314,26 @@ func (r *recorder) end(results int, st skeletal.QueryStats, opErr error) (IOProf
 }
 
 // queryFunc is a static kind's one per-query function: answer q by reading
-// every page through p, and report the answer and its path-cache
-// accounting. Serial and batch methods both run it through a recorder.
-type queryFunc[Q, R any] func(p disk.Pager, q Q) ([]R, skeletal.QueryStats, error)
+// every page through p, append the answer to dst — growing it once by the
+// answer's length — and report its path-cache accounting. Serial and batch
+// methods both run it through a recorder with a nil dst, so their answer
+// is one exact allocation; a sharded gather passes its pooled buffer.
+type queryFunc[Q, R any] func(p disk.Pager, dst []R, q Q) ([]R, skeletal.QueryStats, error)
 
-// serial answers q as one recorded serial operation. A failed query
-// returns its error and a zero profile; a bound breach returns the
-// profile and the *BoundError, with no answer.
-func serial[Q, R any](c core, spec opSpec, q Q, run queryFunc[Q, R]) ([]R, IOProfile, error) {
+// serial answers q as one recorded serial operation, appending the answer
+// to dst. A failed query returns dst, its error and a zero profile; a
+// bound breach returns dst, the profile and the *BoundError, with no
+// answer appended.
+func serial[Q, R any](c core, spec opSpec, dst []R, q Q, run queryFunc[Q, R]) ([]R, IOProfile, error) {
 	r := c.newRecorder(spec, obs.SerialWorker)
 	r.begin()
-	out, st, err := run(r.pager, q)
-	prof, berr := r.end(len(out), st, err)
+	out, st, err := run(r.pager, dst, q)
+	prof, berr := r.end(len(out)-len(dst), st, err)
 	if err != nil {
-		return nil, IOProfile{}, fmt.Errorf("pathcache: %w", err)
+		return dst, IOProfile{}, fmt.Errorf("pathcache: %w", err)
 	}
 	if berr != nil {
-		return nil, prof, berr
+		return dst, prof, berr
 	}
 	return out, prof, nil
 }

@@ -31,6 +31,7 @@ package pathcache
 
 import (
 	"fmt"
+	"slices"
 
 	"pathcache/internal/disk"
 	"pathcache/internal/engine"
@@ -235,11 +236,17 @@ func toRecPoints(pts []Point) []record.Point {
 }
 
 func fromRecPoints(pts []record.Point) []Point {
-	out := make([]Point, len(pts))
+	return appendRecPoints(make([]Point, 0, len(pts)), pts)
+}
+
+// appendRecPoints appends pts to dst, growing it once by len(pts).
+func appendRecPoints(dst []Point, pts []record.Point) []Point {
+	n := len(dst)
+	dst = slices.Grow(dst, len(pts))[:n+len(pts)]
 	for i, p := range pts {
-		out[i] = Point(p)
+		dst[n+i] = Point(p)
 	}
-	return out
+	return dst
 }
 
 func toRecIntervals(ivs []Interval) []record.Interval {
@@ -251,9 +258,15 @@ func toRecIntervals(ivs []Interval) []record.Interval {
 }
 
 func fromRecIntervals(ivs []record.Interval) []Interval {
-	out := make([]Interval, len(ivs))
+	return appendRecIntervals(make([]Interval, 0, len(ivs)), ivs)
+}
+
+// appendRecIntervals appends ivs to dst, growing it once by len(ivs).
+func appendRecIntervals(dst []Interval, ivs []record.Interval) []Interval {
+	n := len(dst)
+	dst = slices.Grow(dst, len(ivs))[:n+len(ivs)]
 	for i, iv := range ivs {
-		out[i] = Interval(iv)
+		dst[n+i] = Interval(iv)
 	}
-	return out
+	return dst
 }

@@ -50,7 +50,7 @@ func (ix *RangeIndex) Delete(key int64, val uint64) error {
 // Search returns every value stored under key. Each search is recorded as
 // one "search" op against the B+-tree's O(log_B n + t/B) bound.
 func (ix *RangeIndex) Search(key int64) ([]uint64, error) {
-	vals, _, err := serial(ix.core, ix.op(), key, ix.searchOn)
+	vals, _, err := serial(ix.core, ix.op(), nil, key, ix.searchOn)
 	return vals, err
 }
 
@@ -58,11 +58,15 @@ func (ix *RangeIndex) op() opSpec {
 	return opSpec{kind: rangeKindName, name: "search", n: ix.idx.Len(), bound: obs.LogBBound}
 }
 
-// searchOn looks key up through p. A B+-tree has no path caches, so the
-// accounting stays zero.
-func (ix *RangeIndex) searchOn(p disk.Pager, key int64) ([]uint64, skeletal.QueryStats, error) {
+// searchOn looks key up through p. The B+-tree answers in a fresh slice,
+// which is the answer itself when dst is nil. A B+-tree has no path
+// caches, so the accounting stays zero.
+func (ix *RangeIndex) searchOn(p disk.Pager, dst []uint64, key int64) ([]uint64, skeletal.QueryStats, error) {
 	vals, err := ix.idx.SearchOn(p, key)
-	return vals, skeletal.QueryStats{}, err
+	if err != nil || dst == nil {
+		return vals, skeletal.QueryStats{}, err
+	}
+	return append(dst, vals...), skeletal.QueryStats{}, nil
 }
 
 // rangeKindName tags the B+-tree's metric series. RangeIndex is not a

@@ -122,9 +122,38 @@ func Writable(ix Index) (WriteTier, bool) {
 	return w, true
 }
 
+// The gather seam: the in-package twin of each shape's serial method,
+// appending the answer to dst. A sharded store's gather (sharded_query.go)
+// answers every consulted shard through it, straight into one pooled
+// buffer; the exported method is the twin called with a nil dst, so both
+// record the same op.
+type (
+	twoSidedAppender interface {
+		appendQuery(dst []Point, a, b int64) ([]Point, IOProfile, error)
+	}
+	threeSidedAppender interface {
+		appendQueryThreeSided(dst []Point, a1, a2, b int64) ([]Point, IOProfile, error)
+	}
+	windowAppender interface {
+		appendWindowQuery(dst []Point, x1, x2, y1, y2 int64) ([]Point, IOProfile, error)
+	}
+	stabAppender interface {
+		appendStab(dst []Interval, q int64) ([]Interval, IOProfile, error)
+	}
+)
+
 // Compile-time checks that every kind implements the interface of each
-// shape it can report.
+// shape it can report, and its gather seam.
 var (
+	_ twoSidedAppender   = (*TwoSidedIndex)(nil)
+	_ threeSidedAppender = (*ThreeSidedIndex)(nil)
+	_ windowAppender     = (*WindowIndex)(nil)
+	_ stabAppender       = (*SegmentIndex)(nil)
+	_ stabAppender       = (*IntervalIndex)(nil)
+	_ stabAppender       = (*StabbingIndex)(nil)
+	_ twoSidedAppender   = (*LSMIndex)(nil)
+	_ stabAppender       = (*LSMIndex)(nil)
+
 	_ TwoSidedQuerier   = (*TwoSidedIndex)(nil)
 	_ ThreeSidedQuerier = (*ThreeSidedIndex)(nil)
 	_ WindowQuerier     = (*WindowIndex)(nil)

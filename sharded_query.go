@@ -2,10 +2,12 @@ package pathcache
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"math"
 	"slices"
 	"sync"
+	"unsafe"
 
 	"pathcache/internal/shard"
 )
@@ -102,49 +104,82 @@ func canonicalPoints(pts, scratch []Point) {
 	}
 }
 
-// mergePoints concatenates the shards' answers into one slice allocated at
-// the exact total size and sorts it canonically. No answers merge to nil,
-// like a single store's empty result.
-func mergePoints(parts [][]Point) []Point {
-	n := 0
-	for _, p := range parts {
-		n += len(p)
+// gatherBuf is a sharded read's pooled gather buffer: every consulted
+// shard appends its answer to pts, canonicalPoints sorts them in place
+// with scratch, and the caller gets one exact copy. Intervals gather
+// point-shaped (asIntervals), so one buffer and one sort serve every shape.
+type gatherBuf struct{ pts, scratch []Point }
+
+var gatherPool = sync.Pool{New: func() any { return new(gatherBuf) }}
+
+// maxPooledGather caps, in records, the buffers a released gather keeps: a
+// rare huge answer's buffers go to the collector instead of staying
+// pinned in the pool.
+const maxPooledGather = 1 << 14
+
+func getGather() *gatherBuf { return gatherPool.Get().(*gatherBuf) }
+
+func (g *gatherBuf) release() {
+	if cap(g.pts) > maxPooledGather {
+		g.pts, g.scratch = nil, nil
 	}
-	if n == 0 {
-		return nil
-	}
-	out := make([]Point, 0, n)
-	for _, p := range parts {
-		out = append(out, p...)
-	}
-	canonicalPoints(out, make([]Point, n))
-	return out
+	g.pts = g.pts[:0]
+	gatherPool.Put(g)
 }
 
-// mergeIntervals is mergePoints for intervals. (Lo, Hi, ID) order is the
-// (X, Y, ID) order of the field-wise copy, so the answers are concatenated
-// as points, sorted by the same radix sort, and copied out once.
-func mergeIntervals(parts [][]Interval) []Interval {
-	n := 0
-	for _, p := range parts {
-		n += len(p)
+// sorted sorts the gathered records canonically and returns them; they
+// stay the buffer's.
+func (g *gatherBuf) sorted() []Point {
+	if cap(g.scratch) < len(g.pts) {
+		g.scratch = make([]Point, cap(g.pts))
 	}
-	if n == 0 {
+	canonicalPoints(g.pts, g.scratch[:len(g.pts)])
+	return g.pts
+}
+
+// Interval and Point are both three 8-byte words, (Lo, Hi, ID) and
+// (X, Y, ID), so the (Lo, Hi, ID) order of intervals is the (X, Y, ID)
+// order of the same words read as points. asIntervals and asPoints view
+// one backing array as the other type, length and capacity kept: a stab
+// appends its intervals straight into the point-shaped gather buffer.
+func asIntervals(pts []Point) []Interval {
+	return unsafe.Slice((*Interval)(unsafe.Pointer(unsafe.SliceData(pts))), cap(pts))[:len(pts)]
+}
+
+func asPoints(ivs []Interval) []Point {
+	return unsafe.Slice((*Point)(unsafe.Pointer(unsafe.SliceData(ivs))), cap(ivs))[:len(ivs)]
+}
+
+// owned copies a sorted gather out into a slice the caller owns. No
+// answers are nil, like a single store's empty result.
+func owned[R any](rs []R) []R {
+	if len(rs) == 0 {
 		return nil
 	}
-	buf := make([]Point, 2*n)
-	pts := buf[:0:n]
+	return slices.Clone(rs)
+}
+
+// mergePoints gathers the shards' answers into a pooled buffer, sorts it
+// canonically and returns one exact copy.
+func mergePoints(parts [][]Point) []Point {
+	g := getGather()
+	defer g.release()
 	for _, p := range parts {
-		for _, iv := range p {
-			pts = append(pts, Point{X: iv.Lo, Y: iv.Hi, ID: iv.ID})
-		}
+		g.pts = append(g.pts, p...)
 	}
-	canonicalPoints(pts, buf[n:])
-	out := make([]Interval, n)
-	for i, p := range pts {
-		out[i] = Interval{Lo: p.X, Hi: p.Y, ID: p.ID}
+	return owned(g.sorted())
+}
+
+// mergeIntervals is mergePoints for intervals.
+func mergeIntervals(parts [][]Interval) []Interval {
+	g := getGather()
+	defer g.release()
+	ivs := asIntervals(g.pts)
+	for _, p := range parts {
+		ivs = append(ivs, p...)
 	}
-	return out
+	g.pts = asPoints(ivs)
+	return owned(asIntervals(g.sorted()))
 }
 
 // Shape reports the content kind's shape (an lsm content's base decides).
@@ -170,37 +205,46 @@ func stabRange(kind byte, splits []int64, q int64, n int) (int, int) {
 }
 
 // gatherSerial runs one serial operation over the shard range plan picks
-// from a snapshot and merges the answers canonically, collecting each
-// consulted shard's profile.
+// from a snapshot: run appends each consulted shard's answer to one pooled
+// gather buffer, which is sorted once and copied out by own. It collects
+// each consulted shard's profile. A bound breach returns the profiles
+// gathered so far, the breaching shard's included, the way a single
+// store's serial op returns its profile beside the *BoundError.
 func gatherSerial[R any](s *Sharded, plan func(splits []int64, n int) (int, int),
-	run func(ix Index) ([]R, IOProfile, error), merge func(parts [][]R) []R,
+	run func(ix Index, dst []Point) ([]Point, IOProfile, error), own func(sorted []Point) []R,
 ) ([]R, []ShardProfile, error) {
-	var parts [][]R
+	g := getGather()
+	defer g.release()
 	var profs []ShardProfile
 	err := s.withSnapshot(func(shards []shard.Shard, splits []int64) error {
-		parts, profs = nil, nil
 		from, to := plan(splits, len(shards))
+		g.pts, profs = g.pts[:0], slices.Grow(profs[:0], to-from)
 		for i := from; i < to; i++ {
 			ix, release, err := acquireShard(shards[i])
 			if err != nil {
 				return err
 			}
-			res, prof, err := run(ix)
+			var prof IOProfile
+			g.pts, prof, err = run(ix, g.pts)
 			if rerr := release(); err == nil {
 				err = rerr
+			}
+			if err == nil || errors.Is(err, ErrBoundExceeded) {
+				profs = append(profs, ShardProfile{Shard: i, IOProfile: prof})
 			}
 			if err != nil {
 				return err
 			}
-			parts = append(parts, res)
-			profs = append(profs, ShardProfile{Shard: i, IOProfile: prof})
 		}
 		return nil
 	})
-	if err != nil {
+	switch {
+	case errors.Is(err, ErrBoundExceeded):
+		return nil, profs, err
+	case err != nil:
 		return nil, nil, err
 	}
-	return merge(parts), profs, nil
+	return own(g.sorted()), profs, nil
 }
 
 // sumProfiles folds the consulted shards' profiles into the operation's:
@@ -236,8 +280,10 @@ func (s *Sharded) QueryProfile(a, b int64) ([]Point, []ShardProfile, error) {
 	}
 	return gatherSerial(s,
 		func(splits []int64, n int) (int, int) { return shard.Suffix(splits, a), n },
-		func(ix Index) ([]Point, IOProfile, error) { return ix.(TwoSidedQuerier).Query(a, b) },
-		mergePoints)
+		func(ix Index, dst []Point) ([]Point, IOProfile, error) {
+			return ix.(twoSidedAppender).appendQuery(dst, a, b)
+		},
+		owned[Point])
 }
 
 // QueryThreeSided answers the 3-sided query {a1 <= x <= a2, y >= b} across
@@ -248,8 +294,10 @@ func (s *Sharded) QueryThreeSided(a1, a2, b int64) ([]Point, IOProfile, error) {
 	}
 	pts, profs, err := gatherSerial(s,
 		func(splits []int64, _ int) (int, int) { return shard.Overlap(splits, a1, a2) },
-		func(ix Index) ([]Point, IOProfile, error) { return ix.(ThreeSidedQuerier).QueryThreeSided(a1, a2, b) },
-		mergePoints)
+		func(ix Index, dst []Point) ([]Point, IOProfile, error) {
+			return ix.(threeSidedAppender).appendQueryThreeSided(dst, a1, a2, b)
+		},
+		owned[Point])
 	return pts, sumProfiles(profs), err
 }
 
@@ -261,8 +309,10 @@ func (s *Sharded) WindowQuery(x1, x2, y1, y2 int64) ([]Point, IOProfile, error) 
 	}
 	pts, profs, err := gatherSerial(s,
 		func(splits []int64, _ int) (int, int) { return shard.Overlap(splits, x1, x2) },
-		func(ix Index) ([]Point, IOProfile, error) { return ix.(WindowQuerier).WindowQuery(x1, x2, y1, y2) },
-		mergePoints)
+		func(ix Index, dst []Point) ([]Point, IOProfile, error) {
+			return ix.(windowAppender).appendWindowQuery(dst, x1, x2, y1, y2)
+		},
+		owned[Point])
 	return pts, sumProfiles(profs), err
 }
 
@@ -273,8 +323,11 @@ func (s *Sharded) Stab(q int64) ([]Interval, IOProfile, error) {
 	}
 	ivs, profs, err := gatherSerial(s,
 		func(splits []int64, n int) (int, int) { return stabRange(s.kind, splits, q, n) },
-		func(ix Index) ([]Interval, IOProfile, error) { return ix.(Stabber).Stab(q) },
-		mergeIntervals)
+		func(ix Index, dst []Point) ([]Point, IOProfile, error) {
+			ivs, prof, err := ix.(stabAppender).appendStab(asIntervals(dst), q)
+			return asPoints(ivs), prof, err
+		},
+		func(pts []Point) []Interval { return owned(asIntervals(pts)) })
 	return ivs, sumProfiles(profs), err
 }
 

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -131,7 +132,7 @@ func TestShardedBoundSentinels(t *testing.T) {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer s.Close()
-	_, _, err = s.Query(math.MinInt64, math.MinInt64)
+	_, prof, err := s.Query(math.MinInt64, math.MinInt64)
 	if !errors.Is(err, ErrBoundExceeded) {
 		t.Fatalf("tight sentinel: err = %v, want ErrBoundExceeded", err)
 	}
@@ -139,9 +140,114 @@ func TestShardedBoundSentinels(t *testing.T) {
 	if !errors.As(err, &be) {
 		t.Fatalf("err %v does not carry *BoundError", err)
 	}
+	// Like a single store's serial op, a breach keeps its I/O profile:
+	// every shard gathered so far, the breaching one included.
+	if prof.Reads != be.Event.Reads {
+		t.Fatalf("breach profile: %d reads, want the breaching shard's %d", prof.Reads, be.Event.Reads)
+	}
+	_, profs, err := s.QueryProfile(math.MinInt64, math.MinInt64)
+	if !errors.As(err, &be) {
+		t.Fatalf("QueryProfile: err = %v, want a *BoundError", err)
+	}
+	if len(profs) != 1 || profs[0].Shard != 0 || profs[0].Reads != be.Event.Reads || profs[0].BoundRatio != be.Event.Ratio {
+		t.Fatalf("QueryProfile breach profiles %+v, want shard 0's with %d reads at ratio %g", profs, be.Event.Reads, be.Event.Ratio)
+	}
 	if _, _, err := s.QueryBatchShards(twoSidedQueries(8, 10), 2); !errors.Is(err, ErrBoundExceeded) {
 		t.Fatalf("tight batch sentinel: err = %v, want ErrBoundExceeded", err)
 	}
+}
+
+// TestShardedAnswersOwned proves a sharded answer is the caller's alone:
+// no pooled gather memory escapes into it. Concurrent Query, Stab and
+// QueryBatch goroutines each check an answer against its reference, then
+// overwrite it; were any answer backed by a pooled buffer, that write
+// would land in another goroutine's gather or in a later answer, and a
+// re-check would fail. Run it under -race.
+func TestShardedAnswersOwned(t *testing.T) {
+	pts, err := BuildShardedPoints(t.TempDir(), "twosided", shardedPoints(800, 31), ShardPlan{Shards: 4, Scheme: SchemeSegmented}, shardedBuildOpts())
+	if err != nil {
+		t.Fatalf("build points: %v", err)
+	}
+	defer pts.Close()
+	ivs, err := BuildShardedIntervals(t.TempDir(), "interval", shardedIntervals(800, 32), ShardPlan{Shards: 4}, shardedBuildOpts())
+	if err != nil {
+		t.Fatalf("build intervals: %v", err)
+	}
+	defer ivs.Close()
+
+	qs := twoSidedQueries(24, 33)
+	stabs := []int64{0, 150, 700, 1000, 1400, 1999}
+	wantPts := make([][]Point, len(qs))
+	for i, q := range qs {
+		got, _, err := pts.Query(q.A, q.B)
+		if err != nil {
+			t.Fatalf("Query: %v", err)
+		}
+		wantPts[i] = slices.Clone(got)
+	}
+	wantIvs := make([][]Interval, len(stabs))
+	for i, q := range stabs {
+		got, _, err := ivs.Stab(q)
+		if err != nil {
+			t.Fatalf("Stab: %v", err)
+		}
+		wantIvs[i] = slices.Clone(got)
+	}
+
+	const rounds = 30
+	poison := Point{X: -1, Y: -1, ID: math.MaxUint64}
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(3)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				i := (r + g) % len(qs)
+				got, _, err := pts.Query(qs[i].A, qs[i].B)
+				if err != nil || !slices.Equal(got, wantPts[i]) {
+					t.Errorf("Query %d: %d results, err %v; want %d", i, len(got), err, len(wantPts[i]))
+					return
+				}
+				for j := range got {
+					got[j] = poison
+				}
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				i := (r + g) % len(stabs)
+				got, _, err := ivs.Stab(stabs[i])
+				if err != nil || !slices.Equal(got, wantIvs[i]) {
+					t.Errorf("Stab %d: %d results, err %v; want %d", stabs[i], len(got), err, len(wantIvs[i]))
+					return
+				}
+				for j := range got {
+					got[j] = Interval{Lo: poison.X, Hi: poison.Y, ID: poison.ID}
+				}
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds/6; r++ {
+				got, _, err := pts.QueryBatch(qs, 2)
+				if err != nil {
+					t.Errorf("QueryBatch: %v", err)
+					return
+				}
+				for i := range got {
+					if !slices.Equal(got[i], wantPts[i]) {
+						t.Errorf("QueryBatch[%d]: %d results, want %d", i, len(got[i]), len(wantPts[i]))
+						return
+					}
+					for j := range got[i] {
+						got[i][j] = poison
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestShardedThreeSidedDifferential(t *testing.T) {

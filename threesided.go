@@ -43,18 +43,22 @@ func NewThreeSidedIndex(pts []Point, opts *Options) (*ThreeSidedIndex, error) {
 // the query's I/O profile: the exact page transfers attributed to this one
 // query by an op-scoped counter.
 func (ix *ThreeSidedIndex) QueryThreeSided(a1, a2, b int64) ([]Point, IOProfile, error) {
-	return serial(ix.core, ix.op(), ThreeSidedQuery{a1, a2, b}, ix.queryOn)
+	return ix.appendQueryThreeSided(nil, a1, a2, b)
+}
+
+func (ix *ThreeSidedIndex) appendQueryThreeSided(dst []Point, a1, a2, b int64) ([]Point, IOProfile, error) {
+	return serial(ix.core, ix.op(), dst, ThreeSidedQuery{a1, a2, b}, ix.queryOn)
 }
 
 func (ix *ThreeSidedIndex) op() opSpec { return queryOp(kindThreeSide, "query", ix.idx.Len()) }
 
 // queryOn answers one 3-sided query through p.
-func (ix *ThreeSidedIndex) queryOn(p disk.Pager, q ThreeSidedQuery) ([]Point, skeletal.QueryStats, error) {
+func (ix *ThreeSidedIndex) queryOn(p disk.Pager, dst []Point, q ThreeSidedQuery) ([]Point, skeletal.QueryStats, error) {
 	pts, st, err := ix.idx.QueryOn(p, q.A1, q.A2, q.B)
 	if err != nil {
-		return nil, st, err
+		return dst, st, err
 	}
-	return fromRecPoints(pts), st, nil
+	return appendRecPoints(dst, pts), st, nil
 }
 
 // Len reports the number of indexed points.

@@ -117,7 +117,11 @@ func newTwoSidedIndex(pts []Point, scheme Scheme, opts *Options, kind byte) (*Tw
 // profile: the exact page transfers attributed to this one query by an
 // op-scoped counter.
 func (ix *TwoSidedIndex) Query(a, b int64) ([]Point, IOProfile, error) {
-	return serial(ix.core, ix.op("query"), TwoSidedQuery{a, b}, ix.queryOn)
+	return ix.appendQuery(nil, a, b)
+}
+
+func (ix *TwoSidedIndex) appendQuery(dst []Point, a, b int64) ([]Point, IOProfile, error) {
+	return serial(ix.core, ix.op("query"), dst, TwoSidedQuery{a, b}, ix.queryOn)
 }
 
 // QueryProfile is Query under its older name, which the benchmark module
@@ -134,16 +138,16 @@ func (ix *TwoSidedIndex) QueryProfile(a, b int64) ([]Point, IOProfile, error) {
 func (ix *TwoSidedIndex) op(name string) opSpec { return queryOp(ix.kind, name, ix.idx.Len()) }
 
 // queryOn answers one 2-sided query through p. The walker, path and
-// result accumulator come from a pooled scratch; the answer leaves as a
-// copy before the scratch goes back.
-func (ix *TwoSidedIndex) queryOn(p disk.Pager, q TwoSidedQuery) ([]Point, skeletal.QueryStats, error) {
+// result accumulator come from a pooled scratch; the answer is appended to
+// dst before the scratch goes back.
+func (ix *TwoSidedIndex) queryOn(p disk.Pager, dst []Point, q TwoSidedQuery) ([]Point, skeletal.QueryStats, error) {
 	s := extpst.GetScratch()
 	defer s.Release()
 	pts, st, err := ix.idx.QueryOn(p, q.A, q.B, s)
 	if err != nil {
-		return nil, st, err
+		return dst, st, err
 	}
-	return fromRecPoints(pts), st, nil
+	return appendRecPoints(dst, pts), st, nil
 }
 
 // Len reports the number of indexed points.

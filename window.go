@@ -46,18 +46,22 @@ func NewWindowIndex(pts []Point, opts *Options) (*WindowIndex, error) {
 // plus the query's I/O profile: the exact page transfers attributed to
 // this one query by an op-scoped counter.
 func (ix *WindowIndex) WindowQuery(x1, x2, y1, y2 int64) ([]Point, IOProfile, error) {
-	return serial(ix.core, ix.op(), WindowQuery{x1, x2, y1, y2}, ix.queryOn)
+	return ix.appendWindowQuery(nil, x1, x2, y1, y2)
+}
+
+func (ix *WindowIndex) appendWindowQuery(dst []Point, x1, x2, y1, y2 int64) ([]Point, IOProfile, error) {
+	return serial(ix.core, ix.op(), dst, WindowQuery{x1, x2, y1, y2}, ix.queryOn)
 }
 
 func (ix *WindowIndex) op() opSpec { return queryOp(kindWindow, "query", ix.idx.Len()) }
 
 // queryOn answers one window query through p.
-func (ix *WindowIndex) queryOn(p disk.Pager, q WindowQuery) ([]Point, skeletal.QueryStats, error) {
+func (ix *WindowIndex) queryOn(p disk.Pager, dst []Point, q WindowQuery) ([]Point, skeletal.QueryStats, error) {
 	pts, st, err := ix.idx.QueryOn(p, q.X1, q.X2, q.Y1, q.Y2)
 	if err != nil {
-		return nil, st, err
+		return dst, st, err
 	}
-	return fromRecPoints(pts), st, nil
+	return appendRecPoints(dst, pts), st, nil
 }
 
 // Len reports the number of indexed points.
