@@ -85,11 +85,12 @@ crash:
 golden:
 	$(GO) test ./cmd/pcindex -run TestGoldenOutput -update
 
-# The compact machine-readable measurement suite: one BENCH_<family>.json
-# per structure family under bench/, with family names validated against
-# the engine's kind registry. -small keeps it a smoke run.
+# Regenerate the committed BENCH_io.json: every experiment table at the
+# -small sizes (page 4096, seed 1) beside its environment block. go run
+# records the commit only when asked (-buildvcs=true).
+# TestBenchIOGolden compares a fresh run against it cell by cell.
 bench-json:
-	$(GO) run ./cmd/pcbench -json bench -small
+	$(GO) run -buildvcs=true ./cmd/pcbench -small -json .
 
 # The serving-layer proof battery over a real listener: boots pcserve's
 # smoke test (run() + SIGHUP reload + SIGTERM drain), then drives the

@@ -351,10 +351,10 @@ func BenchmarkPublicTwoSidedQuery(b *testing.B) {
 }
 
 // Public batch API: one op is a 64-query batch through a shared buffer
-// pool. Compare workers=1 vs workers=8 for the fan-out overhead (on a
-// multi-core machine or an I/O-bound pager the 8-worker batch also finishes
-// proportionally faster; see pcbench -exp p1 for the latency-simulated
-// throughput ladder).
+// pool. Compare workers=1 vs workers=8 for the fan-out overhead; on a
+// multi-core machine the 8-worker batch also finishes faster. The pool's
+// lock striping behind it is measured by internal/disk's
+// BenchmarkPoolParallel (DESIGN §6).
 func BenchmarkPublicQueryBatch(b *testing.B) {
 	pts := make([]pathcache.Point, benchN)
 	for i, p := range benchPts() {

@@ -5,45 +5,32 @@
 //
 // Usage:
 //
-//	pcbench [-exp e1|e2|...|p1|all] [-page 4096] [-seed 1] [-small] [-list] [-parallel N] [-json DIR]
+//	pcbench [-exp e1|e2|...|s1|all] [-page 4096] [-seed 1] [-small] [-list] [-json DIR]
 //
-// -parallel N sets the top of the worker ladder for the parallel
-// batch-query experiment (p1), which reports queries/sec and speedup vs
-// serial through the sharded buffer pool.
-//
-// -json DIR runs a compact measurement suite instead of the tables and
-// writes one BENCH_<kind>.json per registered index kind into DIR:
-// measured I/O counts per query beside the paper's predicted bound and
-// their ratio, plus the log₂-bucketed per-query reads histogram and the
-// worst single-query bound ratio, for dashboards and regression tracking.
-// The suite commits atomically — reports are staged as .tmp files and
-// renamed only once every family succeeded, so a failed run never leaves
-// DIR with a mix of fresh and stale reports.
+// -json DIR writes the same tables to DIR/BENCH_io.json instead of printing
+// them, beside an environment block (Go version, GOOS/GOARCH, NumCPU,
+// GOMAXPROCS, commit, backend, page size, seed and -small). The committed
+// BENCH_io.json at the repository root is `pcbench -small -json .`, and a
+// test compares every cell of it against a fresh run. Every table is
+// measured before the file is replaced, so a failed run leaves it as it
+// was.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
-	"strings"
-
-	// Imported for its init side effect: registering the six persisted index
-	// kinds with the engine registry, which checkJSONNames validates against.
-	_ "pathcache"
 
 	"pathcache/internal/bench"
-	"pathcache/internal/engine"
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run (e1..e10, f2, f4, p1, a1..a3, all)")
+	exp := flag.String("exp", "all", "experiment to run (e1..e10, f2, f4, a1..a3, l1, s1, all)")
 	page := flag.Int("page", 4096, "simulated disk page size in bytes")
 	seed := flag.Int64("seed", 1, "workload seed")
 	small := flag.Bool("small", false, "reduced sizes (seconds instead of minutes)")
 	list := flag.Bool("list", false, "list experiments and exit")
-	parallel := flag.Int("parallel", 8, "max workers for the parallel batch experiment (p1)")
-	jsonDir := flag.String("json", "", "write machine-readable BENCH_*.json reports into this directory and exit")
+	jsonDir := flag.String("json", "", "write the tables to BENCH_io.json in this directory instead of printing them")
 	flag.Parse()
 
 	if *list {
@@ -53,54 +40,45 @@ func main() {
 		return
 	}
 
-	cfg := bench.Config{PageSize: *page, Seed: *seed, Small: *small, Workers: *parallel}
-	if *jsonDir != "" {
-		paths, err := bench.WriteJSON(*jsonDir, cfg)
-		if err == nil {
-			err = checkJSONNames(paths)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "pcbench:", err)
-			os.Exit(1)
-		}
-		for _, p := range paths {
-			fmt.Println(p)
-		}
-		return
-	}
-	if *exp == "all" {
-		if err := bench.RunAll(os.Stdout, cfg); err != nil {
-			fmt.Fprintln(os.Stderr, "pcbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	for _, r := range bench.Runners() {
-		if r.Name == *exp {
-			if err := r.Run(os.Stdout, cfg); err != nil {
-				fmt.Fprintln(os.Stderr, "pcbench:", err)
-				os.Exit(1)
+	runners := bench.Runners()
+	if *exp != "all" {
+		var picked []bench.Runner
+		for _, r := range runners {
+			if r.Name == *exp {
+				picked = append(picked, r)
 			}
-			return
 		}
+		if len(picked) == 0 {
+			fmt.Fprintf(os.Stderr, "pcbench: unknown experiment %q (use -list)\n", *exp)
+			os.Exit(1)
+		}
+		runners = picked
 	}
-	fmt.Fprintf(os.Stderr, "pcbench: unknown experiment %q (use -list)\n", *exp)
-	os.Exit(1)
+	cfg := bench.Config{PageSize: *page, Seed: *seed, Small: *small}
+	if err := run(cfg, runners, *jsonDir); err != nil {
+		fmt.Fprintln(os.Stderr, "pcbench:", err)
+		os.Exit(1)
+	}
 }
 
-// checkJSONNames pins the BENCH_<family>.json namespace to the engine's
-// kind registry: every report family must be a registered index kind name,
-// so dashboards key benchmark files on the same names pcindex info/verify
-// print. Renaming a kind without renaming its bench family fails here.
-func checkJSONNames(paths []string) error {
-	registered := make(map[string]bool)
-	for _, d := range engine.Kinds() {
-		registered[d.Name] = true
+func run(cfg bench.Config, runners []bench.Runner, jsonDir string) error {
+	if jsonDir != "" {
+		path, err := bench.WriteJSON(jsonDir, cfg, runners)
+		if err == nil {
+			fmt.Println(path)
+		}
+		return err
 	}
-	for _, p := range paths {
-		name := strings.TrimSuffix(strings.TrimPrefix(filepath.Base(p), "BENCH_"), ".json")
-		if !registered[name] {
-			return fmt.Errorf("report family %q is not a registered index kind", name)
+	for i, r := range runners {
+		t, err := r.Run(cfg)
+		if err != nil {
+			return err
+		}
+		if i > 0 {
+			fmt.Println()
+		}
+		if err := t.WriteText(os.Stdout); err != nil {
+			return err
 		}
 	}
 	return nil

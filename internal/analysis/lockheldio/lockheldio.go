@@ -5,8 +5,7 @@
 // The sharded pool exists so that concurrent readers contend only on the
 // shard owning their page. Holding a shard mutex while transferring a page
 // through a Pager serializes every other access to that shard behind a
-// device-speed operation (a SlowPager read models ~100µs–10ms), and — worse —
-// re-entering the pool from under its own shard lock self-deadlocks. The few
+// device-speed operation, and — worse — re-entering the pool from under its own shard lock self-deadlocks. The few
 // sites where the pool intentionally fills or writes back a frame under its
 // shard latch carry //pcvet:allow lockheldio directives with the design
 // justification; everything else is a bug.

@@ -1,14 +1,14 @@
 // Package bench implements the experiment harness of EXPERIMENTS.md: one
-// runner per experiment (E1–E10), figure reproduction (F2, F4) and ablation
-// (A1–A3), each printing the table that stands in for the evaluation
-// section the extended abstract never had. Runners measure page transfers on the simulated disk
-// and print them next to the paper's predicted terms.
+// runner per experiment (E1–E10), figure reproduction (F2, F4), ablation
+// (A1–A3) and the LSM and sharding tiers (L1, S1), each returning the table
+// that stands in for the evaluation section the extended abstract never
+// had. Runners measure page transfers on the simulated disk and put them
+// next to the paper's predicted terms. The same tables are printed as text
+// and written to BENCH_io.json (table.go).
 package bench
 
 import (
 	"fmt"
-	"io"
-	"text/tabwriter"
 
 	"pathcache/internal/disk"
 	"pathcache/internal/dynpst"
@@ -30,9 +30,6 @@ type Config struct {
 	// Small switches to reduced sizes so the whole suite runs in seconds
 	// (used by tests; the default sizes match EXPERIMENTS.md).
 	Small bool
-	// Workers caps the worker ladder of the parallel-throughput runner
-	// (default 8).
-	Workers int
 }
 
 func (c Config) pageSize() int {
@@ -83,10 +80,6 @@ func log2(n int) int {
 	return r
 }
 
-func newTab(w io.Writer) *tabwriter.Writer {
-	return tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-}
-
 // measure2Sided runs the queries cold and returns average reads per query
 // and average results per query.
 func measure2Sided(s *disk.Store, idx extpst.PointIndex, qs []workload.TwoSidedQuery) (avgReads, avgT float64, err error) {
@@ -108,12 +101,11 @@ func measure2Sided(s *disk.Store, idx extpst.PointIndex, qs []workload.TwoSidedQ
 // selectivity for the IKO baseline and the flat cached schemes
 // (Lemma 3.1 / Theorem 3.2). The shape to observe: IKO grows with log2 n,
 // the cached schemes with log_B n, and all share the t/B output term.
-func RunE1(w io.Writer, cfg Config) error {
-	fmt.Fprintf(w, "E1: 2-sided query I/Os — optimal O(log_B n + t/B) vs IKO's O(log n + t/B)\n")
-	fmt.Fprintf(w, "    page=%dB  B=%d points/page\n\n", cfg.pageSize(), disk.ChainCap(cfg.pageSize(), record.PointSize))
-	tw := newTab(w)
-	fmt.Fprintln(tw, "n\tselectivity\tavg t\tIKO\tbasic\tsegmented\tpredict log2(n/B)\tpredict logB(n)\tt/B")
+func RunE1(cfg Config) (*Table, error) {
 	b := disk.ChainCap(cfg.pageSize(), record.PointSize)
+	tab := newTable("n\tselectivity\tavg t\tIKO\tbasic\tsegmented\tpredict log2(n/B)\tpredict logB(n)\tt/B",
+		"E1: 2-sided query I/Os — optimal O(log_B n + t/B) vs IKO's O(log n + t/B)",
+		fmt.Sprintf("    page=%dB  B=%d points/page", cfg.pageSize(), b))
 	for _, n := range cfg.pointNs() {
 		pts := workload.UniformPoints(n, 1<<30, cfg.seed())
 		trees := map[extpst.Scheme]extpst.PointIndex{}
@@ -122,7 +114,7 @@ func RunE1(w io.Writer, cfg Config) error {
 			s := disk.MustStore(cfg.pageSize())
 			tr, err := extpst.Build(s, pts, sc)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			trees[sc], stores[sc] = tr, s
 		}
@@ -133,16 +125,16 @@ func RunE1(w io.Writer, cfg Config) error {
 			for sc, tr := range trees {
 				r, t, err := measure2Sided(stores[sc], tr, qs)
 				if err != nil {
-					return err
+					return nil, err
 				}
 				row[sc], avgT = r, t
 			}
-			fmt.Fprintf(tw, "%d\t%g\t%.0f\t%.1f\t%.1f\t%.1f\t%d\t%d\t%.1f\n",
+			tab.addf("%d\t%g\t%.0f\t%.1f\t%.1f\t%.1f\t%d\t%d\t%.1f",
 				n, sel, avgT, row[extpst.IKO], row[extpst.Basic], row[extpst.Segmented],
 				log2(n/b+2), logB(n, b), avgT/float64(b))
 		}
 	}
-	return tw.Flush()
+	return tab, nil
 }
 
 // RunE2 reproduces experiment E2: the storage ladder across every scheme
@@ -150,10 +142,9 @@ func RunE1(w io.Writer, cfg Config) error {
 // Basic ~ (n/B)·log(n/B); TwoLevel ~ (n/B)·log log B below Segmented for
 // B >> log B; Multilevel within a small factor of TwoLevel (log* B equals
 // log log B at any realistic B — the crossover E2 documents).
-func RunE2(w io.Writer, cfg Config) error {
-	fmt.Fprintf(w, "E2: storage in pages — the space ladder of Sections 3 and 4\n\n")
-	tw := newTab(w)
-	fmt.Fprintln(tw, "page\tB\tn\tn/B\tIKO\tbasic\tsegmented\ttwo-level\tmultilevel\tlogB\tloglogB")
+func RunE2(cfg Config) (*Table, error) {
+	tab := newTable("page\tB\tn\tn/B\tIKO\tbasic\tsegmented\ttwo-level\tmultilevel\tlogB\tloglogB",
+		"E2: storage in pages — the space ladder of Sections 3 and 4")
 	sizes := []int{512, 4096, 16384}
 	if cfg.Small {
 		sizes = []int{512, 4096}
@@ -167,7 +158,7 @@ func RunE2(w io.Writer, cfg Config) error {
 				s := disk.MustStore(ps)
 				tr, err := extpst.Build(s, pts, sc)
 				if err != nil {
-					return err
+					return nil, err
 				}
 				pages[sc.String()] = tr.TotalPages()
 			}
@@ -175,24 +166,23 @@ func RunE2(w io.Writer, cfg Config) error {
 				s := disk.MustStore(ps)
 				tr, err := extpst.BuildHierarchical(s, pts, levels)
 				if err != nil {
-					return err
+					return nil, err
 				}
 				pages[name] = tr.TotalPages()
 			}
-			fmt.Fprintf(tw, "%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\n",
+			tab.addf("%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d",
 				ps, b, n, n/b, pages["iko"], pages["basic"], pages["segmented"],
 				pages["two-level"], pages["multilevel"], log2(b), log2(log2(b)+1))
 		}
 	}
-	return tw.Flush()
+	return tab, nil
 }
 
 // RunE3 reproduces experiment E3: query I/O of the recursive schemes
 // (Theorems 4.3/4.4) stays optimal while their storage shrinks.
-func RunE3(w io.Writer, cfg Config) error {
-	fmt.Fprintf(w, "E3: 2-sided query I/Os for the recursive schemes (Theorems 4.3/4.4)\n\n")
-	tw := newTab(w)
-	fmt.Fprintln(tw, "n\tselectivity\tavg t\tsegmented\ttwo-level\tmultilevel\tpredict logB(n)+t/B")
+func RunE3(cfg Config) (*Table, error) {
+	tab := newTable("n\tselectivity\tavg t\tsegmented\ttwo-level\tmultilevel\tpredict logB(n)+t/B",
+		"E3: 2-sided query I/Os for the recursive schemes (Theorems 4.3/4.4)")
 	b := disk.ChainCap(cfg.pageSize(), record.PointSize)
 	for _, n := range cfg.pointNs() {
 		pts := workload.UniformPoints(n, 1<<30, cfg.seed())
@@ -202,7 +192,7 @@ func RunE3(w io.Writer, cfg Config) error {
 			s := disk.MustStore(cfg.pageSize())
 			tr, err := extpst.Build(s, pts, extpst.Segmented)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			idx["segmented"], st["segmented"] = tr, s
 		}
@@ -210,7 +200,7 @@ func RunE3(w io.Writer, cfg Config) error {
 			s := disk.MustStore(cfg.pageSize())
 			tr, err := extpst.BuildHierarchical(s, pts, levels)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			idx[name], st[name] = tr, s
 		}
@@ -221,16 +211,16 @@ func RunE3(w io.Writer, cfg Config) error {
 			for name, tr := range idx {
 				r, t, err := measure2Sided(st[name], tr, qs)
 				if err != nil {
-					return err
+					return nil, err
 				}
 				row[name], avgT = r, t
 			}
-			fmt.Fprintf(tw, "%d\t%g\t%.0f\t%.1f\t%.1f\t%.1f\t%.1f\n",
+			tab.addf("%d\t%g\t%.0f\t%.1f\t%.1f\t%.1f\t%.1f",
 				n, sel, avgT, row["segmented"], row["two-level"], row["multilevel"],
 				float64(logB(n, b))+avgT/float64(b))
 		}
 	}
-	return tw.Flush()
+	return tab, nil
 }
 
 // RunE4 reproduces experiment E4 (Theorem 5.1): amortized update cost and
@@ -238,10 +228,9 @@ func RunE3(w io.Writer, cfg Config) error {
 // logarithmic-method baseline. Shape: both update cheaply, but the
 // logarithmic method pays a per-level query tax (O(log(n/B)·log_B n + t/B))
 // that the paper's buffered structure avoids.
-func RunE4(w io.Writer, cfg Config) error {
-	fmt.Fprintf(w, "E4: dynamic structure (Theorem 5.1) vs the logarithmic-method baseline\n\n")
-	tw := newTab(w)
-	fmt.Fprintln(tw, "n\tinsert IO/op\tdelete IO/op\tquery reads\tavg t\tpages\tlogm insert\tlogm query\tlogm levels\tpredict logB(n)")
+func RunE4(cfg Config) (*Table, error) {
+	tab := newTable("n\tinsert IO/op\tdelete IO/op\tquery reads\tavg t\tpages\tlogm insert\tlogm query\tlogm levels\tpredict logB(n)",
+		"E4: dynamic structure (Theorem 5.1) vs the logarithmic-method baseline")
 	// Dynamic sizes are capped: super-node re-levelling makes full-size
 	// builds wall-clock heavy without changing the log_B n shape.
 	ns := []int{10_000, 50_000, 150_000}
@@ -252,13 +241,13 @@ func RunE4(w io.Writer, cfg Config) error {
 		s := disk.MustStore(cfg.pageSize())
 		tr, err := dynpst.New(s)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		pts := workload.UniformPoints(n, 1<<30, cfg.seed())
 		s.ResetStats()
 		for _, p := range pts {
 			if err := tr.Insert(p); err != nil {
-				return err
+				return nil, err
 			}
 		}
 		insertIO := float64(s.Stats().Total()) / float64(n)
@@ -269,7 +258,7 @@ func RunE4(w io.Writer, cfg Config) error {
 			s.ResetStats()
 			got, _, err := tr.Query(q.A, q.B)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			reads += s.Stats().Reads
 			results += int64(len(got))
@@ -280,7 +269,7 @@ func RunE4(w io.Writer, cfg Config) error {
 		s.ResetStats()
 		for _, p := range pts[:del] {
 			if err := tr.Delete(p); err != nil {
-				return err
+				return nil, err
 			}
 		}
 		deleteIO := float64(s.Stats().Total()) / float64(del)
@@ -289,12 +278,12 @@ func RunE4(w io.Writer, cfg Config) error {
 		sL := disk.MustStore(cfg.pageSize())
 		lm, err := logmethod.New(sL)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		sL.ResetStats()
 		for _, p := range pts {
 			if err := lm.Insert(p); err != nil {
-				return err
+				return nil, err
 			}
 		}
 		lmInsertIO := float64(sL.Stats().Total()) / float64(n)
@@ -302,27 +291,26 @@ func RunE4(w io.Writer, cfg Config) error {
 		for _, q := range qs {
 			sL.ResetStats()
 			if _, err := lm.Query(q.A, q.B); err != nil {
-				return err
+				return nil, err
 			}
 			lmReads += sL.Stats().Reads
 		}
 
-		fmt.Fprintf(tw, "%d\t%.1f\t%.1f\t%.1f\t%.0f\t%d\t%.1f\t%.1f\t%d\t%d\n",
+		tab.addf("%d\t%.1f\t%.1f\t%.1f\t%.0f\t%d\t%.1f\t%.1f\t%d\t%d",
 			n, insertIO, deleteIO,
 			float64(reads)/float64(len(qs)), float64(results)/float64(len(qs)),
 			pages, lmInsertIO, float64(lmReads)/float64(len(qs)), lm.Levels(), logB(n, tr.B()))
 	}
-	return tw.Flush()
+	return tab, nil
 }
 
 // RunE5 reproduces experiment E5 (Theorem 3.4) and Figure 3: stabbing cost
 // of the external segment tree, naive vs path-cached, with the wasteful /
 // useful I/O split. Shape: the naive variant's wasteful I/Os track the tree
 // depth (log n), the cached variant's stay O(1)+paid.
-func RunE5(w io.Writer, cfg Config) error {
-	fmt.Fprintf(w, "E5/F3: external segment tree stabbing — naive vs path-cached (Figure 3)\n\n")
-	tw := newTab(w)
-	fmt.Fprintln(tw, "workload\tn\tavg t\tnaive reads\tnaive wasteful\tcached reads\tcached wasteful\tcached pages\tnaive pages")
+func RunE5(cfg Config) (*Table, error) {
+	tab := newTable("workload\tn\tavg t\tnaive reads\tnaive wasteful\tcached reads\tcached wasteful\tcached pages\tnaive pages",
+		"E5/F3: external segment tree stabbing — naive vs path-cached (Figure 3)")
 	for _, wl := range []string{"uniform", "nested"} {
 		for _, n := range cfg.pointNs() {
 			var ivs []record.Interval
@@ -341,14 +329,14 @@ func RunE5(w io.Writer, cfg Config) error {
 				s := disk.MustStore(cfg.pageSize())
 				tr, err := extseg.Build(s, ivs, v)
 				if err != nil {
-					return err
+					return nil, err
 				}
 				var reads, wasteful, results int64
 				for _, q := range qs {
 					s.ResetStats()
 					got, st, err := tr.Stab(q)
 					if err != nil {
-						return err
+						return nil, err
 					}
 					reads += s.Stats().Reads
 					wasteful += int64(st.WastefulIOs)
@@ -357,23 +345,25 @@ func RunE5(w io.Writer, cfg Config) error {
 				qn := float64(len(qs))
 				out[v] = res{float64(reads) / qn, float64(wasteful) / qn, float64(results) / qn, tr.TotalPages()}
 			}
-			fmt.Fprintf(tw, "%s\t%d\t%.0f\t%.1f\t%.1f\t%.1f\t%.1f\t%d\t%d\n",
+			tab.addf("%s\t%d\t%.0f\t%.1f\t%.1f\t%.1f\t%.1f\t%d\t%d",
 				wl, n, out[extseg.PathCached].t,
 				out[extseg.Naive].reads, out[extseg.Naive].wasteful,
 				out[extseg.PathCached].reads, out[extseg.PathCached].wasteful,
 				out[extseg.PathCached].pages, out[extseg.Naive].pages)
 		}
 	}
-	return tw.Flush()
+	return tab, nil
 }
 
 // RunE6 reproduces experiment E6 (Theorem 3.5): the external interval tree
 // matches the segment tree's optimal queries in a log n / log B factor less
-// space.
-func RunE6(w io.Writer, cfg Config) error {
-	fmt.Fprintf(w, "E6: external interval tree (Theorem 3.5) vs segment tree (Theorem 3.4)\n\n")
-	tw := newTab(w)
-	fmt.Fprintln(tw, "n\tavg t\tinterval reads\tsegment reads\tinterval pages\tsegment pages\tpage ratio")
+// space. The stabbing columns answer the same stabs through the
+// diagonal-corner reduction behind the public StabbingIndex: interval
+// [lo, hi] becomes the point (-lo, hi) of a segmented 2-sided structure, and
+// a stab at q becomes the 2-sided query {x >= -q, y >= q}.
+func RunE6(cfg Config) (*Table, error) {
+	tab := newTable("n\tavg t\tinterval reads\tsegment reads\tinterval pages\tsegment pages\tpage ratio\tstabbing reads\tstabbing pages",
+		"E6: external interval tree (Theorem 3.5) vs segment tree (Theorem 3.4)")
 	for _, n := range cfg.pointNs() {
 		ivs := workload.UniformIntervals(n, 1<<30, 1<<24, cfg.seed())
 		qs := workload.StabQueries(cfg.queries(), 1<<30, cfg.seed()+17)
@@ -381,50 +371,68 @@ func RunE6(w io.Writer, cfg Config) error {
 		sI := disk.MustStore(cfg.pageSize())
 		ti, err := extint.Build(sI, ivs, extint.PathCached)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		sS := disk.MustStore(cfg.pageSize())
 		ts, err := extseg.Build(sS, ivs, extseg.PathCached)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		var readsI, readsS, results int64
+		corners := make([]record.Point, len(ivs))
+		for i, iv := range ivs {
+			corners[i] = record.Point{X: -iv.Lo, Y: iv.Hi, ID: iv.ID}
+		}
+		sP := disk.MustStore(cfg.pageSize())
+		tp, err := extpst.Build(sP, corners, extpst.Segmented)
+		if err != nil {
+			return nil, err
+		}
+		var readsI, readsS, readsP, results int64
 		for _, q := range qs {
 			sI.ResetStats()
 			got, _, err := ti.Stab(q)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			readsI += sI.Stats().Reads
 			results += int64(len(got))
 			sS.ResetStats()
 			if _, _, err := ts.Stab(q); err != nil {
-				return err
+				return nil, err
 			}
 			readsS += sS.Stats().Reads
+			sP.ResetStats()
+			pts, _, err := tp.Query(-q, q)
+			if err != nil {
+				return nil, err
+			}
+			if len(pts) != len(got) {
+				return nil, fmt.Errorf("E6 mismatch: stabbing %d vs interval %d", len(pts), len(got))
+			}
+			readsP += sP.Stats().Reads
 		}
 		qn := float64(len(qs))
-		fmt.Fprintf(tw, "%d\t%.0f\t%.1f\t%.1f\t%d\t%d\t%.2f\n",
+		tab.addf("%d\t%.0f\t%.1f\t%.1f\t%d\t%d\t%.2f\t%.1f\t%d",
 			n, float64(results)/qn, float64(readsI)/qn, float64(readsS)/qn,
 			ti.TotalPages(), ts.TotalPages(),
-			float64(ts.TotalPages())/float64(ti.TotalPages()))
+			float64(ts.TotalPages())/float64(ti.TotalPages()),
+			float64(readsP)/qn, tp.TotalPages())
 	}
-	return tw.Flush()
+	return tab, nil
 }
 
 // RunE7 reproduces experiment E7 (Theorems 3.3/4.5): 3-sided query cost
 // versus window width and selectivity.
-func RunE7(w io.Writer, cfg Config) error {
-	fmt.Fprintf(w, "E7: 3-sided queries (Theorems 3.3/4.5)\n\n")
-	tw := newTab(w)
-	fmt.Fprintln(tw, "n\twindow\tselectivity\tavg t\treads\tpredict logB(n)+t/B\tpages")
+func RunE7(cfg Config) (*Table, error) {
+	tab := newTable("n\twindow\tselectivity\tavg t\treads\tpredict logB(n)+t/B\tpages",
+		"E7: 3-sided queries (Theorems 3.3/4.5)")
 	b := disk.ChainCap(cfg.pageSize(), record.PointSize)
 	for _, n := range cfg.pointNs() {
 		pts := workload.UniformPoints(n, 1<<30, cfg.seed())
 		s := disk.MustStore(cfg.pageSize())
 		tr, err := ext3side.Build(s, pts)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		for _, wf := range []float64{0.01, 0.1, 0.5} {
 			for _, sel := range []float64{0.001, 0.01} {
@@ -437,41 +445,40 @@ func RunE7(w io.Writer, cfg Config) error {
 					s.ResetStats()
 					got, _, err := tr.Query(q.A1, q.A2, q.B)
 					if err != nil {
-						return err
+						return nil, err
 					}
 					reads += s.Stats().Reads
 					results += int64(len(got))
 				}
 				qn := float64(len(qs))
 				avgT := float64(results) / qn
-				fmt.Fprintf(tw, "%d\t%g\t%g\t%.0f\t%.1f\t%.1f\t%d\n",
+				tab.addf("%d\t%g\t%g\t%.0f\t%.1f\t%.1f\t%d",
 					n, wf, sel, avgT, float64(reads)/qn,
 					float64(logB(n, b))+avgT/float64(b), tr.TotalPages())
 			}
 		}
 	}
-	return tw.Flush()
+	return tab, nil
 }
 
 // RunE8 reproduces experiment E8: the B+-tree is optimal in one dimension
 // but answering a 2-sided query by x-range scan plus filter reads t_x/B
 // pages where the 2-sided structure reads t/B — the motivating gap of
 // Section 1.
-func RunE8(w io.Writer, cfg Config) error {
-	fmt.Fprintf(w, "E8: B+-tree 1-D baseline vs 2-sided structure on 2-D queries\n\n")
-	tw := newTab(w)
-	fmt.Fprintln(tw, "n\tselectivity\tavg t\tavg t_x\tbtree reads\tsegmented reads\tratio")
+func RunE8(cfg Config) (*Table, error) {
+	tab := newTable("n\tselectivity\tavg t\tavg t_x\tbtree reads\tsegmented reads\tratio",
+		"E8: B+-tree 1-D baseline vs 2-sided structure on 2-D queries")
 	for _, n := range cfg.pointNs() {
 		pts := workload.UniformPoints(n, 1<<30, cfg.seed())
 		sB := disk.MustStore(cfg.pageSize())
 		bt, err := NewBTreeOnX(sB, pts)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		sP := disk.MustStore(cfg.pageSize())
 		tp, err := extpst.Build(sP, pts, extpst.Segmented)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		// y-lookup table for the filter (in memory; the B+-tree pays only
 		// for the x-scan, which is generous to the baseline).
@@ -493,22 +500,22 @@ func RunE8(w io.Writer, cfg Config) error {
 					return true
 				})
 				if err != nil {
-					return err
+					return nil, err
 				}
 				readsB += sB.Stats().Reads
 				results += t
 				xMatches += tx
 				sP.ResetStats()
 				if _, _, err := tp.Query(q.A, q.B); err != nil {
-					return err
+					return nil, err
 				}
 				readsP += sP.Stats().Reads
 			}
 			qn := float64(len(qs))
 			rb, rp := float64(readsB)/qn, float64(readsP)/qn
-			fmt.Fprintf(tw, "%d\t%g\t%.0f\t%.0f\t%.1f\t%.1f\t%.1fx\n",
+			tab.addf("%d\t%g\t%.0f\t%.0f\t%.1f\t%.1f\t%.1fx",
 				n, sel, float64(results)/qn, float64(xMatches)/qn, rb, rp, rb/rp)
 		}
 	}
-	return tw.Flush()
+	return tab, nil
 }

@@ -2,9 +2,8 @@ package bench
 
 import (
 	"fmt"
-	"io"
-	"math"
 	"sort"
+	"strings"
 
 	"pathcache/internal/btree"
 	"pathcache/internal/disk"
@@ -31,10 +30,9 @@ func NewBTreeOnX(s *disk.Store, pts []record.Point) (*btree.Tree, error) {
 // RunF2 reproduces Figure 2: the skeletal B-tree maps height-log B subtrees
 // to pages, so a root-to-leaf descent reads O(log_B n) pages while the
 // binary path has O(log n) nodes.
-func RunF2(w io.Writer, cfg Config) error {
-	fmt.Fprintf(w, "F2: skeletal B-tree descent — pages read vs binary path length (Figure 2)\n\n")
-	tw := newTab(w)
-	fmt.Fprintln(tw, "n\tbinary height\tsubtree/page\tavg descent reads\tpredict ceil(h/subH)")
+func RunF2(cfg Config) (*Table, error) {
+	tab := newTable("n\tbinary height\tsubtree/page\tavg descent reads\tpredict ceil(h/subH)",
+		"F2: skeletal B-tree descent — pages read vs binary path length (Figure 2)")
 	for _, n := range cfg.pointNs() {
 		s := disk.MustStore(cfg.pageSize())
 		keys := make([]int64, n)
@@ -44,7 +42,7 @@ func RunF2(w io.Writer, cfg Config) error {
 		root := buildBalanced(keys, nil)
 		tr, err := skeletal.Build(s, root, 8)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		probes := workload.StabQueries(cfg.queries(), int64(n)*3, cfg.seed())
 		var reads int64
@@ -60,15 +58,15 @@ func RunF2(w io.Writer, cfg Config) error {
 				return skeletal.Right
 			})
 			if err != nil {
-				return err
+				return nil, err
 			}
 			reads += s.Stats().Reads
 		}
-		fmt.Fprintf(tw, "%d\t%d\t%d\t%.1f\t%d\n",
+		tab.addf("%d\t%d\t%d\t%.1f\t%d",
 			n, tr.Height(), tr.SubHeight(), float64(reads)/float64(len(probes)),
 			tr.Height()/tr.SubHeight()+1)
 	}
-	return tw.Flush()
+	return tab, nil
 }
 
 func buildBalanced(keys []int64, payload []byte) *skeletal.BuildNode {
@@ -88,15 +86,14 @@ func buildBalanced(keys []int64, payload []byte) *skeletal.BuildNode {
 // external PST with B=4 and the classification of the blocks a 2-sided
 // query touches — corner, ancestors, right siblings, and descendants that
 // pay for themselves.
-func RunF4(w io.Writer, cfg Config) error {
-	fmt.Fprintf(w, "F4: block classification for 2-sided queries on the B=4 decomposition (Figure 4)\n\n")
+func RunF4(cfg Config) (*Table, error) {
 	const b = 4
 	n := 64
 	pts := workload.UniformPoints(n, 100, cfg.seed())
 	root := pstcore.Build(pstcore.SortedAsc(pts), b)
 
-	tw := newTab(w)
-	fmt.Fprintln(tw, "query (a,b)\tt\tcorner depth\tancestors\tsiblings\tdescendants inside\tdescendants cut")
+	tab := newTable("query (a,b)\tt\tcorner depth\tancestors\tsiblings\tdescendants inside\tdescendants cut",
+		"F4: block classification for 2-sided queries on the B=4 decomposition (Figure 4)")
 	for _, q := range []struct{ a, b int64 }{{10, 10}, {30, 40}, {50, 20}, {70, 70}, {90, 5}} {
 		var anc, sib, descIn, descCut, t int
 		cornerDepth := -1
@@ -161,77 +158,26 @@ func RunF4(w io.Writer, cfg Config) error {
 				}
 			}
 		}
-		fmt.Fprintf(tw, "(%d,%d)\t%d\t%d\t%d\t%d\t%d\t%d\n",
+		tab.addf("(%d,%d)\t%d\t%d\t%d\t%d\t%d\t%d",
 			q.a, q.b, t, cornerDepth, anc, sib, descIn, descCut)
 	}
-	if err := tw.Flush(); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "\nDecomposition (region x-ranges and y-cutoffs, B=%d, n=%d):\n", b, n)
-	renderDecomposition(w, root, 0, math.MinInt64, math.MaxInt64)
-	return nil
+	tab.Notes = decomposition([]string{fmt.Sprintf("Decomposition (region x-ranges and y-cutoffs, B=%d, n=%d):", b, n)}, root, 0)
+	return tab, nil
 }
 
-// renderDecomposition prints the region tree as indented x-range / y-range
+// decomposition appends the region tree as indented x-split / y-range
 // lines, the textual form of Figure 4's drawing.
-func renderDecomposition(w io.Writer, m *pstcore.MemNode, depth int, xlo, xhi int64) {
+func decomposition(lines []string, m *pstcore.MemNode, depth int) []string {
 	if m == nil || depth > 3 {
-		return
+		return lines
 	}
-	xs := make([]int64, 0, len(m.Pts))
 	ys := make([]int64, 0, len(m.Pts))
 	for _, p := range m.Pts {
-		xs = append(xs, p.X)
 		ys = append(ys, p.Y)
 	}
-	sort.Slice(xs, func(i, j int) bool { return xs[i] < xs[j] })
 	sort.Slice(ys, func(i, j int) bool { return ys[i] < ys[j] })
-	for i := 0; i < depth; i++ {
-		fmt.Fprint(w, "  ")
-	}
-	fmt.Fprintf(w, "region depth=%d x-split=%d points y in [%d..%d]\n", depth, m.Split, ys[0], ys[len(ys)-1])
-	renderDecomposition(w, m.Left, depth+1, xlo, m.Split)
-	renderDecomposition(w, m.Right, depth+1, m.Split, xhi)
-}
-
-// Runner describes one experiment for the CLI.
-type Runner struct {
-	Name string
-	Desc string
-	Run  func(io.Writer, Config) error
-}
-
-// Runners lists every experiment in EXPERIMENTS.md order.
-func Runners() []Runner {
-	return []Runner{
-		{"e1", "2-sided query I/Os: cached schemes vs IKO", RunE1},
-		{"e2", "storage ladder across schemes and page sizes", RunE2},
-		{"e3", "recursive schemes keep optimal queries", RunE3},
-		{"e4", "dynamic structure: amortized updates and queries", RunE4},
-		{"e5", "segment tree: naive vs path-cached (also F3)", RunE5},
-		{"e6", "interval tree vs segment tree", RunE6},
-		{"e7", "3-sided queries", RunE7},
-		{"e8", "B+-tree baseline on 2-D queries", RunE8},
-		{"e9", "dynamic 3-sided structure (Theorem 5.2)", RunE9},
-		{"e10", "extension: 4-sided window range tree", RunE10},
-		{"f2", "skeletal B-tree descent cost", RunF2},
-		{"f4", "Figure 4 block classification and decomposition", RunF4},
-		{"p1", "parallel batch throughput through the sharded pool", RunPar},
-		{"a1", "ablation: cache chunk length (Theorem 3.2's log B)", RunA1},
-		{"a2", "ablation: buffer pool size vs cold bounds", RunA2},
-		{"a3", "ablation: workload shape vs query constants", RunA3},
-	}
-}
-
-// RunAll executes every experiment in order.
-func RunAll(w io.Writer, cfg Config) error {
-	for i, r := range Runners() {
-		if i > 0 {
-			fmt.Fprintln(w)
-		}
-		if err := r.Run(w, cfg); err != nil {
-			return fmt.Errorf("%s: %w", r.Name, err)
-		}
-	}
-	return nil
+	lines = append(lines, fmt.Sprintf("%sregion depth=%d x-split=%d points y in [%d..%d]",
+		strings.Repeat("  ", depth), depth, m.Split, ys[0], ys[len(ys)-1]))
+	lines = decomposition(lines, m.Left, depth+1)
+	return decomposition(lines, m.Right, depth+1)
 }

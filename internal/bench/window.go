@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"io"
 
 	"pathcache/internal/disk"
 	"pathcache/internal/ext3side"
@@ -16,22 +15,21 @@ import (
 // open by the paper): the window range tree vs answering the same window
 // with a 3-sided query plus a y2 filter — whose wasted output grows with
 // everything above the window.
-func RunE10(w io.Writer, cfg Config) error {
-	fmt.Fprintf(w, "E10 (extension): 4-sided windows — range tree vs 3-sided + filter\n\n")
-	tw := newTab(w)
-	fmt.Fprintln(tw, "n\ty-window\tavg t\twindow reads\t3-sided+filter reads\tratio\twindow pages\t3-sided pages")
+func RunE10(cfg Config) (*Table, error) {
+	tab := newTable("n\ty-window\tavg t\twindow reads\t3-sided+filter reads\tratio\twindow pages\t3-sided pages",
+		"E10 (extension): 4-sided windows — range tree vs 3-sided + filter")
 	ns := cfg.pointNs()
 	for _, n := range ns {
 		pts := workload.UniformPoints(n, 1<<30, cfg.seed())
 		sW := disk.MustStore(cfg.pageSize())
 		win, err := extwindow.Build(sW, pts)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		sT := disk.MustStore(cfg.pageSize())
 		three, err := ext3side.Build(sT, pts)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		for _, yFrac := range []float64{0.01, 0.2} {
 			// Windows sit uniformly in y (not near the top), so the 3-sided
@@ -46,7 +44,7 @@ func RunE10(w io.Writer, cfg Config) error {
 				sW.ResetStats()
 				got, _, err := win.Query(q.A1, q.A2, y1, y2)
 				if err != nil {
-					return err
+					return nil, err
 				}
 				readsW += sW.Stats().Reads
 				results += int64(len(got))
@@ -54,7 +52,7 @@ func RunE10(w io.Writer, cfg Config) error {
 				sT.ResetStats()
 				all, _, err := three.Query(q.A1, q.A2, y1)
 				if err != nil {
-					return err
+					return nil, err
 				}
 				readsT += sT.Stats().Reads
 				// Filter (free, in memory) — the I/O was already paid.
@@ -65,26 +63,25 @@ func RunE10(w io.Writer, cfg Config) error {
 					}
 				}
 				if kept != len(got) {
-					return fmt.Errorf("E10 mismatch: window %d vs filtered %d", len(got), kept)
+					return nil, fmt.Errorf("E10 mismatch: window %d vs filtered %d", len(got), kept)
 				}
 			}
 			qn := float64(len(qs))
 			rw, rt := float64(readsW)/qn, float64(readsT)/qn
-			fmt.Fprintf(tw, "%d\t%.0f%%\t%.0f\t%.1f\t%.1f\t%.1fx\t%d\t%d\n",
+			tab.addf("%d\t%.0f%%\t%.0f\t%.1f\t%.1f\t%.1fx\t%d\t%d",
 				n, yFrac*100, float64(results)/qn, rw, rt, rt/rw,
 				win.TotalPages(), three.TotalPages())
 		}
 	}
-	return tw.Flush()
+	return tab, nil
 }
 
 // RunA3 is the workload-shape ablation: the same Segmented index and query
 // mix over uniform, clustered, diagonal and Zipf-skewed data. The bounds
 // are worst-case; this table shows how data shape moves the constants.
-func RunA3(w io.Writer, cfg Config) error {
-	fmt.Fprintf(w, "A3 (ablation): workload shape vs 2-sided query cost (Segmented scheme)\n\n")
-	tw := newTab(w)
-	fmt.Fprintln(tw, "workload\tn\tavg t\treads/query\twasteful/query\tpages")
+func RunA3(cfg Config) (*Table, error) {
+	tab := newTable("workload\tn\tavg t\treads/query\twasteful/query\tpages",
+		"A3 (ablation): workload shape vs 2-sided query cost (Segmented scheme)")
 	n := 100_000
 	if cfg.Small {
 		n = 10_000
@@ -104,22 +101,22 @@ func RunA3(w io.Writer, cfg Config) error {
 		s := disk.MustStore(cfg.pageSize())
 		tr, err := extpst.Build(s, wl.pts, extpst.Segmented)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		var reads, wasteful, results int64
 		for _, q := range qs {
 			s.ResetStats()
 			got, st, err := tr.Query(q.A, q.B)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			reads += s.Stats().Reads
 			wasteful += int64(st.WastefulIOs)
 			results += int64(len(got))
 		}
 		qn := float64(len(qs))
-		fmt.Fprintf(tw, "%s\t%d\t%.0f\t%.1f\t%.1f\t%d\n",
+		tab.addf("%s\t%d\t%.0f\t%.1f\t%.1f\t%d",
 			wl.name, n, float64(results)/qn, float64(reads)/qn, float64(wasteful)/qn, tr.TotalPages())
 	}
-	return tw.Flush()
+	return tab, nil
 }
