@@ -39,11 +39,14 @@ import (
 // store never returns unverified bytes.
 //
 // Locking: Read takes only the read side of mu, so concurrent readers'
-// preads and checksum checks overlap. Everything that changes the file or
-// the allocation state — Alloc, Free, Write, SetAppHead, Sync, Close —
-// takes mu exclusively, so a read and a write of one page never overlap
-// and a reader can never observe a torn page. The I/O counters are atomics
-// for the same reason: readers bump them under the shared lock.
+// preads and checksum checks overlap. Sync takes the read side too: an
+// fsync changes no byte and no allocation state, so a WAL writer's fsync
+// never stalls a query's page reads. Everything that changes the file or
+// the allocation state — Alloc, Free, Write, SetAppHead, Close — takes mu
+// exclusively, so a read and a write of one page never overlap, a reader
+// can never observe a torn page, and Close waits for an in-flight Sync.
+// The I/O counters are atomics for the same reason: readers bump them
+// under the shared lock.
 type FileStore struct {
 	mu       sync.RWMutex
 	f        File
@@ -518,10 +521,13 @@ func (fs *FileStore) ResetStats() {
 	fs.frees.Store(0)
 }
 
-// Sync flushes the file to stable storage.
+// Sync flushes the file to stable storage. It takes only the read side of
+// mu: an fsync changes neither the file's bytes nor the allocation state,
+// so page reads proceed beside it; writers and Close still wait for it,
+// and every File allows its methods to run concurrently.
 func (fs *FileStore) Sync() error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
+	fs.mu.RLock()
+	defer fs.mu.RUnlock()
 	if fs.f == nil {
 		return errClosed
 	}

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"pathcache/internal/race"
 )
@@ -173,5 +174,104 @@ func TestFileStoreReadAllocs(t *testing.T) {
 		}
 	}); got != 0 {
 		t.Fatalf("FileStore.Read: %.1f allocs per read, want 0", got)
+	}
+}
+
+// parkingFile is a MemFile whose first armed Sync parks until released,
+// modeling an fsync that takes a long time. Close records whether it ran
+// while that Sync was still in flight.
+type parkingFile struct {
+	*MemFile
+	armed         atomic.Bool
+	inSync        atomic.Bool
+	closedMidSync atomic.Bool
+	parked        chan struct{}
+	release       chan struct{}
+}
+
+func (f *parkingFile) Sync() error {
+	if f.armed.CompareAndSwap(true, false) {
+		f.inSync.Store(true)
+		close(f.parked)
+		<-f.release
+		f.inSync.Store(false)
+	}
+	return f.MemFile.Sync()
+}
+
+func (f *parkingFile) Close() error {
+	if f.inSync.Load() {
+		f.closedMidSync.Store(true)
+	}
+	return f.MemFile.Close()
+}
+
+// waitOrFail waits for ch to close or deliver, failing the test after a
+// bounded wait with what the wait was for.
+func waitOrFail[T any](t *testing.T, ch <-chan T, what string) T {
+	t.Helper()
+	select {
+	case v := <-ch:
+		return v
+	case <-time.After(10 * time.Second):
+	}
+	t.Fatalf("timed out waiting for %s", what)
+	var zero T
+	return zero
+}
+
+// TestFileStoreReadDuringSync parks a Sync inside the device's fsync: a
+// concurrent Read must still complete (Sync shares the lock with readers),
+// while Close must wait until the Sync returns.
+func TestFileStoreReadDuringSync(t *testing.T) {
+	f := &parkingFile{MemFile: NewMemFile(), parked: make(chan struct{}), release: make(chan struct{})}
+	fs, err := CreateFileStoreOn(f, 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, fs.PageSize())
+	id, err := fs.Alloc()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pagePattern(buf, id, 1)
+	if err := fs.Write(id, buf); err != nil {
+		t.Fatal(err)
+	}
+	var releaseOnce sync.Once
+	unpark := func() { releaseOnce.Do(func() { close(f.release) }) }
+	defer unpark()
+
+	f.armed.Store(true)
+	synced := make(chan error, 1)
+	go func() { synced <- fs.Sync() }()
+	waitOrFail(t, f.parked, "Sync to reach the device")
+
+	read := make(chan error, 1)
+	got := make([]byte, fs.PageSize())
+	go func() { read <- fs.Read(id, got) }()
+	if err := waitOrFail(t, read, "a Read beside a parked Sync"); err != nil {
+		t.Fatalf("Read: %v", err)
+	}
+	if !bytes.Equal(got, buf) {
+		t.Fatal("Read beside a parked Sync returned wrong bytes")
+	}
+
+	closed := make(chan error, 1)
+	go func() { closed <- fs.Close() }()
+	select {
+	case <-closed:
+		t.Fatal("Close returned while a Sync was in flight")
+	case <-time.After(50 * time.Millisecond):
+	}
+	unpark()
+	if err := waitOrFail(t, synced, "the parked Sync to return"); err != nil {
+		t.Fatalf("Sync: %v", err)
+	}
+	if err := waitOrFail(t, closed, "Close after the Sync"); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if f.closedMidSync.Load() {
+		t.Fatal("Close reached the device while a Sync was in flight")
 	}
 }

@@ -41,7 +41,8 @@ var ErrUnsupported = errors.New("lsm: query shape unsupported by base kind")
 // immutable structure that can re-encode its metadata for the manifest and
 // answer the two query shapes. Implementations route every page access
 // through the pager passed per call, so callers attribute the I/O to
-// op-scoped counters.
+// op-scoped counters, and append their answer to the caller's buffer, so
+// every level of one query fills the same slice.
 //
 // Records are stored points. For interval bases a point encodes the
 // interval under the diagonal-corner reduction the public layer uses:
@@ -49,10 +50,12 @@ var ErrUnsupported = errors.New("lsm: query shape unsupported by base kind")
 type LevelTree interface {
 	Len() int
 	EncodeMeta() []byte
-	// Query answers the 2-sided query {x >= a, y >= b} over stored points.
-	Query(p disk.Pager, a, b int64) ([]record.Point, error)
-	// Stab answers the stabbing query at q over stored interval encodings.
-	Stab(p disk.Pager, q int64) ([]record.Point, error)
+	// AppendQuery appends the answer to the 2-sided query {x >= a, y >= b}
+	// over stored points to dst.
+	AppendQuery(p disk.Pager, dst []record.Point, a, b int64) ([]record.Point, error)
+	// AppendStab appends the answer to the stabbing query at q over stored
+	// interval encodings to dst.
+	AppendStab(p disk.Pager, dst []record.Point, q int64) ([]record.Point, error)
 }
 
 // Base builds and reopens sealed levels of one static kind.
@@ -126,17 +129,23 @@ type pstLevel struct {
 func (l pstLevel) Len() int           { return l.t.Len() }
 func (l pstLevel) EncodeMeta() []byte { return l.t.Meta().Encode() }
 
-func (l pstLevel) Query(p disk.Pager, a, b int64) ([]record.Point, error) {
-	pts, _, err := extpst.QueryOwned(l.t, p, a, b)
-	return pts, err
+// AppendQuery runs the query on a pooled scratch and copies the answer
+// into dst before the scratch goes back.
+func (l pstLevel) AppendQuery(p disk.Pager, dst []record.Point, a, b int64) ([]record.Point, error) {
+	s := extpst.GetScratch()
+	defer s.Release()
+	pts, _, err := l.t.QueryOn(p, a, b, s)
+	if err != nil {
+		return dst, err
+	}
+	return append(dst, pts...), nil
 }
 
-func (l pstLevel) Stab(p disk.Pager, q int64) ([]record.Point, error) {
+func (l pstLevel) AppendStab(p disk.Pager, dst []record.Point, q int64) ([]record.Point, error) {
 	if !l.stab {
-		return nil, ErrUnsupported
+		return dst, ErrUnsupported
 	}
-	pts, _, err := extpst.QueryOwned(l.t, p, -q, q)
-	return pts, err
+	return l.AppendQuery(p, dst, -q, q)
 }
 
 // threeSideBase seals levels as external 3-sided trees; the 2-sided query
@@ -171,13 +180,16 @@ type threeSideLevel struct{ t *ext3side.Tree }
 func (l threeSideLevel) Len() int           { return l.t.Len() }
 func (l threeSideLevel) EncodeMeta() []byte { return l.t.Meta().Encode() }
 
-func (l threeSideLevel) Query(p disk.Pager, a, b int64) ([]record.Point, error) {
+func (l threeSideLevel) AppendQuery(p disk.Pager, dst []record.Point, a, b int64) ([]record.Point, error) {
 	pts, _, err := l.t.QueryOn(p, a, math.MaxInt64, b)
-	return pts, err
+	if err != nil {
+		return dst, err
+	}
+	return append(dst, pts...), nil
 }
 
-func (l threeSideLevel) Stab(disk.Pager, int64) ([]record.Point, error) {
-	return nil, ErrUnsupported
+func (l threeSideLevel) AppendStab(_ disk.Pager, dst []record.Point, _ int64) ([]record.Point, error) {
+	return dst, ErrUnsupported
 }
 
 // windowBase seals levels as external range trees; the 2-sided query is the
@@ -212,13 +224,16 @@ type windowLevel struct{ t *extwindow.Tree }
 func (l windowLevel) Len() int           { return l.t.Len() }
 func (l windowLevel) EncodeMeta() []byte { return l.t.Meta().Encode() }
 
-func (l windowLevel) Query(p disk.Pager, a, b int64) ([]record.Point, error) {
+func (l windowLevel) AppendQuery(p disk.Pager, dst []record.Point, a, b int64) ([]record.Point, error) {
 	pts, _, err := l.t.QueryOn(p, a, math.MaxInt64, b, math.MaxInt64)
-	return pts, err
+	if err != nil {
+		return dst, err
+	}
+	return append(dst, pts...), nil
 }
 
-func (l windowLevel) Stab(disk.Pager, int64) ([]record.Point, error) {
-	return nil, ErrUnsupported
+func (l windowLevel) AppendStab(_ disk.Pager, dst []record.Point, _ int64) ([]record.Point, error) {
+	return dst, ErrUnsupported
 }
 
 // segBase seals levels as path-cached external segment trees over the
@@ -253,16 +268,16 @@ type segLevel struct{ t *extseg.Tree }
 func (l segLevel) Len() int           { return l.t.Len() }
 func (l segLevel) EncodeMeta() []byte { return l.t.Meta().Encode() }
 
-func (l segLevel) Query(disk.Pager, int64, int64) ([]record.Point, error) {
-	return nil, ErrUnsupported
+func (l segLevel) AppendQuery(_ disk.Pager, dst []record.Point, _, _ int64) ([]record.Point, error) {
+	return dst, ErrUnsupported
 }
 
-func (l segLevel) Stab(p disk.Pager, q int64) ([]record.Point, error) {
+func (l segLevel) AppendStab(p disk.Pager, dst []record.Point, q int64) ([]record.Point, error) {
 	ivs, _, err := l.t.StabOn(p, q)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
-	return toPoints(ivs), nil
+	return appendCorners(dst, ivs), nil
 }
 
 // intBase seals levels as path-cached external interval trees.
@@ -296,16 +311,16 @@ type intLevel struct{ t *extint.Tree }
 func (l intLevel) Len() int           { return l.t.Len() }
 func (l intLevel) EncodeMeta() []byte { return l.t.Meta().Encode() }
 
-func (l intLevel) Query(disk.Pager, int64, int64) ([]record.Point, error) {
-	return nil, ErrUnsupported
+func (l intLevel) AppendQuery(_ disk.Pager, dst []record.Point, _, _ int64) ([]record.Point, error) {
+	return dst, ErrUnsupported
 }
 
-func (l intLevel) Stab(p disk.Pager, q int64) ([]record.Point, error) {
+func (l intLevel) AppendStab(p disk.Pager, dst []record.Point, q int64) ([]record.Point, error) {
 	ivs, _, err := l.t.StabOn(p, q)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
-	return toPoints(ivs), nil
+	return appendCorners(dst, ivs), nil
 }
 
 // toIntervals decodes the diagonal-corner point encoding back to intervals
@@ -318,11 +333,10 @@ func toIntervals(pts []record.Point) []record.Interval {
 	return out
 }
 
-// toPoints re-encodes intervals as diagonal-corner points.
-func toPoints(ivs []record.Interval) []record.Point {
-	out := make([]record.Point, len(ivs))
-	for i, iv := range ivs {
-		out[i] = record.Point{X: -iv.Lo, Y: iv.Hi, ID: iv.ID}
+// appendCorners appends the diagonal-corner points of ivs to dst.
+func appendCorners(dst []record.Point, ivs []record.Interval) []record.Point {
+	for _, iv := range ivs {
+		dst = append(dst, record.Point{X: -iv.Lo, Y: iv.Hi, ID: iv.ID})
 	}
-	return out
+	return dst
 }

@@ -49,8 +49,8 @@ const DefaultFlushEvery = 64
 
 // levelState is one sealed level: the reopened static structure plus the
 // sidecars the manifest tracks for it. Immutable once built — compactions
-// replace whole levelState values under the write lock, so concurrent
-// readers holding the read lock never observe a level mutating.
+// replace whole levelState values when they publish a version, so readers
+// never observe a level mutating.
 type levelState struct {
 	slot       int
 	n          int
@@ -74,17 +74,34 @@ type LevelInfo struct {
 }
 
 // Tree is the write tier: a WAL-backed memtable over sealed static levels.
-// Queries may run concurrently with each other and with updates; updates
-// are serialized by the internal lock.
+//
+// Two locks split the writer's work from what readers see. wmu serializes
+// the writers — updates, Flush, Compact and the commit of CompactSnapshot
+// — and is held across their I/O: the WAL append and its fsync, a level
+// build, a manifest commit. mu guards only the published version (levels,
+// tombstones, memtable, counts); a writer takes it exclusively just to
+// fold a durable WAL entry into the memtable or to swap in a committed
+// version, never across I/O. Queries hold mu's read side for their whole
+// run, so they never wait on an fsync or a level build, and a version's
+// superseded pages are freed only after the swap, when no reader can still
+// reach them. Writers read the version's fields without mu: only a writer
+// changes them, and it holds wmu.
 type Tree struct {
 	cfg        Config
 	b          int // page capacity in points
 	flushEvery int
 
-	mu     sync.RWMutex
-	wal    *disk.ChainAppender
-	mem    map[record.Point]int // net memtable effect: +1 insert, -1 delete
-	memOps int                  // raw WAL entries since the last flush
+	wmu          sync.Mutex
+	wal          *disk.ChainAppender // guarded by wmu
+	manifestHead disk.PageID         // guarded by wmu
+
+	mu sync.RWMutex
+	// mem is the memtable's net effect per record; memIns holds its live
+	// inserts contiguously (mem[pt].at indexes them), so a query scans a
+	// slice instead of ranging over the map.
+	mem    map[record.Point]memEntry
+	memIns []record.Point
+	memOps int // raw WAL entries since the last flush
 	// levels and tombs are published as bare copy-on-write snapshots:
 	// CompactSnapshot reads them under RLock and then works lock-free, so
 	// writers must build a fresh value and install it wholesale — never
@@ -98,8 +115,21 @@ type Tree struct {
 	n        int    // live records including the memtable's net effect
 	flushedN int    // live records excluding the memtable (manifest liveN)
 	seq      uint64 // manifest sequence, bumped by every flush/compaction
+}
 
-	manifestHead disk.PageID
+// memEntry is one record's net memtable effect: d is +1 for a pending
+// insert, -1 for a pending delete; at is the insert's index in memIns
+// while d > 0.
+type memEntry struct {
+	d, at int
+}
+
+// Version is the shape of the published version one read ran on: its live
+// record count, occupied levels and tombstone-chain pages, read under the
+// same lock as the answer, so the read's bound is evaluated for the
+// structure it actually searched.
+type Version struct {
+	N, Levels, TombPages int
 }
 
 // New creates an empty tree and commits its first (empty) manifest, so a
@@ -202,7 +232,7 @@ func prepare(cfg Config) (*Tree, error) {
 		cfg:        cfg,
 		b:          b,
 		flushEvery: fe,
-		mem:        map[record.Point]int{},
+		mem:        map[record.Point]memEntry{},
 		tombs:      map[record.Point]bool{},
 		tombHead:   disk.InvalidPage,
 	}, nil
@@ -256,20 +286,44 @@ func (t *Tree) replayWAL(p disk.Pager, head disk.PageID) error {
 	return replayErr
 }
 
-// applyMem folds one update into the memtable's net-effect map. Records are
-// unique (an insert of a record currently live elsewhere is the caller's
-// contract violation), so an insert and a delete of the same record cancel
-// regardless of order.
+// applyMem folds one update into the memtable's net-effect map and keeps
+// memIns in step with it. Records are unique (an insert of a
+// record currently live elsewhere is the caller's contract violation), so
+// an insert and a delete of the same record cancel regardless of order.
 func (t *Tree) applyMem(pt record.Point, d int) {
-	t.mem[pt] += d
-	if t.mem[pt] == 0 {
+	e := t.mem[pt]
+	before := e.d
+	e.d += d
+	switch {
+	case before <= 0 && e.d > 0:
+		e.at = len(t.memIns)
+		t.memIns = append(t.memIns, pt)
+	case before > 0 && e.d <= 0:
+		t.dropIns(e.at)
+	}
+	if e.d == 0 {
 		delete(t.mem, pt)
+	} else {
+		t.mem[pt] = e
 	}
 	t.n += d
 }
 
-// manifest snapshots the tree's durable state (caller holds the lock or
-// has exclusive access).
+// dropIns removes memIns[i] by moving the last insert into its place.
+func (t *Tree) dropIns(i int) {
+	last := len(t.memIns) - 1
+	if i != last {
+		moved := t.memIns[last]
+		t.memIns[i] = moved
+		e := t.mem[moved]
+		e.at = i
+		t.mem[moved] = e
+	}
+	t.memIns = t.memIns[:last]
+}
+
+// manifest snapshots the tree's durable state (caller holds wmu or has
+// exclusive access).
 func (t *Tree) manifest() *manifest {
 	m := &manifest{
 		baseKind:   t.cfg.Base.Kind(),
@@ -285,18 +339,23 @@ func (t *Tree) manifest() *manifest {
 		if lv == nil {
 			continue
 		}
-		m.levels = append(m.levels, levelRecord{
-			slot:      uint32(lv.slot),
-			n:         uint64(lv.n),
-			dataHead:  lv.dataHead,
-			dataPages: lv.dataPages,
-			treePages: lv.treePages,
-			bloomHead: lv.bloomHead,
-			bloomBits: lv.bloomBits,
-			treeMeta:  lv.tree.EncodeMeta(),
-		})
+		m.levels = append(m.levels, lv.record())
 	}
 	return m
+}
+
+// record is the level's manifest descriptor.
+func (lv *levelState) record() levelRecord {
+	return levelRecord{
+		slot:      uint32(lv.slot),
+		n:         uint64(lv.n),
+		dataHead:  lv.dataHead,
+		dataPages: lv.dataPages,
+		treePages: lv.treePages,
+		bloomHead: lv.bloomHead,
+		bloomBits: lv.bloomBits,
+		treeMeta:  lv.tree.EncodeMeta(),
+	}
 }
 
 func (t *Tree) commit(blob []byte) error {
@@ -332,9 +391,12 @@ func (t *Tree) Delete(p disk.Pager, pt record.Point) error {
 	return t.update(p, opDelete, pt)
 }
 
+// update appends and fsyncs under the writer lock alone; readers keep
+// answering from the published version until the durable entry is folded
+// into the memtable under mu.
 func (t *Tree) update(p disk.Pager, op byte, pt record.Point) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
+	t.wmu.Lock()
+	defer t.wmu.Unlock()
 	var rec [entrySize]byte
 	rec[0] = op
 	pt.Encode(rec[8:])
@@ -345,12 +407,14 @@ func (t *Tree) update(p disk.Pager, op byte, pt record.Point) error {
 		return err
 	}
 	// The entry is durable: fold it into the memtable mirror.
+	d := -1
 	if op == opInsert {
-		t.applyMem(pt, +1)
-	} else {
-		t.applyMem(pt, -1)
+		d = +1
 	}
+	t.mu.Lock()
+	t.applyMem(pt, d)
 	t.memOps++
+	t.mu.Unlock()
 	return nil
 }
 
@@ -368,6 +432,14 @@ func (t *Tree) NeedsCompact() bool {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	return len(t.tombs) >= t.tombCap()
+}
+
+// TombCap reports the tombstone count that triggers a compaction at the
+// current size.
+func (t *Tree) TombCap() int {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.tombCap()
 }
 
 func (t *Tree) tombCap() int {
@@ -410,8 +482,8 @@ func (t *Tree) CompactDest() int {
 // empty and the tombstone chain is current), returning the sealed slot or
 // -1 when nothing was flushed. All I/O routes through p.
 func (t *Tree) Flush(p disk.Pager) (int, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
+	t.wmu.Lock()
+	defer t.wmu.Unlock()
 	if t.memOps == 0 {
 		return -1, nil
 	}
@@ -520,26 +592,31 @@ func levelRecords(p disk.Pager, lv *levelState) ([]record.Point, error) {
 // flushLocked seals the memtable: partition its net effect into live
 // inserts and new tombstones, cascade-merge the occupied level prefix
 // (Bentley–Saxe), rewrite the tombstone chain, start a fresh WAL, write
-// and commit the new manifest, and only then free what the old manifest
-// referenced. A crash anywhere before the commit recovers the old state
-// with a full WAL replay; after it, the new state with an empty WAL.
+// and commit the new manifest, swap the new version in, and only then free
+// what the old manifest referenced. A crash anywhere before the commit
+// recovers the old state with a full WAL replay; after it, the new state
+// with an empty WAL. The caller holds wmu, so the memtable and levels it
+// reads cannot change; readers keep answering from them under mu until
+// the swap.
 func (t *Tree) flushLocked(p disk.Pager) (int, error) {
 	newTombs := make(map[record.Point]bool, len(t.tombs))
 	for pt := range t.tombs {
 		newTombs[pt] = true
 	}
-	var adds []record.Point
-	for pt, d := range t.mem {
-		switch {
-		case d < 0:
+	for pt, e := range t.mem {
+		if e.d < 0 {
 			newTombs[pt] = true
-		case newTombs[pt]:
+		}
+	}
+	var adds []record.Point
+	for _, pt := range t.memIns {
+		if t.tombs[pt] {
 			// Re-insert of a tombstoned record: cancel the tombstone, the
 			// identical sealed copy revives.
 			delete(newTombs, pt)
-		default:
-			adds = append(adds, pt)
+			continue
 		}
+		adds = append(adds, pt)
 	}
 
 	// A tomb-only flush (every entry was a delete, or inserts canceled out)
@@ -605,16 +682,7 @@ func (t *Tree) flushLocked(p disk.Pager) (int, error) {
 		if lv == nil {
 			continue
 		}
-		next.levels = append(next.levels, levelRecord{
-			slot:      uint32(lv.slot),
-			n:         uint64(lv.n),
-			dataHead:  lv.dataHead,
-			dataPages: lv.dataPages,
-			treePages: lv.treePages,
-			bloomHead: lv.bloomHead,
-			bloomBits: lv.bloomBits,
-			treeMeta:  lv.tree.EncodeMeta(),
-		})
+		next.levels = append(next.levels, lv.record())
 	}
 	mHead, blob, err := writeManifest(p, next)
 	if err != nil {
@@ -626,14 +694,17 @@ func (t *Tree) flushLocked(p disk.Pager) (int, error) {
 
 	old.chains = append(old.chains, t.manifestHead, t.wal.Head(), t.tombHead)
 	t.manifestHead = mHead
-	t.levels = levels
 	t.wal = wal
-	t.mem = map[record.Point]int{}
+	t.mu.Lock()
+	t.levels = levels
+	clear(t.mem)
+	t.memIns = t.memIns[:0]
 	t.memOps = 0
 	t.tombs = newTombs
 	t.tombHead, t.tombPg = tombHead, tombPages
 	t.flushedN = t.n
 	t.seq++
+	t.mu.Unlock()
 	if err := t.freeOld(p, old); err != nil {
 		return slot, err
 	}
@@ -642,15 +713,20 @@ func (t *Tree) flushLocked(p disk.Pager) (int, error) {
 
 // Compact rebuilds every sealed level into one tombstone-free level (the
 // full rebuild logmethod triggers when tombstones hit their cap) and clears
-// the tombstone set. The memtable and WAL are untouched.
+// the tombstone set. The memtable and WAL are untouched. Readers keep
+// answering from the old levels until the rebuilt one is swapped in.
 func (t *Tree) Compact(p disk.Pager) (int, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
+	t.wmu.Lock()
+	defer t.wmu.Unlock()
 	live, old, err := t.gatherLive(p, t.levels, t.tombs)
 	if err != nil {
 		return 0, err
 	}
-	return t.commitCompactLocked(p, live, old)
+	slot, sealed, err := t.sealCompacted(p, live)
+	if err != nil {
+		return 0, err
+	}
+	return t.commitCompactLocked(p, slot, sealed, old)
 }
 
 // gatherLive reads every record of the given levels, dropping tombstoned
@@ -677,25 +753,29 @@ func (t *Tree) gatherLive(p disk.Pager, levels []*levelState, tombs map[record.P
 	return live, old, nil
 }
 
-// commitCompactLocked seals live into a single level, commits, and frees
-// the old levels and tombstone chain. Caller holds the write lock.
-func (t *Tree) commitCompactLocked(p disk.Pager, live []record.Point, old oldResources) (int, error) {
+// sealCompacted builds the one level a compaction rebuilds live into: the
+// smallest slot whose capacity FlushEvery·2^slot holds every record, and
+// no level at all when live is empty.
+func (t *Tree) sealCompacted(p disk.Pager, live []record.Point) (int, *levelState, error) {
 	slot := 0
 	for c := t.flushEvery; c < len(live); c *= 2 {
 		slot++
 	}
-	var sealed *levelState
-	if len(live) > 0 {
-		var err error
-		sealed, err = buildLevel(p, t.cfg.Base, slot, live)
-		if err != nil {
-			return 0, err
-		}
+	if len(live) == 0 {
+		return slot, nil, nil
 	}
+	sealed, err := buildLevel(p, t.cfg.Base, slot, live)
+	if err != nil {
+		return 0, nil, err
+	}
+	return slot, sealed, nil
+}
+
+// commitCompactLocked commits the manifest naming sealed as the only level
+// and no tombstones, swaps that version in, and frees the old levels and
+// tombstone chain. Caller holds wmu.
+func (t *Tree) commitCompactLocked(p disk.Pager, slot int, sealed *levelState, old oldResources) (int, error) {
 	levels := make([]*levelState, slot+1)
-	if sealed != nil {
-		levels[slot] = sealed
-	}
 	next := &manifest{
 		baseKind:   t.cfg.Base.Kind(),
 		seq:        t.seq + 1,
@@ -705,16 +785,8 @@ func (t *Tree) commitCompactLocked(p disk.Pager, live []record.Point, old oldRes
 		tombHead:   disk.InvalidPage,
 	}
 	if sealed != nil {
-		next.levels = append(next.levels, levelRecord{
-			slot:      uint32(sealed.slot),
-			n:         uint64(sealed.n),
-			dataHead:  sealed.dataHead,
-			dataPages: sealed.dataPages,
-			treePages: sealed.treePages,
-			bloomHead: sealed.bloomHead,
-			bloomBits: sealed.bloomBits,
-			treeMeta:  sealed.tree.EncodeMeta(),
-		})
+		levels[slot] = sealed
+		next.levels = append(next.levels, sealed.record())
 	}
 	mHead, blob, err := writeManifest(p, next)
 	if err != nil {
@@ -725,10 +797,12 @@ func (t *Tree) commitCompactLocked(p disk.Pager, live []record.Point, old oldRes
 	}
 	old.chains = append(old.chains, t.manifestHead, t.tombHead)
 	t.manifestHead = mHead
+	t.mu.Lock()
 	t.levels = levels
 	t.tombs = map[record.Point]bool{}
 	t.tombHead, t.tombPg = disk.InvalidPage, 0
 	t.seq++
+	t.mu.Unlock()
 	if err := t.freeOld(p, old); err != nil {
 		return slot, err
 	}
@@ -737,9 +811,11 @@ func (t *Tree) commitCompactLocked(p disk.Pager, live []record.Point, old oldRes
 
 // CompactSnapshot is the background form: it gathers and seals from a
 // copy-on-write snapshot of the sealed levels without blocking readers or
-// writers, then takes the write lock only to commit. If any flush or
+// writers, then takes the writer lock only to commit. If any flush or
 // compaction landed in between, it frees its own work and returns ErrStale
 // (the state it built from is gone); callers retry or fall back to Compact.
+// The sequence check runs under the writer lock, so no flush can be
+// building from the levels this commit frees.
 func (t *Tree) CompactSnapshot(p disk.Pager) (int, error) {
 	t.mu.RLock()
 	seq0 := t.seq
@@ -751,21 +827,14 @@ func (t *Tree) CompactSnapshot(p disk.Pager) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	slot := 0
-	for c := t.flushEvery; c < len(live); c *= 2 {
-		slot++
-	}
-	var sealed *levelState
-	if len(live) > 0 {
-		sealed, err = buildLevel(p, t.cfg.Base, slot, live)
-		if err != nil {
-			return 0, err
-		}
+	slot, sealed, err := t.sealCompacted(p, live)
+	if err != nil {
+		return 0, err
 	}
 
-	t.mu.Lock()
+	t.wmu.Lock()
+	defer t.wmu.Unlock()
 	if t.seq != seq0 {
-		t.mu.Unlock()
 		if sealed != nil {
 			// The sealed level was built by this call and never named by any
 			// manifest: freeing it discards private work, not published state.
@@ -776,120 +845,88 @@ func (t *Tree) CompactSnapshot(p disk.Pager) (int, error) {
 		}
 		return 0, ErrStale
 	}
-	defer t.mu.Unlock()
-	newLevels := make([]*levelState, slot+1)
-	if sealed != nil {
-		newLevels[slot] = sealed
-	}
-	next := &manifest{
-		baseKind:   t.cfg.Base.Kind(),
-		seq:        t.seq + 1,
-		liveN:      uint64(t.flushedN),
-		flushEvery: uint32(t.flushEvery),
-		walHead:    t.wal.Head(),
-		tombHead:   disk.InvalidPage,
-	}
-	if sealed != nil {
-		next.levels = append(next.levels, levelRecord{
-			slot:      uint32(sealed.slot),
-			n:         uint64(sealed.n),
-			dataHead:  sealed.dataHead,
-			dataPages: sealed.dataPages,
-			treePages: sealed.treePages,
-			bloomHead: sealed.bloomHead,
-			bloomBits: sealed.bloomBits,
-			treeMeta:  sealed.tree.EncodeMeta(),
-		})
-	}
-	mHead, blob, err := writeManifest(p, next)
-	if err != nil {
-		return 0, err
-	}
-	if err := t.commit(blob); err != nil {
-		return 0, err
-	}
-	old.chains = append(old.chains, t.manifestHead, t.tombHead)
-	t.manifestHead = mHead
-	t.levels = newLevels
-	t.tombs = map[record.Point]bool{}
-	t.tombHead, t.tombPg = disk.InvalidPage, 0
-	t.seq++
-	if err := t.freeOld(p, old); err != nil {
-		return slot, err
-	}
-	return slot, nil
+	return t.commitCompactLocked(p, slot, sealed, old)
 }
 
-// Query answers the 2-sided query {x >= a, y >= b}: every sealed level is
-// queried (the Bentley–Saxe per-level tax), results are filtered through
-// tombstones and pending memtable deletes, the memtable contributes its
+// AppendQuery appends the answer to the 2-sided query {x >= a, y >= b} to
+// dst and reports the version it ran on: every sealed level appends its
+// answer (the Bentley–Saxe per-level tax), tombstones and pending memtable
+// deletes are filtered out in one pass, the memtable contributes its
 // pending inserts for free (it is in memory — the WAL already paid its
 // I/O), and the tombstone chain is charged like logmethod does.
-func (t *Tree) Query(p disk.Pager, a, b int64) ([]record.Point, error) {
+func (t *Tree) AppendQuery(p disk.Pager, dst []record.Point, a, b int64) ([]record.Point, Version, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return t.runLocked(p, func(lv *levelState) ([]record.Point, error) {
-		return lv.tree.Query(p, a, b)
-	}, func(pt record.Point) bool {
-		return pt.X >= a && pt.Y >= b
-	})
+	return t.appendLocked(p, dst, a, b, false)
 }
 
-// Stab answers the stabbing query at q over the diagonal-corner encoding:
-// which stored intervals [-X, Y] contain q.
-func (t *Tree) Stab(p disk.Pager, q int64) ([]record.Point, error) {
+// AppendStab appends the answer to the stabbing query at q over the
+// diagonal-corner encoding — which stored intervals [-X, Y] contain q —
+// to dst and reports the version it ran on.
+func (t *Tree) AppendStab(p disk.Pager, dst []record.Point, q int64) ([]record.Point, Version, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return t.runLocked(p, func(lv *levelState) ([]record.Point, error) {
-		return lv.tree.Stab(p, q)
-	}, func(pt record.Point) bool {
-		return pt.X >= -q && pt.Y >= q
-	})
+	return t.appendLocked(p, dst, -q, q, true)
 }
 
-func (t *Tree) runLocked(p disk.Pager, run func(*levelState) ([]record.Point, error), match func(record.Point) bool) ([]record.Point, error) {
-	out := []record.Point{}
+// appendLocked answers {x >= a, y >= b} under the read lock. With stab
+// set, a = -q and b = q, and each level answers its own stabbing query at
+// q: the same predicate under the diagonal-corner encoding.
+func (t *Tree) appendLocked(p disk.Pager, dst []record.Point, a, b int64, stab bool) ([]record.Point, Version, error) {
+	v := Version{N: t.n, TombPages: t.tombPg}
+	out := dst
 	for _, lv := range t.levels {
 		if lv == nil {
 			continue
 		}
-		pts, err := run(lv)
-		if err != nil {
-			return nil, fmt.Errorf("lsm: level %d: %w", lv.slot, err)
+		v.Levels++
+		var err error
+		if stab {
+			out, err = lv.tree.AppendStab(p, out, b)
+		} else {
+			out, err = lv.tree.AppendQuery(p, out, a, b)
 		}
-		for _, pt := range pts {
-			if t.tombs[pt] || t.mem[pt] < 0 {
-				continue
-			}
-			out = append(out, pt)
+		if err != nil {
+			return dst, v, fmt.Errorf("lsm: level %d: %w", lv.slot, err)
 		}
 	}
-	for pt, d := range t.mem {
-		if d > 0 && match(pt) {
+	keep := len(dst)
+	for _, pt := range out[len(dst):] {
+		if t.tombs[pt] || t.mem[pt].d < 0 {
+			continue
+		}
+		out[keep] = pt
+		keep++
+	}
+	out = out[:keep]
+	for _, pt := range t.memIns {
+		if pt.X >= a && pt.Y >= b {
 			out = append(out, pt)
 		}
 	}
 	if len(t.tombs) > 0 {
 		// Charge the tombstone chain read; the in-memory mirror filtered.
 		if _, err := disk.ScanChain(p, record.PointSize, t.tombHead, func([]byte) bool { return true }); err != nil {
-			return nil, fmt.Errorf("lsm: scanning tombstone chain: %w", err)
+			return dst, v, fmt.Errorf("lsm: scanning tombstone chain: %w", err)
 		}
 	}
-	return out, nil
+	return out, v, nil
 }
 
 // Has is the point-membership probe the per-level bloom filters serve: a
 // record absent from the tree costs zero page reads per level with ~99%
 // probability (the filters are in memory); a present or false-positive
-// record costs a binary search over that level's sorted data chain.
-func (t *Tree) Has(p disk.Pager, pt record.Point) (bool, error) {
+// record costs a binary search over that level's sorted data chain. It
+// reports the version it ran on, as AppendQuery does.
+func (t *Tree) Has(p disk.Pager, pt record.Point) (bool, Version, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	if d, ok := t.mem[pt]; ok {
-		return d > 0, nil
+	v := Version{N: t.n, Levels: t.levelsLocked(), TombPages: t.tombPg}
+	if e, ok := t.mem[pt]; ok {
+		return e.d > 0, v, nil
 	}
 	if t.tombs[pt] {
-		return false, nil
+		return false, v, nil
 	}
 	for _, lv := range t.levels {
 		if lv == nil {
@@ -900,13 +937,13 @@ func (t *Tree) Has(p disk.Pager, pt record.Point) (bool, error) {
 		}
 		found, err := searchData(p, lv, pt)
 		if err != nil {
-			return false, err
+			return false, v, err
 		}
 		if found {
-			return true, nil
+			return true, v, nil
 		}
 	}
-	return false, nil
+	return false, v, nil
 }
 
 // searchData binary-searches a level's sorted data chain through its page
@@ -985,6 +1022,10 @@ func (t *Tree) FlushEvery() int { return t.flushEvery }
 func (t *Tree) Levels() int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
+	return t.levelsLocked()
+}
+
+func (t *Tree) levelsLocked() int {
 	c := 0
 	for _, lv := range t.levels {
 		if lv != nil {

@@ -77,20 +77,29 @@ func wantQuery(live map[record.Point]bool, a, b int64) []record.Point {
 
 func checkQuery(t *testing.T, tr *Tree, s *disk.Store, live map[record.Point]bool, a, b int64) {
 	t.Helper()
-	got, err := tr.Query(s, a, b)
+	if err := queryDiff(tr, s, live, a, b); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// queryDiff reports how the tree's answer to {x >= a, y >= b} differs from
+// the live set, nil when it matches.
+func queryDiff(tr *Tree, s *disk.Store, live map[record.Point]bool, a, b int64) error {
+	got, _, err := tr.AppendQuery(s, nil, a, b)
 	if err != nil {
-		t.Fatalf("Query(%d,%d): %v", a, b, err)
+		return fmt.Errorf("Query(%d,%d): %v", a, b, err)
 	}
 	want := wantQuery(live, a, b)
 	gs := sortedCopy(got)
 	if len(gs) != len(want) {
-		t.Fatalf("Query(%d,%d) returned %d points, want %d\ngot  %v\nwant %v", a, b, len(gs), len(want), gs, want)
+		return fmt.Errorf("Query(%d,%d) returned %d points, want %d\ngot  %v\nwant %v", a, b, len(gs), len(want), gs, want)
 	}
 	for i := range gs {
 		if gs[i] != want[i] {
-			t.Fatalf("Query(%d,%d)[%d] = %v, want %v", a, b, i, gs[i], want[i])
+			return fmt.Errorf("Query(%d,%d)[%d] = %v, want %v", a, b, i, gs[i], want[i])
 		}
 	}
+	return nil
 }
 
 // TestTreeLifecycle drives insert/flush/delete/compact/reopen on the
@@ -231,7 +240,7 @@ func TestTreeStab(t *testing.T) {
 				}
 			}
 			for _, q := range []int64{-5, 0, 4, 9, 13, 21, 31} {
-				got, err := tr.Stab(v.store, q)
+				got, _, err := tr.AppendStab(v.store, nil, q)
 				if err != nil {
 					t.Fatalf("Stab(%d): %v", q, err)
 				}
@@ -252,7 +261,7 @@ func TestTreeStab(t *testing.T) {
 			}
 			// The 2-sided shape is unsupported on pure interval bases.
 			if kind != BaseStabbing {
-				if _, err := tr.Query(v.store, 0, 0); !errors.Is(err, ErrUnsupported) {
+				if _, _, err := tr.AppendQuery(v.store, nil, 0, 0); !errors.Is(err, ErrUnsupported) {
 					t.Fatalf("Query on kind %d = %v, want ErrUnsupported", kind, err)
 				}
 			}
@@ -275,7 +284,7 @@ func TestTreeHas(t *testing.T) {
 		}
 	}
 	for _, p := range pts {
-		ok, err := tr.Has(v.store, p)
+		ok, _, err := tr.Has(v.store, p)
 		if err != nil {
 			t.Fatalf("Has(%v): %v", p, err)
 		}
@@ -284,7 +293,7 @@ func TestTreeHas(t *testing.T) {
 		}
 	}
 	for _, p := range []record.Point{pt(1, 1, 9), pt(100, 100, 100), pt(-1, -1, 0)} {
-		ok, err := tr.Has(v.store, p)
+		ok, _, err := tr.Has(v.store, p)
 		if err != nil {
 			t.Fatalf("Has(%v): %v", p, err)
 		}
@@ -297,7 +306,7 @@ func TestTreeHas(t *testing.T) {
 		t.Fatalf("Delete: %v", err)
 	}
 	for i := 0; i < 2; i++ {
-		ok, err := tr.Has(v.store, pts[0])
+		ok, _, err := tr.Has(v.store, pts[0])
 		if err != nil {
 			t.Fatalf("Has: %v", err)
 		}

@@ -436,6 +436,12 @@ type QueryStats struct {
 	UsefulIOs   int
 	WastefulIOs int
 	Results     int
+	// Bound, when positive, is the theorem bound in page reads evaluated
+	// for the structure the query actually searched. An engine whose shape
+	// moves between queries (the LSM tier's levels and tombstones) sets it,
+	// and the op is checked against it instead of the kind's bound at a
+	// size read before the query ran.
+	Bound float64
 }
 
 // Account charges one list scan that read pages pages and reported matched

@@ -9,6 +9,7 @@ import (
 	"pathcache/internal/engine"
 	"pathcache/internal/lsm"
 	"pathcache/internal/obs"
+	"pathcache/internal/record"
 	"pathcache/internal/skeletal"
 )
 
@@ -56,8 +57,11 @@ type LSMLevel struct {
 //
 // Queries pay the dynamization tax — every level answers — giving
 // O(log(n/B)·bound_static + t/B) page reads, the declared bound the strict
-// sentinels enforce. Queries may run concurrently with each other and with
-// updates; updates are serialized internally.
+// sentinels enforce at the version each query ran on. Queries may run
+// concurrently with each other and with updates, and never wait for an
+// update's fsync, a flush's or compaction's level build, or a manifest
+// commit: they read the last published version until the writer swaps in
+// the next. Updates, flushes and compactions are serialized internally.
 //
 // The base kind decides the query shape, which Shape reports: point bases
 // ("twosided", "threeside", "window") answer Query, interval bases
@@ -177,16 +181,13 @@ func IntervalToDynamicPoint(iv Interval) Point { return intervalToPoint(iv) }
 // DynamicPointToInterval decodes a stored point back to its interval.
 func DynamicPointToInterval(p Point) Interval { return pointToInterval(p) }
 
-// liveBound captures the tree's actual shape — occupied levels and
-// tombstone-chain pages — so each query is checked against the bound for
-// the tree it actually ran on rather than the registry's worst-case
-// estimate.
-func (x *LSMIndex) liveBound() obs.BoundFunc {
-	levels := x.tr.Levels()
-	tombPages := x.tr.TombPages()
-	return func(n, b, t int) float64 {
-		return obs.LSMBoundAt(levels, tombPages, n, b, t)
-	}
+// versionStats is the accounting of one read that returned results
+// records from version v through p: the dynamization bound at the level
+// count, tombstone chain and size the read actually ran on, rather than
+// the registry's worst-case estimate or a shape read before the read took
+// the tree's lock.
+func versionStats(p disk.Pager, v lsm.Version, results int) skeletal.QueryStats {
+	return skeletal.QueryStats{Bound: obs.LSMBoundAt(v.Levels, v.TombPages, v.N, B(p.PageSize()), results)}
 }
 
 // Insert adds a record: one durable WAL append, then any flush or
@@ -348,31 +349,52 @@ func lsmRead[Q, R any](c core, spec opSpec, dst []R, q Q, run queryFunc[Q, R]) (
 	return out, prof, berr
 }
 
-// readOp is the spec of one read operation, checked against the
-// dynamization bound at the current level count and tombstone chain. The
-// serial reads return their answer alongside a bound breach, so they run
-// through the recorder directly rather than through serial.
+// readOp is the spec of one read operation. It declares no bound of its
+// own: every read reports the dynamization bound of the version it ran on
+// (versionStats). The serial reads return their answer alongside a bound
+// breach, so they run through the recorder directly rather than through
+// serial.
 func (x *LSMIndex) readOp(name string) opSpec {
-	return opSpec{kind: lsmKindName, name: name, n: x.tr.Len(), bound: x.liveBound()}
+	return opSpec{kind: lsmKindName, name: name}
+}
+
+// recBufPool holds the record buffers every level of one read appends
+// into before the answer is converted into the caller's slice.
+var recBufPool = sync.Pool{New: func() any { return new([]record.Point) }}
+
+// maxPooledRecs caps the buffer a read hands back to recBufPool, so one
+// huge answer does not stay pinned in the pool.
+const maxPooledRecs = 4096
+
+// putRecBuf returns a read's buffer, grown to hold pts, to the pool.
+func putRecBuf(bp *[]record.Point, pts []record.Point) {
+	if cap(pts) <= maxPooledRecs {
+		*bp = pts[:0]
+	}
+	recBufPool.Put(bp)
 }
 
 // queryOn answers one 2-sided query through p.
 func (x *LSMIndex) queryOn(p disk.Pager, dst []Point, q TwoSidedQuery) ([]Point, skeletal.QueryStats, error) {
-	pts, err := x.tr.Query(p, q.A, q.B)
+	bp := recBufPool.Get().(*[]record.Point)
+	pts, v, err := x.tr.AppendQuery(p, (*bp)[:0], q.A, q.B)
+	defer putRecBuf(bp, pts)
 	if err != nil {
 		return dst, skeletal.QueryStats{}, err
 	}
-	return appendRecPoints(dst, pts), skeletal.QueryStats{}, nil
+	return appendRecPoints(dst, pts), versionStats(p, v, len(pts)), nil
 }
 
 // stabOn answers one stabbing query through p; the levels store the
 // diagonal corners.
 func (x *LSMIndex) stabOn(p disk.Pager, dst []Interval, q int64) ([]Interval, skeletal.QueryStats, error) {
-	pts, err := x.tr.Stab(p, q)
+	bp := recBufPool.Get().(*[]record.Point)
+	pts, v, err := x.tr.AppendStab(p, (*bp)[:0], q)
+	defer putRecBuf(bp, pts)
 	if err != nil {
 		return dst, skeletal.QueryStats{}, err
 	}
-	return appendCorners(dst, pts), skeletal.QueryStats{}, nil
+	return appendCorners(dst, pts), versionStats(p, v, len(pts)), nil
 }
 
 // Stab reports every live interval containing q, for bases that answer
@@ -392,12 +414,12 @@ func (x *LSMIndex) appendStab(dst []Interval, q int64) ([]Interval, IOProfile, e
 func (x *LSMIndex) Has(p Point) (bool, IOProfile, error) {
 	r := x.newRecorder(x.readOp("probe"), obs.SerialWorker)
 	r.begin()
-	ok, err := x.tr.Has(r.pager, toRec(p))
+	ok, v, err := x.tr.Has(r.pager, toRec(p))
 	results := 0
 	if ok {
 		results = 1
 	}
-	prof, berr := r.end(results, skeletal.QueryStats{}, err)
+	prof, berr := r.end(results, versionStats(r.pager, v, results), err)
 	if err != nil {
 		return false, IOProfile{}, fmt.Errorf("pathcache: %w", err)
 	}

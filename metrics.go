@@ -233,7 +233,8 @@ func evalBound(bound obs.BoundFunc, pageSize, n, t int) float64 {
 
 // opSpec names one recorded operation: the kind and operation its metric
 // series is keyed by, and the theorem bound it is checked against at index
-// size n (a nil bound declares none: updates and maintenance).
+// size n (a nil bound declares none: updates and maintenance). An op whose
+// QueryStats carries its own Bound is checked against that instead.
 type opSpec struct {
 	kind, name string
 	n          int
@@ -284,7 +285,8 @@ func (r *recorder) begin() {
 // its partial I/O in the series (and drops the inflight gauge) but records
 // no results and checks no bound — the operation's error wins — and gets a
 // zero profile. Otherwise end returns the operation's I/O profile and, with
-// strict bounds armed, a *BoundError on breach.
+// strict bounds armed, a *BoundError on breach. The bound is st.Bound when
+// the query reported one, else the spec's bound at the spec's n.
 func (r *recorder) end(results int, st skeletal.QueryStats, opErr error) (IOProfile, error) {
 	after := r.ctr.Stats()
 	m := obs.Measure{
@@ -297,7 +299,10 @@ func (r *recorder) end(results int, st skeletal.QueryStats, opErr error) (IOProf
 		return IOProfile{}, nil
 	}
 	m.Results = results
-	m.Bound = evalBound(r.spec.bound, r.be.Pager().PageSize(), r.spec.n, results)
+	m.Bound = st.Bound
+	if m.Bound == 0 {
+		m.Bound = evalBound(r.spec.bound, r.be.Pager().PageSize(), r.spec.n, results)
+	}
 	ev, err := r.be.Obs().End(r.op, m)
 	return IOProfile{
 		PathPages:   st.PathPages,

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"pathcache/internal/disk"
@@ -323,5 +324,62 @@ func TestBuildSpanCoversConstruction(t *testing.T) {
 			t.Fatalf("%s: build span does not enclose its writes: %d events, first write at %d, last at %d, first %q, final %q",
 				name, len(events), first, last, events[0], events[len(events)-1])
 		}
+	}
+}
+
+// flushOnQuery is a tracer that flushes an LSM index from inside the first
+// armed query's OpStart: after the op's spec was made, before the query
+// reads the tree.
+type flushOnQuery struct {
+	ix    *LSMIndex
+	armed atomic.Bool
+	err   error
+}
+
+func (f *flushOnQuery) OpStart(op TraceOp) {
+	if op.Name == "query" && f.armed.CompareAndSwap(true, false) {
+		f.err = f.ix.Flush()
+	}
+}
+
+func (f *flushOnQuery) OpEnd(TraceEvent) {}
+
+// TestLSMBoundAtRunVersion commits a flush between a query's spec and its
+// run. The flush turns 800 memtable deletes into an 80-page tombstone
+// chain the query must scan; strict mode must check the query against the
+// version it ran on — with that chain — not the tombstone-free shape read
+// before the flush, which would report a false breach.
+func TestLSMBoundAtRunVersion(t *testing.T) {
+	pts := make([]Point, 2000)
+	for i := range pts {
+		pts[i] = Point{X: int64(i), Y: int64(2000 - i), ID: uint64(i)}
+	}
+	tr := &flushOnQuery{}
+	ix, err := BuildDynamic("twosided", pts, &Options{PageSize: 256, MemtableEntries: 1000, StrictBounds: true, Tracer: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.ix = ix
+	for _, p := range pts[:800] {
+		if _, err := ix.Delete(p); err != nil {
+			t.Fatalf("Delete: %v", err)
+		}
+	}
+	if ix.TombCount() != 0 || ix.MemtableLen() != 800 {
+		t.Fatalf("setup: %d tombstones, %d memtable entries; want 0 and 800", ix.TombCount(), ix.MemtableLen())
+	}
+	tr.armed.Store(true)
+	out, prof, err := ix.Query(1990, 0)
+	if tr.err != nil {
+		t.Fatalf("Flush inside the query's OpStart: %v", tr.err)
+	}
+	if ix.TombCount() != 800 {
+		t.Fatalf("the flush left %d tombstones, want 800", ix.TombCount())
+	}
+	if err != nil {
+		t.Fatalf("query after a flush landed between its spec and its run: %v", err)
+	}
+	if len(out) != 10 || prof.Reads <= 80 {
+		t.Fatalf("query returned %d records in %d reads; want 10 records and the 80-page tombstone scan", len(out), prof.Reads)
 	}
 }
