@@ -4,6 +4,9 @@
 
 GO ?= go
 BIN := bin
+# NAMED runs one named go test step: PKG PATTERN [flags]. It fails when an
+# alternative of PATTERN matches no test, where `go test -run` would pass.
+NAMED := GO=$(GO) sh scripts/gotest-named.sh
 
 .PHONY: all build test benchmark-check lint pcvet allowlist fuzz-smoke crash golden bench-json serve-smoke clean
 
@@ -17,7 +20,7 @@ build:
 # without it.
 test:
 	$(GO) test -race ./...
-	$(GO) test -run Allocs ./...
+	$(NAMED) ./... Allocs
 
 # The served benchmark (benchmark/) is a module of its own, so `go test
 # ./...` at the root neither builds nor tests it. It uses server.Config,
@@ -73,12 +76,12 @@ fuzz-smoke:
 # plus the build golden and differential tests that pin the page-write
 # sequence those sweeps kill at.
 crash:
-	$(GO) test ./internal/disk -run='TestCrashSweepStoreLevel|TestCrashFile|TestFileStore' -v
-	$(GO) test . -run='TestCrashSweepIndexes' -v
-	$(GO) test . -run='TestBuildGolden' -count=1 -v
-	$(GO) test ./internal/pstcore -run='TestBuildMatchesReference' -count=1 -v
-	$(GO) test . -run='TestCrashSweepLSM' -v
-	$(GO) test . -run='TestCrashSweepShardMap|TestCrashSweepShardStore' -v
+	$(NAMED) ./internal/disk 'TestCrashSweepStoreLevel|TestCrashFile|TestFileStore' -v
+	$(NAMED) . 'TestCrashSweepIndexes' -v
+	$(NAMED) . 'TestBuildGolden' -count=1 -v
+	$(NAMED) ./internal/pstcore 'TestBuildMatchesReference' -count=1 -v
+	$(NAMED) . 'TestCrashSweepLSM' -v
+	$(NAMED) . 'TestCrashSweepShardMap|TestCrashSweepShardStore' -v
 
 # Regenerate cmd/pcindex's golden CLI transcript after an intentional
 # output change; review the diff before committing.
@@ -100,8 +103,8 @@ bench-json:
 # The served performance numbers come from benchmark/ (make
 # benchmark-check runs its tests).
 serve-smoke:
-	$(GO) test ./cmd/pcserve -run TestServeSmokeAndSignals -v
-	$(GO) test ./internal/server -run TestServeLoadBench -v
+	$(NAMED) ./cmd/pcserve TestServeSmokeAndSignals -v
+	$(NAMED) ./internal/server TestServeLoadBench -v
 
 clean:
 	rm -rf $(BIN)

@@ -18,7 +18,8 @@ import (
 // Scoping: which analyzers run on which packages. The conventions are
 // layer-specific — pagerdiscipline polices the index structures above the
 // disk layer (the disk package itself is the accounting implementation),
-// lockheldio polices the lock-striped pool and the batch fan-out, fixedwidth
+// lockheldio polices the lock-striped pool, the write tier's locks and the
+// batch fan-out, fixedwidth
 // polices record encoders, and errwrapinjected applies everywhere
 // production code runs.
 
@@ -47,11 +48,12 @@ var indexPackages = []string{
 // encoderPackages hold fixed-width record layouts or node-payload encoders.
 var encoderPackages = append([]string{"internal/record", "internal/disk"}, indexPackages...)
 
-// lockPackages hold the sharded pool, the parallel batch engine, and the
-// serving layer (whose snapshot handles and admission gates must never hold
-// a lock across store I/O). The bare module path is the root pathcache
-// package (batch.go, handle.go).
-var lockPackages = []string{"internal/disk", "internal/server", "internal/shard", "pathcache"}
+// lockPackages hold the sharded pool, the write tier (whose version lock
+// must never be held exclusively across I/O), the parallel batch engine,
+// and the serving layer (whose snapshot handles and admission gates must
+// never hold a lock across store I/O). The bare module path is the root
+// pathcache package (batch.go, handle.go).
+var lockPackages = []string{"internal/disk", "internal/lsm", "internal/server", "internal/shard", "pathcache"}
 
 // obsExempt are the sanctioned metric-recording seams; obsdiscipline runs
 // on every other package (the analyzer also self-gates, so the fixture

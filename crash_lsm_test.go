@@ -117,7 +117,6 @@ func lsmScriptPoints(script []lsmOp) []Point {
 
 type lsmCrashBase struct {
 	name     string
-	pageSize int
 	interval bool // records are diagonal-corner interval encodings
 	hasQuery bool // base answers 2-sided Query
 	hasStab  bool // base answers Stab
@@ -125,12 +124,12 @@ type lsmCrashBase struct {
 
 func lsmCrashBases() []lsmCrashBase {
 	return []lsmCrashBase{
-		{"twosided", crashPageSize, false, true, false},
-		{"threeside", 2 * crashPageSize, false, true, false},
-		{"stabbing", crashPageSize, true, true, true},
-		{"segment", crashPageSize, true, false, true},
-		{"interval", 2 * crashPageSize, true, false, true},
-		{"window", crashPageSize, false, true, false},
+		{"twosided", false, true, false},
+		{"threeside", false, true, false},
+		{"stabbing", true, true, true},
+		{"segment", true, false, true},
+		{"interval", true, false, true},
+		{"window", false, true, false},
 	}
 }
 
@@ -181,35 +180,14 @@ func checkLSMState(ix *LSMIndex, b lsmCrashBase, script []lsmOp, live []Point) e
 		}
 	}
 	if b.hasQuery {
-		query := func(a, bb int64) ([]Point, error) {
-			pts, _, err := ix.Query(a, bb)
-			return pts, err
-		}
-		want := func(a, bb int64) []Point {
-			var out []Point
-			for _, p := range live {
-				if p.X >= a && p.Y >= bb {
-					out = append(out, p)
-				}
-			}
-			return out
-		}
-		for _, q := range [][2]int64{{math.MinInt64, math.MinInt64}, {0, 0}, {250, 400}, {700, 100}} {
-			got, err := query(q[0], q[1])
-			if err != nil {
-				return fmt.Errorf("query(%d,%d): %w", q[0], q[1], err)
-			}
-			if !samePoints(got, want(q[0], q[1])) {
-				return fmt.Errorf("query(%d,%d): got %d results, want %d", q[0], q[1], len(got), len(want(q[0], q[1])))
-			}
+		qs := [][4]int64{{math.MinInt64, math.MinInt64}, {0, 0}, {250, 400}, {700, 100}}
+		if err := checkQueries(ix, ShapeTwoSided, propData{pts: live}, qs); err != nil {
+			return err
 		}
 	}
 	if b.hasStab {
-		var ivs []Interval
-		for _, p := range live {
-			ivs = append(ivs, DynamicPointToInterval(p))
-		}
-		return stabBattery("lsm/"+b.name, ivs, ix.Stab)
+		ivs := mapSlice(live, DynamicPointToInterval)
+		return checkQueries(ix, ShapeStab, propData{ivs: ivs}, crashQueries[ShapeStab])
 	}
 	return nil
 }
@@ -248,6 +226,7 @@ func TestCrashSweepLSM(t *testing.T) {
 		b := b
 		t.Run(b.name, func(t *testing.T) {
 			t.Parallel()
+			page := crashPage(b.name)
 			script := lsmCrashScript(b.interval)
 
 			// Instrumentation pass: a healthy run to count kill points and
@@ -255,7 +234,7 @@ func TestCrashSweepLSM(t *testing.T) {
 			// WAL replay its unflushed tail forces).
 			mem := disk.NewMemFile()
 			count := disk.NewCrashFile(mem, -1, 0)
-			acked, err := buildLSMCrash(count, b.name, b.pageSize, script)
+			acked, err := buildLSMCrash(count, b.name, page, script)
 			if err != nil {
 				t.Fatalf("instrumentation run: %v", err)
 			}
@@ -279,10 +258,10 @@ func TestCrashSweepLSM(t *testing.T) {
 			img := filepath.Join(dir, "crashed.pc")
 			recovered, noIndex, corrupt := 0, 0, 0
 			for limit := int64(0); limit < total; limit++ {
-				for _, torn := range []int{0, 13, b.pageSize / 2} {
+				for _, torn := range []int{0, 13, page / 2} {
 					mem := disk.NewMemFile()
 					cf := disk.NewCrashFile(mem, limit, torn)
-					acked, err := buildLSMCrash(cf, b.name, b.pageSize, script)
+					acked, err := buildLSMCrash(cf, b.name, page, script)
 					if !errors.Is(err, disk.ErrCrashed) {
 						t.Fatalf("limit=%d torn=%d: run err = %v, want ErrCrashed", limit, torn, err)
 					}

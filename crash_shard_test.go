@@ -183,15 +183,6 @@ func TestCrashSweepShardStore(t *testing.T) {
 	if len(splits) != 1 {
 		t.Fatalf("want 1 split key, got %v", splits)
 	}
-	want := func(a, b int64) []Point {
-		var out []Point
-		for _, p := range pts {
-			if p.X >= a && p.Y >= b {
-				out = append(out, p)
-			}
-		}
-		return out
-	}
 	// check reopens a (possibly crashed) store copy and runs the battery.
 	check := func(dir string) error {
 		s, err := OpenSharded(dir, nil)
@@ -199,7 +190,7 @@ func TestCrashSweepShardStore(t *testing.T) {
 			return err
 		}
 		defer s.Close()
-		return pointQueryBattery("sharded", pts, s.Query, want)
+		return checkQueries(s, ShapeTwoSided, propData{pts: pts}, crashQueries[ShapeTwoSided])
 	}
 	if err := check(store); err != nil {
 		t.Fatalf("intact store fails the battery: %v", err)

@@ -2,11 +2,9 @@ package pathcache
 
 import (
 	"errors"
-	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
-	"sort"
 	"testing"
 
 	"pathcache/internal/disk"
@@ -30,9 +28,10 @@ import (
 
 const crashPageSize = disk.MinFilePageSize
 
-// crashDataset is the fixed input every kind builds from: small enough that
-// a full every-write sweep stays quadratic-cheap, large enough to span
-// multiple pages and levels at the 128-byte page size (B = 4).
+// crashPoints and crashIntervals are the fixed inputs every kind builds
+// from: small enough that a full every-write sweep stays quadratic-cheap,
+// large enough to span multiple pages and levels at the 128-byte page size
+// (B = 4).
 func crashPoints() []Point {
 	rng := rand.New(rand.NewSource(41))
 	pts := make([]Point, 28)
@@ -52,269 +51,23 @@ func crashIntervals() []Interval {
 	return ivs
 }
 
-func sortPoints(pts []Point) {
-	sort.Slice(pts, func(i, j int) bool {
-		if pts[i].X != pts[j].X {
-			return pts[i].X < pts[j].X
-		}
-		if pts[i].Y != pts[j].Y {
-			return pts[i].Y < pts[j].Y
-		}
-		return pts[i].ID < pts[j].ID
-	})
+// crashPage is the page size a kind's sweep runs at: crashPageSize, or
+// twice that for the 3-sided and interval kinds, whose skeletal nodes carry
+// a larger payload than a 128-byte page holds.
+func crashPage(kind string) int {
+	if kind == "threeside" || kind == "interval" {
+		return 2 * crashPageSize
+	}
+	return crashPageSize
 }
 
-func sortIntervals(ivs []Interval) {
-	sort.Slice(ivs, func(i, j int) bool {
-		if ivs[i].Lo != ivs[j].Lo {
-			return ivs[i].Lo < ivs[j].Lo
-		}
-		if ivs[i].Hi != ivs[j].Hi {
-			return ivs[i].Hi < ivs[j].Hi
-		}
-		return ivs[i].ID < ivs[j].ID
-	})
-}
-
-func samePoints(got, want []Point) bool {
-	if len(got) != len(want) {
-		return false
-	}
-	sortPoints(got)
-	sortPoints(want)
-	for i := range got {
-		if got[i] != want[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func sameIntervals(got, want []Interval) bool {
-	if len(got) != len(want) {
-		return false
-	}
-	sortIntervals(got)
-	sortIntervals(want)
-	for i := range got {
-		if got[i] != want[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// crashKind describes one persisted index kind to sweep: how to build it
-// over a File, and how to reopen the surviving image and check the full
-// query battery against the in-memory reference.
-type crashKind struct {
-	name     string
-	pageSize int
-	// build runs the public build path with the given injected file and
-	// page size and closes the index; it returns the first error anywhere
-	// on that path.
-	build func(f disk.File, ps int) error
-	// check reopens the image at path and compares queries to the
-	// reference; it must return an error for any mismatch and nil only for
-	// an exact match.
-	check func(path string) error
-}
-
-func pointQueryBattery(name string, pts []Point, query func(a, b int64) ([]Point, IOProfile, error), want func(a, b int64) []Point) error {
-	for _, q := range [][2]int64{{0, 0}, {250, 400}, {500, 500}, {900, 100}, {1000, 1000}} {
-		got, _, err := query(q[0], q[1])
-		if err != nil {
-			return fmt.Errorf("%s query(%d,%d): %w", name, q[0], q[1], err)
-		}
-		if !samePoints(got, want(q[0], q[1])) {
-			return fmt.Errorf("%s query(%d,%d): silent mismatch: got %d results, want %d", name, q[0], q[1], len(got), len(want(q[0], q[1])))
-		}
-	}
-	return nil
-}
-
-func stabBattery(name string, ivs []Interval, stab func(q int64) ([]Interval, IOProfile, error)) error {
-	for _, q := range []int64{0, 150, 400, 650, 999, 1300} {
-		got, _, err := stab(q)
-		if err != nil {
-			return fmt.Errorf("%s stab(%d): %w", name, q, err)
-		}
-		var want []Interval
-		for _, iv := range ivs {
-			if iv.Lo <= q && q <= iv.Hi {
-				want = append(want, iv)
-			}
-		}
-		if !sameIntervals(got, want) {
-			return fmt.Errorf("%s stab(%d): silent mismatch: got %d results, want %d", name, q, len(got), len(want))
-		}
-	}
-	return nil
-}
-
-func crashKinds() []crashKind {
-	pts := crashPoints()
-	ivs := crashIntervals()
-
-	twoSidedWant := func(a, b int64) []Point {
-		var want []Point
-		for _, p := range pts {
-			if p.X >= a && p.Y >= b {
-				want = append(want, p)
-			}
-		}
-		return want
-	}
-
-	return []crashKind{
-		{
-			name:     "twosided",
-			pageSize: crashPageSize,
-			build: func(f disk.File, ps int) error {
-				ix, err := NewTwoSidedIndex(pts, SchemeSegmented, &Options{PageSize: ps, testFile: f})
-				if err != nil {
-					return err
-				}
-				return ix.Close()
-			},
-			check: func(path string) error {
-				ix, err := OpenTwoSidedIndex(path)
-				if err != nil {
-					return err
-				}
-				defer ix.Close()
-				return pointQueryBattery("twosided", pts, ix.Query, twoSidedWant)
-			},
-		},
-		{
-			// The 3-sided skeletal nodes carry a larger payload than a
-			// 128-byte page holds; sweep it at 256.
-			name:     "threeside",
-			pageSize: 2 * crashPageSize,
-			build: func(f disk.File, ps int) error {
-				ix, err := NewThreeSidedIndex(pts, &Options{PageSize: ps, testFile: f})
-				if err != nil {
-					return err
-				}
-				return ix.Close()
-			},
-			check: func(path string) error {
-				ix, err := OpenThreeSidedIndex(path)
-				if err != nil {
-					return err
-				}
-				defer ix.Close()
-				for _, q := range [][3]int64{{0, 1000, 0}, {200, 700, 300}, {450, 550, 800}, {900, 950, 0}} {
-					got, _, err := ix.QueryThreeSided(q[0], q[1], q[2])
-					if err != nil {
-						return fmt.Errorf("threeside query%v: %w", q, err)
-					}
-					var want []Point
-					for _, p := range pts {
-						if q[0] <= p.X && p.X <= q[1] && p.Y >= q[2] {
-							want = append(want, p)
-						}
-					}
-					if !samePoints(got, want) {
-						return fmt.Errorf("threeside query%v: silent mismatch: got %d results, want %d", q, len(got), len(want))
-					}
-				}
-				return nil
-			},
-		},
-		{
-			name:     "stabbing",
-			pageSize: crashPageSize,
-			build: func(f disk.File, ps int) error {
-				six, err := NewStabbingIndex(ivs, SchemeSegmented, &Options{PageSize: ps, testFile: f})
-				if err != nil {
-					return err
-				}
-				return six.Close()
-			},
-			check: func(path string) error {
-				six, err := OpenStabbingIndex(path)
-				if err != nil {
-					return err
-				}
-				defer six.Close()
-				return stabBattery("stabbing", ivs, six.Stab)
-			},
-		},
-		{
-			name:     "segment",
-			pageSize: crashPageSize,
-			build: func(f disk.File, ps int) error {
-				ix, err := NewSegmentIndex(ivs, true, &Options{PageSize: ps, testFile: f})
-				if err != nil {
-					return err
-				}
-				return ix.Close()
-			},
-			check: func(path string) error {
-				ix, err := OpenSegmentIndex(path)
-				if err != nil {
-					return err
-				}
-				defer ix.Close()
-				return stabBattery("segment", ivs, ix.Stab)
-			},
-		},
-		{
-			// Interval skeletal nodes also outgrow a 128-byte page.
-			name:     "interval",
-			pageSize: 2 * crashPageSize,
-			build: func(f disk.File, ps int) error {
-				ix, err := NewIntervalIndex(ivs, true, &Options{PageSize: ps, testFile: f})
-				if err != nil {
-					return err
-				}
-				return ix.Close()
-			},
-			check: func(path string) error {
-				ix, err := OpenIntervalIndex(path)
-				if err != nil {
-					return err
-				}
-				defer ix.Close()
-				return stabBattery("interval", ivs, ix.Stab)
-			},
-		},
-		{
-			name:     "window",
-			pageSize: crashPageSize,
-			build: func(f disk.File, ps int) error {
-				ix, err := NewWindowIndex(pts, &Options{PageSize: ps, testFile: f})
-				if err != nil {
-					return err
-				}
-				return ix.Close()
-			},
-			check: func(path string) error {
-				ix, err := OpenWindowIndex(path)
-				if err != nil {
-					return err
-				}
-				defer ix.Close()
-				for _, q := range [][4]int64{{0, 1000, 0, 1000}, {200, 700, 100, 600}, {480, 520, 480, 520}} {
-					got, _, err := ix.WindowQuery(q[0], q[1], q[2], q[3])
-					if err != nil {
-						return fmt.Errorf("window query%v: %w", q, err)
-					}
-					var want []Point
-					for _, p := range pts {
-						if q[0] <= p.X && p.X <= q[1] && q[2] <= p.Y && p.Y <= q[3] {
-							want = append(want, p)
-						}
-					}
-					if !samePoints(got, want) {
-						return fmt.Errorf("window query%v: silent mismatch: got %d results, want %d", q, len(got), len(want))
-					}
-				}
-				return nil
-			},
-		},
-	}
+// crashQueries is the fixed query battery per shape, checked against the
+// oracle over the crash dataset.
+var crashQueries = map[Shape][][4]int64{
+	ShapeTwoSided:   {{0, 0}, {250, 400}, {500, 500}, {900, 100}, {1000, 1000}},
+	ShapeThreeSided: {{0, 1000, 0}, {200, 700, 300}, {450, 550, 800}, {900, 950, 0}},
+	ShapeWindow:     {{0, 1000, 0, 1000}, {200, 700, 100, 600}, {480, 520, 480, 520}},
+	ShapeStab:       {{0}, {150}, {400}, {650}, {999}, {1300}},
 }
 
 // acceptableCrashOutcome classifies a reopen/check error: nil for a clean
@@ -340,8 +93,33 @@ func TestCrashSweepIndexes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("crash sweep is quadratic in build I/Os; skipped in -short")
 	}
-	for _, k := range crashKinds() {
-		k := k
+	for _, k := range propKinds {
+		if !k.served() {
+			continue
+		}
+		page := crashPage(k.name)
+		d := propData{pts: crashPoints()}
+		if k.shape == ShapeStab {
+			d = propData{ivs: crashIntervals()}
+		}
+		// build runs the public build path over f and closes the index;
+		// check reopens the image at path and requires the battery to
+		// match the oracle exactly.
+		build := func(f disk.File) error {
+			ix, err := k.build(d, &Options{PageSize: page, testFile: f})
+			if err != nil {
+				return err
+			}
+			return ix.Close()
+		}
+		check := func(path string) error {
+			ix, err := k.open(path)
+			if err != nil {
+				return err
+			}
+			defer ix.Close()
+			return checkQueries(ix, k.shape, d, crashQueries[k.shape])
+		}
 		t.Run(k.name, func(t *testing.T) {
 			t.Parallel()
 
@@ -349,7 +127,7 @@ func TestCrashSweepIndexes(t *testing.T) {
 			// prove the check battery passes on the intact image.
 			mem := disk.NewMemFile()
 			count := disk.NewCrashFile(mem, -1, 0)
-			if err := k.build(count, k.pageSize); err != nil {
+			if err := build(count); err != nil {
 				t.Fatalf("instrumentation build: %v", err)
 			}
 			total := count.Writes()
@@ -361,7 +139,7 @@ func TestCrashSweepIndexes(t *testing.T) {
 			if err := os.WriteFile(intact, mem.Bytes(), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			if err := k.check(intact); err != nil {
+			if err := check(intact); err != nil {
 				t.Fatalf("intact image fails the battery: %v", err)
 			}
 			t.Logf("%s: sweeping %d kill points", k.name, total)
@@ -371,17 +149,17 @@ func TestCrashSweepIndexes(t *testing.T) {
 			// Tear variants: clean kill between writes (0), a tear inside
 			// the 52-byte superblock record (13), and a half-page tear.
 			for limit := int64(0); limit < total; limit++ {
-				for _, torn := range []int{0, 13, k.pageSize / 2} {
+				for _, torn := range []int{0, 13, page / 2} {
 					mem := disk.NewMemFile()
 					cf := disk.NewCrashFile(mem, limit, torn)
-					err := k.build(cf, k.pageSize)
+					err := build(cf)
 					if !errors.Is(err, disk.ErrCrashed) {
 						t.Fatalf("limit=%d torn=%d: build err = %v, want ErrCrashed", limit, torn, err)
 					}
 					if err := os.WriteFile(img, mem.Bytes(), 0o644); err != nil {
 						t.Fatal(err)
 					}
-					cerr := k.check(img)
+					cerr := check(img)
 					if uerr := acceptableCrashOutcome(cerr); uerr != nil {
 						t.Fatalf("limit=%d torn=%d: unacceptable post-crash outcome: %v", limit, torn, uerr)
 					}

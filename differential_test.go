@@ -1,6 +1,7 @@
 package pathcache
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -11,8 +12,8 @@ import (
 // race-clean (each subtest owns its index), so `go test -race` exercises the
 // sharded buffer-pool paths underneath as well.
 
-// diffModel is the flat reference: a multiset of points with brute-force
-// range queries.
+// diffModel is the flat reference: a multiset of points, queried through
+// the brute-force oracle.
 type diffModel struct {
 	pts []Point
 }
@@ -30,145 +31,102 @@ func (m *diffModel) delete(p Point) bool {
 	return false
 }
 
-func (m *diffModel) twoSided(a, b int64) []Point {
-	var out []Point
-	for _, p := range m.pts {
-		if p.X >= a && p.Y >= b {
-			out = append(out, p)
-		}
-	}
-	return out
+// dynamicIndex is what the differential drives: DynamicIndex answering
+// 2-sided queries or DynamicThreeSidedIndex answering 3-sided ones, behind
+// query.
+type dynamicIndex interface {
+	BulkLoad(pts []Point) error
+	Insert(p Point) error
+	Delete(p Point) error
+	Len() int
 }
 
-func (m *diffModel) threeSided(a1, a2, b int64) []Point {
-	var out []Point
-	for _, p := range m.pts {
-		if a1 <= p.X && p.X <= a2 && p.Y >= b {
-			out = append(out, p)
+// runDynamicDifferential bulk-loads initial points into a fresh dynamic
+// index of shape s, then drives ops seeded inserts, deletes and queries
+// against it and the model.
+func runDynamicDifferential(s Shape, initial, ops int, seed int64) error {
+	rng := rand.New(rand.NewSource(seed))
+	opts := &Options{PageSize: 512, BufferPoolPages: 8}
+	var ix dynamicIndex
+	var query func(q [4]int64) ([]Point, error)
+	if s == ShapeTwoSided {
+		x, err := NewDynamicIndex(opts)
+		if err != nil {
+			return err
+		}
+		ix, query = x, func(q [4]int64) ([]Point, error) { return x.Query(q[0], q[1]) }
+	} else {
+		x, err := NewDynamicThreeSidedIndex(opts)
+		if err != nil {
+			return err
+		}
+		ix, query = x, func(q [4]int64) ([]Point, error) { return x.Query(q[0], q[1], q[2]) }
+	}
+	model := &diffModel{}
+	nextID := uint64(1)
+	randPoint := func() Point {
+		p := Point{X: rng.Int63n(500), Y: rng.Int63n(500), ID: nextID}
+		nextID++
+		return p
+	}
+
+	// Start from a bulk load so compaction has standing structure.
+	var init []Point
+	for i := 0; i < initial; i++ {
+		p := randPoint()
+		init = append(init, p)
+		model.insert(p)
+	}
+	if err := ix.BulkLoad(init); err != nil {
+		return err
+	}
+	for op := 0; op < ops; op++ {
+		switch r := rng.Intn(10); {
+		case r < 5: // insert
+			p := randPoint()
+			if err := ix.Insert(p); err != nil {
+				return fmt.Errorf("op %d insert: %w", op, err)
+			}
+			model.insert(p)
+		case r < 7 && len(model.pts) > 0: // delete a live point
+			p := model.pts[rng.Intn(len(model.pts))]
+			if err := ix.Delete(p); err != nil {
+				return fmt.Errorf("op %d delete: %w", op, err)
+			}
+			model.delete(p)
+		default: // query
+			q := bounds(s, drawQueries(rng, 1, arity(s), 500)[0])
+			got, err := query(q)
+			if err != nil {
+				return fmt.Errorf("op %d %v query %v: %w", op, s, q, err)
+			}
+			if want := brute(s, model.pts, q); !sameSet(got, want) {
+				return fmt.Errorf("op %d %v query %v: diverged from model (%d vs %d results)", op, s, q, len(got), len(want))
+			}
+		}
+		if ix.Len() != len(model.pts) {
+			return fmt.Errorf("op %d: Len %d, model %d", op, ix.Len(), len(model.pts))
 		}
 	}
-	return out
+	return nil
 }
 
-func randPoint(rng *rand.Rand, id uint64) Point {
-	return Point{X: rng.Int63n(500), Y: rng.Int63n(500), ID: id}
+func dynamicDifferential(t *testing.T, s Shape, initial, ops int, seeds ...int64) {
+	for _, seed := range propSeeds(t, seeds...) {
+		t.Run("", func(t *testing.T) {
+			t.Parallel()
+			run := func(ops int) error { return runDynamicDifferential(s, initial, ops, seed) }
+			if err := run(ops); err != nil {
+				t.Fatal(shrink(t, seed, "ops", ops, 20, run, err))
+			}
+		})
+	}
 }
 
 func TestDynamicIndexDifferential(t *testing.T) {
-	for _, seed := range []int64{1, 2, 3} {
-		seed := seed
-		t.Run("", func(t *testing.T) {
-			t.Parallel()
-			rng := rand.New(rand.NewSource(seed))
-			ix, err := NewDynamicIndex(&Options{PageSize: 512, BufferPoolPages: 8})
-			if err != nil {
-				t.Fatal(err)
-			}
-			model := &diffModel{}
-			nextID := uint64(1)
-
-			// Start from a bulk load so compaction has standing structure.
-			var init []Point
-			for i := 0; i < 64; i++ {
-				p := randPoint(rng, nextID)
-				nextID++
-				init = append(init, p)
-				model.insert(p)
-			}
-			if err := ix.BulkLoad(init); err != nil {
-				t.Fatal(err)
-			}
-
-			for op := 0; op < 600; op++ {
-				switch r := rng.Intn(10); {
-				case r < 5: // insert
-					p := randPoint(rng, nextID)
-					nextID++
-					if err := ix.Insert(p); err != nil {
-						t.Fatalf("op %d insert: %v", op, err)
-					}
-					model.insert(p)
-				case r < 7 && len(model.pts) > 0: // delete a live point
-					p := model.pts[rng.Intn(len(model.pts))]
-					if err := ix.Delete(p); err != nil {
-						t.Fatalf("op %d delete: %v", op, err)
-					}
-					model.delete(p)
-				default: // query
-					a, b := rng.Int63n(500), rng.Int63n(500)
-					got, err := ix.Query(a, b)
-					if err != nil {
-						t.Fatalf("op %d query(%d,%d): %v", op, a, b, err)
-					}
-					if !samePoints(got, model.twoSided(a, b)) {
-						t.Fatalf("op %d query(%d,%d): diverged from model (%d vs %d results)",
-							op, a, b, len(got), len(model.twoSided(a, b)))
-					}
-				}
-				if ix.Len() != len(model.pts) {
-					t.Fatalf("op %d: Len %d, model %d", op, ix.Len(), len(model.pts))
-				}
-			}
-		})
-	}
+	dynamicDifferential(t, ShapeTwoSided, 64, 600, 1, 2, 3)
 }
 
 func TestDynamicThreeSidedIndexDifferential(t *testing.T) {
-	for _, seed := range []int64{11, 12} {
-		seed := seed
-		t.Run("", func(t *testing.T) {
-			t.Parallel()
-			rng := rand.New(rand.NewSource(seed))
-			ix, err := NewDynamicThreeSidedIndex(&Options{PageSize: 512, BufferPoolPages: 8})
-			if err != nil {
-				t.Fatal(err)
-			}
-			model := &diffModel{}
-			nextID := uint64(1)
-			var init []Point
-			for i := 0; i < 48; i++ {
-				p := randPoint(rng, nextID)
-				nextID++
-				init = append(init, p)
-				model.insert(p)
-			}
-			if err := ix.BulkLoad(init); err != nil {
-				t.Fatal(err)
-			}
-			for op := 0; op < 500; op++ {
-				switch r := rng.Intn(10); {
-				case r < 5:
-					p := randPoint(rng, nextID)
-					nextID++
-					if err := ix.Insert(p); err != nil {
-						t.Fatalf("op %d insert: %v", op, err)
-					}
-					model.insert(p)
-				case r < 7 && len(model.pts) > 0:
-					p := model.pts[rng.Intn(len(model.pts))]
-					if err := ix.Delete(p); err != nil {
-						t.Fatalf("op %d delete: %v", op, err)
-					}
-					model.delete(p)
-				default:
-					a1, a2 := rng.Int63n(500), rng.Int63n(500)
-					if a1 > a2 {
-						a1, a2 = a2, a1
-					}
-					b := rng.Int63n(500)
-					got, err := ix.Query(a1, a2, b)
-					if err != nil {
-						t.Fatalf("op %d query(%d,%d,%d): %v", op, a1, a2, b, err)
-					}
-					if !samePoints(got, model.threeSided(a1, a2, b)) {
-						t.Fatalf("op %d query(%d,%d,%d): diverged from model (%d vs %d results)",
-							op, a1, a2, b, len(got), len(model.threeSided(a1, a2, b)))
-					}
-				}
-				if ix.Len() != len(model.pts) {
-					t.Fatalf("op %d: Len %d, model %d", op, ix.Len(), len(model.pts))
-				}
-			}
-		})
-	}
+	dynamicDifferential(t, ShapeThreeSided, 48, 500, 11, 12)
 }

@@ -54,8 +54,8 @@ func TestEndToEndScenario(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := bruteStab(contracts, T)
-		if !sameIntervalSets(a, want) || !sameIntervalSets(b, want) || !sameIntervalSets(c, want) {
+		want := brute(ShapeStab, contracts, [4]int64{T})
+		if !sameSet(a, want) || !sameSet(b, want) || !sameSet(c, want) {
 			t.Fatalf("phase 1 disagreement at T=%d: dyn=%d static=%d seg=%d brute=%d",
 				T, len(a), len(b), len(c), len(want))
 		}
@@ -101,7 +101,7 @@ func TestEndToEndScenario(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := bruteStab(liveSlice, T); !sameIntervalSets(got, want) {
+		if want := brute(ShapeStab, liveSlice, [4]int64{T}); !sameSet(got, want) {
 			t.Fatalf("phase 2 at T=%d: got %d want %d", T, len(got), len(want))
 		}
 	}
@@ -135,7 +135,7 @@ func TestEndToEndScenario(t *testing.T) {
 					t.Errorf("goroutine %d: %v", g, err)
 					return
 				}
-				if want := bruteStab(liveSlice, T); len(got) != len(want) {
+				if want := brute(ShapeStab, liveSlice, [4]int64{T}); len(got) != len(want) {
 					t.Errorf("goroutine %d at T=%d: got %d want %d", g, T, len(got), len(want))
 					return
 				}

@@ -1,6 +1,6 @@
-// Package lockheldio enforces the PR-1 concurrency contract of the sharded
+// Package lockheldio enforces the concurrency contract of the sharded
 // buffer pool: a sync.Mutex/RWMutex must not be held across a call that can
-// block on pager I/O.
+// block on pager I/O or on an fsync.
 //
 // The sharded pool exists so that concurrent readers contend only on the
 // shard owning their page. Holding a shard mutex while transferring a page
@@ -18,8 +18,9 @@ package lockheldio
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
+	"sort"
+	"strings"
 
 	"pathcache/internal/analysis"
 )
@@ -35,7 +36,7 @@ func run(pass *analysis.Pass) error {
 	// The package-local taint closure: functions whose bodies transitively
 	// perform pager I/O, via the shared call-graph summary layer.
 	tainted := analysis.NewCallGraph(pass.TypesInfo, pass.Files).Taint(func(call *ast.CallExpr) bool {
-		return analysis.IsPagerIO(analysis.CalleeOf(pass.TypesInfo, call))
+		return analysis.IsPagerIO(analysis.CalleeOf(pass.TypesInfo, call)) || isFsync(pass.TypesInfo, call)
 	})
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
@@ -50,9 +51,9 @@ func run(pass *analysis.Pass) error {
 	return nil
 }
 
-// lockSet maps a lock's receiver expression (printed form) to the position
-// where it was acquired.
-type lockSet map[string]token.Pos
+// lockSet maps a lock's receiver expression (printed form) to the method
+// that acquired it: "Lock", or "RLock" for the read side of a RWMutex.
+type lockSet map[string]string
 
 func (ls lockSet) clone() lockSet {
 	c := make(lockSet, len(ls))
@@ -62,12 +63,18 @@ func (ls lockSet) clone() lockSet {
 	return c
 }
 
-// any returns an arbitrary held lock name, for the diagnostic.
-func (ls lockSet) any() string {
-	for k := range ls {
-		return k
+// describe names the held locks with their acquiring methods, in order, for
+// the diagnostic: "t.mu.RLock is held" names a read lock.
+func (ls lockSet) describe() string {
+	names := make([]string, 0, len(ls))
+	for k, m := range ls {
+		names = append(names, k+"."+m)
 	}
-	return ""
+	sort.Strings(names)
+	if len(names) == 1 {
+		return names[0] + " is held"
+	}
+	return strings.Join(names, " and ") + " are held"
 }
 
 // lockWalker tracks held mutexes through a statement list. Branches are
@@ -173,6 +180,7 @@ type lockOp int
 const (
 	opNone lockOp = iota
 	opLock
+	opRLock
 	opUnlock
 )
 
@@ -184,8 +192,10 @@ func (w *lockWalker) lockOp(call *ast.CallExpr) lockOp {
 	}
 	var op lockOp
 	switch sel.Sel.Name {
-	case "Lock", "RLock", "TryLock", "TryRLock":
+	case "Lock", "TryLock":
 		op = opLock
+	case "RLock", "TryRLock":
+		op = opRLock
 	case "Unlock", "RUnlock":
 		op = opUnlock
 	default:
@@ -223,7 +233,10 @@ func (w *lockWalker) expr(e ast.Expr, held lockSet) {
 			sel, _ := ast.Unparen(n.Fun).(*ast.SelectorExpr)
 			switch w.lockOp(n) {
 			case opLock:
-				held[exprKey(sel.X)] = n.Pos()
+				held[exprKey(sel.X)] = "Lock"
+				return true
+			case opRLock:
+				held[exprKey(sel.X)] = "RLock"
 				return true
 			case opUnlock:
 				delete(held, exprKey(sel.X))
@@ -236,16 +249,32 @@ func (w *lockWalker) expr(e ast.Expr, held lockSet) {
 			switch {
 			case analysis.IsPagerIO(callee):
 				w.pass.Reportf(n.Pos(),
-					"%s performs pager I/O while %s is held: a blocked page transfer serializes every access to this lock (and re-entering the pool self-deadlocks); release the lock first or justify with %s lockheldio",
-					calleeName(callee), held.any()+".Lock", analysis.DirectivePrefix)
+					"%s performs pager I/O while %s: a blocked page transfer serializes every access to this lock (and re-entering the pool self-deadlocks); release the lock first or justify with %s lockheldio",
+					calleeName(callee), held.describe(), analysis.DirectivePrefix)
+			case isFsync(w.pass.TypesInfo, n):
+				w.pass.Reportf(n.Pos(),
+					"%s fsyncs while %s: every access to this lock waits out the device flush; release the lock first or justify with %s lockheldio",
+					exprKey(n.Fun), held.describe(), analysis.DirectivePrefix)
 			case callee != nil && w.tainted[callee]:
 				w.pass.Reportf(n.Pos(),
-					"call to %s, which performs pager I/O, while %s is held; release the lock around the I/O or justify with %s lockheldio",
-					calleeName(callee), held.any()+".Lock", analysis.DirectivePrefix)
+					"call to %s, which performs pager I/O or an fsync, while %s; release the lock around the I/O or justify with %s lockheldio",
+					calleeName(callee), held.describe(), analysis.DirectivePrefix)
 			}
 		}
 		return true
 	})
+}
+
+// isFsync reports a call through a func-valued field named Sync: the
+// write tier reaches its fsync through such a config hook (t.cfg.Sync),
+// which the type checker cannot resolve to the disk method behind it.
+func isFsync(info *types.Info, call *ast.CallExpr) bool {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok || sel.Sel.Name != "Sync" {
+		return false
+	}
+	s, ok := info.Selections[sel]
+	return ok && s.Kind() == types.FieldVal
 }
 
 func calleeName(fn *types.Func) string {

@@ -1,6 +1,7 @@
 // Package lockheldio_bad holds shard mutexes across pager I/O in every way
 // the lockheldio analyzer models: direct Pager calls, package-local helpers
-// that transitively reach the pager, deferred I/O, and read locks.
+// that transitively reach the pager, deferred I/O, read locks, and an fsync
+// through a func-valued config hook.
 package lockheldio_bad
 
 import (
@@ -33,7 +34,7 @@ func (s *shard) fill(id disk.PageID) error {
 func (s *shard) refresh(id disk.PageID) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.fill(id) // want `call to shard\.fill, which performs pager I/O, while s\.mu\.Lock is held`
+	return s.fill(id) // want `call to shard\.fill, which performs pager I/O or an fsync, while s\.mu\.Lock is held`
 }
 
 // deferredWrite registers the write-back after the unlock defer, so it still
@@ -60,7 +61,25 @@ type table struct {
 // lookup shows that a read lock serializes pager I/O just the same.
 func (t *table) lookup(id disk.PageID, buf []byte) error {
 	t.mu.RLock()
-	err := t.pager.Read(id, buf) // want `Pager\.Read performs pager I/O while t\.mu\.Lock is held`
+	err := t.pager.Read(id, buf) // want `Pager\.Read performs pager I/O while t\.mu\.RLock is held`
 	t.mu.RUnlock()
 	return err
+}
+
+type wal struct {
+	mu  sync.Mutex
+	cfg struct{ Sync func() error }
+}
+
+// sync reaches the fsync through a func-valued config hook.
+func (w *wal) sync() error { return w.cfg.Sync() }
+
+// ack fsyncs, directly and through the wrapper, with the lock held.
+func (w *wal) ack() error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if err := w.cfg.Sync(); err != nil { // want `w\.cfg\.Sync fsyncs while w\.mu\.Lock is held`
+		return err
+	}
+	return w.sync() // want `call to wal\.sync, which performs pager I/O or an fsync, while w\.mu\.Lock is held`
 }

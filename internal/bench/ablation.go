@@ -6,6 +6,7 @@ import (
 	"pathcache/internal/disk"
 	"pathcache/internal/dyn3side"
 	"pathcache/internal/extpst"
+	"pathcache/internal/obs"
 	"pathcache/internal/record"
 	"pathcache/internal/workload"
 )
@@ -158,7 +159,7 @@ func RunE9(cfg Config) (*Table, error) {
 		deleteIO := float64(s.Stats().Total()) / float64(del)
 
 		b := tr.B()
-		budget := float64(logB(n, b)) * float64(log2(b)) * float64(log2(b))
+		budget := float64(obs.PathLen(n, b)) * float64(log2(b)) * float64(log2(b))
 		tab.addf("%d\t%.1f\t%.1f\t%.1f\t%.0f\t%d\t%.0f",
 			n, insertIO, deleteIO,
 			float64(reads)/float64(len(qs)), float64(results)/float64(len(qs)),

@@ -17,6 +17,7 @@ import (
 	"pathcache/internal/extpst"
 	"pathcache/internal/extseg"
 	"pathcache/internal/logmethod"
+	"pathcache/internal/obs"
 	"pathcache/internal/record"
 	"pathcache/internal/workload"
 )
@@ -58,18 +59,6 @@ func (c Config) queries() int {
 		return 10
 	}
 	return 50
-}
-
-// logB is ceil(log_b n), the paper's search term.
-func logB(n, b int) int {
-	if b < 2 {
-		b = 2
-	}
-	r := 1
-	for v := 1; v < n; v *= b {
-		r++
-	}
-	return r
 }
 
 func log2(n int) int {
@@ -131,7 +120,7 @@ func RunE1(cfg Config) (*Table, error) {
 			}
 			tab.addf("%d\t%g\t%.0f\t%.1f\t%.1f\t%.1f\t%d\t%d\t%.1f",
 				n, sel, avgT, row[extpst.IKO], row[extpst.Basic], row[extpst.Segmented],
-				log2(n/b+2), logB(n, b), avgT/float64(b))
+				log2(n/b+2), obs.PathLen(n, b), avgT/float64(b))
 		}
 	}
 	return tab, nil
@@ -217,7 +206,7 @@ func RunE3(cfg Config) (*Table, error) {
 			}
 			tab.addf("%d\t%g\t%.0f\t%.1f\t%.1f\t%.1f\t%.1f",
 				n, sel, avgT, row["segmented"], row["two-level"], row["multilevel"],
-				float64(logB(n, b))+avgT/float64(b))
+				float64(obs.PathLen(n, b))+avgT/float64(b))
 		}
 	}
 	return tab, nil
@@ -299,7 +288,7 @@ func RunE4(cfg Config) (*Table, error) {
 		tab.addf("%d\t%.1f\t%.1f\t%.1f\t%.0f\t%d\t%.1f\t%.1f\t%d\t%d",
 			n, insertIO, deleteIO,
 			float64(reads)/float64(len(qs)), float64(results)/float64(len(qs)),
-			pages, lmInsertIO, float64(lmReads)/float64(len(qs)), lm.Levels(), logB(n, tr.B()))
+			pages, lmInsertIO, float64(lmReads)/float64(len(qs)), lm.Levels(), obs.PathLen(n, tr.B()))
 	}
 	return tab, nil
 }
@@ -454,7 +443,7 @@ func RunE7(cfg Config) (*Table, error) {
 				avgT := float64(results) / qn
 				tab.addf("%d\t%g\t%g\t%.0f\t%.1f\t%.1f\t%d",
 					n, wf, sel, avgT, float64(reads)/qn,
-					float64(logB(n, b))+avgT/float64(b), tr.TotalPages())
+					float64(obs.PathLen(n, b))+avgT/float64(b), tr.TotalPages())
 			}
 		}
 	}

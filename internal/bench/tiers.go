@@ -176,7 +176,7 @@ func RunS1(cfg Config) (*Table, error) {
 	// returned by q.
 	row := func(n int, keys, store string, shards int, pages int, q func(workload.TwoSidedQuery) (int, int64, int, error)) error {
 		qs := workload.TwoSidedQueries(cfg.queries(), 1<<30, 0.01, cfg.seed()+1)
-		search := float64(logB((n+shards-1)/shards, b))
+		search := float64(obs.PathLen((n+shards-1)/shards, b))
 		var reads, results, reached int64
 		for _, qq := range qs {
 			t, r, sh, err := q(qq)

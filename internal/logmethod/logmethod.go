@@ -16,6 +16,7 @@ import (
 
 	"pathcache/internal/disk"
 	"pathcache/internal/extpst"
+	"pathcache/internal/obs"
 	"pathcache/internal/record"
 )
 
@@ -92,15 +93,10 @@ func (t *Tree) Insert(p record.Point) error {
 	return nil
 }
 
-// tombCap bounds pending tombstones to B·ceil(log_B n) so the per-query
-// tombstone read stays within the search term.
-func (t *Tree) tombCap() int {
-	lb := 1
-	for v := 1; v < t.n || v < t.b; v *= t.b {
-		lb++
-	}
-	return t.b * lb
-}
+// tombCap bounds pending tombstones to B·PathLen(max(n, B), B) =
+// B·(⌈log_B max(n, B)⌉ + 1) so the per-query tombstone read stays within
+// the search term.
+func (t *Tree) tombCap() int { return t.b * obs.PathLen(max(t.n, t.b), t.b) }
 
 // Delete tombstones a point, rebuilding globally when tombstones pile up.
 // The in-memory state mutates only after the chain rewrite succeeds, so a

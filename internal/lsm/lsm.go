@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"pathcache/internal/disk"
+	"pathcache/internal/obs"
 	"pathcache/internal/record"
 )
 
@@ -400,9 +401,11 @@ func (t *Tree) update(p disk.Pager, op byte, pt record.Point) error {
 	var rec [entrySize]byte
 	rec[0] = op
 	pt.Encode(rec[8:])
+	//pcvet:allow lockheldio -- the WAL append is the update; readers never wait on wmu
 	if err := t.wal.Append(p, rec[:]); err != nil {
 		return fmt.Errorf("lsm: appending to WAL: %w", err)
 	}
+	//pcvet:allow lockheldio -- the fsync before the ack is the update's durability; readers never wait on wmu
 	if err := t.sync(); err != nil {
 		return err
 	}
@@ -425,9 +428,9 @@ func (t *Tree) NeedsFlush() bool {
 	return t.memOps >= t.flushEvery
 }
 
-// NeedsCompact reports whether tombstones exceed the cap B·⌈log_B n⌉ —
-// logmethod's bound keeping the per-query tombstone scan inside the search
-// term.
+// NeedsCompact reports whether tombstones reach the cap
+// B·PathLen(max(n, B), B) = B·(⌈log_B max(n, B)⌉ + 1) — logmethod's bound
+// keeping the per-query tombstone scan inside the search term.
 func (t *Tree) NeedsCompact() bool {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -442,13 +445,7 @@ func (t *Tree) TombCap() int {
 	return t.tombCap()
 }
 
-func (t *Tree) tombCap() int {
-	lb := 1
-	for v := 1; v < t.n || v < t.b; v *= t.b {
-		lb++
-	}
-	return t.b * lb
-}
+func (t *Tree) tombCap() int { return t.b * obs.PathLen(max(t.n, t.b), t.b) }
 
 // NextFlushSlot predicts the slot the next flush seals into — the first
 // unoccupied level, since a flush cascade merges the whole occupied prefix.
@@ -487,6 +484,7 @@ func (t *Tree) Flush(p disk.Pager) (int, error) {
 	if t.memOps == 0 {
 		return -1, nil
 	}
+	//pcvet:allow lockheldio -- the level build runs outside mu and swaps under it; readers never wait on wmu
 	return t.flushLocked(p)
 }
 
@@ -718,14 +716,17 @@ func (t *Tree) flushLocked(p disk.Pager) (int, error) {
 func (t *Tree) Compact(p disk.Pager) (int, error) {
 	t.wmu.Lock()
 	defer t.wmu.Unlock()
+	//pcvet:allow lockheldio -- reads the published levels, which only a writer replaces; readers never wait on wmu
 	live, old, err := t.gatherLive(p, t.levels, t.tombs)
 	if err != nil {
 		return 0, err
 	}
+	//pcvet:allow lockheldio -- builds the new level outside mu; readers never wait on wmu
 	slot, sealed, err := t.sealCompacted(p, live)
 	if err != nil {
 		return 0, err
 	}
+	//pcvet:allow lockheldio -- commits and swaps under mu, then frees; readers never wait on wmu
 	return t.commitCompactLocked(p, slot, sealed, old)
 }
 
@@ -838,13 +839,14 @@ func (t *Tree) CompactSnapshot(p disk.Pager) (int, error) {
 		if sealed != nil {
 			// The sealed level was built by this call and never named by any
 			// manifest: freeing it discards private work, not published state.
-			//pcvet:allow commitprotocol -- frees this call's own uncommitted pages on the stale path; no manifest references them
+			//pcvet:allow commitprotocol,lockheldio -- frees this call's own uncommitted pages on the stale path; no manifest references them and readers never wait on wmu
 			if ferr := freeLevel(p, sealed); ferr != nil {
 				return 0, ferr
 			}
 		}
 		return 0, ErrStale
 	}
+	//pcvet:allow lockheldio -- commits and swaps under mu, then frees; readers never wait on wmu
 	return t.commitCompactLocked(p, slot, sealed, old)
 }
 
@@ -857,6 +859,7 @@ func (t *Tree) CompactSnapshot(p disk.Pager) (int, error) {
 func (t *Tree) AppendQuery(p disk.Pager, dst []record.Point, a, b int64) ([]record.Point, Version, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
+	//pcvet:allow lockheldio -- readers hold the read side for the whole query so no level is freed under them; writers take the write side only to swap
 	return t.appendLocked(p, dst, a, b, false)
 }
 
@@ -866,6 +869,7 @@ func (t *Tree) AppendQuery(p disk.Pager, dst []record.Point, a, b int64) ([]reco
 func (t *Tree) AppendStab(p disk.Pager, dst []record.Point, q int64) ([]record.Point, Version, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
+	//pcvet:allow lockheldio -- readers hold the read side for the whole query so no level is freed under them; writers take the write side only to swap
 	return t.appendLocked(p, dst, -q, q, true)
 }
 
@@ -935,6 +939,7 @@ func (t *Tree) Has(p disk.Pager, pt record.Point) (bool, Version, error) {
 		if !lv.bloom.mayPoint(pt) {
 			continue
 		}
+		//pcvet:allow lockheldio -- readers hold the read side for the whole query so no level is freed under them; writers take the write side only to swap
 		found, err := searchData(p, lv, pt)
 		if err != nil {
 			return false, v, err

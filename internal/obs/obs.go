@@ -13,7 +13,8 @@
 //
 // Bound sentinels make the paper's theorems executable: each registered
 // index kind declares its I/O-bound function (for example
-// ⌈log_B n⌉ + t/B page reads for a 2-sided query, Theorem 3.2), every
+// PathLen(n, B) + t/B = ⌈log_B n⌉ + 1 + t/B page reads for a 2-sided
+// query, Theorem 3.2), every
 // operation records its measured-reads/bound ratio into a histogram, and in
 // strict mode an operation whose reads exceed MaxRatio·bound + Slack fails
 // with a *BoundError wrapping ErrBoundExceeded and carrying the full op
@@ -56,20 +57,22 @@ var ErrBoundExceeded = errors.New("pathcache: I/O bound exceeded")
 // one per index kind.
 type BoundFunc func(n, b, t int) float64
 
-// LogBBound is ⌈log_b n⌉ + t/b — the paper's optimal query bound
-// (Theorems 3.2–3.5): an O(log_B n) search term plus the output term.
+// LogBBound is PathLen(n, b) + t/b = ⌈log_b n⌉ + 1 + t/b — the paper's
+// optimal query bound (Theorems 3.2–3.5): an O(log_B n) search term plus
+// the output term.
 func LogBBound(n, b, t int) float64 {
-	return float64(ceilLog(n, b)) + outputTerm(t, b)
+	return float64(PathLen(n, b)) + outputTerm(t, b)
 }
 
-// RangeTreeBound is ⌈log₂(n/b)⌉ + t/b — the window index's range-tree
-// query bound (this repository's 4-sided extension).
+// RangeTreeBound is PathLen(⌈n/b⌉, 2) + t/b = ⌈log₂⌈n/b⌉⌉ + 1 + t/b — the
+// window index's range-tree query bound (this repository's 4-sided
+// extension).
 func RangeTreeBound(n, b, t int) float64 {
 	if b < 1 {
 		b = 1
 	}
 	leaves := (n + b - 1) / b
-	return float64(ceilLog(leaves, 2)) + outputTerm(t, b)
+	return float64(PathLen(leaves, 2)) + outputTerm(t, b)
 }
 
 // LSMBound is the write tier's query bound: O(log(n/B)) occupied levels
@@ -81,16 +84,17 @@ func LSMBound(n, b, t int) float64 {
 	if b < 1 {
 		b = 1
 	}
-	levels := ceilLog((n+b-1)/b, 2)
-	// Tombstones are capped at b·⌈log_b n⌉, hence ⌈log_b n⌉+1 chain pages.
-	return LSMBoundAt(levels, ceilLog(n, b)+1, n, b, t)
+	levels := PathLen((n+b-1)/b, 2)
+	// Tombstones are capped at b·PathLen(n, b) (the write tier's compaction
+	// trigger), hence PathLen(n, b)+1 chain pages.
+	return LSMBoundAt(levels, PathLen(n, b)+1, n, b, t)
 }
 
 // LSMBoundAt is LSMBound evaluated at a known level count and tombstone
-// chain length. The per-level search term ⌈log₂(n/b)⌉+2 dominates every
-// base kind's own search term (⌈log_b n⌉ for the path-cached structures,
-// ⌈log₂(n/b)⌉ for the range tree), and the output term is paid once — the
-// t results are partitioned across levels.
+// chain length. The per-level search term PathLen(⌈n/b⌉, 2)+2 dominates
+// every base kind's own search term (PathLen(n, b) for the path-cached
+// structures, PathLen(⌈n/b⌉, 2) for the range tree), and the output term
+// is paid once — the t results are partitioned across levels.
 func LSMBoundAt(levels, tombPages, n, b, t int) float64 {
 	if levels < 1 {
 		levels = 1
@@ -98,13 +102,15 @@ func LSMBoundAt(levels, tombPages, n, b, t int) float64 {
 	if b < 1 {
 		b = 1
 	}
-	per := float64(ceilLog((n+b-1)/b, 2)) + 2
+	per := float64(PathLen((n+b-1)/b, 2)) + 2
 	return float64(levels)*per + float64(tombPages) + 2 + outputTerm(t, b)
 }
 
-// ceilLog is ⌈log_base n⌉, at least 1, matching the experiment harness's
-// search-term arithmetic.
-func ceilLog(n, base int) int {
+// PathLen is ⌈log_base n⌉ + 1 for n ≥ 1, and 1 below: the nodes on a
+// root-to-leaf path of a base-ary tree with n leaves. It is the search
+// term of every bound here, of the experiment tables' predictions and of
+// the write tier's tombstone cap. A base below 2 counts as 2.
+func PathLen(n, base int) int {
 	if base < 2 {
 		base = 2
 	}

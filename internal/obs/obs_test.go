@@ -149,7 +149,7 @@ func TestHistogramReset(t *testing.T) {
 // The bound functions are the executable statements of the theorems; pin
 // their arithmetic so a refactor cannot silently weaken the sentinels.
 func TestBoundFuncs(t *testing.T) {
-	// ceilLog counts search levels: 1 for n <= 1, plus one per power of the
+	// PathLen counts search levels: 1 for n <= 1, plus one per power of the
 	// base below n.
 	cases := []struct {
 		n, b, t int
@@ -172,6 +172,32 @@ func TestBoundFuncs(t *testing.T) {
 	}
 	if got := RangeTreeBound(1000, 10, 30); got != 11 {
 		t.Fatalf("RangeTreeBound(1000,10,30) = %v, want 11", got)
+	}
+}
+
+// PathLen is ⌈log_b n⌉ + 1, checked at b^k − 1, b^k and b^k + 1 for every
+// power of b up to an int32 record count.
+func TestPathLen(t *testing.T) {
+	for _, b := range []int{2, 3, 4, 5, 16, 170, 341} {
+		for k, pow := 1, b; pow <= math.MaxInt32; k, pow = k+1, pow*b {
+			cases := [][2]int{{pow, k}, {pow + 1, k + 1}} // {n, ⌈log_b n⌉}
+			if pow-1 > pow/b {
+				cases = append(cases, [2]int{pow - 1, k})
+			}
+			for _, c := range cases {
+				if got := PathLen(c[0], b); got != c[1]+1 {
+					t.Errorf("PathLen(%d, %d) = %d, want %d", c[0], b, got, c[1]+1)
+				}
+			}
+		}
+	}
+	for _, n := range []int{-1, 0, 1} {
+		if got := PathLen(n, 16); got != 1 {
+			t.Errorf("PathLen(%d, 16) = %d, want 1", n, got)
+		}
+	}
+	if got, want := PathLen(100, 1), PathLen(100, 2); got != want {
+		t.Errorf("PathLen(100, 1) = %d, want base 2's %d", got, want)
 	}
 }
 

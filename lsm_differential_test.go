@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"os"
 	"path/filepath"
 	"strconv"
 	"testing"
@@ -25,25 +24,9 @@ import (
 // -race in CI.
 //
 // Failures shrink by halving the op count while the divergence persists
-// (runs are deterministic in (ops, seed)) and print a one-line reproducer,
-// mirroring boundprop_test.go:
-//
-//	PC_LSMDIFF_SEED=<seed> go test -run TestLSMDifferential
+// (runs are deterministic in (ops, seed)).
 
 const lsmDiffOps = 600
-
-// lsmDiffSeeds returns the stream seeds: the fixed list, or the single seed
-// PC_LSMDIFF_SEED requests.
-func lsmDiffSeeds(t *testing.T) []int64 {
-	if s := os.Getenv("PC_LSMDIFF_SEED"); s != "" {
-		v, err := strconv.ParseInt(s, 10, 64)
-		if err != nil {
-			t.Fatalf("PC_LSMDIFF_SEED=%q: %v", s, err)
-		}
-		return []int64{v}
-	}
-	return []int64{101, 102, 103}
-}
 
 // runLSMDifferential drives one deterministic stream of ops against all
 // three structures. base selects the query shape: "twosided" compares
@@ -96,55 +79,40 @@ func runLSMDifferential(dir, base string, ops int, seed int64) error {
 		}
 	}
 
+	// Records are compared in ask's encoding: as they are on a 2-sided
+	// base, as (Lo, Hi, ID) on a stab base.
+	shape := ix.Shape()
+	decode := func(p Point) Point { return p }
+	if shape == ShapeStab {
+		decode = func(p Point) Point { return recPoint(DynamicPointToInterval(p)) }
+	}
 	compare := func(op int) error {
-		if base == "stabbing" {
-			q := rng.Int63n(700)
-			got, _, err := ix.Stab(q)
-			if err != nil {
-				return fmt.Errorf("op %d stab(%d): %w", op, q, err)
-			}
-			ref, err := lm.Query(-q, q)
-			if err != nil {
-				return fmt.Errorf("op %d logmethod stab(%d): %w", op, q, err)
-			}
-			var want []Interval
-			for _, p := range model.pts {
-				iv := DynamicPointToInterval(p)
-				if iv.Lo <= q && q <= iv.Hi {
-					want = append(want, iv)
-				}
-			}
-			if !sameIntervals(got, want) {
-				return fmt.Errorf("op %d stab(%d): lsm diverged from oracle (%d vs %d results)", op, q, len(got), len(want))
-			}
-			refIvs := make([]Interval, len(ref))
-			for i, p := range ref {
-				refIvs[i] = DynamicPointToInterval(Point(p))
-			}
-			if !sameIntervals(refIvs, want) {
-				return fmt.Errorf("op %d stab(%d): logmethod diverged from oracle (%d vs %d results)", op, q, len(refIvs), len(want))
-			}
-			return nil
+		// A stab at q is the 2-sided query (-q, q) on the logmethod
+		// mirror's diagonal-corner points.
+		var q [4]int64
+		var a, b int64
+		if shape == ShapeStab {
+			q[0] = rng.Int63n(700)
+			a, b = -q[0], q[0]
+		} else {
+			q[0], q[1] = rng.Int63n(500), rng.Int63n(500)
+			a, b = q[0], q[1]
 		}
-		a, b := rng.Int63n(500), rng.Int63n(500)
-		got, _, err := ix.Query(a, b)
+		want := brute(shape, mapSlice(model.pts, decode), q)
+		got, _, err := ask(ix, shape, [][4]int64{q}, 0)
 		if err != nil {
-			return fmt.Errorf("op %d query(%d,%d): %w", op, a, b, err)
+			return fmt.Errorf("op %d: %w", op, err)
 		}
-		want := model.twoSided(a, b)
-		if !samePoints(got, want) {
-			return fmt.Errorf("op %d query(%d,%d): lsm diverged from oracle (%d vs %d results)", op, a, b, len(got), len(want))
+		if !sameSet(got[0], want) {
+			return fmt.Errorf("op %d %v query %v: lsm diverged from oracle (%d vs %d results)", op, shape, q, len(got[0]), len(want))
 		}
 		ref, err := lm.Query(a, b)
 		if err != nil {
 			return fmt.Errorf("op %d logmethod query(%d,%d): %w", op, a, b, err)
 		}
-		refPts := make([]Point, len(ref))
-		for i, p := range ref {
-			refPts[i] = Point(p)
-		}
-		if !samePoints(refPts, want) {
-			return fmt.Errorf("op %d logmethod query(%d,%d): diverged from oracle (%d vs %d results)", op, a, b, len(refPts), len(want))
+		refPts := mapSlice(ref, func(p record.Point) Point { return decode(Point(p)) })
+		if !sameSet(refPts, want) {
+			return fmt.Errorf("op %d %v query %v: logmethod diverged from oracle (%d vs %d results)", op, shape, q, len(refPts), len(want))
 		}
 		return nil
 	}
@@ -249,31 +217,15 @@ func runLSMDifferential(dir, base string, ops int, seed int64) error {
 	return ix.Close()
 }
 
-// shrinkLSMDiff minimizes a failing stream by halving the op count while
-// the divergence persists, then formats the smallest reproducer.
-func shrinkLSMDiff(t *testing.T, base string, ops int, seed int64, err error) string {
-	for ops/2 >= 20 && runLSMDifferential(t.TempDir(), base, ops/2, seed) != nil {
-		ops /= 2
-	}
-	if rerr := runLSMDifferential(t.TempDir(), base, ops, seed); rerr != nil {
-		err = rerr
-	}
-	return fmt.Sprintf(
-		"lsm/%s diverges from its references at ops=%d seed=%d\n"+
-			"reproduce: PC_LSMDIFF_SEED=%d go test -run 'TestLSMDifferential/%s'\nerror: %v",
-		base, ops, seed, seed, base, err)
-}
-
 func TestLSMDifferential(t *testing.T) {
 	for _, base := range []string{"twosided", "stabbing"} {
-		base := base
 		t.Run(base, func(t *testing.T) {
-			for _, seed := range lsmDiffSeeds(t) {
-				seed := seed
+			for _, seed := range propSeeds(t, 101, 102, 103) {
 				t.Run(strconv.FormatInt(seed, 10), func(t *testing.T) {
 					t.Parallel()
-					if err := runLSMDifferential(t.TempDir(), base, lsmDiffOps, seed); err != nil {
-						t.Fatal(shrinkLSMDiff(t, base, lsmDiffOps, seed, err))
+					run := func(ops int) error { return runLSMDifferential(t.TempDir(), base, ops, seed) }
+					if err := run(lsmDiffOps); err != nil {
+						t.Fatalf("lsm/%s diverges from its references: %s", base, shrink(t, seed, "ops", lsmDiffOps, 20, run, err))
 					}
 				})
 			}

@@ -50,10 +50,11 @@ type LSMLevel struct {
 // call returns on file-backed indexes) and land in a memtable; every
 // MemtableEntries updates the memtable is sealed into a static level built
 // with the base kind's builder, cascading a Bentley–Saxe merge; deletes
-// tombstone; tombstones past B·⌈log_B n⌉ trigger a compaction rebuilding
-// one tombstone-free level. A double-buffered manifest makes every flush
-// and compaction atomic: a crash at any I/O point recovers the previous
-// committed state plus a WAL replay of every acknowledged update.
+// tombstone; tombstones reaching B·(⌈log_B n⌉+1) (obs.PathLen) trigger a
+// compaction rebuilding one tombstone-free level. A double-buffered
+// manifest makes every flush and compaction atomic: a crash at any I/O
+// point recovers the previous committed state plus a WAL replay of every
+// acknowledged update.
 //
 // Queries pay the dynamization tax — every level answers — giving
 // O(log(n/B)·bound_static + t/B) page reads, the declared bound the strict

@@ -2,7 +2,6 @@ package pathcache
 
 import (
 	"errors"
-	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -78,70 +77,28 @@ func TestOpenAllKinds(t *testing.T) {
 		}
 
 		// One serial call and the same query as a one-element batch, both
-		// through the shape's interface, must agree. The point shapes ask
-		// for the whole domain, so they must also return every record.
-		serial, batch, err := queryByShape(re)
-		if err != nil {
-			t.Fatalf("%s: query after Open: %v", b.path, err)
-		}
-		if serial != batch {
-			t.Fatalf("%s: serial query returned %d results, batch %d", b.path, serial, batch)
-		}
-		if b.shape != ShapeStab && serial != wantLen {
-			t.Fatalf("%s: full-domain query returned %d of %d records", b.path, serial, wantLen)
+		// through the shape's interface, must each equal the oracle's
+		// answer. The point shapes ask for the whole domain.
+		q := map[Shape][4]int64{
+			ShapeTwoSided:   {0, 0},
+			ShapeThreeSided: {0, 100_000, 0},
+			ShapeWindow:     {0, 100_000, 0, 100_000},
+			ShapeStab:       {50_000},
+		}[b.shape]
+		d := propData{pts: pts, ivs: ivs}
+		for _, workers := range []int{0, 2} {
+			got, _, err := ask(re, b.shape, [][4]int64{q}, workers)
+			if err != nil {
+				t.Fatalf("%s: query after Open (workers=%d): %v", b.path, workers, err)
+			}
+			if want := d.answer(b.shape, q); !sameSet(got[0], want) {
+				t.Fatalf("%s: workers=%d query returned %d results, want %d", b.path, workers, len(got[0]), len(want))
+			}
 		}
 		if err := re.Close(); err != nil {
 			t.Fatalf("%s: close after Open: %v", b.path, err)
 		}
 	}
-}
-
-// queryByShape runs one query through ix's shape interface, serially and
-// as a one-element batch, and reports both result counts.
-func queryByShape(ix Index) (serial, batch int, err error) {
-	var out [][]Point
-	var ivs [][]Interval
-	switch ix.Shape() {
-	case ShapeTwoSided:
-		q := ix.(TwoSidedQuerier)
-		var pts []Point
-		if pts, _, err = q.Query(0, 0); err == nil {
-			serial = len(pts)
-			out, _, err = q.QueryBatch([]TwoSidedQuery{{A: 0, B: 0}}, 2)
-		}
-	case ShapeThreeSided:
-		q := ix.(ThreeSidedQuerier)
-		var pts []Point
-		if pts, _, err = q.QueryThreeSided(0, 100_000, 0); err == nil {
-			serial = len(pts)
-			out, _, err = q.QueryThreeSidedBatch([]ThreeSidedQuery{{A1: 0, A2: 100_000, B: 0}}, 2)
-		}
-	case ShapeWindow:
-		q := ix.(WindowQuerier)
-		var pts []Point
-		if pts, _, err = q.WindowQuery(0, 100_000, 0, 100_000); err == nil {
-			serial = len(pts)
-			out, _, err = q.WindowQueryBatch([]WindowQuery{{X1: 0, X2: 100_000, Y1: 0, Y2: 100_000}}, 2)
-		}
-	case ShapeStab:
-		q := ix.(Stabber)
-		var res []Interval
-		if res, _, err = q.Stab(50_000); err == nil {
-			serial = len(res)
-			ivs, _, err = q.StabBatch([]int64{50_000}, 2)
-		}
-	default:
-		return 0, 0, fmt.Errorf("%s reports no shape", ix.Kind())
-	}
-	if err != nil {
-		return 0, 0, err
-	}
-	if len(out) == 1 {
-		batch = len(out[0])
-	} else if len(ivs) == 1 {
-		batch = len(ivs[0])
-	}
-	return serial, batch, nil
 }
 
 // A typed opener on a file of another kind must fail with ErrKindMismatch,

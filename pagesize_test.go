@@ -41,7 +41,7 @@ func TestPageSizeSweep(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if want := bruteTwoSided(pts, q.A, q.B); !samePointSets(got, want) {
+					if want := brute(ShapeTwoSided, pts, [4]int64{q.A, q.B}); !sameSet(got, want) {
 						t.Fatalf("%v page=%d query (%d,%d): got %d want %d",
 							sc, ps, q.A, q.B, len(got), len(want))
 					}
@@ -69,14 +69,14 @@ func TestPageSizeSweep(t *testing.T) {
 						want = append(want, p)
 					}
 				}
-				if !samePointSets(got, want) {
+				if !sameSet(got, want) {
 					t.Fatalf("3-sided page=%d: got %d want %d", ps, len(got), len(want))
 				}
 				gotW, _, err := win.WindowQuery(q.A1, q.A2, q.B, 1<<40)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !samePointSets(gotW, want) {
+				if !sameSet(gotW, want) {
 					t.Fatalf("window page=%d: got %d want %d", ps, len(gotW), len(want))
 				}
 			}
@@ -95,11 +95,11 @@ func TestPageSizeSweep(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, q := range stabs {
-				want := bruteStab(ivs, q)
-				if got, _, err := seg.Stab(q); err != nil || !sameIntervalSets(got, want) {
+				want := brute(ShapeStab, ivs, [4]int64{q})
+				if got, _, err := seg.Stab(q); err != nil || !sameSet(got, want) {
 					t.Fatalf("segment page=%d stab %d (err=%v)", ps, q, err)
 				}
-				if got, _, err := itv.Stab(q); err != nil || !sameIntervalSets(got, want) {
+				if got, _, err := itv.Stab(q); err != nil || !sameSet(got, want) {
 					t.Fatalf("interval page=%d stab %d (err=%v)", ps, q, err)
 				}
 			}
@@ -127,7 +127,7 @@ func TestPageSizeSweep(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want := bruteTwoSided(live, q.A, q.B); !samePointSets(got, want) {
+			if want := brute(ShapeTwoSided, live, [4]int64{q.A, q.B}); !sameSet(got, want) {
 				t.Fatalf("dynamic page=%d: got %d want %d", ps, len(got), len(want))
 			}
 		})

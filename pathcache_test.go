@@ -2,7 +2,6 @@ package pathcache
 
 import (
 	"math/rand"
-	"sort"
 	"testing"
 
 	"pathcache/internal/workload"
@@ -26,67 +25,6 @@ func uniformIntervals(n int, max, maxLen int64, seed int64) []Interval {
 	return ivs
 }
 
-func bruteTwoSided(pts []Point, a, b int64) []Point {
-	var out []Point
-	for _, p := range pts {
-		if p.X >= a && p.Y >= b {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-func bruteStab(ivs []Interval, q int64) []Interval {
-	var out []Interval
-	for _, iv := range ivs {
-		if iv.Lo <= q && q <= iv.Hi {
-			out = append(out, iv)
-		}
-	}
-	return out
-}
-
-func samePointSets(a, b []Point) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	less := func(s []Point) func(i, j int) bool {
-		return func(i, j int) bool {
-			if s[i].X != s[j].X {
-				return s[i].X < s[j].X
-			}
-			if s[i].Y != s[j].Y {
-				return s[i].Y < s[j].Y
-			}
-			return s[i].ID < s[j].ID
-		}
-	}
-	as := append([]Point(nil), a...)
-	bs := append([]Point(nil), b...)
-	sort.Slice(as, less(as))
-	sort.Slice(bs, less(bs))
-	for i := range as {
-		if as[i] != bs[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func sameIntervalSets(a, b []Interval) bool {
-	pa := make([]Point, len(a))
-	pb := make([]Point, len(b))
-	for i, iv := range a {
-		pa[i] = Point{X: iv.Lo, Y: iv.Hi, ID: iv.ID}
-	}
-	for i, iv := range b {
-		pb[i] = Point{X: iv.Lo, Y: iv.Hi, ID: iv.ID}
-	}
-	return samePointSets(pa, pb)
-}
-
-var allSchemes = []Scheme{SchemeIKO, SchemeBasic, SchemeSegmented, SchemeTwoLevel, SchemeMultilevel}
-
 func TestTwoSidedIndexAllSchemes(t *testing.T) {
 	pts := uniformPoints(8000, 100_000, 301)
 	for _, sc := range allSchemes {
@@ -105,8 +43,8 @@ func TestTwoSidedIndexAllSchemes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := bruteTwoSided(pts, q.A, q.B)
-			if !samePointSets(got, want) {
+			want := brute(ShapeTwoSided, pts, [4]int64{q.A, q.B})
+			if !sameSet(got, want) {
 				t.Fatalf("%v query (%d,%d): got %d want %d", sc, q.A, q.B, len(got), len(want))
 			}
 			if prof.Results != len(got) {
@@ -154,7 +92,7 @@ func TestThreeSidedIndex(t *testing.T) {
 				want = append(want, p)
 			}
 		}
-		if !samePointSets(got, want) {
+		if !sameSet(got, want) {
 			t.Fatalf("query (%d,%d,%d): got %d want %d", q.A1, q.A2, q.B, len(got), len(want))
 		}
 	}
@@ -185,7 +123,7 @@ func TestDynamicIndex(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := bruteTwoSided(live, q.A, q.B); !samePointSets(got, want) {
+		if want := brute(ShapeTwoSided, live, [4]int64{q.A, q.B}); !sameSet(got, want) {
 			t.Fatalf("query (%d,%d): got %d want %d", q.A, q.B, len(got), len(want))
 		}
 	}
@@ -203,7 +141,7 @@ func TestStabbingIndexStatic(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want := bruteStab(ivs, q); !sameIntervalSets(got, want) {
+			if want := brute(ShapeStab, ivs, [4]int64{q}); !sameSet(got, want) {
 				t.Fatalf("%v stab %d: got %d want %d", sc, q, len(got), len(want))
 			}
 		}
@@ -235,7 +173,7 @@ func TestDynamicStabbingIndex(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := bruteStab(live, q); !sameIntervalSets(got, want) {
+		if want := brute(ShapeStab, live, [4]int64{q}); !sameSet(got, want) {
 			t.Fatalf("stab %d: got %d want %d", q, len(got), len(want))
 		}
 	}
@@ -256,12 +194,12 @@ func TestSegmentAndIntervalIndexes(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, q := range workload.StabQueries(40, 120_000, 323) {
-			want := bruteStab(ivs, q)
+			want := brute(ShapeStab, ivs, [4]int64{q})
 			got, prof, err := seg.Stab(q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !sameIntervalSets(got, want) {
+			if !sameSet(got, want) {
 				t.Fatalf("segment cached=%v stab %d: got %d want %d", cached, q, len(got), len(want))
 			}
 			if prof.Results != len(got) {
@@ -271,7 +209,7 @@ func TestSegmentAndIntervalIndexes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !sameIntervalSets(got, want) {
+			if !sameSet(got, want) {
 				t.Fatalf("interval cached=%v stab %d: got %d want %d", cached, q, len(got), len(want))
 			}
 		}
@@ -361,11 +299,11 @@ func TestF1QueryClassReductions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := bruteStab(ivs, q)
-		if !sameIntervalSets(fromStab, want) {
+		want := brute(ShapeStab, ivs, [4]int64{q})
+		if !sameSet(fromStab, want) {
 			t.Fatalf("stabbing index wrong at %d", q)
 		}
-		if !sameIntervalSets(fromSeg, want) {
+		if !sameSet(fromSeg, want) {
 			t.Fatalf("segment index wrong at %d", q)
 		}
 		if len(fromTwo) != len(want) || len(fromThree) != len(want) {
@@ -459,7 +397,7 @@ func TestDynamicThreeSidedIndex(t *testing.T) {
 				want = append(want, p)
 			}
 		}
-		if !samePointSets(got, want) {
+		if !sameSet(got, want) {
 			t.Fatalf("query (%d,%d,%d): got %d want %d", q.A1, q.A2, q.B, len(got), len(want))
 		}
 	}
@@ -496,7 +434,7 @@ func TestWindowIndex(t *testing.T) {
 				want = append(want, p)
 			}
 		}
-		if !samePointSets(got, want) {
+		if !sameSet(got, want) {
 			t.Fatalf("window (%d,%d)x(%d,%d): got %d want %d", x1, x2, y1, y2, len(got), len(want))
 		}
 		if prof.Results != len(got) {
@@ -532,14 +470,14 @@ func TestDynamicBulkLoad(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := bruteTwoSided(pts, q.A, q.B); !samePointSets(got, want) {
+		if want := brute(ShapeTwoSided, pts, [4]int64{q.A, q.B}); !sameSet(got, want) {
 			t.Fatalf("bulk 2-sided query (%d,%d): got %d want %d", q.A, q.B, len(got), len(want))
 		}
 		got3, err := three.Query(q.A, 1<<40, q.B)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !samePointSets(got3, bruteTwoSided(pts, q.A, q.B)) {
+		if !sameSet(got3, brute(ShapeTwoSided, pts, [4]int64{q.A, q.B})) {
 			t.Fatalf("bulk 3-sided query mismatch at (%d,%d)", q.A, q.B)
 		}
 	}

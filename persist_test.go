@@ -43,7 +43,7 @@ func TestFileBackedTwoSidedRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !samePointSets(got, want[i]) {
+			if !sameSet(got, want[i]) {
 				t.Fatalf("%v: reopened query %d differs: %d vs %d", sc, i, len(got), len(want[i]))
 			}
 		}
@@ -77,7 +77,7 @@ func TestFileBackedThreeSidedRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !samePointSets(got, want) {
+	if !sameSet(got, want) {
 		t.Fatalf("reopened query differs: %d vs %d", len(got), len(want))
 	}
 }
@@ -110,7 +110,7 @@ func TestFileBackedIntervalIndexesRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !sameIntervalSets(got, wantSeg[i]) {
+		if !sameSet(got, wantSeg[i]) {
 			t.Fatalf("segment reopened stab %d differs", q)
 		}
 	}
@@ -133,7 +133,7 @@ func TestFileBackedIntervalIndexesRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !sameIntervalSets(got, wantSeg[i]) {
+		if !sameSet(got, wantSeg[i]) {
 			t.Fatalf("interval reopened stab %d differs", q)
 		}
 	}
@@ -162,7 +162,7 @@ func TestFileBackedStabbingRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sameIntervalSets(got, want) {
+	if !sameSet(got, want) {
 		t.Fatalf("reopened stab differs: %d vs %d", len(got), len(want))
 	}
 }
@@ -238,7 +238,7 @@ func TestFileBackedWindowRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !samePointSets(got, want) {
+	if !sameSet(got, want) {
 		t.Fatalf("reopened window query differs: %d vs %d", len(got), len(want))
 	}
 	if re.Len() != len(pts) {

@@ -82,8 +82,7 @@ func TestShardedTwoSidedDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("oracle: %v", err)
 		}
-		sortPoints(want)
-		if !samePoints(got, want) {
+		if !sameSet(got, want) {
 			t.Fatalf("Query(%d,%d): %d results, want %d", q.A, q.B, len(got), len(want))
 		}
 		var profResults int
@@ -108,8 +107,7 @@ func TestShardedTwoSidedDifferential(t *testing.T) {
 			t.Fatalf("batch Queries = %d, want %d", st.Queries, len(qs))
 		}
 		for i := range want {
-			sortPoints(want[i])
-			if !samePoints(got[i], want[i]) {
+			if !sameSet(got[i], want[i]) {
 				t.Fatalf("batch query %d: %d results, want %d", i, len(got[i]), len(want[i]))
 			}
 		}
@@ -285,8 +283,7 @@ func TestShardedThreeSidedDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("oracle: %v", err)
 		}
-		sortPoints(want)
-		if !samePoints(got, want) {
+		if !sameSet(got, want) {
 			t.Fatalf("QueryThreeSided(%d,%d,%d): %d results, want %d", q.A1, q.A2, q.B, len(got), len(want))
 		}
 	}
@@ -299,8 +296,7 @@ func TestShardedThreeSidedDifferential(t *testing.T) {
 		t.Fatalf("oracle batch: %v", err)
 	}
 	for i := range want {
-		sortPoints(want[i])
-		if !samePoints(got[i], want[i]) {
+		if !sameSet(got[i], want[i]) {
 			t.Fatalf("batch query %d mismatch", i)
 		}
 	}
@@ -342,8 +338,7 @@ func TestShardedWindowDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("oracle: %v", err)
 		}
-		sortPoints(want)
-		if !samePoints(got, want) {
+		if !sameSet(got, want) {
 			t.Fatalf("WindowQuery(%+v): %d results, want %d", q, len(got), len(want))
 		}
 	}
@@ -356,8 +351,7 @@ func TestShardedWindowDifferential(t *testing.T) {
 		t.Fatalf("oracle batch: %v", err)
 	}
 	for i := range want {
-		sortPoints(want[i])
-		if !samePoints(got[i], want[i]) {
+		if !sameSet(got[i], want[i]) {
 			t.Fatalf("batch query %d mismatch", i)
 		}
 	}
@@ -418,8 +412,7 @@ func TestShardedStabDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatalf("oracle: %v", err)
 				}
-				sortIntervals(want)
-				if !sameIntervals(got, want) {
+				if !sameSet(got, want) {
 					t.Fatalf("Stab(%d): %d results, want %d", q, len(got), len(want))
 				}
 			}
@@ -432,8 +425,7 @@ func TestShardedStabDifferential(t *testing.T) {
 				t.Fatalf("oracle batch: %v", err)
 			}
 			for i := range want {
-				sortIntervals(want[i])
-				if !sameIntervals(got[i], want[i]) {
+				if !sameSet(got[i], want[i]) {
 					t.Fatalf("batch stab %d mismatch", i)
 				}
 			}
@@ -508,8 +500,7 @@ func TestShardedLSMDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatalf("oracle: %v", err)
 			}
-			sortPoints(want)
-			if !samePoints(got, want) {
+			if !sameSet(got, want) {
 				t.Fatalf("%s Query(%d,%d): %d results, want %d", stage, q.A, q.B, len(got), len(want))
 			}
 		}
@@ -522,8 +513,7 @@ func TestShardedLSMDifferential(t *testing.T) {
 			t.Fatalf("oracle batch: %v", err)
 		}
 		for i := range want {
-			sortPoints(want[i])
-			if !samePoints(got[i], want[i]) {
+			if !sameSet(got[i], want[i]) {
 				t.Fatalf("%s batch query %d mismatch", stage, i)
 			}
 		}
@@ -693,7 +683,7 @@ func TestShardedReload(t *testing.T) {
 	if err != nil {
 		t.Fatalf("query after reload: %v", err)
 	}
-	if !samePoints(got, want) {
+	if !sameSet(got, want) {
 		t.Fatal("results changed across ReloadShard")
 	}
 	if err := s.ReloadShard(99); err == nil {
@@ -727,7 +717,6 @@ func TestShardedSplitRace(t *testing.T) {
 		if err != nil {
 			t.Fatalf("oracle: %v", err)
 		}
-		sortPoints(w)
 		want[i] = w
 	}
 
@@ -752,7 +741,7 @@ func TestShardedSplitRace(t *testing.T) {
 					wrong.Add(1)
 					return
 				}
-				if !samePoints(got, want[i]) {
+				if !sameSet(got, want[i]) {
 					wrong.Add(1)
 				}
 				reads.Add(1)
@@ -820,7 +809,7 @@ func TestShardedSplitRace(t *testing.T) {
 		if err != nil {
 			t.Fatalf("reopened Query: %v", err)
 		}
-		if !samePoints(got, want[i]) {
+		if !sameSet(got, want[i]) {
 			t.Fatalf("reopened query %d mismatch", i)
 		}
 	}
@@ -894,8 +883,7 @@ func TestShardedSplitLSM(t *testing.T) {
 		if err != nil {
 			t.Fatalf("oracle: %v", err)
 		}
-		sortPoints(want)
-		if !samePoints(got, want) {
+		if !sameSet(got, want) {
 			t.Fatalf("post-split Query(%d,%d) mismatch", q.A, q.B)
 		}
 	}
