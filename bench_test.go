@@ -7,7 +7,9 @@ package pathcache_test
 import (
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"pathcache"
@@ -170,6 +172,40 @@ func BenchmarkBuildWindow(b *testing.B) {
 		}
 		return tr.TotalPages(), nil
 	})
+}
+
+// BenchmarkBuildDynamic builds the served lsm-mixed store's seed: a
+// file-backed "lsm" over "twosided", 20,000 uniform points, MemtableEntries
+// 1,024, 4 KiB pages. syncs/op counts the fsyncs the build pays before it
+// returns (Close's own is not counted).
+func BenchmarkBuildDynamic(b *testing.B) {
+	pts := make([]pathcache.Point, 20_000)
+	for i, p := range workload.UniformPoints(len(pts), 1<<30, 45) {
+		pts[i] = pathcache.Point(p)
+	}
+	path := filepath.Join(b.TempDir(), "seed.pc")
+	var syncs atomic.Int64
+	var built int64
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		opts, err := pathcache.WithSyncCounter(pathcache.Options{PageSize: benchPage, MemtableEntries: 1024}, path, &syncs)
+		if err != nil {
+			b.Fatal(err)
+		}
+		before := syncs.Load()
+		b.StartTimer()
+		ix, err := pathcache.BuildDynamic("twosided", pts, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		built += syncs.Load() - before
+		if err := ix.Close(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(built)/float64(b.N), "syncs/op")
 }
 
 // E3: queries on the recursive schemes.

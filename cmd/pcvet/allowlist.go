@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"go/parser"
 	"go/token"
@@ -17,8 +18,10 @@ import (
 // packages: one "file:line: analyzer -- reason" line per suppressed
 // analyzer, sorted, on stdout. The report is the flip side of a clean vet
 // run — every place the code was argued past a checker, with the argument.
-// A directive missing its justification is reported on stderr and fails the
-// run with exit 2, so an unexplained suppression cannot ride in quietly.
+// A directive missing its justification, or malformed — a lockheldio allow
+// that does not name the lock set it excuses — is reported on stderr and
+// fails the run with exit 2, so an unexplained or over-broad suppression
+// cannot ride in quietly.
 func runAllowlist(args []string) {
 	if len(args) == 0 {
 		args = []string{"./..."}
@@ -66,18 +69,20 @@ func runAllowlist(args []string) {
 						rel = pos.Filename
 					}
 					rel = filepath.ToSlash(rel)
-					names, reason, found := strings.Cut(strings.TrimPrefix(c.Text, analysis.DirectivePrefix), "--")
-					reason = strings.TrimSpace(reason)
-					if !found || reason == "" {
+					allows, reason, err := analysis.ParseDirective(c.Text, all)
+					switch {
+					case errors.Is(err, analysis.ErrNoReason):
 						fmt.Fprintf(os.Stderr, "%s:%d: suppression without justification: write %s <analyzer> -- <reason>\n",
 							rel, pos.Line, analysis.DirectivePrefix)
 						bad++
 						continue
+					case err != nil:
+						fmt.Fprintf(os.Stderr, "%s:%d: malformed suppression: %v\n", rel, pos.Line, err)
+						bad++
+						continue
 					}
-					for _, n := range strings.Split(names, ",") {
-						if n = strings.TrimSpace(n); n != "" {
-							entries = append(entries, entry{rel, pos.Line, n, reason})
-						}
+					for _, a := range allows {
+						entries = append(entries, entry{rel, pos.Line, a.String(), reason})
 					}
 				}
 			}

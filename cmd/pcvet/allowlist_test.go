@@ -48,19 +48,25 @@ func TestAllowlist(t *testing.T) {
 		}
 	})
 
-	t.Run("MissingReasonFails", func(t *testing.T) {
-		fixture := filepath.Join("cmd", "pcvet", "testdata", "allowlist_badreason")
-		cmd := exec.Command(bin, "allowlist", fixture)
+	// Each malformed fixture must fail the report with exit 2 and say why.
+	malformed := func(t *testing.T, fixture, want string) {
+		cmd := exec.Command(bin, "allowlist", filepath.Join("cmd", "pcvet", "testdata", fixture))
 		cmd.Dir = root
 		var stderr bytes.Buffer
 		cmd.Stderr = &stderr
 		err := cmd.Run()
 		ee, ok := err.(*exec.ExitError)
 		if !ok || ee.ExitCode() != 2 {
-			t.Fatalf("allowlist on a reasonless directive: want exit 2, got %v\nstderr:\n%s", err, stderr.String())
+			t.Fatalf("allowlist on %s: want exit 2, got %v\nstderr:\n%s", fixture, err, stderr.String())
 		}
-		if !strings.Contains(stderr.String(), "suppression without justification") {
-			t.Errorf("stderr missing the missing-reason diagnostic:\n%s", stderr.String())
+		if !strings.Contains(stderr.String(), want) {
+			t.Errorf("stderr missing %q:\n%s", want, stderr.String())
 		}
+	}
+	t.Run("MissingReasonFails", func(t *testing.T) {
+		malformed(t, "allowlist_badreason", "suppression without justification")
+	})
+	t.Run("BareLockheldioFails", func(t *testing.T) {
+		malformed(t, "allowlist_bare", "must name the lock set it excuses")
 	})
 }

@@ -12,21 +12,21 @@ import (
 	"pathcache/internal/disk"
 )
 
-// Crash sweep for the LSM write tier. The static sweep (crash_test.go)
-// checks an all-or-nothing contract: the one build either committed or it
-// did not. The write tier's contract is finer-grained because every update
-// is individually acknowledged behind a durable WAL append: killing the
+// Crash sweep for the LSM write tier. The seeded build keeps the static
+// sweep's (crash_test.go) all-or-nothing contract: it seals the seed into
+// one level and commits once, so a kill inside it reopens as ErrNoIndex,
+// as an error wrapping disk.ErrCorrupt, or as exactly the whole seed. After
+// the build the contract is finer-grained, because every update is
+// individually acknowledged behind a durable WAL append: killing the
 // process at ANY write I/O point — a WAL append, a level seal, a tombstone
 // rewrite, a manifest flip, a compaction — and reopening must yield exactly
 //
 //   - the state after every acknowledged update, plus possibly the one
 //     update that was in flight when the crash hit (its WAL append may have
-//     reached the file before the kill),
+//     reached the file before the kill), or
 //   - an error wrapping disk.ErrCorrupt (a torn page was detected by a
 //     checksum — on the WAL tail this is the "torn last entry" case the
-//     recovery contract explicitly allows), or
-//   - ErrNoIndex (the crash predates the empty tree's first manifest
-//     commit).
+//     recovery contract explicitly allows).
 //
 // Any other recovered state — an acknowledged update missing, a deleted
 // record resurrected beyond the in-flight one, a query disagreeing with the
@@ -40,9 +40,13 @@ type lsmOp struct {
 	pt Point
 }
 
-// lsmCrashScript builds the fixed op stream every base kind replays. With
-// MemtableEntries=4 it crosses two automatic flushes (the second cascading
-// a level merge), tombstones sealed records, forces an explicit flush and a
+// lsmCrashSeed is how many of the script's leading inserts seed the build.
+const lsmCrashSeed = 4
+
+// lsmCrashScript builds the fixed op stream every base kind replays. Its
+// first lsmCrashSeed inserts seed the build (one sealed level, one commit);
+// with MemtableEntries=4 the rest crosses an automatic flush that cascades
+// a level merge, tombstones sealed records, forces an explicit flush and a
 // full compaction, and leaves the WAL non-empty at close so even the intact
 // image exercises replay on reopen.
 func lsmCrashScript(interval bool) []lsmOp {
@@ -56,7 +60,7 @@ func lsmCrashScript(interval bool) []lsmOp {
 	}
 	var ops []lsmOp
 	pts := make([]Point, 0, 16)
-	for i := 1; i <= 9; i++ { // two automatic flushes at 4 and 8
+	for i := 1; i <= 9; i++ { // the seed is 1-4; an automatic flush at 8
 		p := point(i)
 		pts = append(pts, p)
 		ops = append(ops, lsmOp{op: "insert", pt: p})
@@ -80,10 +84,10 @@ func lsmCrashScript(interval bool) []lsmOp {
 	return ops
 }
 
-// lsmModel computes the live record set after the first acked ops.
-func lsmModel(script []lsmOp, acked int) []Point {
+// lsmModel computes the live record set after the script's first n ops.
+func lsmModel(script []lsmOp, n int) []Point {
 	live := make(map[Point]bool)
-	for _, o := range script[:acked] {
+	for _, o := range script[:n] {
 		switch o.op {
 		case "insert":
 			live[o.pt] = true
@@ -133,15 +137,21 @@ func lsmCrashBases() []lsmCrashBase {
 	}
 }
 
-// buildLSMCrash replays the script through the public write path over f,
-// reporting how many ops were acknowledged before the first error. A nil
-// error means the whole script ran and the index closed cleanly.
+// buildLSMCrash builds over f from the script's seed inserts and replays
+// the rest through the public write path, reporting how many ops after the
+// build were acknowledged before the first error, or -1 when the build
+// itself failed. A nil error means the whole script ran and the index
+// closed cleanly.
 func buildLSMCrash(f disk.File, base string, ps int, script []lsmOp) (acked int, err error) {
-	ix, err := BuildDynamic(base, nil, &Options{PageSize: ps, MemtableEntries: 4, testFile: f})
-	if err != nil {
-		return 0, err
+	seed := make([]Point, lsmCrashSeed)
+	for i, o := range script[:lsmCrashSeed] {
+		seed[i] = o.pt
 	}
-	for _, o := range script {
+	ix, err := BuildDynamic(base, seed, &Options{PageSize: ps, MemtableEntries: 4, testFile: f})
+	if err != nil {
+		return -1, err
+	}
+	for _, o := range script[lsmCrashSeed:] {
 		switch o.op {
 		case "insert":
 			_, err = ix.Insert(o.pt)
@@ -192,22 +202,33 @@ func checkLSMState(ix *LSMIndex, b lsmCrashBase, script []lsmOp, live []Point) e
 	return nil
 }
 
-// checkLSMCrash reopens the surviving image and classifies the outcome. A
+// checkLSMCrash reopens the surviving image and classifies the outcome.
+// acked counts the ops acknowledged after the build, -1 when the build was
+// cut. A cut build commits nothing or everything: the open fails with
+// ErrNoIndex or ErrCorrupt, or holds exactly the seed. After the build a
 // successful open must match the model after acked ops or after acked+1
-// (the in-flight op's WAL append may have landed before the kill); a failed
-// open or a query hitting a torn page must wrap ErrCorrupt or ErrNoIndex.
+// (the in-flight op's WAL append may have landed before the kill), a failed
+// open or a query hitting a torn page must wrap ErrCorrupt, and ErrNoIndex
+// is a lost commit.
 func checkLSMCrash(path string, b lsmCrashBase, script []lsmOp, acked int) error {
 	ix, err := OpenDynamic(path)
 	if err != nil {
+		if acked >= 0 && errors.Is(err, ErrNoIndex) {
+			return fmt.Errorf("the build was acknowledged but the image holds no index: %v", err)
+		}
 		return err
 	}
 	defer ix.Close()
-	err = checkLSMState(ix, b, script, lsmModel(script, acked))
+	done := lsmCrashSeed + max(acked, 0)
+	err = checkLSMState(ix, b, script, lsmModel(script, done))
 	if err == nil || errors.Is(err, disk.ErrCorrupt) {
 		return err
 	}
-	if acked < len(script) {
-		if err2 := checkLSMState(ix, b, script, lsmModel(script, acked+1)); err2 == nil || errors.Is(err2, disk.ErrCorrupt) {
+	if acked < 0 {
+		return fmt.Errorf("cut build holds neither nothing nor the whole seed: %w", err)
+	}
+	if done < len(script) {
+		if err2 := checkLSMState(ix, b, script, lsmModel(script, done+1)); err2 == nil || errors.Is(err2, disk.ErrCorrupt) {
 			return err2
 		}
 	}
@@ -238,8 +259,8 @@ func TestCrashSweepLSM(t *testing.T) {
 			if err != nil {
 				t.Fatalf("instrumentation run: %v", err)
 			}
-			if acked != len(script) {
-				t.Fatalf("instrumentation run acked %d of %d ops", acked, len(script))
+			if acked != len(script)-lsmCrashSeed {
+				t.Fatalf("instrumentation run acked %d of %d ops after the build", acked, len(script)-lsmCrashSeed)
 			}
 			total := count.Writes()
 			if total < 20 {
@@ -250,13 +271,13 @@ func TestCrashSweepLSM(t *testing.T) {
 			if err := os.WriteFile(intact, mem.Bytes(), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			if err := checkLSMCrash(intact, b, script, len(script)); err != nil {
+			if err := checkLSMCrash(intact, b, script, len(script)-lsmCrashSeed); err != nil {
 				t.Fatalf("intact image fails the battery: %v", err)
 			}
 			t.Logf("%s: sweeping %d kill points", b.name, total)
 
 			img := filepath.Join(dir, "crashed.pc")
-			recovered, noIndex, corrupt := 0, 0, 0
+			recovered, noIndex, corrupt, cutBuilds := 0, 0, 0, 0
 			for limit := int64(0); limit < total; limit++ {
 				for _, torn := range []int{0, 13, page / 2} {
 					mem := disk.NewMemFile()
@@ -267,6 +288,9 @@ func TestCrashSweepLSM(t *testing.T) {
 					}
 					if err := os.WriteFile(img, mem.Bytes(), 0o644); err != nil {
 						t.Fatal(err)
+					}
+					if acked < 0 {
+						cutBuilds++
 					}
 					cerr := checkLSMCrash(img, b, script, acked)
 					if uerr := acceptableCrashOutcome(cerr); uerr != nil {
@@ -282,7 +306,10 @@ func TestCrashSweepLSM(t *testing.T) {
 					}
 				}
 			}
-			t.Logf("%s: %d recovered, %d no-index, %d detected-corrupt", b.name, recovered, noIndex, corrupt)
+			t.Logf("%s: %d recovered, %d no-index, %d detected-corrupt, %d kills inside the build", b.name, recovered, noIndex, corrupt, cutBuilds)
+			if cutBuilds == 0 {
+				t.Error("no kill point landed inside the seeded build")
+			}
 			if recovered == 0 {
 				t.Error("sweep never recovered a committed state — WAL replay is not being exercised")
 			}

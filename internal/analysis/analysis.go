@@ -13,13 +13,21 @@
 // A finding can be suppressed for a sanctioned site with a directive on the
 // offending line or the line above:
 //
-//	//pcvet:allow lockheldio -- single-page miss fill, see DESIGN.md
+//	//pcvet:allow pagerdiscipline -- the engine assembles the pager stack
 //
 // The reason after “--” is mandatory; a directive without one is itself
-// reported.
+// reported. An analyzer with a Qualifier takes a parenthesized argument
+// naming exactly what its finding reports, and excuses only that finding:
+//
+//	//pcvet:allow lockheldio(sh.mu.Lock) -- single-page miss fill, see DESIGN.md
+//
+// so the same line taking a different lock set — an exclusive Lock where
+// the directive names RLock — is reported again. A bare directive for such
+// an analyzer is malformed.
 package analysis
 
 import (
+	"errors"
 	"fmt"
 	"go/ast"
 	"go/token"
@@ -34,6 +42,10 @@ type Analyzer struct {
 	Name string
 	// Doc is a one-paragraph description of the invariant enforced.
 	Doc string
+	// Qualifier, when set, names what a directive for this analyzer must
+	// spell out in parentheses (lockheldio: "lock set"); a finding is
+	// excused only by a directive whose argument equals its Qualifier.
+	Qualifier string
 	// Run reports findings for one package via pass.Reportf.
 	Run func(pass *Pass) error
 }
@@ -42,7 +54,10 @@ type Analyzer struct {
 type Diagnostic struct {
 	Pos      token.Pos
 	Analyzer string
-	Message  string
+	// Qualifier is what the finding reports for its analyzer's Qualifier,
+	// in QualifierOf form; empty for analyzers without one.
+	Qualifier string
+	Message   string
 }
 
 // A Package bundles everything a driver loads for one package: shared
@@ -82,14 +97,20 @@ type Pass struct {
 
 // Reportf records one finding.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	p.report(Diagnostic{Pos: pos, Analyzer: p.Analyzer.Name, Message: fmt.Sprintf(format, args...)})
+	p.ReportQualifiedf(pos, "", format, args...)
+}
+
+// ReportQualifiedf records one finding of an analyzer with a Qualifier:
+// only a directive naming qualifier excuses it.
+func (p *Pass) ReportQualifiedf(pos token.Pos, qualifier string, format string, args ...any) {
+	p.report(Diagnostic{Pos: pos, Analyzer: p.Analyzer.Name, Qualifier: qualifier, Message: fmt.Sprintf(format, args...)})
 }
 
 // Run executes the analyzers on pkg and returns the surviving diagnostics
 // sorted by position: findings on lines covered by a matching
 // //pcvet:allow directive are dropped, and malformed directives are reported.
 func Run(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	dirs, bad := directives(pkg.Fset, pkg.Syntax)
+	dirs, bad := directives(pkg.Fset, pkg.Syntax, analyzers)
 
 	var files []*ast.File
 	for _, f := range pkg.Syntax {
@@ -121,11 +142,13 @@ func Run(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	return out, nil
 }
 
-// directiveKey identifies one suppression: an analyzer name at a file:line.
+// directiveKey identifies one suppression: an analyzer name, and the
+// qualifier it names, at a file:line.
 type directiveKey struct {
-	file string
-	line int
-	name string
+	file      string
+	line      int
+	name      string
+	qualifier string
 }
 
 type directiveSet map[directiveKey]bool
@@ -133,9 +156,103 @@ type directiveSet map[directiveKey]bool
 // DirectivePrefix introduces a suppression comment.
 const DirectivePrefix = "//pcvet:allow"
 
+// ErrNoReason reports a directive missing its “-- reason” tail.
+var ErrNoReason = errors.New("pcvet:allow directive needs a justification: //pcvet:allow <analyzer> -- <reason>")
+
+// An Allow is one analyzer a directive excuses, with the qualifier it
+// names in QualifierOf form ("" when bare).
+type Allow struct {
+	Name, Qualifier string
+}
+
+// String renders the allow as it is written: name or name(qualifier).
+func (a Allow) String() string {
+	if a.Qualifier == "" {
+		return a.Name
+	}
+	return a.Name + "(" + a.Qualifier + ")"
+}
+
+// QualifierOf is the canonical qualifier of a set of names: trimmed,
+// sorted and comma-joined, so a directive's order need not match the
+// finding's.
+func QualifierOf(names []string) string {
+	out := make([]string, 0, len(names))
+	for _, n := range names {
+		if n = strings.TrimSpace(n); n != "" {
+			out = append(out, n)
+		}
+	}
+	sort.Strings(out)
+	return strings.Join(out, ",")
+}
+
+// ParseDirective parses one //pcvet:allow comment into the analyzers it
+// excuses and its reason. It fails with ErrNoReason when the reason is
+// missing, and when an argument is unbalanced or does not fit the known
+// analyzer it names: one with a Qualifier must name it, one without must
+// not. Names outside known are taken as written.
+func ParseDirective(text string, known []*Analyzer) ([]Allow, string, error) {
+	names, reason, found := strings.Cut(strings.TrimPrefix(text, DirectivePrefix), "--")
+	reason = strings.TrimSpace(reason)
+	if !found || reason == "" {
+		return nil, "", ErrNoReason
+	}
+	var allows []Allow
+	for _, item := range splitTopLevel(names) {
+		name, arg, hasArg := strings.Cut(item, "(")
+		a := Allow{Name: strings.TrimSpace(name)}
+		if a.Name == "" {
+			continue
+		}
+		if hasArg {
+			arg, closed := strings.CutSuffix(strings.TrimSpace(arg), ")")
+			if !closed || strings.ContainsAny(arg, "()") {
+				return nil, "", fmt.Errorf("pcvet:allow argument of %s is not one parenthesized list", a.Name)
+			}
+			if a.Qualifier = QualifierOf(strings.Split(arg, ",")); a.Qualifier == "" {
+				return nil, "", fmt.Errorf("pcvet:allow %s() names nothing", a.Name)
+			}
+		}
+		for _, an := range known {
+			if an.Name != a.Name {
+				continue
+			}
+			if an.Qualifier != "" && a.Qualifier == "" {
+				return nil, "", fmt.Errorf("pcvet:allow %s must name the %s it excuses: //pcvet:allow %s(<%s>) -- <reason>", a.Name, an.Qualifier, a.Name, an.Qualifier)
+			}
+			if an.Qualifier == "" && a.Qualifier != "" {
+				return nil, "", fmt.Errorf("pcvet:allow %s takes no argument", a.Name)
+			}
+		}
+		allows = append(allows, a)
+	}
+	return allows, reason, nil
+}
+
+// splitTopLevel splits s at the commas outside parentheses.
+func splitTopLevel(s string) []string {
+	var out []string
+	depth, start := 0, 0
+	for i, r := range s {
+		switch r {
+		case '(':
+			depth++
+		case ')':
+			depth--
+		case ',':
+			if depth == 0 {
+				out = append(out, s[start:i])
+				start = i + 1
+			}
+		}
+	}
+	return append(out, s[start:])
+}
+
 // directives collects every //pcvet:allow comment, returning the suppression
-// set and a diagnostic for each directive missing its “-- reason” tail.
-func directives(fset *token.FileSet, files []*ast.File) (directiveSet, []Diagnostic) {
+// set and a diagnostic for each malformed directive.
+func directives(fset *token.FileSet, files []*ast.File, known []*Analyzer) (directiveSet, []Diagnostic) {
 	set := directiveSet{}
 	var bad []Diagnostic
 	for _, f := range files {
@@ -144,23 +261,14 @@ func directives(fset *token.FileSet, files []*ast.File) (directiveSet, []Diagnos
 				if !strings.HasPrefix(c.Text, DirectivePrefix) {
 					continue
 				}
-				rest := strings.TrimPrefix(c.Text, DirectivePrefix)
-				names, reason, found := strings.Cut(rest, "--")
-				if !found || strings.TrimSpace(reason) == "" {
-					bad = append(bad, Diagnostic{
-						Pos:      c.Pos(),
-						Analyzer: "pcvet",
-						Message:  "pcvet:allow directive needs a justification: //pcvet:allow <analyzer> -- <reason>",
-					})
+				allows, _, err := ParseDirective(c.Text, known)
+				if err != nil {
+					bad = append(bad, Diagnostic{Pos: c.Pos(), Analyzer: "pcvet", Message: err.Error()})
 					continue
 				}
 				pos := fset.Position(c.Pos())
-				for _, name := range strings.Split(names, ",") {
-					name = strings.TrimSpace(name)
-					if name == "" {
-						continue
-					}
-					set[directiveKey{pos.Filename, pos.Line, name}] = true
+				for _, a := range allows {
+					set[directiveKey{pos.Filename, pos.Line, a.Name, a.Qualifier}] = true
 				}
 			}
 		}
@@ -168,12 +276,12 @@ func directives(fset *token.FileSet, files []*ast.File) (directiveSet, []Diagnos
 	return set, bad
 }
 
-// allows reports whether d is covered by a directive on its line or the line
-// directly above.
+// allows reports whether d is covered by a directive naming its analyzer
+// and qualifier on its line or the line directly above.
 func (s directiveSet) allows(fset *token.FileSet, d Diagnostic) bool {
 	pos := fset.Position(d.Pos)
-	return s[directiveKey{pos.Filename, pos.Line, d.Analyzer}] ||
-		s[directiveKey{pos.Filename, pos.Line - 1, d.Analyzer}]
+	return s[directiveKey{pos.Filename, pos.Line, d.Analyzer, d.Qualifier}] ||
+		s[directiveKey{pos.Filename, pos.Line - 1, d.Analyzer, d.Qualifier}]
 }
 
 // ---- shared type-level helpers used by several analyzers ----

@@ -5,10 +5,14 @@
 // The sharded pool exists so that concurrent readers contend only on the
 // shard owning their page. Holding a shard mutex while transferring a page
 // through a Pager serializes every other access to that shard behind a
-// device-speed operation, and — worse — re-entering the pool from under its own shard lock self-deadlocks. The few
-// sites where the pool intentionally fills or writes back a frame under its
-// shard latch carry //pcvet:allow lockheldio directives with the design
-// justification; everything else is a bug.
+// device-speed operation, and — worse — re-entering the pool from under its
+// own shard lock self-deadlocks. The few sites where the pool intentionally
+// fills or writes back a frame under its shard latch carry
+// //pcvet:allow lockheldio(<lock set>) directives with the design
+// justification; everything else is a bug. The directive names the held
+// locks with their acquiring methods, as the finding reports them
+// (sh.mu.Lock, t.mu.RLock), so it stops excusing the site if the set
+// changes — a read lock turned exclusive is reported again.
 //
 // The analysis is intra-procedural with one package-local extension: a
 // function in the analyzed package that (transitively) performs pager I/O
@@ -27,9 +31,10 @@ import (
 
 // Analyzer is the lockheldio check.
 var Analyzer = &analysis.Analyzer{
-	Name: "lockheldio",
-	Doc:  "no call may block on pager I/O while a sync.Mutex or sync.RWMutex is held",
-	Run:  run,
+	Name:      "lockheldio",
+	Doc:       "no call may block on pager I/O while a sync.Mutex or sync.RWMutex is held",
+	Qualifier: "lock set",
+	Run:       run,
 }
 
 func run(pass *analysis.Pass) error {
@@ -63,14 +68,20 @@ func (ls lockSet) clone() lockSet {
 	return c
 }
 
-// describe names the held locks with their acquiring methods, in order, for
-// the diagnostic: "t.mu.RLock is held" names a read lock.
-func (ls lockSet) describe() string {
+// names lists the held locks with their acquiring methods, sorted:
+// "t.mu.RLock" names a read lock.
+func (ls lockSet) names() []string {
 	names := make([]string, 0, len(ls))
 	for k, m := range ls {
 		names = append(names, k+"."+m)
 	}
 	sort.Strings(names)
+	return names
+}
+
+// describe names the held locks for the diagnostic.
+func (ls lockSet) describe() string {
+	names := ls.names()
 	if len(names) == 1 {
 		return names[0] + " is held"
 	}
@@ -246,19 +257,21 @@ func (w *lockWalker) expr(e ast.Expr, held lockSet) {
 				return true
 			}
 			callee := analysis.CalleeOf(w.pass.TypesInfo, n)
+			set := analysis.QualifierOf(held.names())
+			allow := analysis.DirectivePrefix + " " + analysis.Allow{Name: w.pass.Analyzer.Name, Qualifier: set}.String()
 			switch {
 			case analysis.IsPagerIO(callee):
-				w.pass.Reportf(n.Pos(),
-					"%s performs pager I/O while %s: a blocked page transfer serializes every access to this lock (and re-entering the pool self-deadlocks); release the lock first or justify with %s lockheldio",
-					calleeName(callee), held.describe(), analysis.DirectivePrefix)
+				w.pass.ReportQualifiedf(n.Pos(), set,
+					"%s performs pager I/O while %s: a blocked page transfer serializes every access to this lock (and re-entering the pool self-deadlocks); release the lock first or justify with %s",
+					calleeName(callee), held.describe(), allow)
 			case isFsync(w.pass.TypesInfo, n):
-				w.pass.Reportf(n.Pos(),
-					"%s fsyncs while %s: every access to this lock waits out the device flush; release the lock first or justify with %s lockheldio",
-					exprKey(n.Fun), held.describe(), analysis.DirectivePrefix)
+				w.pass.ReportQualifiedf(n.Pos(), set,
+					"%s fsyncs while %s: every access to this lock waits out the device flush; release the lock first or justify with %s",
+					exprKey(n.Fun), held.describe(), allow)
 			case callee != nil && w.tainted[callee]:
-				w.pass.Reportf(n.Pos(),
-					"call to %s, which performs pager I/O or an fsync, while %s; release the lock around the I/O or justify with %s lockheldio",
-					calleeName(callee), held.describe(), analysis.DirectivePrefix)
+				w.pass.ReportQualifiedf(n.Pos(), set,
+					"call to %s, which performs pager I/O or an fsync, while %s; release the lock around the I/O or justify with %s",
+					calleeName(callee), held.describe(), allow)
 			}
 		}
 		return true

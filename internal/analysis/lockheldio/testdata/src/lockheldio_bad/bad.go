@@ -1,7 +1,8 @@
 // Package lockheldio_bad holds shard mutexes across pager I/O in every way
 // the lockheldio analyzer models: direct Pager calls, package-local helpers
-// that transitively reach the pager, deferred I/O, read locks, and an fsync
-// through a func-valued config hook.
+// that transitively reach the pager, deferred I/O, read locks, an fsync
+// through a func-valued config hook, and an allow naming a lock set the
+// code no longer takes.
 package lockheldio_bad
 
 import (
@@ -82,4 +83,13 @@ func (w *wal) ack() error {
 		return err
 	}
 	return w.sync() // want `call to wal\.sync, which performs pager I/O or an fsync, while w\.mu\.Lock is held`
+}
+
+// promoted carries an allow written when it took the read side: the
+// exclusive lock it takes now is not the set the directive excuses.
+func (t *table) promoted(id disk.PageID, buf []byte) error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	//pcvet:allow lockheldio(t.mu.RLock) -- written when this was a read-side lookup
+	return t.pager.Read(id, buf) // want `Pager\.Read performs pager I/O while t\.mu\.Lock is held`
 }

@@ -1,6 +1,7 @@
 // Package lockheldio_good exercises the approved shapes: release the latch
 // before pager I/O, hand the I/O to an unlatched goroutine, or carry a
-// //pcvet:allow directive at a design-reviewed site.
+// //pcvet:allow directive naming the held lock set at a design-reviewed
+// site.
 package lockheldio_good
 
 import (
@@ -40,8 +41,28 @@ func (s *shard) lookupThenFill(id disk.PageID, buf []byte) error {
 func (s *shard) sanctioned(id disk.PageID, buf []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	//pcvet:allow lockheldio -- fixture mirror of the pool's sanctioned single-page miss fill
+	//pcvet:allow lockheldio(s.mu.Lock) -- fixture mirror of the pool's sanctioned single-page miss fill
 	return s.pager.Read(id, buf)
+}
+
+type table struct {
+	wmu, mu sync.RWMutex
+	pager   disk.Pager
+}
+
+// readSide holds the read side for a whole query, with both locks of a
+// nested set named in either order.
+func (t *table) readSide(id disk.PageID, buf []byte) error {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	//pcvet:allow lockheldio(t.mu.RLock) -- fixture mirror of a reader holding the version for its whole query
+	if err := t.pager.Read(id, buf); err != nil {
+		return err
+	}
+	t.wmu.Lock()
+	defer t.wmu.Unlock()
+	//pcvet:allow lockheldio(t.wmu.Lock, t.mu.RLock) -- fixture mirror of a nested writer section
+	return t.pager.Read(id, buf)
 }
 
 // spawn hands the I/O to a goroutine, which does not inherit the latch.

@@ -60,7 +60,7 @@ func RunL1(cfg Config) (*Table, error) {
 	}
 	for _, n := range cfg.tierNs() {
 		s := disk.MustStore(cfg.pageSize())
-		tr, err := lsm.New(lsm.Config{Pager: s, Base: base, FlushEvery: flushEvery})
+		tr, err := lsm.New(lsm.Config{Pager: s, Base: base, FlushEvery: flushEvery}, nil)
 		if err != nil {
 			return nil, err
 		}

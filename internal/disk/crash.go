@@ -125,7 +125,7 @@ func (c *CrashFile) Close() error {
 	if c.crashed {
 		return ErrCrashed
 	}
-	//pcvet:allow lockheldio -- terminal teardown; the handle must not close twice under a racing crash check
+	//pcvet:allow lockheldio(c.mu.Lock) -- terminal teardown; the handle must not close twice under a racing crash check
 	return c.inner.Close()
 }
 

@@ -542,14 +542,14 @@ func (fs *FileStore) Close() error {
 		return nil
 	}
 	if err := fs.f.Sync(); err != nil {
-		//pcvet:allow lockheldio -- terminal teardown under fs.mu keeps close-vs-access ordering simple
+		//pcvet:allow lockheldio(fs.mu.Lock) -- terminal teardown under fs.mu keeps close-vs-access ordering simple
 		if cerr := fs.f.Close(); cerr != nil {
 			err = errors.Join(err, cerr)
 		}
 		fs.f = nil
 		return err
 	}
-	//pcvet:allow lockheldio -- terminal teardown under fs.mu keeps close-vs-access ordering simple
+	//pcvet:allow lockheldio(fs.mu.Lock) -- terminal teardown under fs.mu keeps close-vs-access ordering simple
 	err := fs.f.Close()
 	fs.f = nil
 	return err

@@ -2,7 +2,6 @@ package dyn3side
 
 import (
 	"math/rand"
-	"sort"
 	"testing"
 
 	"pathcache/internal/disk"
@@ -10,36 +9,6 @@ import (
 	"pathcache/internal/record"
 	"pathcache/internal/workload"
 )
-
-func samePoints(a, b []record.Point) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	key := func(p record.Point) [3]int64 { return [3]int64{p.X, p.Y, int64(p.ID)} }
-	as := make([][3]int64, len(a))
-	bs := make([][3]int64, len(b))
-	for i := range a {
-		as[i], bs[i] = key(a[i]), key(b[i])
-	}
-	less := func(s [][3]int64) func(i, j int) bool {
-		return func(i, j int) bool {
-			for k := 0; k < 3; k++ {
-				if s[i][k] != s[j][k] {
-					return s[i][k] < s[j][k]
-				}
-			}
-			return false
-		}
-	}
-	sort.Slice(as, less(as))
-	sort.Slice(bs, less(bs))
-	for i := range as {
-		if as[i] != bs[i] {
-			return false
-		}
-	}
-	return true
-}
 
 func TestEmpty(t *testing.T) {
 	s := disk.MustStore(512)
@@ -99,7 +68,7 @@ func TestMixedWorkloadMatchesOracle(t *testing.T) {
 				ls = append(ls, p)
 			}
 			want := inmem.ThreeSided(ls, a1, a2, b)
-			if !samePoints(got, want) {
+			if !inmem.SamePoints(got, want) {
 				t.Fatalf("step %d query (%d,%d,%d): got %d want %d (n=%d)",
 					step, a1, a2, b, len(got), len(want), len(live))
 			}

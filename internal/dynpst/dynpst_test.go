@@ -2,7 +2,6 @@ package dynpst
 
 import (
 	"math/rand"
-	"sort"
 	"testing"
 
 	"pathcache/internal/disk"
@@ -10,36 +9,6 @@ import (
 	"pathcache/internal/record"
 	"pathcache/internal/workload"
 )
-
-func samePoints(a, b []record.Point) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	key := func(p record.Point) [3]int64 { return [3]int64{p.X, p.Y, int64(p.ID)} }
-	as := make([][3]int64, len(a))
-	bs := make([][3]int64, len(b))
-	for i := range a {
-		as[i], bs[i] = key(a[i]), key(b[i])
-	}
-	less := func(s [][3]int64) func(i, j int) bool {
-		return func(i, j int) bool {
-			for k := 0; k < 3; k++ {
-				if s[i][k] != s[j][k] {
-					return s[i][k] < s[j][k]
-				}
-			}
-			return false
-		}
-	}
-	sort.Slice(as, less(as))
-	sort.Slice(bs, less(bs))
-	for i := range as {
-		if as[i] != bs[i] {
-			return false
-		}
-	}
-	return true
-}
 
 func newTree(t *testing.T, pageSize int) (*Tree, *disk.Store) {
 	t.Helper()
@@ -77,7 +46,7 @@ func TestInsertOnlyMatchesOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want := inmem.TwoSided(live, q.A, q.B); !samePoints(got, want) {
+			if want := inmem.TwoSided(live, q.A, q.B); !inmem.SamePoints(got, want) {
 				t.Fatalf("after %d inserts, query (%d,%d): got %d want %d",
 					i+1, q.A, q.B, len(got), len(want))
 			}
@@ -91,7 +60,7 @@ func TestInsertOnlyMatchesOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := inmem.TwoSided(live, q.A, q.B); !samePoints(got, want) {
+		if want := inmem.TwoSided(live, q.A, q.B); !inmem.SamePoints(got, want) {
 			t.Fatalf("final query (%d,%d): got %d want %d", q.A, q.B, len(got), len(want))
 		}
 	}
@@ -146,7 +115,7 @@ func TestMixedWorkloadMatchesOracle(t *testing.T) {
 				if err != nil {
 					t.Fatalf("seed %d step %d query: %v", seed, step, err)
 				}
-				if want := inmem.TwoSided(liveSlice(), a, b); !samePoints(got, want) {
+				if want := inmem.TwoSided(liveSlice(), a, b); !inmem.SamePoints(got, want) {
 					t.Fatalf("seed %d step %d query (%d,%d): got %d want %d (n=%d)",
 						seed, step, a, b, len(got), len(want), len(live))
 				}
@@ -162,7 +131,7 @@ func TestMixedWorkloadMatchesOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want := inmem.TwoSided(ls, q.A, q.B); !samePoints(got, want) {
+			if want := inmem.TwoSided(ls, q.A, q.B); !inmem.SamePoints(got, want) {
 				t.Fatalf("seed %d final query (%d,%d): got %d want %d", seed, q.A, q.B, len(got), len(want))
 			}
 		}
@@ -211,7 +180,7 @@ func TestDuplicateCoordinates(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want := inmem.TwoSided(live, a, b); !samePoints(got, want) {
+			if want := inmem.TwoSided(live, a, b); !inmem.SamePoints(got, want) {
 				t.Fatalf("query (%d,%d): got %d want %d", a, b, len(got), len(want))
 			}
 		}
@@ -372,7 +341,7 @@ func TestBulkLoad(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !samePoints(a, b) {
+		if !inmem.SamePoints(a, b) {
 			t.Fatalf("bulk vs incremental differ at (%d,%d): %d vs %d", q.A, q.B, len(a), len(b))
 		}
 	}
@@ -419,7 +388,7 @@ func TestBulkLoadReplaces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !samePoints(got, fresh) {
+	if !inmem.SamePoints(got, fresh) {
 		t.Fatalf("contents not replaced: %d points", len(got))
 	}
 }

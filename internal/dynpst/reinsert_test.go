@@ -49,7 +49,7 @@ func TestReinsertCycles(t *testing.T) {
 				ls = append(ls, p)
 			}
 			want := inmem.TwoSided(ls, q.A, q.B)
-			if !samePoints(got, want) {
+			if !inmem.SamePoints(got, want) {
 				t.Fatalf("cycle %d: got %d want %d (live %d)", cycle, len(got), len(want), len(live))
 			}
 		}

@@ -1,7 +1,6 @@
 package ext3side
 
 import (
-	"slices"
 	"testing"
 	"testing/quick"
 
@@ -10,13 +9,6 @@ import (
 	"pathcache/internal/record"
 	"pathcache/internal/workload"
 )
-
-func samePoints(a, b []record.Point) bool {
-	as, bs := slices.Clone(a), slices.Clone(b)
-	slices.SortFunc(as, record.CmpXYID)
-	slices.SortFunc(bs, record.CmpXYID)
-	return slices.Equal(as, bs)
-}
 
 func TestEmptyTree(t *testing.T) {
 	s := disk.MustStore(512)
@@ -62,7 +54,7 @@ func TestQueryMatchesOracle(t *testing.T) {
 						t.Fatal(err)
 					}
 					want := inmem.ThreeSided(pts, q.A1, q.A2, q.B)
-					if !samePoints(got, want) {
+					if !inmem.SamePoints(got, want) {
 						t.Fatalf("n=%d window (%d,%d,%d): got %d want %d",
 							n, q.A1, q.A2, q.B, len(got), len(want))
 					}
@@ -97,7 +89,7 @@ func TestQueryEdgeWindows(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := inmem.ThreeSided(pts, c.a1, c.a2, c.b); !samePoints(got, want) {
+		if want := inmem.ThreeSided(pts, c.a1, c.a2, c.b); !inmem.SamePoints(got, want) {
 			t.Fatalf("window (%d,%d,%d): got %d want %d", c.a1, c.a2, c.b, len(got), len(want))
 		}
 	}
@@ -120,7 +112,7 @@ func TestQueryDuplicateCoordinates(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if want := inmem.ThreeSided(pts, a1, a2, b); !samePoints(got, want) {
+				if want := inmem.ThreeSided(pts, a1, a2, b); !inmem.SamePoints(got, want) {
 					t.Fatalf("window (%d,%d,%d): got %d want %d", a1, a2, b, len(got), len(want))
 				}
 			}
@@ -146,7 +138,7 @@ func TestQueryProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return samePoints(got, inmem.ThreeSided(pts, int64(a1), int64(a2), int64(b)))
+		return inmem.SamePoints(got, inmem.ThreeSided(pts, int64(a1), int64(a2), int64(b)))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

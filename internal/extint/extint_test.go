@@ -1,7 +1,6 @@
 package extint
 
 import (
-	"sort"
 	"testing"
 	"testing/quick"
 
@@ -10,36 +9,6 @@ import (
 	"pathcache/internal/record"
 	"pathcache/internal/workload"
 )
-
-func sameIntervals(a, b []record.Interval) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	key := func(iv record.Interval) [3]int64 { return [3]int64{iv.Lo, iv.Hi, int64(iv.ID)} }
-	as := make([][3]int64, len(a))
-	bs := make([][3]int64, len(b))
-	for i := range a {
-		as[i], bs[i] = key(a[i]), key(b[i])
-	}
-	less := func(s [][3]int64) func(i, j int) bool {
-		return func(i, j int) bool {
-			for k := 0; k < 3; k++ {
-				if s[i][k] != s[j][k] {
-					return s[i][k] < s[j][k]
-				}
-			}
-			return false
-		}
-	}
-	sort.Slice(as, less(as))
-	sort.Slice(bs, less(bs))
-	for i := range as {
-		if as[i] != bs[i] {
-			return false
-		}
-	}
-	return true
-}
 
 func TestEmptyTree(t *testing.T) {
 	for _, v := range []Variant{Naive, PathCached} {
@@ -79,7 +48,7 @@ func TestStabMatchesOracle(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if want := inmem.Stab(ivs, q); !sameIntervals(got, want) {
+				if want := inmem.Stab(ivs, q); !inmem.SameIntervals(got, want) {
 					t.Fatalf("%v n=%d stab %d: got %d want %d", v, n, q, len(got), len(want))
 				}
 			}
@@ -105,7 +74,7 @@ func TestStabNestedAndBoundary(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want := inmem.Stab(ivs, q); !sameIntervals(got, want) {
+			if want := inmem.Stab(ivs, q); !inmem.SameIntervals(got, want) {
 				t.Fatalf("%v stab %d: got %d want %d", v, q, len(got), len(want))
 			}
 		}
@@ -130,7 +99,7 @@ func TestStabPointIntervals(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want := inmem.Stab(ivs, q); !sameIntervals(got, want) {
+			if want := inmem.Stab(ivs, q); !inmem.SameIntervals(got, want) {
 				t.Fatalf("%v stab %d: got %d want %d", v, q, len(got), len(want))
 			}
 		}
@@ -151,7 +120,7 @@ func TestStabProperty(t *testing.T) {
 				return false
 			}
 			got, _, err := tr.Stab(int64(q))
-			if err != nil || !sameIntervals(got, want) {
+			if err != nil || !inmem.SameIntervals(got, want) {
 				return false
 			}
 		}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"pathcache/internal/disk"
+	"pathcache/internal/inmem"
 	"pathcache/internal/workload"
 )
 
@@ -39,7 +40,7 @@ func TestFaultInjection(t *testing.T) {
 		}
 		fp.SetBudget(1 << 40)
 		got, _, err := tr.Stab(50_000)
-		if err != nil || !sameIntervals(got, want) {
+		if err != nil || !inmem.SameIntervals(got, want) {
 			t.Fatalf("%v: results changed after failed queries (err=%v)", v, err)
 		}
 	}

@@ -2,7 +2,6 @@ package extpst
 
 import (
 	"math"
-	"slices"
 	"testing"
 	"testing/quick"
 
@@ -13,13 +12,6 @@ import (
 )
 
 var allSchemes = []Scheme{IKO, Basic, Segmented}
-
-func samePoints(a, b []record.Point) bool {
-	as, bs := slices.Clone(a), slices.Clone(b)
-	slices.SortFunc(as, record.CmpXYID)
-	slices.SortFunc(bs, record.CmpXYID)
-	return slices.Equal(as, bs)
-}
 
 func TestEmptyTree(t *testing.T) {
 	for _, sc := range allSchemes {
@@ -54,7 +46,7 @@ func TestQueryMatchesOracle(t *testing.T) {
 						t.Fatal(err)
 					}
 					want := inmem.TwoSided(pts, q.A, q.B)
-					if !samePoints(got, want) {
+					if !inmem.SamePoints(got, want) {
 						t.Fatalf("%v n=%d query (%d,%d): got %d want %d",
 							sc, n, q.A, q.B, len(got), len(want))
 					}
@@ -88,7 +80,7 @@ func TestQueryExtremeCorners(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want := inmem.TwoSided(pts, c.a, c.b); !samePoints(got, want) {
+			if want := inmem.TwoSided(pts, c.a, c.b); !inmem.SamePoints(got, want) {
 				t.Fatalf("%v corner (%d,%d): got %d want %d", sc, c.a, c.b, len(got), len(want))
 			}
 		}
@@ -112,7 +104,7 @@ func TestQueryDuplicateCoordinates(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if want := inmem.TwoSided(pts, a, b); !samePoints(got, want) {
+				if want := inmem.TwoSided(pts, a, b); !inmem.SamePoints(got, want) {
 					t.Fatalf("%v corner (%d,%d): got %d want %d", sc, a, b, len(got), len(want))
 				}
 			}
@@ -138,7 +130,7 @@ func TestQueryClusteredAndSkewed(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if want := inmem.TwoSided(pts, q.A, q.B); !samePoints(got, want) {
+				if want := inmem.TwoSided(pts, q.A, q.B); !inmem.SamePoints(got, want) {
 					t.Fatalf("%s/%v query (%d,%d): got %d want %d",
 						name, sc, q.A, q.B, len(got), len(want))
 				}
@@ -163,7 +155,7 @@ func TestQueryProperty(t *testing.T) {
 				return false
 			}
 			got, _, err := tr.Query(int64(a), int64(b))
-			if err != nil || !samePoints(got, want) {
+			if err != nil || !inmem.SamePoints(got, want) {
 				return false
 			}
 		}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"pathcache/internal/disk"
+	"pathcache/internal/inmem"
 	"pathcache/internal/workload"
 )
 
@@ -57,7 +58,7 @@ func TestQueryFaultInjection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !samePoints(got, want) {
+		if !inmem.SamePoints(got, want) {
 			t.Fatalf("%v: results changed after failed queries", sc)
 		}
 	}

@@ -53,7 +53,7 @@ func TestHierarchicalMatchesOracle(t *testing.T) {
 						t.Fatal(err)
 					}
 					want := inmem.TwoSided(pts, q.A, q.B)
-					if !samePoints(got, want) {
+					if !inmem.SamePoints(got, want) {
 						t.Fatalf("levels=%d n=%d query (%d,%d): got %d want %d",
 							levels, n, q.A, q.B, len(got), len(want))
 					}
@@ -78,7 +78,7 @@ func TestHierarchicalExtremeCorners(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want := inmem.TwoSided(pts, c.a, c.b); !samePoints(got, want) {
+			if want := inmem.TwoSided(pts, c.a, c.b); !inmem.SamePoints(got, want) {
 				t.Fatalf("levels=%d corner (%d,%d): got %d want %d",
 					levels, c.a, c.b, len(got), len(want))
 			}
@@ -99,7 +99,7 @@ func TestHierarchicalSkewedWorkloads(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want := inmem.TwoSided(pts, q.A, q.B); !samePoints(got, want) {
+			if want := inmem.TwoSided(pts, q.A, q.B); !inmem.SamePoints(got, want) {
 				t.Fatalf("%s query (%d,%d): got %d want %d", name, q.A, q.B, len(got), len(want))
 			}
 		}
@@ -120,7 +120,7 @@ func TestHierarchicalProperty(t *testing.T) {
 				return false
 			}
 			got, _, err := h.Query(int64(a), int64(b))
-			if err != nil || !samePoints(got, want) {
+			if err != nil || !inmem.SamePoints(got, want) {
 				return false
 			}
 		}

@@ -1,11 +1,11 @@
 package extwindow
 
 import (
-	"sort"
 	"testing"
 	"testing/quick"
 
 	"pathcache/internal/disk"
+	"pathcache/internal/inmem"
 	"pathcache/internal/record"
 	"pathcache/internal/workload"
 )
@@ -18,36 +18,6 @@ func bruteWindow(pts []record.Point, x1, x2, y1, y2 int64) []record.Point {
 		}
 	}
 	return out
-}
-
-func samePoints(a, b []record.Point) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	key := func(p record.Point) [3]int64 { return [3]int64{p.X, p.Y, int64(p.ID)} }
-	as := make([][3]int64, len(a))
-	bs := make([][3]int64, len(b))
-	for i := range a {
-		as[i], bs[i] = key(a[i]), key(b[i])
-	}
-	less := func(s [][3]int64) func(i, j int) bool {
-		return func(i, j int) bool {
-			for k := 0; k < 3; k++ {
-				if s[i][k] != s[j][k] {
-					return s[i][k] < s[j][k]
-				}
-			}
-			return false
-		}
-	}
-	sort.Slice(as, less(as))
-	sort.Slice(bs, less(bs))
-	for i := range as {
-		if as[i] != bs[i] {
-			return false
-		}
-	}
-	return true
 }
 
 func TestEmpty(t *testing.T) {
@@ -96,7 +66,7 @@ func TestQueryMatchesOracle(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := bruteWindow(pts, q.A1, q.A2, q.B, y2)
-			if !samePoints(got, want) {
+			if !inmem.SamePoints(got, want) {
 				t.Fatalf("n=%d window (%d,%d,%d,%d): got %d want %d",
 					n, q.A1, q.A2, q.B, y2, len(got), len(want))
 			}
@@ -126,7 +96,7 @@ func TestDegenerateWindows(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := bruteWindow(pts, c[0], c[1], c[2], c[3]); !samePoints(got, want) {
+		if want := bruteWindow(pts, c[0], c[1], c[2], c[3]); !inmem.SamePoints(got, want) {
 			t.Fatalf("window %v: got %d want %d", c, len(got), len(want))
 		}
 	}
@@ -153,7 +123,7 @@ func TestQueryProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return samePoints(got, bruteWindow(pts, int64(x1), int64(x2), int64(y1), int64(y2)))
+		return inmem.SamePoints(got, bruteWindow(pts, int64(x1), int64(x2), int64(y1), int64(y2)))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

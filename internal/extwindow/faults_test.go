@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"pathcache/internal/disk"
+	"pathcache/internal/inmem"
 	"pathcache/internal/workload"
 )
 
@@ -38,7 +39,7 @@ func TestFaultInjection(t *testing.T) {
 	}
 	fp.SetBudget(1 << 40)
 	got, _, err := tr.Query(10_000, 90_000, 10_000, 90_000)
-	if err != nil || !samePoints(got, want) {
+	if err != nil || !inmem.SamePoints(got, want) {
 		t.Fatalf("results changed after failed queries (err=%v)", err)
 	}
 }
@@ -65,7 +66,7 @@ func TestMetaRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, _, err := re.Query(1000, 9000, 1000, 9000)
-	if err != nil || !samePoints(got, want) {
+	if err != nil || !inmem.SamePoints(got, want) {
 		t.Fatalf("reopened query differs (err=%v)", err)
 	}
 	if _, err := DecodeMeta(blob[:10]); err == nil {

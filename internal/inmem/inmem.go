@@ -11,6 +11,7 @@ package inmem
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"pathcache/internal/record"
@@ -47,6 +48,27 @@ func Stab(ivs []record.Interval, q int64) []record.Interval {
 		}
 	}
 	return out
+}
+
+// SamePoints reports whether a and b hold the same points with the same
+// multiplicities, in any order — how an answer is compared with one of the
+// oracles above. Neither argument is reordered.
+func SamePoints(a, b []record.Point) bool { return sameSorted(a, b, record.CmpXYID) }
+
+// SameIntervals is SamePoints for intervals.
+func SameIntervals(a, b []record.Interval) bool {
+	return sameSorted(a, b, func(x, y record.Interval) int { return record.CmpXYID(x.ToPoint(), y.ToPoint()) })
+}
+
+// sameSorted compares sorted copies of a and b.
+func sameSorted[T comparable](a, b []T, cmp func(T, T) int) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	as, bs := slices.Clone(a), slices.Clone(b)
+	slices.SortFunc(as, cmp)
+	slices.SortFunc(bs, cmp)
+	return slices.Equal(as, bs)
 }
 
 // SortPointsByX sorts points by (X, Y, ID) in place.

@@ -2,56 +2,12 @@ package inmem
 
 import (
 	"math"
-	"sort"
 	"testing"
 	"testing/quick"
 
 	"pathcache/internal/record"
 	"pathcache/internal/workload"
 )
-
-// samePoints compares two point sets ignoring order.
-func samePoints(a, b []record.Point) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	key := func(p record.Point) [3]int64 { return [3]int64{p.X, p.Y, int64(p.ID)} }
-	as := make([][3]int64, len(a))
-	bs := make([][3]int64, len(b))
-	for i := range a {
-		as[i], bs[i] = key(a[i]), key(b[i])
-	}
-	less := func(s [][3]int64) func(i, j int) bool {
-		return func(i, j int) bool {
-			for k := 0; k < 3; k++ {
-				if s[i][k] != s[j][k] {
-					return s[i][k] < s[j][k]
-				}
-			}
-			return false
-		}
-	}
-	sort.Slice(as, less(as))
-	sort.Slice(bs, less(bs))
-	for i := range as {
-		if as[i] != bs[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func sameIntervals(a, b []record.Interval) bool {
-	pa := make([]record.Point, len(a))
-	pb := make([]record.Point, len(b))
-	for i, iv := range a {
-		pa[i] = iv.ToPoint()
-	}
-	for i, iv := range b {
-		pb[i] = iv.ToPoint()
-	}
-	return samePoints(pa, pb)
-}
 
 func TestPSTMatchesBruteForce(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 17, 500} {
@@ -64,14 +20,14 @@ func TestPSTMatchesBruteForce(t *testing.T) {
 		for _, q := range queries {
 			got := pst.TwoSided(q.A, q.B)
 			want := TwoSided(pts, q.A, q.B)
-			if !samePoints(got, want) {
+			if !SamePoints(got, want) {
 				t.Fatalf("n=%d 2-sided (%d,%d): got %d pts want %d", n, q.A, q.B, len(got), len(want))
 			}
 		}
 		for _, q := range workload.ThreeSidedQueries(20, 1000, 0.3, 0.1, 43) {
 			got := pst.ThreeSided(q.A1, q.A2, q.B)
 			want := ThreeSided(pts, q.A1, q.A2, q.B)
-			if !samePoints(got, want) {
+			if !SamePoints(got, want) {
 				t.Fatalf("n=%d 3-sided (%d,%d,%d): got %d want %d", n, q.A1, q.A2, q.B, len(got), len(want))
 			}
 		}
@@ -89,7 +45,7 @@ func TestPSTDuplicateCoordinates(t *testing.T) {
 		for b := int64(-1); b <= 8; b++ {
 			got := pst.TwoSided(a, b)
 			want := TwoSided(pts, a, b)
-			if !samePoints(got, want) {
+			if !SamePoints(got, want) {
 				t.Fatalf("corner (%d,%d): got %d want %d", a, b, len(got), len(want))
 			}
 		}
@@ -103,7 +59,7 @@ func TestPSTProperty(t *testing.T) {
 			pts[i] = record.Point{X: int64(r.X), Y: int64(r.Y), ID: uint64(i + 1)}
 		}
 		pst := NewPST(pts)
-		return samePoints(pst.TwoSided(int64(a), int64(b)), TwoSided(pts, int64(a), int64(b)))
+		return SamePoints(pst.TwoSided(int64(a), int64(b)), TwoSided(pts, int64(a), int64(b)))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
@@ -120,7 +76,7 @@ func TestSegmentTreeMatchesBruteForce(t *testing.T) {
 		for _, q := range workload.StabQueries(50, 1300, 9) {
 			got := st.Stab(q)
 			want := Stab(ivs, q)
-			if !sameIntervals(got, want) {
+			if !SameIntervals(got, want) {
 				t.Fatalf("n=%d stab %d: got %d want %d", n, q, len(got), len(want))
 			}
 		}
@@ -203,7 +159,7 @@ func TestIntervalTreeMatchesBruteForce(t *testing.T) {
 		for _, q := range workload.StabQueries(50, 1300, 11) {
 			got := it.Stab(q)
 			want := Stab(ivs, q)
-			if !sameIntervals(got, want) {
+			if !SameIntervals(got, want) {
 				t.Fatalf("n=%d stab %d: got %d want %d", n, q, len(got), len(want))
 			}
 		}
@@ -216,10 +172,10 @@ func TestIntervalTreeNested(t *testing.T) {
 	st := NewSegmentTree(ivs)
 	for _, q := range workload.StabQueries(100, 1_000_000, 13) {
 		want := Stab(ivs, q)
-		if got := it.Stab(q); !sameIntervals(got, want) {
+		if got := it.Stab(q); !SameIntervals(got, want) {
 			t.Fatalf("interval tree stab %d: got %d want %d", q, len(got), len(want))
 		}
-		if got := st.Stab(q); !sameIntervals(got, want) {
+		if got := st.Stab(q); !SameIntervals(got, want) {
 			t.Fatalf("segment tree stab %d: got %d want %d", q, len(got), len(want))
 		}
 	}
@@ -232,7 +188,7 @@ func TestIntervalTreeProperty(t *testing.T) {
 			ivs[i] = record.Interval{Lo: int64(r.Lo), Hi: int64(r.Lo) + int64(r.Len), ID: uint64(i + 1)}
 		}
 		it := NewIntervalTree(ivs)
-		return sameIntervals(it.Stab(int64(q)), Stab(ivs, int64(q)))
+		return SameIntervals(it.Stab(int64(q)), Stab(ivs, int64(q)))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
@@ -246,7 +202,7 @@ func TestSegmentTreeProperty(t *testing.T) {
 			ivs[i] = record.Interval{Lo: int64(r.Lo), Hi: int64(r.Lo) + int64(r.Len), ID: uint64(i + 1)}
 		}
 		st := NewSegmentTree(ivs)
-		return sameIntervals(st.Stab(int64(q)), Stab(ivs, int64(q)))
+		return SameIntervals(st.Stab(int64(q)), Stab(ivs, int64(q)))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

@@ -73,7 +73,7 @@ func TestReadersPassParkedFsync(t *testing.T) {
 	defer g.open()
 	cfg := v.config()
 	cfg.Sync = func() error { g.wait(); return nil }
-	tr, err := New(cfg)
+	tr, err := New(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,7 +29,7 @@ func newVolatile(t *testing.T, kind byte, pageSize, flushEvery int) (*volatileTr
 		t.Fatalf("BaseFor(%d): %v", kind, err)
 	}
 	v := &volatileTree{store: disk.MustStore(pageSize), base: base, fe: flushEvery}
-	tr, err := New(v.config())
+	tr, err := New(v.config(), nil)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}

@@ -107,9 +107,13 @@ func lsmConfig(be *engine.Backend, base lsm.Base, flushEvery int) lsm.Config {
 
 // BuildDynamic creates a dynamic index over the given base kind and seeds
 // it with pts — for interval bases, the diagonal-corner encodings
-// (X = -Lo, Y = Hi; see IntervalToDynamicPoint). Records must be unique by
-// their full (X, Y, ID) triple; that triple is also the identity Delete
-// matches on. An empty pts is fine: the index starts empty.
+// (X = -Lo, Y = Hi; see IntervalToDynamicPoint). The seed is built like a
+// static index: sorted once and sealed into the first level, with one
+// manifest commit and no WAL traffic, so a crash before that commit
+// reopens as ErrNoIndex, never as part of the seed. Records must be unique
+// by their full (X, Y, ID) triple, the identity Delete matches on; a seed
+// holding a record twice is refused with an error naming it. An empty pts
+// is fine: the index starts empty.
 func BuildDynamic(base string, pts []Point, opts *Options) (*LSMIndex, error) {
 	b, err := lsmBaseFor(base)
 	if err != nil {
@@ -126,20 +130,8 @@ func BuildDynamic(base string, pts []Point, opts *Options) (*LSMIndex, error) {
 	var tr *lsm.Tree
 	err = c.recordBuild(lsmKindName, func() (int, error) {
 		var err error
-		if tr, err = lsm.New(lsmConfig(c.be, b, flushEvery)); err != nil {
-			return 0, err
-		}
-		for _, p := range pts {
-			if err := tr.Insert(c.be.Pager(), toRec(p)); err != nil {
-				return 0, err
-			}
-		}
-		if len(pts) > 0 {
-			if _, err := tr.Flush(c.be.Pager()); err != nil {
-				return 0, err
-			}
-		}
-		return len(pts), nil
+		tr, err = lsm.New(lsmConfig(c.be, b, flushEvery), toRecPoints(pts))
+		return len(pts), err
 	})
 	if err != nil {
 		c.be.Close()

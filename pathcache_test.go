@@ -1,7 +1,9 @@
 package pathcache
 
 import (
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"pathcache/internal/workload"
@@ -480,5 +482,29 @@ func TestDynamicBulkLoad(t *testing.T) {
 		if !sameSet(got3, brute(ShapeTwoSided, pts, [4]int64{q.A, q.B})) {
 			t.Fatalf("bulk 3-sided query mismatch at (%d,%d)", q.A, q.B)
 		}
+	}
+}
+
+// TestBuildDynamicRefusesDuplicate pins the seed's uniqueness contract: a
+// record given twice by its full (X, Y, ID) triple is refused with an
+// error naming it, rather than counted twice by Len and answered once.
+func TestBuildDynamicRefusesDuplicate(t *testing.T) {
+	p, q := Point{X: 1, Y: 2, ID: 3}, Point{X: 4, Y: 5, ID: 6}
+	ix, err := BuildDynamic("twosided", []Point{p, p, q}, nil)
+	if err == nil {
+		defer ix.Close()
+		t.Fatalf("BuildDynamic with %v twice succeeded (Len %d)", p, ix.Len())
+	}
+	if !strings.Contains(err.Error(), "(1,2)#3") {
+		t.Fatalf("err = %v, want it to name the record (1,2)#3", err)
+	}
+	ix, err = BuildDynamic("twosided", []Point{p, {X: 1, Y: 2, ID: 4}, q}, nil)
+	if err != nil {
+		t.Fatalf("same X and Y under distinct IDs: %v", err)
+	}
+	defer ix.Close()
+	got, _, err := ix.Query(math.MinInt64, math.MinInt64)
+	if err != nil || len(got) != 3 || ix.Len() != 3 {
+		t.Fatalf("full query = %d records (err %v), Len %d; want 3 and 3", len(got), err, ix.Len())
 	}
 }
