@@ -89,6 +89,23 @@ func TestMultichecker(t *testing.T) {
 		})
 	}
 
+	// A directive that excuses no finding fails the run like a finding.
+	t.Run("FixtureFails/unusedallow", func(t *testing.T) {
+		fixture := filepath.Join("internal", "analysis", "testdata", "src", "unusedallow_bad")
+		cmd := exec.Command(bin, fixture)
+		cmd.Dir = root
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		ee, ok := err.(*exec.ExitError)
+		if !ok || ee.ExitCode() != 2 {
+			t.Fatalf("pcvet %s: want exit 2, got %v\nstderr:\n%s", fixture, err, stderr.String())
+		}
+		if want := "bad.go:22:2: [pcvet] pcvet:allow lockheldio(s.mu.Lock) suppresses no finding"; !strings.Contains(stderr.String(), want) {
+			t.Errorf("stderr missing %q:\n%s", want, stderr.String())
+		}
+	})
+
 	t.Run("RepoTreeClean", func(t *testing.T) {
 		cmd := exec.Command(bin, "./...")
 		cmd.Dir = root

@@ -23,7 +23,9 @@
 //
 // so the same line taking a different lock set — an exclusive Lock where
 // the directive names RLock — is reported again. A bare directive for such
-// an analyzer is malformed.
+// an analyzer is malformed, and a directive that excuses no finding of an
+// analyzer that ran is itself reported, so a suppression cannot outlive
+// the code it was written for.
 package analysis
 
 import (
@@ -32,6 +34,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -108,7 +111,9 @@ func (p *Pass) ReportQualifiedf(pos token.Pos, qualifier string, format string, 
 
 // Run executes the analyzers on pkg and returns the surviving diagnostics
 // sorted by position: findings on lines covered by a matching
-// //pcvet:allow directive are dropped, and malformed directives are reported.
+// //pcvet:allow directive are dropped, and malformed directives are
+// reported, as is every directive that names one of analyzers yet excused
+// none of its findings.
 func Run(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	dirs, bad := directives(pkg.Fset, pkg.Syntax, analyzers)
 
@@ -138,7 +143,13 @@ func Run(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 			return out, fmt.Errorf("analyzer %s on %s: %w", a.Name, pkg.Pkg.Path(), err)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Pos < out[j].Pos })
+	out = append(out, dirs.unused(analyzers)...)
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Pos != out[j].Pos {
+			return out[i].Pos < out[j].Pos
+		}
+		return out[i].Message < out[j].Message
+	})
 	return out, nil
 }
 
@@ -151,7 +162,15 @@ type directiveKey struct {
 	qualifier string
 }
 
-type directiveSet map[directiveKey]bool
+// directive is one allow of a //pcvet:allow comment: where the comment
+// sits, and whether it has excused a finding yet.
+type directive struct {
+	pos   token.Pos
+	allow Allow
+	used  bool
+}
+
+type directiveSet map[directiveKey]*directive
 
 // DirectivePrefix introduces a suppression comment.
 const DirectivePrefix = "//pcvet:allow"
@@ -268,7 +287,7 @@ func directives(fset *token.FileSet, files []*ast.File, known []*Analyzer) (dire
 				}
 				pos := fset.Position(c.Pos())
 				for _, a := range allows {
-					set[directiveKey{pos.Filename, pos.Line, a.Name, a.Qualifier}] = true
+					set[directiveKey{pos.Filename, pos.Line, a.Name, a.Qualifier}] = &directive{pos: c.Pos(), allow: a}
 				}
 			}
 		}
@@ -277,11 +296,32 @@ func directives(fset *token.FileSet, files []*ast.File, known []*Analyzer) (dire
 }
 
 // allows reports whether d is covered by a directive naming its analyzer
-// and qualifier on its line or the line directly above.
+// and qualifier on its line or the line directly above, and marks that
+// directive used.
 func (s directiveSet) allows(fset *token.FileSet, d Diagnostic) bool {
 	pos := fset.Position(d.Pos)
-	return s[directiveKey{pos.Filename, pos.Line, d.Analyzer, d.Qualifier}] ||
-		s[directiveKey{pos.Filename, pos.Line - 1, d.Analyzer, d.Qualifier}]
+	for _, line := range []int{pos.Line, pos.Line - 1} {
+		if dir := s[directiveKey{pos.Filename, line, d.Analyzer, d.Qualifier}]; dir != nil {
+			dir.used = true
+			return true
+		}
+	}
+	return false
+}
+
+// unused reports every directive naming one of ran that excused no
+// finding. Directives for analyzers that did not run on the package are
+// left alone: the caller chooses which analyzers run on which package.
+func (s directiveSet) unused(ran []*Analyzer) []Diagnostic {
+	var out []Diagnostic
+	for _, dir := range s {
+		if dir.used || !slices.ContainsFunc(ran, func(a *Analyzer) bool { return a.Name == dir.allow.Name }) {
+			continue
+		}
+		out = append(out, Diagnostic{Pos: dir.pos, Analyzer: "pcvet",
+			Message: fmt.Sprintf("pcvet:allow %s suppresses no finding: delete it, or move it to the line it excuses", dir.allow)})
+	}
+	return out
 }
 
 // ---- shared type-level helpers used by several analyzers ----

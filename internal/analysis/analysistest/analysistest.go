@@ -8,6 +8,11 @@
 //	sink = rec // want `aliases a reused page buffer`
 //	_ = p.store.Write(id, buf) // want "dropped" "second finding"
 //
+// A //pcvet:allow directive fills its whole line comment, so a finding
+// reported at the directive itself is expected by a want trailing it:
+//
+//	//pcvet:allow lockheldio(mu.RLock) -- reason // want `suppresses no finding`
+//
 // Every want must be matched by a diagnostic on its line and every
 // diagnostic must be matched by a want, or the test fails.
 package analysistest
@@ -81,9 +86,13 @@ func collectWants(pkg *analysis.Package) ([]want, error) {
 			for _, c := range cg.List {
 				text, found := strings.CutPrefix(c.Text, "// want ")
 				if !found {
-					if text, found = strings.CutPrefix(c.Text, "//want "); !found {
-						continue
-					}
+					text, found = strings.CutPrefix(c.Text, "//want ")
+				}
+				if !found && strings.HasPrefix(c.Text, analysis.DirectivePrefix) {
+					_, text, found = strings.Cut(c.Text, " // want ")
+				}
+				if !found {
+					continue
 				}
 				pos := pkg.Fset.Position(c.Pos())
 				quoted := wantRx.FindAllString(text, -1)

@@ -17,7 +17,10 @@
 // The analysis is intra-procedural with one package-local extension: a
 // function in the analyzed package that (transitively) performs pager I/O
 // taints its callers, so `sh.mu.Lock(); p.insert(...)` is flagged even
-// though the Write happens two frames down.
+// though the Write happens two frames down. A call through an interface
+// method that takes a disk.Pager (the write tier's level.AppendQuery(p,
+// ...)) counts as pager I/O: its body cannot be seen, and it is handed the
+// pager to use.
 package lockheldio
 
 import (
@@ -41,7 +44,8 @@ func run(pass *analysis.Pass) error {
 	// The package-local taint closure: functions whose bodies transitively
 	// perform pager I/O, via the shared call-graph summary layer.
 	tainted := analysis.NewCallGraph(pass.TypesInfo, pass.Files).Taint(func(call *ast.CallExpr) bool {
-		return analysis.IsPagerIO(analysis.CalleeOf(pass.TypesInfo, call)) || isFsync(pass.TypesInfo, call)
+		callee := analysis.CalleeOf(pass.TypesInfo, call)
+		return analysis.IsPagerIO(callee) || takesPager(callee) || isFsync(pass.TypesInfo, call)
 	})
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
@@ -264,6 +268,10 @@ func (w *lockWalker) expr(e ast.Expr, held lockSet) {
 				w.pass.ReportQualifiedf(n.Pos(), set,
 					"%s performs pager I/O while %s: a blocked page transfer serializes every access to this lock (and re-entering the pool self-deadlocks); release the lock first or justify with %s",
 					calleeName(callee), held.describe(), allow)
+			case takesPager(callee):
+				w.pass.ReportQualifiedf(n.Pos(), set,
+					"%s is an interface method handed a disk.Pager, so it can perform pager I/O, while %s; release the lock around the I/O or justify with %s",
+					calleeName(callee), held.describe(), allow)
 			case isFsync(w.pass.TypesInfo, n):
 				w.pass.ReportQualifiedf(n.Pos(), set,
 					"%s fsyncs while %s: every access to this lock waits out the device flush; release the lock first or justify with %s",
@@ -276,6 +284,26 @@ func (w *lockWalker) expr(e ast.Expr, held lockSet) {
 		}
 		return true
 	})
+}
+
+// takesPager reports an interface method with a disk.Pager parameter. The
+// type checker cannot resolve the implementation, so the call is taken to
+// do what its pager parameter is for.
+func takesPager(fn *types.Func) bool {
+	if fn == nil {
+		return false
+	}
+	sig, ok := fn.Type().(*types.Signature)
+	if !ok || sig.Recv() == nil || !types.IsInterface(sig.Recv().Type()) {
+		return false
+	}
+	for i := 0; i < sig.Params().Len(); i++ {
+		named, ok := sig.Params().At(i).Type().(*types.Named)
+		if ok && named.Obj().Name() == "Pager" && analysis.PkgIs(named.Obj().Pkg(), "internal/disk") {
+			return true
+		}
+	}
+	return false
 }
 
 // isFsync reports a call through a func-valued field named Sync: the

@@ -1,8 +1,8 @@
 // Package lockheldio_bad holds shard mutexes across pager I/O in every way
 // the lockheldio analyzer models: direct Pager calls, package-local helpers
-// that transitively reach the pager, deferred I/O, read locks, an fsync
-// through a func-valued config hook, and an allow naming a lock set the
-// code no longer takes.
+// that transitively reach the pager, interface methods handed the pager,
+// deferred I/O, read locks, an fsync through a func-valued config hook,
+// and an allow naming a lock set the code no longer takes.
 package lockheldio_bad
 
 import (
@@ -86,10 +86,52 @@ func (w *wal) ack() error {
 }
 
 // promoted carries an allow written when it took the read side: the
-// exclusive lock it takes now is not the set the directive excuses.
+// exclusive lock it takes now is not the set the directive excuses, so
+// the finding stands and the directive, excusing nothing, is one too.
 func (t *table) promoted(id disk.PageID, buf []byte) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	//pcvet:allow lockheldio(t.mu.RLock) -- written when this was a read-side lookup
+	//pcvet:allow lockheldio(t.mu.RLock) -- written when this was a read-side lookup // want `pcvet:allow lockheldio\(t\.mu\.RLock\) suppresses no finding`
 	return t.pager.Read(id, buf) // want `Pager\.Read performs pager I/O while t\.mu\.Lock is held`
+}
+
+// level is a structure the analyzer cannot see into: it is handed the
+// pager, so it is taken to read through it.
+type level interface {
+	Len() int
+	Query(p disk.Pager, a int64) ([]int64, error)
+}
+
+type tier struct {
+	mu     sync.RWMutex
+	levels []level
+}
+
+// queryHeld reads every level while holding the version exclusively.
+func (t *tier) queryHeld(p disk.Pager, a int64) error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, lv := range t.levels {
+		if _, err := lv.Query(p, a); err != nil { // want `level\.Query is an interface method handed a disk\.Pager, so it can perform pager I/O, while t\.mu\.Lock is held`
+			return err
+		}
+	}
+	return nil
+}
+
+// answer reaches the levels through a helper, which the interface call
+// taints.
+func (t *tier) answer(p disk.Pager, a int64) error {
+	for _, lv := range t.levels {
+		if _, err := lv.Query(p, a); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (t *tier) answerHeld(p disk.Pager, a int64) error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.answer(p, a) // want `call to tier\.answer, which performs pager I/O or an fsync, while t\.mu\.Lock is held`
 }

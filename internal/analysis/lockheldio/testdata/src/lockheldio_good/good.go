@@ -85,3 +85,26 @@ func (s *shard) branchRelease(id disk.PageID, buf []byte, hot bool) error {
 	s.mu.Unlock()
 	return s.pager.Read(id, buf)
 }
+
+// level is a structure handed the pager for its reads; its other methods
+// do no I/O.
+type level interface {
+	Len() int
+	Query(p disk.Pager, a int64) ([]int64, error)
+}
+
+type tier struct {
+	mu     sync.RWMutex
+	levels []level
+}
+
+// size calls only pager-free interface methods under the lock.
+func (t *tier) size() int {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	n := 0
+	for _, lv := range t.levels {
+		n += lv.Len()
+	}
+	return n
+}

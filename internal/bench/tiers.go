@@ -42,9 +42,8 @@ func (c Config) tierNs() []int {
 // At n = 100,000 the churn measures 1.01 WAL, 0.21 flush and 2.36
 // compaction transfers per update; the rebuild term is the one that
 // dominates. The query columns are reads per query against the
-// dynamization bound at the tree's actual level count and tombstone
-// footprint (obs.LSMBoundAt), the formula the StrictBounds sentinels
-// enforce at runtime.
+// dynamization bound at the tree's actual level count (obs.LSMBoundAt),
+// the formula the StrictBounds sentinels enforce at runtime.
 func RunL1(cfg Config) (*Table, error) {
 	const (
 		flushEvery   = 256
@@ -120,8 +119,8 @@ func RunL1(cfg Config) (*Table, error) {
 			8*float64(log2((tr.Len()+flushEvery-1)/flushEvery))/float64(b) +
 			deleteTenths/10.0*rebuild/float64(tr.TombCap())
 
-		// Every level answers, plus the tombstone chain: the dynamization
-		// tax the bound declares.
+		// Every level answers: the dynamization tax the bound declares.
+		// Tombstones filter from memory and cost no page reads.
 		qs := workload.TwoSidedQueries(cfg.queries(), 1<<30, 0.01, cfg.seed()+1)
 		var reads, results int64
 		for _, q := range qs {
@@ -135,7 +134,7 @@ func RunL1(cfg Config) (*Table, error) {
 		}
 		qn := float64(len(qs))
 		avgT := float64(results) / qn
-		qBound := obs.LSMBoundAt(tr.Levels(), tr.TombPages(), tr.Len(), b, 0) + avgT/float64(b)
+		qBound := obs.LSMBoundAt(tr.Levels(), tr.Len(), b, 0) + avgT/float64(b)
 		tab.addf("%d\t%d\t%.2f\t%.2f\t%.2f\t%d\t%.0f\t%.1f\t%.1f\t%.2f\t%d",
 			n, updates, updIO, updBound, updIO/updBound,
 			tr.Len(), avgT, float64(reads)/qn, qBound, float64(reads)/qn/qBound, s.NumPages())

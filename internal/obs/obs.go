@@ -76,26 +76,24 @@ func RangeTreeBound(n, b, t int) float64 {
 }
 
 // LSMBound is the write tier's query bound: O(log(n/B)) occupied levels
-// each paying one static search, plus the tombstone-chain scan and the
-// output term — O(log(n/B)·bound_static + t/B). This form is the registry's
-// static worst-case estimate; the write tier records each operation against
-// LSMBoundAt with its actual level count and tombstone-chain length.
+// each paying one static search, plus the output term —
+// O(log(n/B)·bound_static + t/B). Tombstones and the memtable are in
+// memory, so they add no page reads. This form is the registry's static
+// worst-case estimate; the write tier records each operation against
+// LSMBoundAt with its actual level count.
 func LSMBound(n, b, t int) float64 {
 	if b < 1 {
 		b = 1
 	}
-	levels := PathLen((n+b-1)/b, 2)
-	// Tombstones are capped at b·PathLen(n, b) (the write tier's compaction
-	// trigger), hence PathLen(n, b)+1 chain pages.
-	return LSMBoundAt(levels, PathLen(n, b)+1, n, b, t)
+	return LSMBoundAt(PathLen((n+b-1)/b, 2), n, b, t)
 }
 
-// LSMBoundAt is LSMBound evaluated at a known level count and tombstone
-// chain length. The per-level search term PathLen(⌈n/b⌉, 2)+2 dominates
-// every base kind's own search term (PathLen(n, b) for the path-cached
-// structures, PathLen(⌈n/b⌉, 2) for the range tree), and the output term
-// is paid once — the t results are partitioned across levels.
-func LSMBoundAt(levels, tombPages, n, b, t int) float64 {
+// LSMBoundAt is LSMBound evaluated at a known level count. The per-level
+// search term PathLen(⌈n/b⌉, 2)+2 dominates every base kind's own search
+// term (PathLen(n, b) for the path-cached structures, PathLen(⌈n/b⌉, 2)
+// for the range tree), and the output term is paid once — the t results
+// are partitioned across levels.
+func LSMBoundAt(levels, n, b, t int) float64 {
 	if levels < 1 {
 		levels = 1
 	}
@@ -103,7 +101,7 @@ func LSMBoundAt(levels, tombPages, n, b, t int) float64 {
 		b = 1
 	}
 	per := float64(PathLen((n+b-1)/b, 2)) + 2
-	return float64(levels)*per + float64(tombPages) + 2 + outputTerm(t, b)
+	return float64(levels)*per + 2 + outputTerm(t, b)
 }
 
 // PathLen is ⌈log_base n⌉ + 1 for n ≥ 1, and 1 below: the nodes on a

@@ -51,18 +51,21 @@ type LSMLevel struct {
 // MemtableEntries updates the memtable is sealed into a static level built
 // with the base kind's builder, cascading a Bentley–Saxe merge; deletes
 // tombstone; tombstones reaching B·(⌈log_B n⌉+1) (obs.PathLen) trigger a
-// compaction rebuilding one tombstone-free level. A double-buffered
+// compaction rebuilding one tombstone-free level. Tombstones are held in
+// memory, with a chain on disk as their durable copy read only at open,
+// so the cap bounds memory, not query reads. A double-buffered
 // manifest makes every flush and compaction atomic: a crash at any I/O
 // point recovers the previous committed state plus a WAL replay of every
 // acknowledged update.
 //
-// Queries pay the dynamization tax — every level answers — giving
-// O(log(n/B)·bound_static + t/B) page reads, the declared bound the strict
-// sentinels enforce at the version each query ran on. Queries may run
-// concurrently with each other and with updates, and never wait for an
-// update's fsync, a flush's or compaction's level build, or a manifest
-// commit: they read the last published version until the writer swaps in
-// the next. Updates, flushes and compactions are serialized internally.
+// Queries pay the dynamization tax — every level answers, and nothing
+// else is read — giving O(log(n/B)·bound_static + t/B) page reads, the
+// declared bound the strict sentinels enforce at the version each query
+// ran on. Queries may run concurrently with each other and with updates,
+// and never wait for an update's fsync, a flush's or compaction's level
+// build, or a manifest commit: they read the last published version until
+// the writer swaps in the next. Updates, flushes and compactions are
+// serialized internally.
 //
 // The base kind decides the query shape, which Shape reports: point bases
 // ("twosided", "threeside", "window") answer Query, interval bases
@@ -176,11 +179,11 @@ func DynamicPointToInterval(p Point) Interval { return pointToInterval(p) }
 
 // versionStats is the accounting of one read that returned results
 // records from version v through p: the dynamization bound at the level
-// count, tombstone chain and size the read actually ran on, rather than
-// the registry's worst-case estimate or a shape read before the read took
-// the tree's lock.
+// count and size the read actually ran on, rather than the registry's
+// worst-case estimate or a shape read before the read took the tree's
+// lock.
 func versionStats(p disk.Pager, v lsm.Version, results int) skeletal.QueryStats {
-	return skeletal.QueryStats{Bound: obs.LSMBoundAt(v.Levels, v.TombPages, v.N, B(p.PageSize()), results)}
+	return skeletal.QueryStats{Bound: obs.LSMBoundAt(v.Levels, v.N, B(p.PageSize()), results)}
 }
 
 // Insert adds a record: one durable WAL append, then any flush or

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"pathcache/internal/disk"
+	"pathcache/internal/obs"
 )
 
 // These tests pin the public observability surface: Metrics() snapshots,
@@ -345,41 +346,56 @@ func (f *flushOnQuery) OpStart(op TraceOp) {
 func (f *flushOnQuery) OpEnd(TraceEvent) {}
 
 // TestLSMBoundAtRunVersion commits a flush between a query's spec and its
-// run. The flush turns 800 memtable deletes into an 80-page tombstone
-// chain the query must scan; strict mode must check the query against the
-// version it ran on — with that chain — not the tombstone-free shape read
-// before the flush, which would report a false breach.
+// run. A first flush merges the seed's level into slot 1, so the injected
+// flush seals the memtable's inserts into the empty slot 0 and the query
+// runs on two levels where the shape before it had one. Its bound must be
+// the dynamization bound at the version it ran on — two levels — not at
+// the one-level shape read before the flush.
 func TestLSMBoundAtRunVersion(t *testing.T) {
+	const pageSize = 256
 	pts := make([]Point, 2000)
 	for i := range pts {
 		pts[i] = Point{X: int64(i), Y: int64(2000 - i), ID: uint64(i)}
 	}
 	tr := &flushOnQuery{}
-	ix, err := BuildDynamic("twosided", pts, &Options{PageSize: 256, MemtableEntries: 1000, StrictBounds: true, Tracer: tr})
+	ix, err := BuildDynamic("twosided", pts, &Options{PageSize: pageSize, MemtableEntries: 1000, StrictBounds: true, Tracer: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
 	tr.ix = ix
-	for _, p := range pts[:800] {
-		if _, err := ix.Delete(p); err != nil {
-			t.Fatalf("Delete: %v", err)
+	insert := func(x0 int64) {
+		t.Helper()
+		for i := int64(0); i < 5; i++ {
+			if _, err := ix.Insert(Point{X: x0 + i, Y: 5, ID: uint64(x0 + i)}); err != nil {
+				t.Fatalf("Insert: %v", err)
+			}
 		}
 	}
-	if ix.TombCount() != 0 || ix.MemtableLen() != 800 {
-		t.Fatalf("setup: %d tombstones, %d memtable entries; want 0 and 800", ix.TombCount(), ix.MemtableLen())
+	insert(3000)
+	if err := ix.Flush(); err != nil {
+		t.Fatalf("Flush: %v", err)
+	}
+	insert(4000)
+	if lv := ix.Levels(); len(lv) != 1 || lv[0].Slot != 1 || ix.MemtableLen() != 5 {
+		t.Fatalf("setup: levels %+v and %d memtable entries; want one level at slot 1 and 5", lv, ix.MemtableLen())
 	}
 	tr.armed.Store(true)
 	out, prof, err := ix.Query(1990, 0)
 	if tr.err != nil {
 		t.Fatalf("Flush inside the query's OpStart: %v", tr.err)
 	}
-	if ix.TombCount() != 800 {
-		t.Fatalf("the flush left %d tombstones, want 800", ix.TombCount())
-	}
 	if err != nil {
 		t.Fatalf("query after a flush landed between its spec and its run: %v", err)
 	}
-	if len(out) != 10 || prof.Reads <= 80 {
-		t.Fatalf("query returned %d records in %d reads; want 10 records and the 80-page tombstone scan", len(out), prof.Reads)
+	if lv := ix.Levels(); len(lv) != 2 || ix.MemtableLen() != 0 {
+		t.Fatalf("the flush left levels %+v and %d memtable entries; want two levels and none", lv, ix.MemtableLen())
+	}
+	if len(out) != 20 {
+		t.Fatalf("query returned %d records, want 20", len(out))
+	}
+	ran := obs.LSMBoundAt(2, ix.Len(), B(pageSize), len(out))
+	before := obs.LSMBoundAt(1, ix.Len(), B(pageSize), len(out))
+	if prof.Bound != ran || ran == before {
+		t.Fatalf("query bound %.2f; want %.2f, the bound at the two levels it ran on (the one-level shape before the flush gives %.2f)", prof.Bound, ran, before)
 	}
 }
