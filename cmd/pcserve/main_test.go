@@ -115,6 +115,16 @@ func TestServeSmokeAndSignals(t *testing.T) {
 	if status, m := query(0, 0); status != 200 || m["count"].(float64) != 100 {
 		t.Fatalf("query = %d %v, want 200/count 100", status, m)
 	}
+	// pcserve serves through a buffer pool, and a reload reopens with it:
+	// a repeated query is all cache hits.
+	warm := func() {
+		t.Helper()
+		_, m := query(0, 0)
+		if io, ok := m["io"].(map[string]any); !ok || io["reads"].(float64) != 0 || io["cache_hits"].(float64) == 0 {
+			t.Fatalf("repeated query = %v, want 0 reads and some cache hits", m)
+		}
+	}
+	warm()
 
 	// SIGHUP hot reload: swap a 250-point index under the same path.
 	buildIndex(t, path, 250)
@@ -132,6 +142,7 @@ func TestServeSmokeAndSignals(t *testing.T) {
 	if !reloaded {
 		t.Fatalf("SIGHUP did not install the rebuilt index")
 	}
+	warm()
 
 	// SIGTERM drains: run returns nil and reports the drain.
 	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {

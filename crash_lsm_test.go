@@ -137,21 +137,50 @@ func lsmCrashBases() []lsmCrashBase {
 	}
 }
 
-// buildLSMCrash builds over f from the script's seed inserts and replays
-// the rest through the public write path, reporting how many ops after the
-// build were acknowledged before the first error, or -1 when the build
-// itself failed. A nil error means the whole script ran and the index
-// closed cleanly.
-func buildLSMCrash(f disk.File, base string, ps int, script []lsmOp) (acked int, err error) {
-	seed := make([]Point, lsmCrashSeed)
-	for i, o := range script[:lsmCrashSeed] {
+// lsmSweep is one crash sweep of the write tier: a base kind, the script
+// whose first seed inserts seed the build, and the buffer pool the run
+// writes through (0 for none). A pool small enough to evict during a level
+// build moves write-backs into the middle of flushes and compactions,
+// where an eviction is the first write of a page the next manifest names.
+type lsmSweep struct {
+	b      lsmCrashBase
+	page   int
+	pool   int
+	seed   int
+	script []lsmOp
+}
+
+// lsmChecked is what the post-crash battery reads: an lsm index file or a
+// sharded store of them.
+type lsmChecked interface {
+	Index
+	Has(p Point) (bool, IOProfile, error)
+}
+
+// name is the sweep's subtest name: the base kind, then the pool size.
+func (s lsmSweep) name() string {
+	if s.pool == 0 {
+		return s.b.name
+	}
+	return fmt.Sprintf("%s-pool%d", s.b.name, s.pool)
+}
+
+// build builds over f from the script's seed inserts and replays the rest
+// through the public write path, reporting how many ops after the build
+// were acknowledged before the first error, or -1 when the build itself
+// failed, and how many frames the pool evicted. A nil error means the
+// whole script ran and the index closed cleanly.
+func (s lsmSweep) build(f disk.File) (acked int, evictions int64, err error) {
+	seed := make([]Point, s.seed)
+	for i, o := range s.script[:s.seed] {
 		seed[i] = o.pt
 	}
-	ix, err := BuildDynamic(base, seed, &Options{PageSize: ps, MemtableEntries: 4, testFile: f})
+	ix, err := BuildDynamic(s.b.name, seed, &Options{PageSize: s.page, MemtableEntries: 4, BufferPoolPages: s.pool, testFile: f})
 	if err != nil {
-		return -1, err
+		return -1, 0, err
 	}
-	for _, o := range script[lsmCrashSeed:] {
+	defer func() { evictions = ix.Stats().Evictions }()
+	for _, o := range s.script[s.seed:] {
 		switch o.op {
 		case "insert":
 			_, err = ix.Insert(o.pt)
@@ -163,16 +192,16 @@ func buildLSMCrash(f disk.File, base string, ps int, script []lsmOp) (acked int,
 			err = ix.Compact()
 		}
 		if err != nil {
-			return acked, err
+			return acked, 0, err
 		}
 		acked++
 	}
-	return acked, ix.Close()
+	return acked, 0, ix.Close()
 }
 
 // checkLSMState verifies the reopened index matches one candidate live set
 // exactly: live count, per-record Has, and the base's query batteries.
-func checkLSMState(ix *LSMIndex, b lsmCrashBase, script []lsmOp, live []Point) error {
+func checkLSMState(ix lsmChecked, b lsmCrashBase, script []lsmOp, live []Point) error {
 	if ix.Len() != len(live) {
 		return fmt.Errorf("Len = %d, want %d", ix.Len(), len(live))
 	}
@@ -202,16 +231,17 @@ func checkLSMState(ix *LSMIndex, b lsmCrashBase, script []lsmOp, live []Point) e
 	return nil
 }
 
-// checkLSMCrash reopens the surviving image and classifies the outcome.
-// acked counts the ops acknowledged after the build, -1 when the build was
-// cut. A cut build commits nothing or everything: the open fails with
+// check opens the surviving image and classifies the outcome; others are
+// the records the store holds beside the swept file (other shards'). acked
+// counts the ops acknowledged after the build, -1 when the build was cut.
+// A cut build commits nothing or everything: the open fails with
 // ErrNoIndex or ErrCorrupt, or holds exactly the seed. After the build a
 // successful open must match the model after acked ops or after acked+1
 // (the in-flight op's WAL append may have landed before the kill), a failed
 // open or a query hitting a torn page must wrap ErrCorrupt, and ErrNoIndex
 // is a lost commit.
-func checkLSMCrash(path string, b lsmCrashBase, script []lsmOp, acked int) error {
-	ix, err := OpenDynamic(path)
+func (s lsmSweep) check(open func() (lsmChecked, error), others []Point, acked int) error {
+	ix, err := open()
 	if err != nil {
 		if acked >= 0 && errors.Is(err, ErrNoIndex) {
 			return fmt.Errorf("the build was acknowledged but the image holds no index: %v", err)
@@ -219,106 +249,116 @@ func checkLSMCrash(path string, b lsmCrashBase, script []lsmOp, acked int) error
 		return err
 	}
 	defer ix.Close()
-	done := lsmCrashSeed + max(acked, 0)
-	err = checkLSMState(ix, b, script, lsmModel(script, done))
+	model := func(n int) []Point { return append(lsmModel(s.script, n), others...) }
+	done := s.seed + max(acked, 0)
+	err = checkLSMState(ix, s.b, s.script, model(done))
 	if err == nil || errors.Is(err, disk.ErrCorrupt) {
 		return err
 	}
 	if acked < 0 {
 		return fmt.Errorf("cut build holds neither nothing nor the whole seed: %w", err)
 	}
-	if done < len(script) {
-		if err2 := checkLSMState(ix, b, script, lsmModel(script, done+1)); err2 == nil || errors.Is(err2, disk.ErrCorrupt) {
+	if done < len(s.script) {
+		if err2 := checkLSMState(ix, s.b, s.script, model(done+1)); err2 == nil || errors.Is(err2, disk.ErrCorrupt) {
 			return err2
 		}
 	}
 	return fmt.Errorf("matches neither acked=%d nor acked+1 state: %w", acked, err)
 }
 
+// run kills the sweep's build and script at every write I/O point (with
+// torn-write variants). place installs each surviving file image where the
+// store expects it and returns its opener; others are the records the rest
+// of that store holds. Every outcome must be exact recovery or a typed
+// failure, and every kind of outcome must occur.
+func (s lsmSweep) run(t *testing.T, others []Point, place func(image []byte) func() (lsmChecked, error)) {
+	// Instrumentation pass: a healthy run to count kill points and prove
+	// the battery passes on the intact image (including the WAL replay its
+	// unflushed tail forces).
+	mem := disk.NewMemFile()
+	count := disk.NewCrashFile(mem, -1, 0)
+	acked, evictions, err := s.build(count)
+	if err != nil {
+		t.Fatalf("instrumentation run: %v", err)
+	}
+	if acked != len(s.script)-s.seed {
+		t.Fatalf("instrumentation run acked %d of %d ops after the build", acked, len(s.script)-s.seed)
+	}
+	if s.pool > 0 && evictions == 0 {
+		t.Fatalf("the %d-frame pool never evicted: no write-back lands mid-flush", s.pool)
+	}
+	total := count.Writes()
+	if total < 20 {
+		t.Fatalf("script performed only %d writes; sweep would be trivial", total)
+	}
+	if err := s.check(place(mem.Bytes()), others, len(s.script)-s.seed); err != nil {
+		t.Fatalf("intact image fails the battery: %v", err)
+	}
+	t.Logf("%s: sweeping %d kill points", s.name(), total)
+
+	recovered, noIndex, corrupt, cutBuilds := 0, 0, 0, 0
+	for limit := int64(0); limit < total; limit++ {
+		for _, torn := range []int{0, 13, s.page / 2} {
+			mem := disk.NewMemFile()
+			cf := disk.NewCrashFile(mem, limit, torn)
+			acked, _, err := s.build(cf)
+			if !errors.Is(err, disk.ErrCrashed) {
+				t.Fatalf("limit=%d torn=%d: run err = %v, want ErrCrashed", limit, torn, err)
+			}
+			if acked < 0 {
+				cutBuilds++
+			}
+			cerr := s.check(place(mem.Bytes()), others, acked)
+			if uerr := acceptableCrashOutcome(cerr); uerr != nil {
+				t.Fatalf("limit=%d torn=%d acked=%d: unacceptable post-crash outcome: %v", limit, torn, acked, uerr)
+			}
+			switch {
+			case cerr == nil:
+				recovered++
+			case errors.Is(cerr, ErrNoIndex):
+				noIndex++
+			default:
+				corrupt++
+			}
+		}
+	}
+	t.Logf("%s: %d recovered, %d no-index, %d detected-corrupt, %d kills inside the build", s.name(), recovered, noIndex, corrupt, cutBuilds)
+	if cutBuilds == 0 {
+		t.Error("no kill point landed inside the seeded build")
+	}
+	if recovered == 0 {
+		t.Error("sweep never recovered a committed state — WAL replay is not being exercised")
+	}
+	if noIndex == 0 {
+		t.Error("sweep never saw ErrNoIndex — pre-commit kill points are not rolling back")
+	}
+	if corrupt == 0 {
+		t.Error("sweep never saw a detected-corrupt image — torn writes are not being exercised")
+	}
+}
+
 // TestCrashSweepLSM kills the write tier at every write I/O point of the
-// scripted op stream (with torn-write variants) for every base kind, and
-// asserts the reopened index never yields a silently wrong answer: it holds
-// exactly the acknowledged updates (± the one in flight) or fails loudly.
+// scripted op stream (with torn-write variants) for every base kind, cold
+// and through a 4-frame buffer pool, and asserts the reopened index never
+// yields a silently wrong answer: it holds exactly the acknowledged updates
+// (± the one in flight) or fails loudly.
 func TestCrashSweepLSM(t *testing.T) {
 	if testing.Short() {
 		t.Skip("crash sweep is quadratic in script I/Os; skipped in -short")
 	}
 	for _, b := range lsmCrashBases() {
-		b := b
-		t.Run(b.name, func(t *testing.T) {
-			t.Parallel()
-			page := crashPage(b.name)
-			script := lsmCrashScript(b.interval)
-
-			// Instrumentation pass: a healthy run to count kill points and
-			// prove the battery passes on the intact image (including the
-			// WAL replay its unflushed tail forces).
-			mem := disk.NewMemFile()
-			count := disk.NewCrashFile(mem, -1, 0)
-			acked, err := buildLSMCrash(count, b.name, page, script)
-			if err != nil {
-				t.Fatalf("instrumentation run: %v", err)
-			}
-			if acked != len(script)-lsmCrashSeed {
-				t.Fatalf("instrumentation run acked %d of %d ops after the build", acked, len(script)-lsmCrashSeed)
-			}
-			total := count.Writes()
-			if total < 20 {
-				t.Fatalf("script performed only %d writes; sweep would be trivial", total)
-			}
-			dir := t.TempDir()
-			intact := filepath.Join(dir, "intact.pc")
-			if err := os.WriteFile(intact, mem.Bytes(), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			if err := checkLSMCrash(intact, b, script, len(script)-lsmCrashSeed); err != nil {
-				t.Fatalf("intact image fails the battery: %v", err)
-			}
-			t.Logf("%s: sweeping %d kill points", b.name, total)
-
-			img := filepath.Join(dir, "crashed.pc")
-			recovered, noIndex, corrupt, cutBuilds := 0, 0, 0, 0
-			for limit := int64(0); limit < total; limit++ {
-				for _, torn := range []int{0, 13, page / 2} {
-					mem := disk.NewMemFile()
-					cf := disk.NewCrashFile(mem, limit, torn)
-					acked, err := buildLSMCrash(cf, b.name, page, script)
-					if !errors.Is(err, disk.ErrCrashed) {
-						t.Fatalf("limit=%d torn=%d: run err = %v, want ErrCrashed", limit, torn, err)
-					}
-					if err := os.WriteFile(img, mem.Bytes(), 0o644); err != nil {
+		for _, pool := range []int{0, 4} {
+			s := lsmSweep{b: b, page: crashPage(b.name), pool: pool, seed: lsmCrashSeed, script: lsmCrashScript(b.interval)}
+			t.Run(s.name(), func(t *testing.T) {
+				t.Parallel()
+				img := filepath.Join(t.TempDir(), "crashed.pc")
+				s.run(t, nil, func(image []byte) func() (lsmChecked, error) {
+					if err := os.WriteFile(img, image, 0o644); err != nil {
 						t.Fatal(err)
 					}
-					if acked < 0 {
-						cutBuilds++
-					}
-					cerr := checkLSMCrash(img, b, script, acked)
-					if uerr := acceptableCrashOutcome(cerr); uerr != nil {
-						t.Fatalf("limit=%d torn=%d acked=%d: unacceptable post-crash outcome: %v", limit, torn, acked, uerr)
-					}
-					switch {
-					case cerr == nil:
-						recovered++
-					case errors.Is(cerr, ErrNoIndex):
-						noIndex++
-					default:
-						corrupt++
-					}
-				}
-			}
-			t.Logf("%s: %d recovered, %d no-index, %d detected-corrupt, %d kills inside the build", b.name, recovered, noIndex, corrupt, cutBuilds)
-			if cutBuilds == 0 {
-				t.Error("no kill point landed inside the seeded build")
-			}
-			if recovered == 0 {
-				t.Error("sweep never recovered a committed state — WAL replay is not being exercised")
-			}
-			if noIndex == 0 {
-				t.Error("sweep never saw ErrNoIndex — pre-commit kill points are not rolling back")
-			}
-			if corrupt == 0 {
-				t.Error("sweep never saw a detected-corrupt image — torn writes are not being exercised")
-			}
-		})
+					return func() (lsmChecked, error) { return OpenDynamic(img) }
+				})
+			})
+		}
 	}
 }

@@ -162,9 +162,11 @@ func TestCrashSweepShardMap(t *testing.T) {
 }
 
 // TestCrashSweepShardStore sweeps crashes through the whole directory
-// store: a manifest re-commit dying mid-flip, and a shard file's build
-// dying at every write point. OpenSharded must recover exact answers,
-// report ErrNoIndex, or fail with ErrCorrupt — never serve wrong results.
+// store: a manifest re-commit dying mid-flip, a shard file's build dying
+// at every write point, and an lsm shard's build and updates dying at
+// every write point of a run through a small buffer pool. OpenSharded must
+// recover exact answers, report ErrNoIndex, or fail with ErrCorrupt —
+// never serve wrong results.
 func TestCrashSweepShardStore(t *testing.T) {
 	if testing.Short() {
 		t.Skip("crash sweep is quadratic in build I/Os; skipped in -short")
@@ -250,6 +252,47 @@ func TestCrashSweepShardStore(t *testing.T) {
 		if failed == 0 {
 			t.Error("sweep never failed cleanly — early kill points are not being exercised")
 		}
+	})
+
+	t.Run("shard-file-lsm-pool4", func(t *testing.T) {
+		// The same points as an lsm store: shard 0's seeded build and the
+		// write tier's crash script (moved into shard 0's key range) run
+		// through a 4-frame buffer pool, killed at every write point, and
+		// each image is reopened as the whole store with pooled shards.
+		lsmStore := filepath.Join(t.TempDir(), "lsm")
+		s, err := BuildShardedPoints(lsmStore, lsmKindName, pts, ShardPlan{Splits: splits}, &Options{PageSize: crashPageSize})
+		if err != nil {
+			t.Fatalf("build: %v", err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatalf("close: %v", err)
+		}
+		var script []lsmOp
+		var others []Point
+		for _, p := range pts {
+			if p.X < splits[0] {
+				script = append(script, lsmOp{op: "insert", pt: p})
+			} else {
+				others = append(others, p)
+			}
+		}
+		seed := len(script)
+		for _, o := range lsmCrashScript(false) {
+			if o.op == "insert" || o.op == "delete" {
+				o.pt.X %= splits[0]
+				o.pt.ID += 1000
+			}
+			script = append(script, o)
+		}
+		sw := lsmSweep{b: lsmCrashBases()[0], page: crashPageSize, pool: 4, seed: seed, script: script}
+		scratch := filepath.Join(t.TempDir(), "store")
+		sw.run(t, others, func(image []byte) func() (lsmChecked, error) {
+			copyShardDir(t, lsmStore, scratch)
+			if err := os.WriteFile(filepath.Join(scratch, "shard-0000.pc"), image, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			return func() (lsmChecked, error) { return OpenSharded(scratch, &Options{BufferPoolPages: 4}) }
+		})
 	})
 
 	t.Run("shard-file", func(t *testing.T) {

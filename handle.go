@@ -40,13 +40,20 @@ type handleRef struct {
 	retired bool
 }
 
-// OpenHandle opens path with Open and wraps the result in a Handle.
-func OpenHandle(path string) (*Handle, error) {
-	ix, err := Open(path)
+// OpenHandle opens path like Open, with per-open runtime options (a nil
+// opts is Open's defaults), and wraps the result in a Handle whose Reload
+// reopens with the same options. A file opens with opts' buffer pool,
+// tracer and bound sentinels; a sharded directory gives each shard its
+// own. Build-time fields (PageSize, Path, MemtableEntries) are ignored.
+func OpenHandle(path string, opts *Options) (*Handle, error) {
+	open := func() (Index, error) { return openWith(path, opts) }
+	ix, err := open()
 	if err != nil {
 		return nil, err
 	}
-	return NewHandle(path, ix), nil
+	h := NewHandle(path, ix)
+	h.SetOpener(open)
+	return h, nil
 }
 
 // NewHandle wraps an already-open index. path is what Reload reopens; a

@@ -191,22 +191,27 @@ func (p *BufferPool) read(id PageID, buf []byte, c *Counter) error {
 		return nil
 	}
 	sh.misses.Add(1)
-	data := make([]byte, p.store.PageSize())
+	//pcvet:allow lockheldio(sh.mu.Lock) -- claim under the shard latch; eviction write-back is the sanctioned exception
+	el, err := p.claim(sh, c)
+	if err != nil {
+		return err
+	}
+	f := el.Value.(*frame)
 	// The miss fill runs under the shard latch on purpose: it is what makes
 	// per-page accounting deterministic (a concurrent second reader of the
 	// same page waits and then hits instead of double-missing), and only
-	// this shard's pages wait behind it. See DESIGN.md, "Statically-enforced
-	// invariants".
+	// this shard's pages wait behind it. The store checks the page's CRC
+	// here, once; later hits copy the verified frame. See DESIGN.md,
+	// "Statically-enforced invariants".
 	//pcvet:allow lockheldio(sh.mu.Lock) -- sanctioned single-page miss fill under the shard latch
-	if err := p.store.Read(id, data); err != nil {
+	if err := p.store.Read(id, f.data); err != nil {
+		sh.lru.Remove(el)
 		return err
 	}
 	c.addRead()
-	//pcvet:allow lockheldio(sh.mu.Lock) -- insert under the shard latch; eviction write-back is the sanctioned exception
-	if err := p.insert(sh, &frame{id: id, data: data}, c); err != nil {
-		return err
-	}
-	copy(buf, data)
+	f.id, f.dirty = id, false
+	sh.frames[id] = el
+	copy(buf, f.data)
 	return nil
 }
 
@@ -232,10 +237,16 @@ func (p *BufferPool) write(id PageID, buf []byte, c *Counter) error {
 		return nil
 	}
 	sh.misses.Add(1)
-	data := make([]byte, ps)
-	copy(data, buf[:ps])
-	//pcvet:allow lockheldio(sh.mu.Lock) -- insert under the shard latch; eviction write-back is the sanctioned exception
-	return p.insert(sh, &frame{id: id, data: data, dirty: true}, c)
+	//pcvet:allow lockheldio(sh.mu.Lock) -- claim under the shard latch; eviction write-back is the sanctioned exception
+	el, err := p.claim(sh, c)
+	if err != nil {
+		return err
+	}
+	f := el.Value.(*frame)
+	copy(f.data, buf[:ps])
+	f.id, f.dirty = id, true
+	sh.frames[id] = el
+	return nil
 }
 
 // WithCounter returns a Pager view of the pool that attributes the store
@@ -267,59 +278,115 @@ func (v *poolOpView) Read(id PageID, buf []byte) error { return v.p.read(id, buf
 
 func (v *poolOpView) Write(id PageID, buf []byte) error { return v.p.write(id, buf, v.c) }
 
-// insert adds a frame to sh, evicting the shard's LRU victim if the shard is
-// full. Caller holds sh.mu. A dirty victim is written back first; if that
-// write fails (an injected fault, or a real device error once the store is a
-// file) the victim stays resident and dirty — dropping the frame would lose
-// the only up-to-date copy of the page — and the error propagates to the
-// access that triggered the eviction. That access's counter c (may be nil)
-// is charged for the write-back: the op that forces an eviction pays for it.
-func (p *BufferPool) insert(sh *poolShard, f *frame, c *Counter) error {
-	for sh.lru.Len() >= sh.capacity {
-		victim := sh.lru.Back()
-		vf := victim.Value.(*frame)
-		if vf.dirty {
-			// The eviction write-back runs under the shard latch the caller
-			// holds, which keeps victim selection atomic; the callers' allows
-			// excuse it, since lockheldio sees no lock taken here.
-			if err := p.store.Write(vf.id, vf.data); err != nil {
-				return fmt.Errorf("disk: writing back page %d on eviction: %w", vf.id, err)
-			}
-			vf.dirty = false
-			c.addWrite()
-		}
-		sh.lru.Remove(victim)
-		delete(sh.frames, vf.id)
-		sh.evictions.Add(1)
+// WriteBack is the pool's WriteBack charged to the view's counter: the
+// operation that runs a durability barrier pays for the pages it puts in
+// the store.
+func (v *poolOpView) WriteBack() error { return v.p.writeBackAll(v.c) }
+
+// claim returns the frame a miss in sh fills, at the front of the LRU list
+// and not yet in the frame map; the caller sets its id and data and maps
+// it, or removes the element if the fill fails. Below capacity the frame is
+// new. In a full shard it is the LRU victim, whose buffer and list element
+// are reused, so a steady-state miss allocates nothing. Caller holds sh.mu.
+//
+// A dirty victim is written back first; if that write fails (an injected
+// fault, or a real device error once the store is a file) the victim stays
+// resident and dirty — dropping the frame would lose the only up-to-date
+// copy of the page — and the error propagates to the access that triggered
+// the eviction. That access's counter c (may be nil) is charged for the
+// write-back: the op that forces an eviction pays for it.
+func (p *BufferPool) claim(sh *poolShard, c *Counter) (*list.Element, error) {
+	if sh.lru.Len() < sh.capacity {
+		return sh.lru.PushFront(&frame{data: make([]byte, p.store.PageSize())}), nil
 	}
-	sh.frames[f.id] = sh.lru.PushFront(f)
+	victim := sh.lru.Back()
+	vf := victim.Value.(*frame)
+	if vf.dirty {
+		// The eviction write-back runs under the shard latch the caller
+		// holds, which keeps victim selection atomic; the callers' allows
+		// excuse it, since lockheldio sees no lock taken here.
+		if err := p.store.Write(vf.id, vf.data); err != nil {
+			return nil, fmt.Errorf("disk: writing back page %d on eviction: %w", vf.id, err)
+		}
+		vf.dirty = false
+		c.addWrite()
+	}
+	delete(sh.frames, vf.id)
+	sh.evictions.Add(1)
+	sh.lru.MoveToFront(victim)
+	return victim, nil
+}
+
+// WriteBack writes every dirty frame to the store and keeps every frame
+// resident: the durability barrier's half of the pool (Backend.Sync and
+// ReplaceMeta call it before the fsync), which leaves the working set warm.
+// Shards are written one at a time under their latch, so a reader never
+// sees a store page older than the frame it replaced; callers should not
+// run WriteBack concurrently with writes they expect it to cover.
+func (p *BufferPool) WriteBack() error { return p.writeBackAll(nil) }
+
+// writeBackAll is WriteBack charging every page it writes to c (may be
+// nil).
+func (p *BufferPool) writeBackAll(c *Counter) error {
+	for i := range p.shards {
+		sh := &p.shards[i]
+		sh.mu.Lock()
+		//pcvet:allow lockheldio(sh.mu.Lock) -- WriteBack writes the shard under its latch so readers see written-back data, never stale store pages
+		err := p.writeBack(sh, c)
+		sh.mu.Unlock()
+		if err != nil {
+			return err
+		}
+	}
 	return nil
 }
 
-// Flush writes back every dirty frame and empties the cache. Subsequent
-// reads are cold, which is how per-query worst-case I/O is measured. Shards
-// are drained one at a time; callers should not run Flush concurrently with
-// writes they expect it to cover.
+// Flush writes back every dirty frame and empties the cache, so subsequent
+// reads are cold: how per-query worst-case I/O is measured, and what Close
+// does. Each shard is written back and emptied under one latch hold, so no
+// write lands between the two and is dropped. A barrier that only needs
+// the data on disk calls WriteBack and keeps the pool warm.
 func (p *BufferPool) Flush() error {
 	for i := range p.shards {
 		sh := &p.shards[i]
 		sh.mu.Lock()
-		for el := sh.lru.Front(); el != nil; el = el.Next() {
-			f := el.Value.(*frame)
-			if f.dirty {
-				//pcvet:allow lockheldio(sh.mu.Lock) -- Flush drains the shard under its latch so readers see written-back data, never stale store pages
-				if err := p.store.Write(f.id, f.data); err != nil {
-					sh.mu.Unlock()
-					return err
-				}
-				f.dirty = false
-			}
+		//pcvet:allow lockheldio(sh.mu.Lock) -- Flush drains the shard under its latch so readers see written-back data, never stale store pages
+		err := p.writeBack(sh, nil)
+		if err == nil {
+			sh.lru.Init()
+			clear(sh.frames)
 		}
-		sh.lru.Init()
-		sh.frames = make(map[PageID]*list.Element, sh.capacity)
 		sh.mu.Unlock()
+		if err != nil {
+			return err
+		}
 	}
 	return nil
+}
+
+// writeBack writes sh's dirty frames to the store, marking each clean as it
+// lands and charging it to c (may be nil). Caller holds sh.mu.
+func (p *BufferPool) writeBack(sh *poolShard, c *Counter) error {
+	for el := sh.lru.Front(); el != nil; el = el.Next() {
+		f := el.Value.(*frame)
+		if f.dirty {
+			if err := p.store.Write(f.id, f.data); err != nil {
+				return err
+			}
+			f.dirty = false
+			c.addWrite()
+		}
+	}
+	return nil
+}
+
+// Cached reports whether page id is resident in the pool.
+func (p *BufferPool) Cached(id PageID) bool {
+	sh := p.shard(id)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	_, ok := sh.frames[id]
+	return ok
 }
 
 // Len reports the number of resident frames across all shards.

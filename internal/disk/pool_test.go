@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+
+	"pathcache/internal/race"
 )
 
 func TestDefaultShards(t *testing.T) {
@@ -279,5 +281,172 @@ func TestShardedPoolWriteBackAndFree(t *testing.T) {
 	}
 	if st := p.Stats(); st.Misses != 0 || st.Hits != int64(len(ids)-1) {
 		t.Fatalf("after Free: %+v, want %d hits and no misses", st, len(ids)-1)
+	}
+}
+
+// WriteBack puts every dirty frame in the store and keeps it resident and
+// clean: the reads that follow all hit, and a second WriteBack writes
+// nothing. Flush, by contrast, leaves the pool empty.
+func TestPoolWriteBackKeepsFrames(t *testing.T) {
+	s := MustStore(128)
+	p, err := NewBufferPoolShards(s, 16, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []PageID
+	buf := make([]byte, 128)
+	for i := 0; i < 12; i++ {
+		id, err := p.Alloc()
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf[0] = byte(i + 1)
+		if err := p.Write(id, buf); err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	w0 := s.Stats().Writes
+	if err := p.WriteBack(); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Stats().Writes - w0; got != int64(len(ids)) {
+		t.Fatalf("WriteBack wrote %d pages, want %d", got, len(ids))
+	}
+	for i, id := range ids {
+		if err := s.Read(id, buf); err != nil {
+			t.Fatal(err)
+		}
+		if buf[0] != byte(i+1) {
+			t.Fatalf("page %d: written-back byte %d, want %d", id, buf[0], i+1)
+		}
+		if !p.Cached(id) {
+			t.Fatalf("page %d left the pool on WriteBack", id)
+		}
+	}
+	if p.Len() != len(ids) {
+		t.Fatalf("Len = %d after WriteBack, want %d", p.Len(), len(ids))
+	}
+	w1 := s.Stats().Writes
+	if err := p.WriteBack(); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Stats().Writes - w1; got != 0 {
+		t.Fatalf("second WriteBack wrote %d pages, want 0: frames stayed dirty", got)
+	}
+	p.ResetStats()
+	r0 := s.Stats().Reads
+	for _, id := range ids {
+		if err := p.Read(id, buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := p.Stats(); st.Hits != int64(len(ids)) || st.Misses != 0 || s.Stats().Reads != r0 {
+		t.Fatalf("reads after WriteBack: %+v and %d store reads, want %d hits", st, s.Stats().Reads-r0, len(ids))
+	}
+	if err := p.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if p.Len() != 0 || p.Cached(ids[0]) {
+		t.Fatalf("Flush left %d frames resident", p.Len())
+	}
+}
+
+// A miss into a full shard reuses the victim's frame: the evicted page's
+// bytes never leak into the new one, a dirty victim is written back before
+// its buffer is refilled, and the reused frame serves its new page.
+func TestPoolFrameReuse(t *testing.T) {
+	s := MustStore(128)
+	p, err := NewBufferPoolShards(s, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 128)
+	var ids []PageID
+	for i := 0; i < 6; i++ {
+		id, err := p.Alloc()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := range buf {
+			buf[j] = byte(i + 1)
+		}
+		if err := p.Write(id, buf); err != nil { // evicts dirty victims from i = 2
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	for round := 0; round < 3; round++ {
+		for i, id := range ids {
+			if err := p.Read(id, buf); err != nil {
+				t.Fatal(err)
+			}
+			for j, b := range buf {
+				if b != byte(i+1) {
+					t.Fatalf("round %d page %d byte %d = %d, want %d", round, id, j, b, i+1)
+				}
+			}
+		}
+	}
+	st := p.Stats()
+	if got, want := st.Misses-st.Evictions, int64(p.Len()); got != want || p.Len() != 2 {
+		t.Fatalf("misses-evictions = %d, resident = %d; want equal and 2", got, p.Len())
+	}
+}
+
+// TestPoolAllocs pins the pool's steady state: a hit, and a miss into a
+// full shard (which reuses the victim's buffer and list element), allocate
+// nothing.
+func TestPoolAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector drops sync.Pool items and allocates")
+	}
+	s := MustStore(128)
+	ids := make([]PageID, 64)
+	for i := range ids {
+		id, err := s.Alloc()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = id
+	}
+	p, err := NewBufferPoolShards(s, 8, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 128)
+	next := 0
+	read := func() {
+		if err := p.Read(ids[next], buf); err != nil {
+			t.Fatal(err)
+		}
+		next = (next + 1) % len(ids)
+	}
+	for range ids { // fill the shard, then evict through it
+		read()
+	}
+	if got := testing.AllocsPerRun(200, func() {
+		if err := p.Read(ids[len(ids)-1], buf); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 0 {
+		t.Errorf("pool hit: %.1f allocs, want 0", got)
+	}
+	p.ResetStats()
+	if got := testing.AllocsPerRun(200, read); got != 0 {
+		t.Errorf("miss into a full shard: %.1f allocs, want 0", got)
+	}
+	if st := p.Stats(); st.Hits != 0 || st.Evictions != st.Misses {
+		t.Fatalf("the miss loop hit or filled a free frame: %+v", st)
+	}
+	c := new(Counter)
+	v := p.WithCounter(c)
+	if got := testing.AllocsPerRun(200, func() {
+		if err := v.Read(ids[next], buf); err != nil {
+			t.Fatal(err)
+		}
+		next = (next + 1) % len(ids)
+	}); got != 0 {
+		t.Errorf("counted miss into a full shard: %.1f allocs, want 0", got)
 	}
 }

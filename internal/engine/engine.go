@@ -188,6 +188,15 @@ func (be *Backend) Stats() disk.Stats { return be.store.Stats() }
 // NumPages reports the number of live pages in the store.
 func (be *Backend) NumPages() int { return be.store.NumPages() }
 
+// PoolStats snapshots the buffer pool's hit, miss and eviction counters;
+// zero when no pool is interposed.
+func (be *Backend) PoolStats() disk.PoolStats {
+	if be.pool == nil {
+		return disk.PoolStats{}
+	}
+	return be.pool.Stats()
+}
+
 // ResetStats zeroes the store's I/O counters (and the buffer pool's when
 // one is configured).
 func (be *Backend) ResetStats() {

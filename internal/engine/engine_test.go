@@ -2,6 +2,8 @@ package engine
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -213,5 +215,115 @@ func TestOpPagerAttributesToCounter(t *testing.T) {
 	}
 	if s := be.Stats(); s.Reads != 1 {
 		t.Fatalf("store reads = %d, want 1", s.Reads)
+	}
+}
+
+// TestPoolNeverCachesMetaPages pins the invariant that lets Sync and
+// ReplaceMeta keep a buffer pool warm: the only writes and frees that go to
+// the FileStore past the pool (SaveMeta's page, ReplaceMeta's Free of the
+// superseded one) touch pages the pool never caches. A random mix of
+// pooled writes, overwrites, reads and frees through a 4-frame pool
+// (evictions throughout) is interleaved with metadata flips and syncs,
+// which must leave every frame resident. After every step the current
+// metadata page must be uncached and hold no data page, and every data
+// page must read back what was last written, warm and after a cold reopen.
+func TestPoolNeverCachesMetaPages(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "idx.pc")
+	be, err := New(Config{Path: path, PageSize: 256, BufferPoolPages: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pg := be.Pager()
+	live := map[disk.PageID]byte{}
+	var ids []disk.PageID
+	buf := make([]byte, 256)
+	rng := rand.New(rand.NewSource(5))
+	lastBlob := ""
+	for step := 0; step < 600; step++ {
+		switch op := rng.Intn(6); {
+		case op == 0 || len(ids) == 0:
+			id, err := pg.Alloc()
+			if err != nil {
+				t.Fatal(err)
+			}
+			buf[0] = byte(step)
+			if err := pg.Write(id, buf); err != nil {
+				t.Fatal(err)
+			}
+			live[id] = byte(step)
+			ids = append(ids, id)
+		case op == 1:
+			id := ids[rng.Intn(len(ids))]
+			buf[0] = byte(step)
+			if err := pg.Write(id, buf); err != nil {
+				t.Fatal(err)
+			}
+			live[id] = byte(step)
+		case op == 2:
+			i := rng.Intn(len(ids))
+			if err := pg.Free(ids[i]); err != nil {
+				t.Fatal(err)
+			}
+			delete(live, ids[i])
+			ids = append(ids[:i], ids[i+1:]...)
+		case op == 3:
+			old, resident := be.file.AppHead(), be.pool.Len()
+			lastBlob = fmt.Sprintf("meta %d", step)
+			if err := be.ReplaceMeta(pg, 7, []byte(lastBlob)); err != nil {
+				t.Fatal(err)
+			}
+			if old != disk.InvalidPage && be.pool.Cached(old) {
+				t.Fatalf("step %d: the superseded metadata page %d is cached", step, old)
+			}
+			if be.pool.Len() != resident {
+				t.Fatalf("step %d: ReplaceMeta left %d of %d frames resident", step, be.pool.Len(), resident)
+			}
+		case op == 4:
+			resident := be.pool.Len()
+			if err := be.Sync(pg); err != nil {
+				t.Fatal(err)
+			}
+			if be.pool.Len() != resident {
+				t.Fatalf("step %d: Sync left %d of %d frames resident", step, be.pool.Len(), resident)
+			}
+		default:
+			id := ids[rng.Intn(len(ids))]
+			if err := pg.Read(id, buf); err != nil {
+				t.Fatal(err)
+			}
+			if buf[0] != live[id] {
+				t.Fatalf("step %d: page %d reads %d, want %d", step, id, buf[0], live[id])
+			}
+		}
+		if head := be.file.AppHead(); head != disk.InvalidPage {
+			if be.pool.Cached(head) {
+				t.Fatalf("step %d: metadata page %d is cached", step, head)
+			}
+			if _, ok := live[head]; ok {
+				t.Fatalf("step %d: metadata page %d is also a live data page", step, head)
+			}
+		}
+	}
+	if st := be.PoolStats(); st.Evictions == 0 || st.Hits == 0 {
+		t.Fatalf("pool stats %+v: the mix never evicted or never hit", st)
+	}
+	if err := be.Close(); err != nil {
+		t.Fatal(err)
+	}
+	cold, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cold.Close()
+	if _, blob, err := cold.ReadKind(); err != nil || string(blob) != lastBlob {
+		t.Fatalf("ReadKind = %q, %v; want %q", blob, err, lastBlob)
+	}
+	for id, want := range live {
+		if err := cold.Pager().Read(id, buf); err != nil {
+			t.Fatal(err)
+		}
+		if buf[0] != want {
+			t.Fatalf("cold page %d reads %d, want %d", id, buf[0], want)
+		}
 	}
 }

@@ -60,20 +60,24 @@ func (be *Backend) SaveMeta(kind byte, blob []byte) error {
 	return nil
 }
 
-// ReplaceMeta is SaveMeta for indexes that commit repeatedly: it flushes
-// any buffer pool so every page the new metadata references is on disk
-// before the commit point, writes the new metadata page, and frees the
-// superseded one. The write tier calls this once per manifest flip; without
+// ReplaceMeta is SaveMeta for indexes that commit repeatedly: it writes
+// back any buffer pool so every page the new metadata references is on
+// disk before the commit point (charged to the operation p is the view of,
+// as Sync does), writes the new metadata page, and frees the superseded
+// one. The write tier calls this once per manifest flip; without
 // the free, every flip would leak a page. A crash between SetAppHead and
 // the free only leaks the old metadata page — never corrupts state.
-func (be *Backend) ReplaceMeta(kind byte, blob []byte) error {
+//
+// The pool stays warm across the flip. That is safe because the metadata
+// page is the only page written or freed past the pool: SaveMeta and
+// ReadKind reach it through the file directly, so the pool never holds a
+// frame for it, and the direct Free cannot strand a cached copy.
+func (be *Backend) ReplaceMeta(p disk.Pager, kind byte, blob []byte) error {
 	if be.file == nil {
 		return nil // in-memory index: nothing to persist
 	}
-	if be.pool != nil {
-		if err := be.pool.Flush(); err != nil {
-			return fmt.Errorf("pathcache: flushing pool before metadata commit: %w", err)
-		}
+	if err := be.writeBack(p); err != nil {
+		return fmt.Errorf("pathcache: writing back pool before metadata commit: %w", err)
 	}
 	old := be.file.AppHead()
 	if err := be.SaveMeta(kind, blob); err != nil {
@@ -88,18 +92,32 @@ func (be *Backend) ReplaceMeta(kind byte, blob []byte) error {
 }
 
 // Sync is the durability barrier update paths acknowledge writes behind:
-// flush the buffer pool (when one is interposed) and fsync the backing
-// file. In-memory backends treat it as a no-op.
-func (be *Backend) Sync() error {
-	if be.pool != nil {
-		if err := be.pool.Flush(); err != nil {
-			return err
-		}
+// write back the buffer pool's dirty frames (when one is interposed, which
+// stays warm) and fsync the backing file. p is the pager the operation
+// running the barrier wrote through: when it is that operation's view of
+// the pool (OpPager), the write-backs are charged to its counter, as every
+// other transfer it causes is; any other pager, nil included, leaves them
+// uncharged. In-memory backends treat it as a no-op.
+func (be *Backend) Sync(p disk.Pager) error {
+	if err := be.writeBack(p); err != nil {
+		return err
 	}
 	if be.file == nil {
 		return nil
 	}
 	return be.file.Sync()
+}
+
+// writeBack writes the pool's dirty frames to the store, through p when p
+// is a pool view that charges them to its operation.
+func (be *Backend) writeBack(p disk.Pager) error {
+	if be.pool == nil {
+		return nil
+	}
+	if v, ok := p.(interface{ WriteBack() error }); ok {
+		return v.WriteBack()
+	}
+	return be.pool.WriteBack()
 }
 
 // ReadKind loads the metadata page and returns the kind byte and metadata

@@ -72,7 +72,7 @@ func TestReadersPassParkedFsync(t *testing.T) {
 	g := newGate()
 	defer g.open()
 	cfg := v.config()
-	cfg.Sync = func() error { g.wait(); return nil }
+	cfg.Sync = func(disk.Pager) error { g.wait(); return nil }
 	tr, err := New(cfg, nil)
 	if err != nil {
 		t.Fatal(err)

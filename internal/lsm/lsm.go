@@ -38,11 +38,14 @@ type Config struct {
 	FlushEvery int
 	// Sync is the durability barrier run after every acknowledged WAL
 	// append (engine.Backend.Sync for file-backed trees); nil means none.
-	Sync func() error
+	// It is handed the pager the update wrote through, so the barrier's
+	// own transfers are charged to the same operation.
+	Sync func(p disk.Pager) error
 	// Commit atomically installs a new manifest-pointing metadata blob
 	// (engine.Backend.ReplaceMeta for file-backed trees); nil means the
-	// tree is volatile. Commit must be durable when it returns.
-	Commit func(blob []byte) error
+	// tree is volatile. Commit must be durable when it returns. Like Sync
+	// it is handed the committing operation's pager.
+	Commit func(p disk.Pager, blob []byte) error
 }
 
 // DefaultFlushEvery is the memtable capacity when Config.FlushEvery is 0.
@@ -175,7 +178,7 @@ func New(cfg Config, seed []record.Point) (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := t.commit(blob); err != nil {
+	if err := t.commit(p, blob); err != nil {
 		return nil, err
 	}
 	t.manifestHead = head
@@ -223,7 +226,7 @@ func Open(cfg Config, blob []byte) (*Tree, error) {
 	}
 	t.levels = levels
 	t.tombHead, t.tombPg = m.tombHead, int(m.tombPages)
-	tombs, err := readTombChain(p, m.tombHead, int(m.tombCount))
+	tombs, err := readTombChain(p, m.tombHead, int(m.tombCount), t.tombPg)
 	if err != nil {
 		return nil, fmt.Errorf("lsm: reading tombstone chain: %w", err)
 	}
@@ -384,21 +387,21 @@ func (lv *levelState) record() levelRecord {
 	}
 }
 
-func (t *Tree) commit(blob []byte) error {
+func (t *Tree) commit(p disk.Pager, blob []byte) error {
 	if t.cfg.Commit == nil {
 		return nil
 	}
-	if err := t.cfg.Commit(blob); err != nil {
+	if err := t.cfg.Commit(p, blob); err != nil {
 		return fmt.Errorf("lsm: committing manifest: %w", err)
 	}
 	return nil
 }
 
-func (t *Tree) sync() error {
+func (t *Tree) sync(p disk.Pager) error {
 	if t.cfg.Sync == nil {
 		return nil
 	}
-	if err := t.cfg.Sync(); err != nil {
+	if err := t.cfg.Sync(p); err != nil {
 		return fmt.Errorf("lsm: syncing WAL: %w", err)
 	}
 	return nil
@@ -431,7 +434,7 @@ func (t *Tree) update(p disk.Pager, op byte, pt record.Point) error {
 		return fmt.Errorf("lsm: appending to WAL: %w", err)
 	}
 	//pcvet:allow lockheldio(t.wmu.Lock) -- the fsync before the ack is the update's durability; readers never wait on wmu
-	if err := t.sync(); err != nil {
+	if err := t.sync(p); err != nil {
 		return err
 	}
 	// The entry is durable: fold it into the memtable mirror.
@@ -713,7 +716,7 @@ func (t *Tree) flushLocked(p disk.Pager) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	if err := t.commit(blob); err != nil {
+	if err := t.commit(p, blob); err != nil {
 		return 0, err // nothing swapped: the old state stays live
 	}
 
@@ -820,7 +823,7 @@ func (t *Tree) commitCompactLocked(p disk.Pager, slot int, sealed *levelState, o
 	if err != nil {
 		return 0, err
 	}
-	if err := t.commit(blob); err != nil {
+	if err := t.commit(p, blob); err != nil {
 		return 0, err
 	}
 	old.chains = append(old.chains, t.manifestHead, t.tombHead)

@@ -41,7 +41,7 @@ func (v *volatileTree) config() Config {
 		Pager:      v.store,
 		Base:       v.base,
 		FlushEvery: v.fe,
-		Commit: func(blob []byte) error {
+		Commit: func(_ disk.Pager, blob []byte) error {
 			v.blob = append([]byte(nil), blob...)
 			return nil
 		},
@@ -485,5 +485,51 @@ func TestTreePageAccounting(t *testing.T) {
 	liveAfter := v.store.NumPages()
 	if liveAfter > liveBefore*4+64 {
 		t.Fatalf("live pages grew from %d to %d across churn; superseded state is leaking", liveBefore, liveAfter)
+	}
+}
+
+// TestTreeOpenTombPagesMismatch rewrites a committed manifest with a
+// tombstone page count that disagrees with the chain it names: Open must
+// refuse it as corrupt rather than carry the wrong count forward into the
+// next manifest.
+func TestTreeOpenTombPagesMismatch(t *testing.T) {
+	v, tr := newVolatile(t, BaseTwoSided, 256, 0)
+	var pts []record.Point
+	for i := 0; i < 20; i++ {
+		p := pt(int64(i), int64(i), uint64(i+1))
+		pts = append(pts, p)
+		if err := tr.Insert(v.store, p); err != nil {
+			t.Fatalf("Insert: %v", err)
+		}
+	}
+	if _, err := tr.Flush(v.store); err != nil {
+		t.Fatalf("Flush: %v", err)
+	}
+	for _, p := range pts[:15] {
+		if err := tr.Delete(v.store, p); err != nil {
+			t.Fatalf("Delete: %v", err)
+		}
+	}
+	if _, err := tr.Flush(v.store); err != nil {
+		t.Fatalf("Flush: %v", err)
+	}
+	m, _, err := readManifest(v.store, v.blob)
+	if err != nil {
+		t.Fatalf("readManifest: %v", err)
+	}
+	if m.tombPages < 2 {
+		t.Fatalf("setup: tombstone chain of %d pages, want at least 2", m.tombPages)
+	}
+	v.reopen(t) // the committed manifest is consistent
+	for _, pages := range []uint32{0, m.tombPages - 1, m.tombPages + 1} {
+		bad := *m
+		bad.tombPages = pages
+		_, blob, err := writeManifest(v.store, &bad)
+		if err != nil {
+			t.Fatalf("writeManifest: %v", err)
+		}
+		if _, err := Open(v.config(), blob); !errors.Is(err, disk.ErrCorrupt) {
+			t.Errorf("tombPages %d of %d: Open err = %v, want ErrCorrupt", pages, m.tombPages, err)
+		}
 	}
 }

@@ -177,10 +177,11 @@ func writeTombChain(p disk.Pager, tombs map[record.Point]bool) (disk.PageID, int
 	return head, pages, err
 }
 
-// readTombChain loads a tombstone chain into a set.
-func readTombChain(p disk.Pager, head disk.PageID, count int) (map[record.Point]bool, error) {
+// readTombChain loads a tombstone chain into a set, checking it against
+// the manifest's record count and page count.
+func readTombChain(p disk.Pager, head disk.PageID, count, pages int) (map[record.Point]bool, error) {
 	tombs := make(map[record.Point]bool, count)
-	_, err := disk.ScanChain(p, record.PointSize, head, func(rec []byte) bool {
+	read, err := disk.ScanChain(p, record.PointSize, head, func(rec []byte) bool {
 		tombs[record.DecodePoint(rec)] = true
 		return true
 	})
@@ -189,6 +190,9 @@ func readTombChain(p disk.Pager, head disk.PageID, count int) (map[record.Point]
 	}
 	if len(tombs) != count {
 		return nil, fmt.Errorf("lsm: tombstone chain holds %d records, manifest says %d: %w", len(tombs), count, disk.ErrCorrupt)
+	}
+	if read != pages {
+		return nil, fmt.Errorf("lsm: tombstone chain spans %d pages, manifest says %d: %w", read, pages, disk.ErrCorrupt)
 	}
 	return tombs, nil
 }

@@ -41,8 +41,8 @@ func seedConfig(c *seedCase, base Base, pageSize, flushEvery int) Config {
 		Pager:      c.store,
 		Base:       base,
 		FlushEvery: flushEvery,
-		Commit:     func([]byte) error { c.commits++; return nil },
-		Sync:       func() error { c.syncs++; return nil },
+		Commit:     func(disk.Pager, []byte) error { c.commits++; return nil },
+		Sync:       func(disk.Pager) error { c.syncs++; return nil },
 	}
 }
 

@@ -11,33 +11,44 @@ import (
 )
 
 // TestServeQueryAllocs caps the allocations of one in-process /v1/query on
-// a reopened file-backed twosided store: admission, body read, decode, the
-// engine op and the response write. httptest.NewRequest's own allocations
-// are measured separately and subtracted.
+// a reopened file-backed twosided store, cold and through the buffer pool
+// pcserve serves with: admission, body read, decode, the engine op and the
+// response write. httptest.NewRequest's own allocations are measured
+// separately and subtracted.
 func TestServeQueryAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector drops sync.Pool items and allocates")
 	}
 	path := buildKind(t, t.TempDir(), "twosided")
-	handle, err := pathcache.OpenHandle(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer handle.Close()
-	h := New(handle, Config{}).Handler()
-	body := []byte(`{"a":180,"b":185}`)
-	w := &discardWriter{h: http.Header{}}
-	newReq := func() *http.Request {
-		return httptest.NewRequest(http.MethodPost, "/v1/query", bytes.NewReader(body))
-	}
-	serve := func() { h.ServeHTTP(w, newReq()) }
-	serve()
-	reqOnly := testing.AllocsPerRun(200, func() { newReq() })
-	total := testing.AllocsPerRun(200, serve)
-	n := total - reqOnly
-	t.Logf("/v1/query: %.1f allocs per request (httptest.NewRequest adds %.1f)", n, reqOnly)
-	if n > 20 {
-		t.Fatalf("/v1/query: %.1f allocs per request, want <= 20", n)
+	for _, tc := range []struct {
+		name string
+		opts *pathcache.Options
+	}{
+		{"cold", nil},
+		{"pooled", &pathcache.Options{BufferPoolPages: 64}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			handle, err := pathcache.OpenHandle(path, tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer handle.Close()
+			h := New(handle, Config{}).Handler()
+			body := []byte(`{"a":180,"b":185}`)
+			w := &discardWriter{h: http.Header{}}
+			newReq := func() *http.Request {
+				return httptest.NewRequest(http.MethodPost, "/v1/query", bytes.NewReader(body))
+			}
+			serve := func() { h.ServeHTTP(w, newReq()) }
+			serve()
+			reqOnly := testing.AllocsPerRun(200, func() { newReq() })
+			total := testing.AllocsPerRun(200, serve)
+			n := total - reqOnly
+			t.Logf("/v1/query: %.1f allocs per request (httptest.NewRequest adds %.1f)", n, reqOnly)
+			if n > 20 {
+				t.Fatalf("/v1/query: %.1f allocs per request, want <= 20", n)
+			}
+		})
 	}
 }
 

@@ -101,7 +101,7 @@ type testServer struct {
 // startServer opens path into a Handle and serves it on 127.0.0.1:0.
 func startServer(t testing.TB, path string, cfg Config) *testServer {
 	t.Helper()
-	handle, err := pathcache.OpenHandle(path)
+	handle, err := pathcache.OpenHandle(path, nil)
 	if err != nil {
 		t.Fatalf("open handle: %v", err)
 	}

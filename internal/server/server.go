@@ -863,14 +863,17 @@ type varz struct {
 	Shards      []shardVarz       `json:"shards,omitempty"`
 }
 
-// shardVarz is one shard's row in /varz: its file, size and key range.
+// shardVarz is one shard's row in /varz: its file, size, key range and
+// buffer-pool counters.
 type shardVarz struct {
-	Shard   int    `json:"shard"`
-	File    string `json:"file"`
-	Records int    `json:"records"`
-	Pages   int    `json:"pages"`
-	Lo      int64  `json:"lo"`
-	Hi      int64  `json:"hi"`
+	Shard     int    `json:"shard"`
+	File      string `json:"file"`
+	Records   int    `json:"records"`
+	Pages     int    `json:"pages"`
+	Lo        int64  `json:"lo"`
+	Hi        int64  `json:"hi"`
+	CacheHits int64  `json:"cache_hits"`
+	Evictions int64  `json:"evictions"`
 }
 
 type compactVarz struct {
@@ -908,6 +911,7 @@ func (s *Server) handleVarz(w http.ResponseWriter, r *http.Request) {
 				Shard: info.Shard, File: info.File,
 				Records: info.Len, Pages: info.Pages,
 				Lo: info.Lo, Hi: info.Hi,
+				CacheHits: info.Stats.CacheHits, Evictions: info.Stats.Evictions,
 			})
 		}
 	}

@@ -1,6 +1,8 @@
 package server
 
 import (
+	"encoding/json"
+	"fmt"
 	"net/http"
 	"path/filepath"
 	"strings"
@@ -226,5 +228,61 @@ func TestServeShardedLSM(t *testing.T) {
 	status, body = ts.post(t, "/v1/query", map[string]any{"a": 0, "b": 0})
 	if status != http.StatusOK || count(t, body) != 202 {
 		t.Fatalf("query after maintenance: status=%d body=%v, want 202 points", status, body)
+	}
+}
+
+// TestVarzPoolCounters serves a sharded store through per-shard buffer
+// pools and reads the pool counters back from /varz: the store's
+// CacheHits and Evictions are the sums of the shard rows', a pool that
+// holds the working set hits without evicting, and one that cannot (two
+// frames under a full scan, which LRU never hits) evicts.
+func TestVarzPoolCounters(t *testing.T) {
+	store := buildShardedKind(t, t.TempDir(), "twosided", 3)
+	for _, tc := range []struct {
+		frames  int
+		evicted bool
+	}{{64, false}, {2, true}} {
+		t.Run(fmt.Sprintf("pool%d", tc.frames), func(t *testing.T) {
+			h, err := pathcache.OpenHandle(store, &pathcache.Options{BufferPoolPages: tc.frames})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer h.Close()
+			ts := startServerOn(t, h, Config{})
+			for i := 0; i < 3; i++ {
+				if status, body := ts.post(t, "/v1/query", map[string]any{"a": 0, "b": 0}); status != http.StatusOK {
+					t.Fatalf("query: status=%d body=%v", status, body)
+				}
+			}
+			status, raw := ts.get(t, "/varz")
+			if status != http.StatusOK {
+				t.Fatalf("varz: status=%d", status)
+			}
+			var v struct {
+				Stats  pathcache.Stats `json:"stats"`
+				Shards []struct {
+					CacheHits int64 `json:"cache_hits"`
+					Evictions int64 `json:"evictions"`
+				} `json:"shards"`
+			}
+			if err := json.Unmarshal(raw, &v); err != nil {
+				t.Fatalf("varz decode: %v\n%s", err, raw)
+			}
+			var hits, evictions int64
+			for _, sh := range v.Shards {
+				hits += sh.CacheHits
+				evictions += sh.Evictions
+			}
+			if len(v.Shards) != 3 || hits != v.Stats.CacheHits || evictions != v.Stats.Evictions {
+				t.Fatalf("%d shard rows summing to %d hits, %d evictions; store says %d, %d\n%s",
+					len(v.Shards), hits, evictions, v.Stats.CacheHits, v.Stats.Evictions, raw)
+			}
+			if !tc.evicted && hits == 0 {
+				t.Errorf("three repeats of one query never hit the pool\n%s", raw)
+			}
+			if (evictions > 0) != tc.evicted {
+				t.Errorf("%d evictions from a %d-frame pool\n%s", evictions, tc.frames, raw)
+			}
+		})
 	}
 }

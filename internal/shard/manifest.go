@@ -88,7 +88,7 @@ func Save(be *engine.Backend, m *Map) error {
 	if err != nil {
 		return fmt.Errorf("shard: writing map: %w", err)
 	}
-	if err := be.ReplaceMeta(Kind, blob); err != nil {
+	if err := be.ReplaceMeta(nil, Kind, blob); err != nil {
 		return fmt.Errorf("shard: committing map: %w", err)
 	}
 	if oldHead != disk.InvalidPage {

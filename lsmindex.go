@@ -102,8 +102,8 @@ func lsmConfig(be *engine.Backend, base lsm.Base, flushEvery int) lsm.Config {
 		Base:       base,
 		FlushEvery: flushEvery,
 		Sync:       be.Sync,
-		Commit: func(blob []byte) error {
-			return be.ReplaceMeta(kindLSM, blob)
+		Commit: func(p disk.Pager, blob []byte) error {
+			return be.ReplaceMeta(p, kindLSM, blob)
 		},
 	}
 }

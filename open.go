@@ -43,15 +43,19 @@ type Index interface {
 // matching OpenXxxIndex function returns. A directory dispatches to
 // OpenSharded. Files whose build never committed yield an error wrapping
 // ErrNoIndex.
-func Open(path string) (Index, error) {
+func Open(path string) (Index, error) { return openWith(path, nil) }
+
+// openWith is Open with per-open runtime options: a directory opens as a
+// sharded store whose every shard gets opts, a file through openIndexWith.
+func openWith(path string, opts *Options) (Index, error) {
 	if fi, err := os.Stat(path); err == nil && fi.IsDir() {
-		s, err := OpenSharded(path, nil)
+		s, err := OpenSharded(path, opts)
 		if err != nil {
 			return nil, err
 		}
 		return s, nil
 	}
-	return openIndexWith(path, nil)
+	return openIndexWith(path, opts)
 }
 
 // openIndexWith is Open with per-open runtime options (buffer pool, pager

@@ -132,6 +132,13 @@ type Stats struct {
 	Reads  int64 // pages read
 	Writes int64 // pages written
 	Pages  int   // live pages (storage footprint)
+	// CacheHits and Evictions are the buffer pool's (Options.
+	// BufferPoolPages): page accesses it absorbed, and frames it dropped
+	// to make room. Both stay zero without a pool; evictions that keep
+	// climbing under a steady workload mean its working set has outgrown
+	// the pool.
+	CacheHits int64
+	Evictions int64
 }
 
 // IOProfile describes one query's I/O behaviour using the paper's
@@ -201,8 +208,8 @@ func (c core) backend() *engine.Backend { return c.be }
 
 // Stats reports the cumulative I/O counters of the underlying store.
 func (c core) Stats() Stats {
-	s := c.be.Stats()
-	return Stats{Reads: s.Reads, Writes: s.Writes, Pages: c.be.NumPages()}
+	s, ps := c.be.Stats(), c.be.PoolStats()
+	return Stats{Reads: s.Reads, Writes: s.Writes, Pages: c.be.NumPages(), CacheHits: ps.Hits, Evictions: ps.Evictions}
 }
 
 // ResetStats zeroes the I/O counters (and the buffer pool's statistics when

@@ -474,6 +474,8 @@ func (s *Sharded) Stats() Stats {
 		out.Reads += sst.Reads
 		out.Writes += sst.Writes
 		out.Pages += sst.Pages
+		out.CacheHits += sst.CacheHits
+		out.Evictions += sst.Evictions
 		return nil
 	})
 	return out
