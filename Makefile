@@ -7,6 +7,10 @@ BIN := bin
 # NAMED runs one named go test step: PKG PATTERN [flags]. It fails when an
 # alternative of PATTERN matches no test, where `go test -run` would pass.
 NAMED := GO=$(GO) sh scripts/gotest-named.sh
+# The write tier's interleaving tests park a writer at a chosen point and
+# depend on scheduling, so `make test` and CI rerun them 20 times under
+# -race where `go test -race ./...` runs each once.
+LSM_INTERLEAVINGS := TestReadersPassParkedFsync|TestQueryDuringFlushBuild|TestWritersWaitOutParkedCompact
 
 .PHONY: all build test benchmark-check lint pcvet allowlist fuzz-smoke crash golden bench-json serve-smoke clean
 
@@ -21,6 +25,7 @@ build:
 test:
 	$(GO) test -race ./...
 	$(NAMED) ./... Allocs
+	$(NAMED) ./internal/lsm '$(LSM_INTERLEAVINGS)' -race -count=20
 
 # The served benchmark (benchmark/) is a module of its own, so `go test
 # ./...` at the root neither builds nor tests it. It uses server.Config,

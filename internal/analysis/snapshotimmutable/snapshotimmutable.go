@@ -1,9 +1,10 @@
 // Package snapshotimmutable enforces copy-on-write on fields marked
-// //pcvet:snapshot. The LSM tier hands read paths a bare copy of such a
-// field (CompactBackground's level snapshot reads t.levels under RLock and
-// then works lock-free); that is only sound if the value behind the field
-// is never mutated in place — writers must build a fresh value and install
-// it with one wholesale field assignment.
+// //pcvet:snapshot. The LSM tier's writers, holding only their writer lock,
+// build the next version from such a field while readers under the version
+// lock's read side still read the published one (a query ranges t.levels
+// for its whole run); that is only sound if the value behind the field is
+// never mutated in place — writers must build a fresh value and install it
+// with one wholesale field assignment.
 //
 // The analysis taints every read of a marked field and propagates the
 // taint flow-insensitively through the function: local assignments, range

@@ -20,7 +20,7 @@ type pstQuery struct {
 // the query's I/O profile. Cost: O(log_B n + t/B) for Basic and Segmented,
 // O(log n + t/B) for IKO.
 func (t *Tree) Query(a, b int64) ([]record.Point, skeletal.QueryStats, error) {
-	return QueryOwned(t, t.pager, a, b)
+	return queryOwned(t, t.pager, a, b)
 }
 
 // QueryOn implements PointIndex: Query reading every page through p, with

@@ -18,7 +18,7 @@ type regionQuery struct {
 
 // Query implements PointIndex for one level of the hierarchy.
 func (rt *regionTree) Query(a, b int64) ([]record.Point, skeletal.QueryStats, error) {
-	return QueryOwned(rt, rt.pager, a, b)
+	return queryOwned(rt, rt.pager, a, b)
 }
 
 // QueryOn implements PointIndex for one level of the hierarchy, following

@@ -44,9 +44,9 @@ func (s *Scratch) Release() {
 	scratchPool.Put(s)
 }
 
-// QueryOwned answers one query through p with pooled working memory and
+// queryOwned answers one query through p with pooled working memory and
 // returns a result the caller owns (nil when empty).
-func QueryOwned(ix PointIndex, p disk.Pager, a, b int64) ([]record.Point, skeletal.QueryStats, error) {
+func queryOwned(ix PointIndex, p disk.Pager, a, b int64) ([]record.Point, skeletal.QueryStats, error) {
 	s := GetScratch()
 	defer s.Release()
 	pts, st, err := ix.QueryOn(p, a, b, s)

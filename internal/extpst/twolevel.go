@@ -298,7 +298,7 @@ const (
 
 // Query implements PointIndex for the hierarchy root.
 func (h *Hierarchical) Query(a, b int64) ([]record.Point, skeletal.QueryStats, error) {
-	return QueryOwned(h, h.pager, a, b)
+	return queryOwned(h, h.pager, a, b)
 }
 
 // QueryOn implements PointIndex for the hierarchy root: every level of the

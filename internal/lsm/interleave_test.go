@@ -182,3 +182,83 @@ func TestQueryDuringFlushBuild(t *testing.T) {
 		t.Fatalf("query after the flush ran on %+v (%v) with %d WAL entries, want one level and an empty memtable", ver, err, tr.WALEntries())
 	}
 }
+
+// readParkingPager parks the first armed page Read until its gate opens — a
+// compaction stalled while it gathers the levels it rebuilds.
+type readParkingPager struct {
+	disk.Pager
+	g *gate
+}
+
+func (p readParkingPager) Read(id disk.PageID, buf []byte) error {
+	p.g.wait()
+	return p.Pager.Read(id, buf)
+}
+
+// TestWritersWaitOutParkedCompact parks a Compact at its first page read,
+// inside the gather of the level it rebuilds: a concurrent query completes
+// on the published version, while 16 more inserts and the Flush that would
+// merge and free that level wait for the compaction to commit. Once the
+// read is released both succeed and a full query returns all 32 records.
+// Were the gather to run without the writer lock, that Flush would free
+// the level under the parked read, which would then fail with "page id
+// out of range or freed".
+func TestWritersWaitOutParkedCompact(t *testing.T) {
+	v, tr := newVolatile(t, BaseTwoSided, 256, 16)
+	rec := func(i int) record.Point { return pt(int64(i), int64(32-i), uint64(i)) }
+	insertAndFlush := func(from, to int) error {
+		for i := from; i < to; i++ {
+			if err := tr.Insert(v.store, rec(i)); err != nil {
+				return err
+			}
+		}
+		_, err := tr.Flush(v.store)
+		return err
+	}
+	if err := insertAndFlush(0, 16); err != nil {
+		t.Fatal(err)
+	}
+	live := map[record.Point]bool{}
+	for i := 0; i < 16; i++ {
+		live[rec(i)] = true
+	}
+
+	g := newGate()
+	defer g.open()
+	g.armed.Store(true)
+	compacted := make(chan error, 1)
+	go func() {
+		_, err := tr.Compact(readParkingPager{Pager: v.store, g: g})
+		compacted <- err
+	}()
+	awaitParked(t, g, "the compaction")
+
+	within(t, "Query", func() error { return queryDiff(tr, v.store, live, 0, 0) })
+	wrote := make(chan error, 1)
+	go func() { wrote <- insertAndFlush(16, 32) }()
+	select {
+	case err := <-wrote:
+		wrote <- err
+		t.Errorf("16 inserts and a Flush returned (%v) while the compaction was parked; they must wait for its commit", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+
+	g.open()
+	await := func(what string, done chan error) {
+		t.Helper()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s never returned after the read was released", what)
+		}
+	}
+	await("Compact", compacted)
+	await("the inserts and Flush", wrote)
+	for i := 16; i < 32; i++ {
+		live[rec(i)] = true
+	}
+	checkQuery(t, tr, v.store, live, 0, 0)
+}

@@ -21,11 +21,6 @@ const (
 	opDelete byte = 2
 )
 
-// ErrStale reports a snapshot compaction that lost the race with a
-// concurrent flush or compaction: nothing was committed, the freshly built
-// pages were released, and the caller may simply retry.
-var ErrStale = errors.New("lsm: compaction superseded by concurrent writes")
-
 // Config wires a Tree to its environment.
 type Config struct {
 	// Pager is the store the tree lives on; used for recovery reads, WAL
@@ -80,16 +75,16 @@ type LevelInfo struct {
 // Tree is the write tier: a WAL-backed memtable over sealed static levels.
 //
 // Two locks split the writer's work from what readers see. wmu serializes
-// the writers — updates, Flush, Compact and the commit of CompactSnapshot
-// — and is held across their I/O: the WAL append and its fsync, a level
-// build, a manifest commit. mu guards only the published version (levels,
-// tombstones, memtable, counts); a writer takes it exclusively just to
-// fold a durable WAL entry into the memtable or to swap in a committed
-// version, never across I/O. Queries hold mu's read side for their whole
-// run, so they never wait on an fsync or a level build, and a version's
-// superseded pages are freed only after the swap, when no reader can still
-// reach them. Writers read the version's fields without mu: only a writer
-// changes them, and it holds wmu.
+// the writers — updates, Flush and Compact — and is held across their
+// I/O: the WAL append and its fsync, a level build, a manifest commit. mu
+// guards only the published version (levels, tombstones, memtable,
+// counts); a writer takes it exclusively just to fold a durable WAL entry
+// into the memtable or to swap in a committed version, never across I/O.
+// Queries hold mu's read side for their whole run, so they never wait on
+// an fsync or a level build, and a version's superseded pages are freed
+// only after the swap, when no reader can still reach them. Writers read
+// the version's fields without mu: only a writer changes them, and it
+// holds wmu.
 type Tree struct {
 	cfg        Config
 	b          int // page capacity in points
@@ -106,10 +101,11 @@ type Tree struct {
 	mem    map[record.Point]memEntry
 	memIns []record.Point
 	memOps int // raw WAL entries since the last flush
-	// levels and tombs are published as bare copy-on-write snapshots:
-	// CompactSnapshot reads them under RLock and then works lock-free, so
-	// writers must build a fresh value and install it wholesale — never
-	// mutate in place. pcvet's snapshotimmutable analyzer enforces this.
+	// levels and tombs are published copy-on-write: a writer holding only
+	// wmu builds the next version beside the one readers under mu.RLock
+	// are reading, so it must build a fresh value and install it wholesale
+	// under mu — never mutate in place. pcvet's snapshotimmutable analyzer
+	// enforces this.
 	//pcvet:snapshot
 	levels []*levelState
 	// tombs is the only representation queries read; the chain at tombHead
@@ -838,46 +834,6 @@ func (t *Tree) commitCompactLocked(p disk.Pager, slot int, sealed *levelState, o
 		return slot, err
 	}
 	return slot, nil
-}
-
-// CompactSnapshot is the background form: it gathers and seals from a
-// copy-on-write snapshot of the sealed levels without blocking readers or
-// writers, then takes the writer lock only to commit. If any flush or
-// compaction landed in between, it frees its own work and returns ErrStale
-// (the state it built from is gone); callers retry or fall back to Compact.
-// The sequence check runs under the writer lock, so no flush can be
-// building from the levels this commit frees.
-func (t *Tree) CompactSnapshot(p disk.Pager) (int, error) {
-	t.mu.RLock()
-	seq0 := t.seq
-	levels := t.levels // copy-on-write: flushes replace, never mutate
-	tombs := t.tombs
-	t.mu.RUnlock()
-
-	live, old, err := t.gatherLive(p, levels, tombs)
-	if err != nil {
-		return 0, err
-	}
-	slot, sealed, err := t.sealCompacted(p, live)
-	if err != nil {
-		return 0, err
-	}
-
-	t.wmu.Lock()
-	defer t.wmu.Unlock()
-	if t.seq != seq0 {
-		if sealed != nil {
-			// The sealed level was built by this call and never named by any
-			// manifest: freeing it discards private work, not published state.
-			//pcvet:allow commitprotocol,lockheldio(t.wmu.Lock) -- frees this call's own uncommitted pages on the stale path; no manifest references them and readers never wait on wmu
-			if ferr := freeLevel(p, sealed); ferr != nil {
-				return 0, ferr
-			}
-		}
-		return 0, ErrStale
-	}
-	//pcvet:allow lockheldio(t.wmu.Lock) -- commits and swaps under mu, then frees; readers never wait on wmu
-	return t.commitCompactLocked(p, slot, sealed, old)
 }
 
 // AppendQuery appends the answer to the 2-sided query {x >= a, y >= b} to

@@ -358,10 +358,10 @@ func TestTreeCascade(t *testing.T) {
 	}
 }
 
-// TestCompactSnapshotConcurrent races background compactions against
-// writers; every compaction either lands or reports ErrStale, and the final
-// state matches the oracle.
-func TestCompactSnapshotConcurrent(t *testing.T) {
+// TestCompactConcurrent races compactions on their own goroutine against
+// writers; every compaction commits, and the final state matches the
+// oracle, before and after a reopen.
+func TestCompactConcurrent(t *testing.T) {
 	v, tr := newVolatile(t, BaseTwoSided, 256, 4)
 	var mu sync.Mutex // serializes store access ordering for the oracle only
 	live := map[record.Point]bool{}
@@ -378,7 +378,7 @@ func TestCompactSnapshotConcurrent(t *testing.T) {
 				return
 			default:
 			}
-			if _, err := tr.CompactSnapshot(v.store); err != nil && !errors.Is(err, ErrStale) {
+			if _, err := tr.Compact(v.store); err != nil {
 				mu.Lock()
 				compactErrs = append(compactErrs, err)
 				mu.Unlock()
@@ -405,7 +405,7 @@ func TestCompactSnapshotConcurrent(t *testing.T) {
 	close(done)
 	wg.Wait()
 	for _, err := range compactErrs {
-		t.Fatalf("CompactSnapshot: %v", err)
+		t.Fatalf("Compact: %v", err)
 	}
 	if _, err := tr.Flush(v.store); err != nil {
 		t.Fatalf("final flush: %v", err)

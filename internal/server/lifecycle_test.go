@@ -1,9 +1,11 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -168,11 +170,12 @@ func TestServeReloadNeverBlocksReaders(t *testing.T) {
 	}
 }
 
-func TestServeCompactBackgroundConsistency(t *testing.T) {
+func TestServeBackgroundCompactConsistency(t *testing.T) {
 	ts := startServer(t, buildKind(t, t.TempDir(), "lsm"), Config{})
 
-	// Readers hammer the index while background compactions race them: the
-	// fixture is static, so every answer is exactly checkable throughout.
+	// Readers hammer the index while background compactions race them.
+	// Inserts land below the readers' quadrants, so every reader's answer
+	// stays exactly checkable throughout.
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	errs := make(chan string, 64)
@@ -200,16 +203,27 @@ func TestServeCompactBackgroundConsistency(t *testing.T) {
 		}()
 	}
 
+	// Inserts follow each background compaction at once, so they race it;
+	// each must succeed and be visible to the final query.
+	var inserted []pathcache.Point
 	for i := 0; i < 5; i++ {
 		status, body := ts.post(t, "/v1/compact", map[string]any{"background": true})
 		if status != 200 {
 			t.Fatalf("background compact %d: status %d body %v", i, status, body)
 		}
+		for j := 0; j < 3; j++ {
+			p := pathcache.Point{X: int64(-1 - len(inserted)), Y: -1, ID: uint64(1000 + len(inserted))}
+			status, body := ts.post(t, "/v1/insert", map[string]any{"x": p.X, "y": p.Y, "id": p.ID})
+			if status != 200 {
+				t.Fatalf("insert %v during background compact %d: status %d body %v", p, i, status, body)
+			}
+			inserted = append(inserted, p)
+		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	// Every background attempt settles as committed or stale — never failed.
+	// Every background compaction commits.
 	waitUntil(t, func() bool {
-		return ts.srv.compactOK.Load()+ts.srv.compactStale.Load()+ts.srv.compactFail.Load() == 5
+		return ts.srv.compactOK.Load()+ts.srv.compactFail.Load() == 5
 	})
 	close(stop)
 	wg.Wait()
@@ -217,8 +231,82 @@ func TestServeCompactBackgroundConsistency(t *testing.T) {
 	for e := range errs {
 		t.Error(e)
 	}
-	if n := ts.srv.compactFail.Load(); n != 0 {
-		t.Fatalf("background compactions failed: %d", n)
+	if ok, fail := ts.srv.compactOK.Load(), ts.srv.compactFail.Load(); ok != 5 {
+		t.Fatalf("background compactions: %d committed, %d failed; want 5 committed", ok, fail)
+	}
+	status, body := ts.post(t, "/v1/query", map[string]any{"a": -100, "b": -100})
+	if status != 200 {
+		t.Fatalf("final query: status %d body %v", status, body)
+	}
+	got := map[pathcache.Point]bool{}
+	for _, p := range decodePoints(body) {
+		got[p] = true
+	}
+	if len(got) != 200+len(inserted) {
+		t.Errorf("final query = %d records, want the 200 fixture records and %d inserts", len(got), len(inserted))
+	}
+	for _, p := range inserted {
+		if !got[p] {
+			t.Errorf("inserted %v is missing from the final query", p)
+		}
+	}
+}
+
+// parkedCompactLSM is a write tier whose Compact parks until release is
+// closed and whose Close fails: the generation a Reload retires while its
+// background compaction runs.
+type parkedCompactLSM struct {
+	*pathcache.LSMIndex
+	entered, release chan struct{}
+}
+
+func (x *parkedCompactLSM) Compact() error {
+	close(x.entered)
+	<-x.release
+	return x.LSMIndex.Compact()
+}
+
+func (x *parkedCompactLSM) Close() error {
+	if err := x.LSMIndex.Close(); err != nil {
+		return err
+	}
+	return errors.New("retired generation failed to close")
+}
+
+// TestServeBackgroundCompactCountsReleaseError retires the served
+// generation while its background compaction runs: the compaction's pin is
+// the last one out, so its release closes that generation, and the Close
+// error counts as a failed compaction in /varz.
+func TestServeBackgroundCompactCountsReleaseError(t *testing.T) {
+	ix, err := pathcache.OpenDynamic(buildKind(t, t.TempDir(), "lsm"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := &parkedCompactLSM{LSMIndex: ix, entered: make(chan struct{}), release: make(chan struct{})}
+	next := buildKind(t, t.TempDir(), "lsm")
+	handle := pathcache.NewHandle(next, x)
+	handle.SetOpener(func() (pathcache.Index, error) { return pathcache.OpenDynamic(next) })
+	t.Cleanup(func() { handle.Close() })
+	ts := startServerOn(t, handle, Config{})
+
+	if status, body := ts.post(t, "/v1/compact", map[string]any{"background": true}); status != 200 {
+		t.Fatalf("background compact: status %d body %v", status, body)
+	}
+	select {
+	case <-x.entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the background compaction never started")
+	}
+	if err := handle.Reload(); err != nil {
+		t.Fatalf("reload: %v", err)
+	}
+	close(x.release)
+	waitUntil(t, func() bool { return ts.srv.compactOK.Load()+ts.srv.compactFail.Load() == 1 })
+	if ok, fail := ts.srv.compactOK.Load(), ts.srv.compactFail.Load(); fail != 1 {
+		t.Fatalf("compactions ok=%d fail=%d; the retired generation's Close error must count as a failure", ok, fail)
+	}
+	if status, raw := ts.get(t, "/varz"); status != 200 || !strings.Contains(string(raw), `"compactions":{"ok":0,"fail":1}`) {
+		t.Fatalf("/varz = %d %s, want compactions ok 0 and fail 1", status, raw)
 	}
 }
 

@@ -11,8 +11,9 @@
 // correct answer or a typed refusal, never a wrong answer.
 //
 // Readers never block on maintenance: hot reload swaps a copy-on-write
-// handle (pathcache.Handle), and background compaction runs over the write
-// tier's own snapshots (pathcache.WriteTier.CompactBackground).
+// handle (pathcache.Handle), and background compaction is
+// pathcache.WriteTier.Compact on its own goroutine, which readers never
+// wait for.
 //
 // Every operation dispatches on the index's query shape (pathcache.Shape)
 // or its write tier (pathcache.Writable), never on its concrete type.
@@ -95,12 +96,10 @@ type Server struct {
 	gate    *inflightGate
 	workers *opWorkers
 
-	// Background-compaction outcomes, surfaced in /varz: ok commits,
-	// stale discards (lost the race with a concurrent flush — benign),
-	// and failures.
-	compactOK    atomic.Int64
-	compactStale atomic.Int64
-	compactFail  atomic.Int64
+	// Background-compaction outcomes, surfaced in /varz: commits and
+	// failures.
+	compactOK   atomic.Int64
+	compactFail atomic.Int64
 
 	httpSrv *http.Server
 }
@@ -746,10 +745,9 @@ func (s *Server) opFlush(ctx context.Context, body []byte) (response, int, *apiE
 }
 
 // opCompact rebuilds the write tier's levels: synchronously by default, or
-// in the background ({"background": true}) without blocking readers. A
-// background attempt that loses the race with a concurrent flush discards
-// its work (counted as stale in /varz) — the state that superseded it is
-// already newer.
+// in the background ({"background": true}), where the same Compact runs on
+// its own goroutine after the request returns. Readers never wait for
+// either; updates wait for the commit.
 func (s *Server) opCompact(ctx context.Context, body []byte) (response, int, *apiError) {
 	var req compactReq
 	if aerr := decodeStrict(body, &req); aerr != nil {
@@ -769,20 +767,19 @@ func (s *Server) opCompact(ctx context.Context, body []byte) (response, int, *ap
 		}
 		return finish(&okResponse{OK: true}, 0, release)
 	}
-	done := w.CompactBackground()
 	go func() {
-		err := <-done
-		switch {
-		case err == nil:
-			s.compactOK.Add(1)
-		case err == pathcache.ErrStaleCompaction:
-			s.compactStale.Add(1)
-		default:
-			s.compactFail.Add(1)
+		// The snapshot pin outlives the request: the compaction runs on the
+		// pinned index, so it is released only here, and the Close error of
+		// a generation a Reload retired meanwhile counts as a failure.
+		err := w.Compact()
+		if rerr := release(); err == nil {
+			err = rerr
 		}
-		// The snapshot pin outlives the request: the compaction reads the
-		// pinned index, so it is released only here.
-		release() //nolint:errcheck // surfaced via compactFail on next request
+		if err != nil {
+			s.compactFail.Add(1)
+		} else {
+			s.compactOK.Add(1)
+		}
 	}()
 	return &okResponse{OK: true, Background: true}, 0, nil
 }
@@ -877,9 +874,8 @@ type shardVarz struct {
 }
 
 type compactVarz struct {
-	OK    int64 `json:"ok"`
-	Stale int64 `json:"stale"`
-	Fail  int64 `json:"fail"`
+	OK   int64 `json:"ok"`
+	Fail int64 `json:"fail"`
 }
 
 func (s *Server) handleVarz(w http.ResponseWriter, r *http.Request) {
@@ -898,9 +894,8 @@ func (s *Server) handleVarz(w http.ResponseWriter, r *http.Request) {
 		UptimeMS:   time.Since(s.start).Milliseconds(),
 		Serve:      s.set.Snapshot(),
 		Compact: compactVarz{
-			OK:    s.compactOK.Load(),
-			Stale: s.compactStale.Load(),
-			Fail:  s.compactFail.Load(),
+			OK:   s.compactOK.Load(),
+			Fail: s.compactFail.Load(),
 		},
 	}
 	if sh, ok := ix.(*pathcache.Sharded); ok {

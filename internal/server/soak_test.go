@@ -265,8 +265,8 @@ func TestServeSoak(t *testing.T) {
 			t.Fatalf("final live set contains %+v which the oracle does not", p)
 		}
 	}
-	t.Logf("soak: %d requests, %d live points, compactions ok=%d stale=%d",
-		requests.Load(), len(want), ts.srv.compactOK.Load(), ts.srv.compactStale.Load())
+	t.Logf("soak: %d requests, %d live points, compactions ok=%d",
+		requests.Load(), len(want), ts.srv.compactOK.Load())
 }
 
 // decodePoints pulls the points array out of a decoded query response.

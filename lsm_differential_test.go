@@ -1,7 +1,6 @@
 package pathcache
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"path/filepath"
@@ -124,7 +123,7 @@ func runLSMDifferential(dir, base string, ops int, seed int64) error {
 		}
 		err := <-compacting
 		compacting = nil
-		if err != nil && !errors.Is(err, ErrStaleCompaction) {
+		if err != nil {
 			return fmt.Errorf("background compaction: %w", err)
 		}
 		return nil
@@ -183,9 +182,12 @@ func runLSMDifferential(dir, base string, ops int, seed int64) error {
 		if lm.Len() != len(model.pts) {
 			return fmt.Errorf("op %d: logmethod Len %d, oracle %d", op, lm.Len(), len(model.pts))
 		}
-		// Race a snapshot compaction against the stream's second half.
+		// Race a compaction on its own goroutine against the stream's
+		// second half.
 		if op == ops/2 && compacting == nil {
-			compacting = ix.CompactBackground()
+			done := make(chan error, 1)
+			go func(ix *LSMIndex) { done <- ix.Compact() }(ix)
+			compacting = done
 		}
 		// Close without flushing and reopen: recovery must replay the WAL
 		// tail and land on exactly the oracle's state.

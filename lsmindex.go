@@ -1,7 +1,6 @@
 package pathcache
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 
@@ -28,11 +27,6 @@ func init() {
 var _ = [1]struct{}{}[lsm.BaseTwoSided-kindTwoSided+lsm.BaseThreeSide-kindThreeSide+
 	lsm.BaseSegment-kindSegment+lsm.BaseInterval-kindInterval+
 	lsm.BaseStabbing-kindStabbing+lsm.BaseWindow-kindWindow]
-
-// ErrStaleCompaction reports a background compaction that lost the race
-// with concurrent flushes: nothing was committed and the attempt may simply
-// be retried. Synchronous Compact never returns it.
-var ErrStaleCompaction = lsm.ErrStale
 
 // LSMLevel summarizes one sealed level of a dynamic index: its geometric
 // slot (capacity MemtableEntries·2^Slot records), record count, and the
@@ -282,7 +276,9 @@ func (x *LSMIndex) Flush() error {
 
 // Compact rebuilds every sealed level into one tombstone-free level now,
 // regardless of the tombstone cap. The memtable is flushed first so the
-// rebuild covers everything.
+// rebuild covers everything. Queries keep answering from the published
+// version throughout; updates wait for the compaction to commit, so a
+// caller that must not block runs it on a goroutine.
 func (x *LSMIndex) Compact() error {
 	x.mu.Lock()
 	defer x.mu.Unlock()
@@ -292,31 +288,6 @@ func (x *LSMIndex) Compact() error {
 		}
 	}
 	return x.compactLocked()
-}
-
-// CompactBackground starts a compaction over a copy-on-write snapshot of
-// the sealed levels: concurrent queries and updates proceed unblocked, and
-// the rebuild commits only if no flush or compaction landed in between —
-// otherwise it discards its work and the returned channel delivers
-// ErrStaleCompaction (retry if desired; the state that superseded the
-// snapshot is already newer). The channel receives exactly one value.
-func (x *LSMIndex) CompactBackground() <-chan error {
-	done := make(chan error, 1)
-	go func() {
-		err := x.runMaint("compact", x.tr.CompactDest(), func(pg disk.Pager) (int, error) {
-			slot, err := x.tr.CompactSnapshot(pg)
-			if err != nil {
-				return 0, err
-			}
-			return x.tr.LevelRecordsAt(slot), nil
-		})
-		if errors.Is(err, lsm.ErrStale) {
-			done <- ErrStaleCompaction
-			return
-		}
-		done <- err
-	}()
-	return done
 }
 
 // Query reports every live record with X >= a and Y >= b: every sealed

@@ -107,9 +107,6 @@ type WriteTier interface {
 	Has(p Point) (bool, IOProfile, error)
 	Flush() error
 	Compact() error
-	// CompactBackground compacts without blocking readers; the channel
-	// receives exactly one value.
-	CompactBackground() <-chan error
 	writable() bool
 }
 

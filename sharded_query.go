@@ -395,15 +395,6 @@ func (s *Sharded) Flush() error { return s.maintain("Flush", WriteTier.Flush) }
 // "lsm" shards.
 func (s *Sharded) Compact() error { return s.maintain("Compact", WriteTier.Compact) }
 
-// CompactBackground runs Compact on a goroutine: readers run over router
-// snapshots and never block on the maintenance lock it holds. The channel
-// receives exactly one value.
-func (s *Sharded) CompactBackground() <-chan error {
-	done := make(chan error, 1)
-	go func() { done <- s.Compact() }()
-	return done
-}
-
 func (s *Sharded) maintain(op string, run func(WriteTier) error) error {
 	if !s.writable() {
 		return s.kindError(op)
