@@ -79,11 +79,11 @@ fuzz-smoke:
 # The crash-consistency matrix: the every-write-point kill sweeps at the
 # store level and through every persisted index kind's public build path,
 # plus the build golden and differential tests that pin the page-write
-# sequence those sweeps kill at.
+# sequence those sweeps kill at, and the one-write-per-page build check.
 crash:
 	$(NAMED) ./internal/disk 'TestCrashSweepStoreLevel|TestCrashFile|TestFileStore' -v
 	$(NAMED) . 'TestCrashSweepIndexes' -v
-	$(NAMED) . 'TestBuildGolden' -count=1 -v
+	$(NAMED) . 'TestBuildGolden|TestBuildPageWrites' -count=1 -v
 	$(NAMED) ./internal/pstcore 'TestBuildMatchesReference' -count=1 -v
 	$(NAMED) . 'TestCrashSweepLSM' -v
 	$(NAMED) . 'TestCrashSweepShardMap|TestCrashSweepShardStore' -v

@@ -9,7 +9,6 @@ import (
 	"math/rand"
 	"path/filepath"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"pathcache"
@@ -174,6 +173,36 @@ func BenchmarkBuildWindow(b *testing.B) {
 	})
 }
 
+// BenchmarkBuildFileTwoSided builds a 100,000-point Segmented 2-sided
+// index through a file store on a real file with 4 KiB pages, the path
+// Options.Path takes, and closes it. pwrites/page is the file's physical
+// writes per page it ends up holding: the I/O model charges one.
+func BenchmarkBuildFileTwoSided(b *testing.B) {
+	pts := make([]pathcache.Point, 100_000)
+	for i, p := range buildBenchPts() {
+		pts[i] = pathcache.Point(p)
+	}
+	path := filepath.Join(b.TempDir(), "build.pc")
+	var io pathcache.FileIO
+	var pages int64
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		opts, err := pathcache.WithFileIO(pathcache.Options{PageSize: benchPage}, path, &io)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ix, err := pathcache.NewTwoSidedIndex(pts, pathcache.SchemeSegmented, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		pages += int64(ix.Stats().Pages)
+		if err := ix.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(io.Writes.Load())/float64(pages), "pwrites/page")
+}
+
 // BenchmarkBuildDynamic builds the served lsm-mixed store's seed: a
 // file-backed "lsm" over "twosided", 20,000 uniform points, MemtableEntries
 // 1,024, 4 KiB pages. syncs/op counts the fsyncs the build pays before it
@@ -184,22 +213,22 @@ func BenchmarkBuildDynamic(b *testing.B) {
 		pts[i] = pathcache.Point(p)
 	}
 	path := filepath.Join(b.TempDir(), "seed.pc")
-	var syncs atomic.Int64
+	var io pathcache.FileIO
 	var built int64
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		opts, err := pathcache.WithSyncCounter(pathcache.Options{PageSize: benchPage, MemtableEntries: 1024}, path, &syncs)
+		opts, err := pathcache.WithFileIO(pathcache.Options{PageSize: benchPage, MemtableEntries: 1024}, path, &io)
 		if err != nil {
 			b.Fatal(err)
 		}
-		before := syncs.Load()
+		before := io.Syncs.Load()
 		b.StartTimer()
 		ix, err := pathcache.BuildDynamic("twosided", pts, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.StopTimer()
-		built += syncs.Load() - before
+		built += io.Syncs.Load() - before
 		if err := ix.Close(); err != nil {
 			b.Fatal(err)
 		}

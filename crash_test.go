@@ -187,3 +187,32 @@ func TestCrashSweepIndexes(t *testing.T) {
 		})
 	}
 }
+
+// TestBuildPageWrites holds a file-backed build to the I/O model's price:
+// one physical write per page the file ends up holding, plus a constant —
+// the two superblock slots a new store writes and the commit's superblock.
+// Extending allocations write nothing; a store that zero-filled each new
+// page and counted it in its own superblock paid three writes a page.
+func TestBuildPageWrites(t *testing.T) {
+	const n, page, slack = 20_000, 4096, 4
+	rng := rand.New(rand.NewSource(47))
+	pts := make([]Point, n)
+	for i := range pts {
+		pts[i] = Point{X: rng.Int63n(1 << 30), Y: rng.Int63n(1 << 30), ID: uint64(i)}
+	}
+	mem := disk.NewMemFile()
+	dev := disk.NewCrashFile(mem, -1, 0) // counting only
+	ix, err := NewTwoSidedIndex(pts, SchemeSegmented, &Options{PageSize: page, testFile: dev})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.Close(); err != nil {
+		t.Fatal(err)
+	}
+	size, _ := mem.Size()
+	pages := size/page - 1
+	if w := dev.Writes(); w > pages+slack {
+		t.Fatalf("build of %d pages made %d physical writes, want at most %d", pages, w, pages+slack)
+	}
+	t.Logf("build of %d pages made %d physical writes", pages, dev.Writes())
+}

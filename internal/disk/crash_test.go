@@ -2,7 +2,9 @@ package disk
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"testing"
 )
@@ -134,21 +136,128 @@ func driveStoreWorkload(fs *FileStore) error {
 	return fs.Write(id, buf)
 }
 
+// linkPayload fills a link-workload page: its first 8 bytes name the next
+// page of the chain (InvalidPage at the tail), the rest is a pattern of
+// its own id.
+func linkPayload(buf []byte, id, next PageID) {
+	binary.LittleEndian.PutUint64(buf, uint64(next))
+	for j := 8; j < len(buf); j++ {
+		buf[j] = byte(int(id)*31 + j)
+	}
+}
+
+// driveLinkWorkload grows a chain from a committed head the way the write
+// tier's WAL rolls: allocate a page, write it, then link it from the
+// chain's tail — a page an earlier superblock already counts — and sync.
+// The third round also allocates a page it never writes, so the link's
+// superblock must zero-fill it.
+func driveLinkWorkload(fs *FileStore) error {
+	buf := make([]byte, fs.PageSize())
+	head, err := fs.Alloc()
+	if err != nil {
+		return err
+	}
+	linkPayload(buf, head, InvalidPage)
+	if err := fs.Write(head, buf); err != nil {
+		return err
+	}
+	if err := fs.SetAppHead(head); err != nil {
+		return err
+	}
+	tail := head
+	for round := 0; round < 3; round++ {
+		if round == 2 {
+			if _, err := fs.Alloc(); err != nil {
+				return err
+			}
+		}
+		id, err := fs.Alloc()
+		if err != nil {
+			return err
+		}
+		linkPayload(buf, id, InvalidPage)
+		if err := fs.Write(id, buf); err != nil {
+			return err
+		}
+		linkPayload(buf, tail, id)
+		if err := fs.Write(tail, buf); err != nil {
+			return err
+		}
+		if err := fs.Sync(); err != nil {
+			return err
+		}
+		tail = id
+	}
+	return nil
+}
+
+// checkLinkChain walks the chain from the app head of a reopened store.
+// Every link that reads back checksum-clean must name a page inside the
+// durable page count whose bytes are the ones written before the link:
+// the link rule puts the superblock counting a page before any write that
+// links it from durable state.
+func checkLinkChain(fs *FileStore) error {
+	buf, want := make([]byte, fs.PageSize()), make([]byte, fs.PageSize())
+	for id, hops := fs.AppHead(), 0; id != InvalidPage; hops++ {
+		if hops > 8 {
+			return fmt.Errorf("chain from the app head does not end")
+		}
+		if id < 0 || int64(id) >= fs.numPages {
+			return fmt.Errorf("link to page %d outside the durable page count %d", id, fs.numPages)
+		}
+		if err := fs.Read(id, buf); err != nil {
+			if errors.Is(err, ErrCorrupt) {
+				return nil // a torn write, detected
+			}
+			return fmt.Errorf("page %d: %w", id, err)
+		}
+		next := PageID(binary.LittleEndian.Uint64(buf))
+		linkPayload(want, id, next)
+		if !bytes.Equal(buf, want) {
+			return fmt.Errorf("page %d reads back bytes that were never written to it", id)
+		}
+		id = next
+	}
+	return nil
+}
+
 // TestCrashSweepStoreLevel kills the store at every write I/O point of a
-// mutation workload (with several torn-write variants) and asserts the
-// reopened image is never silently inconsistent: either open fails wrapping
+// workload (with several torn-write variants) and asserts the reopened
+// image is never silently inconsistent: either open fails wrapping
 // ErrCorrupt, or it opens with a plausible app head and every page read
 // either verifies checksum-clean or itself fails with a wrapped ErrCorrupt.
 // A torn data-page write is allowed to survive a reopen — page writes are
 // not covered by the superblock transaction — but it must be *detected* at
 // read time, never served as garbage.
+//
+// The mutations workload exercises every write path: alloc, page write,
+// app-head update, free and a free-list pop. The link workload checks the
+// rule that makes deferred allocation safe: a page linked from durable
+// state is always inside the durable page count.
 func TestCrashSweepStoreLevel(t *testing.T) {
+	t.Run("mutations", func(t *testing.T) {
+		// Valid app heads: InvalidPage (initial) or page 0 (after SetAppHead).
+		sweepStore(t, driveStoreWorkload, func(fs *FileStore) error {
+			if h := fs.AppHead(); h != InvalidPage && h != 0 {
+				return fmt.Errorf("impossible app head %d", h)
+			}
+			return nil
+		})
+	})
+	t.Run("link", func(t *testing.T) { sweepStore(t, driveLinkWorkload, checkLinkChain) })
+}
+
+// sweepStore runs workload once to count its writes, then once per kill
+// point and tear variant, and checks each surviving image: open fails
+// typed, or the store verifies, reads every page clean or typed, and
+// passes check.
+func sweepStore(t *testing.T, workload, check func(*FileStore) error) {
 	// Instrumentation pass: count the writes the workload performs.
 	cp, err := NewCrashPager(MinFilePageSize, -1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := driveStoreWorkload(cp.Store); err != nil {
+	if err := workload(cp.Store); err != nil {
 		t.Fatalf("instrumentation workload: %v", err)
 	}
 	total := cp.Crash.Writes()
@@ -156,7 +265,6 @@ func TestCrashSweepStoreLevel(t *testing.T) {
 		t.Fatalf("workload only performed %d writes; sweep would be trivial", total)
 	}
 
-	// Valid app heads: InvalidPage (initial) or page 0 (after SetAppHead).
 	for limit := int64(0); limit < total; limit++ {
 		for _, torn := range []int{0, 1, superSize - 1, MinFilePageSize / 2} {
 			cp, err := NewCrashPager(MinFilePageSize, limit, torn)
@@ -166,7 +274,7 @@ func TestCrashSweepStoreLevel(t *testing.T) {
 					t.Fatalf("limit=%d torn=%d: create err = %v", limit, torn, err)
 				}
 			} else {
-				werr := driveStoreWorkload(cp.Store)
+				werr := workload(cp.Store)
 				if !errors.Is(werr, ErrCrashed) {
 					t.Fatalf("limit=%d torn=%d: workload err = %v, want ErrCrashed", limit, torn, werr)
 				}
@@ -186,8 +294,8 @@ func TestCrashSweepStoreLevel(t *testing.T) {
 			if verr != nil && !errors.Is(verr, ErrCorrupt) {
 				t.Fatalf("limit=%d torn=%d: Verify err = %v, want nil or wrapped ErrCorrupt (report %+v)", limit, torn, verr, rep)
 			}
-			if h := reopened.AppHead(); h != InvalidPage && h != 0 {
-				t.Fatalf("limit=%d torn=%d: impossible app head %d", limit, torn, h)
+			if err := check(reopened); err != nil {
+				t.Fatalf("limit=%d torn=%d: %v", limit, torn, err)
 			}
 			// Every page read must either verify checksum-clean, be rejected
 			// as a free slot (ErrBadPage), or flag the torn write as

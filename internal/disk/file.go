@@ -86,9 +86,16 @@ func (m *MemFile) WriteAt(p []byte, off int64) (int, error) {
 		return 0, fmt.Errorf("disk: negative offset %d", off)
 	}
 	if end := off + int64(len(p)); end > int64(len(m.data)) {
-		grown := make([]byte, end)
-		copy(grown, m.data)
-		m.data = grown
+		// Grow by doubling, so a store appending page after page copies
+		// its image O(log n) times, not once per page.
+		if end > int64(cap(m.data)) {
+			grown := make([]byte, len(m.data), max(end, 2*int64(cap(m.data))))
+			copy(grown, m.data)
+			m.data = grown
+		}
+		old := len(m.data)
+		m.data = m.data[:end]
+		clear(m.data[old:])
 	}
 	copy(m.data[off:], p)
 	return len(p), nil

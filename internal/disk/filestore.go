@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math/bits"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -38,6 +39,16 @@ import (
 // Every integrity failure is reported as an error wrapping ErrCorrupt; the
 // store never returns unverified bytes.
 //
+// Extending the file costs no I/O at Alloc: the new id is recorded as
+// allocated but unwritten, reads as zeros, and reaches the file with its
+// first Write. The superblock is written only by SetAppHead, Free, a
+// free-list pop, Close, and before a Write to a page the newest superblock
+// already counts while allocations are pending (the link rule: such a
+// write may make a new page reachable from durable state, so the page must
+// be counted first). Every superblock write first zero-fills the unwritten
+// ids it is about to count, so no superblock counts a page whose bytes
+// were never written.
+//
 // Locking: Read takes only the read side of mu, so concurrent readers'
 // preads and checksum checks overlap. Sync takes the read side too: an
 // fsync changes no byte and no allocation state, so a WAL writer's fsync
@@ -53,9 +64,18 @@ type FileStore struct {
 	pageSize int // physical page slot size; usable payload is 4 bytes less
 	epoch    uint64
 	numPages int64 // allocated-or-freed page slots in the file
-	freeHead PageID
-	appHead  PageID          // application metadata page (index headers)
-	freeSet  map[PageID]bool // guards against double free / read-after-free
+	durable  int64 // page count the newest superblock on disk records
+	// unwritten has bit i set while page durable+i has been allocated by
+	// extending the file but not yet written; nUnwritten counts the set
+	// bits. Both are empty whenever numPages == durable.
+	unwritten  []uint64
+	nUnwritten int
+	freeHead   PageID
+	appHead    PageID          // application metadata page (index headers)
+	freeSet    map[PageID]bool // guards against double free / read-after-free
+	// meta holds an encoded superblock or free stub on its way to the
+	// file. Only holders of the exclusive lock (or the constructors) use it.
+	meta [superSlotSize]byte
 
 	reads  atomic.Int64
 	writes atomic.Int64
@@ -105,12 +125,17 @@ func pageCRC(id PageID, payload []byte) uint32 {
 	return ^c
 }
 
-// stubCRC checksums a free-list pointer bound to the page holding it.
+// stubCRC checksums a free-list pointer bound to the page holding it: the
+// CRC32C of next and id as sixteen little-endian bytes, folded in with the
+// same table loop as pageCRC so no buffer escapes to the heap.
 func stubCRC(id PageID, next PageID) uint32 {
-	var b [16]byte
-	binary.LittleEndian.PutUint64(b[0:8], uint64(next))
-	binary.LittleEndian.PutUint64(b[8:16], uint64(id))
-	return crc32.Update(0, crcTable, b[:])
+	c := ^uint32(0)
+	for _, v := range [2]uint64{uint64(next), uint64(id)} {
+		for i := 0; i < 8; v, i = v>>8, i+1 {
+			c = crcTable[byte(c)^byte(v)] ^ (c >> 8)
+		}
+	}
+	return ^c
 }
 
 func validFilePageSize(pageSize int) error {
@@ -263,6 +288,7 @@ func OpenFileStoreOn(f File) (*FileStore, error) {
 		pageSize: best.pageSize,
 		epoch:    best.epoch,
 		numPages: best.numPages,
+		durable:  best.numPages,
 		freeHead: best.freeHead,
 		appHead:  best.appHead,
 		freeSet:  map[PageID]bool{},
@@ -278,7 +304,7 @@ func OpenFileStoreOn(f File) (*FileStore, error) {
 		if fs.freeSet[id] {
 			return nil, fmt.Errorf("disk: free list cycles back to page %d: %w", id, ErrCorrupt)
 		}
-		next, err := fs.readFreeStub(id)
+		next, err := fs.readFreeStub(id, fs.meta[:freeStubSize])
 		if err != nil {
 			return nil, err
 		}
@@ -296,9 +322,10 @@ func (fs *FileStore) offset(id PageID) int64 {
 // trailer. All packing arithmetic (B, chain capacities) derives from it.
 func (fs *FileStore) usable() int { return fs.pageSize - pageTrailerSize }
 
-// encodeSuper serializes the current metadata with its checksum.
+// encodeSuper serializes the current metadata with its checksum into
+// fs.meta and returns the encoded bytes.
 func (fs *FileStore) encodeSuper() []byte {
-	b := make([]byte, superSize)
+	b := fs.meta[:superSize]
 	binary.LittleEndian.PutUint64(b[0:8], fileMagic)
 	binary.LittleEndian.PutUint32(b[8:12], fileFormatVersion)
 	binary.LittleEndian.PutUint32(b[12:16], uint32(fs.pageSize))
@@ -312,21 +339,72 @@ func (fs *FileStore) encodeSuper() []byte {
 
 // writeSuper persists the superblock into the slot its next epoch selects,
 // leaving the previous epoch's slot intact: a crash mid-write costs at most
-// the update in flight, never the metadata. Caller holds fs.mu (or is the
-// constructor).
+// the update in flight, never the metadata. It first zero-fills every
+// unwritten page the new count admits, so the superblock never counts a
+// page whose bytes were never written. Caller holds fs.mu exclusively.
 func (fs *FileStore) writeSuper() error {
+	if err := fs.fillUnwritten(); err != nil {
+		return err
+	}
 	fs.epoch++
 	slot := int64(fs.epoch % 2)
 	if _, err := fs.f.WriteAt(fs.encodeSuper(), slot*superSlotSize); err != nil {
 		return fmt.Errorf("disk: writing superblock slot %d (epoch %d): %w", slot, fs.epoch, err)
 	}
+	fs.durable = fs.numPages
 	return nil
 }
 
-// readFreeStub reads and verifies the free-list pointer stored in page id.
-// Caller holds fs.mu (or is the opener).
-func (fs *FileStore) readFreeStub(id PageID) (PageID, error) {
-	stub := make([]byte, freeStubSize)
+// markUnwritten records the page an extending Alloc just handed out.
+func (fs *FileStore) markUnwritten(id PageID) {
+	i := int64(id) - fs.durable
+	for int64(len(fs.unwritten))*64 <= i {
+		fs.unwritten = append(fs.unwritten, 0)
+	}
+	fs.unwritten[i/64] |= 1 << (i % 64)
+	fs.nUnwritten++
+}
+
+// isUnwritten reports whether page id (< numPages) was allocated by
+// extending the file and has not been written since. Caller holds fs.mu
+// (either side).
+func (fs *FileStore) isUnwritten(id PageID) bool {
+	if fs.nUnwritten == 0 || int64(id) < fs.durable {
+		return false
+	}
+	i := int64(id) - fs.durable
+	return fs.unwritten[i/64]&(1<<(i%64)) != 0
+}
+
+// markWritten clears page id's unwritten bit after its first write.
+func (fs *FileStore) markWritten(id PageID) {
+	if fs.isUnwritten(id) {
+		i := int64(id) - fs.durable
+		fs.unwritten[i/64] &^= 1 << (i % 64)
+		fs.nUnwritten--
+	}
+}
+
+// fillUnwritten writes a zero page, with its trailer, into every unwritten
+// slot in id order. Caller holds fs.mu exclusively.
+func (fs *FileStore) fillUnwritten() error {
+	for w := range fs.unwritten {
+		for fs.unwritten[w] != 0 {
+			b := bits.TrailingZeros64(fs.unwritten[w])
+			if err := fs.writePage(PageID(fs.durable+int64(64*w+b)), nil); err != nil {
+				return err
+			}
+			fs.unwritten[w] &^= 1 << b
+			fs.nUnwritten--
+		}
+	}
+	fs.unwritten = fs.unwritten[:0]
+	return nil
+}
+
+// readFreeStub reads and verifies the free-list pointer stored in page id
+// into stub (freeStubSize bytes). Caller holds fs.mu (or is the opener).
+func (fs *FileStore) readFreeStub(id PageID, stub []byte) (PageID, error) {
 	if _, err := fs.f.ReadAt(stub, fs.offset(id)); err != nil {
 		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
 			return InvalidPage, fmt.Errorf("disk: free page %d truncated: %w", id, ErrCorrupt)
@@ -343,7 +421,7 @@ func (fs *FileStore) readFreeStub(id PageID) (PageID, error) {
 // writeFreeStub links page id to next on the on-disk free list. Caller holds
 // fs.mu.
 func (fs *FileStore) writeFreeStub(id PageID, next PageID) error {
-	stub := make([]byte, freeStubSize)
+	stub := fs.meta[:freeStubSize]
 	binary.LittleEndian.PutUint64(stub[0:8], uint64(next))
 	binary.LittleEndian.PutUint32(stub[8:12], stubCRC(id, next))
 	if _, err := fs.f.WriteAt(stub, fs.offset(id)); err != nil {
@@ -352,11 +430,18 @@ func (fs *FileStore) writeFreeStub(id PageID, next PageID) error {
 	return nil
 }
 
-// writePage seals the payload with its checksum trailer and writes the full
-// physical page. Caller holds fs.mu.
+// writePage seals the payload (zeros when payload is nil) with its
+// checksum trailer in a pooled slot buffer and writes the full physical
+// page. Caller holds fs.mu exclusively.
 func (fs *FileStore) writePage(id PageID, payload []byte) error {
-	slotBuf := make([]byte, fs.pageSize)
-	copy(slotBuf, payload[:fs.usable()])
+	bp := GetPageBuf(fs.pageSize)
+	defer PutPageBuf(bp)
+	slotBuf := *bp
+	if payload == nil {
+		clear(slotBuf[:fs.usable()])
+	} else {
+		copy(slotBuf, payload[:fs.usable()])
+	}
 	binary.LittleEndian.PutUint32(slotBuf[fs.pageSize-pageTrailerSize:], pageCRC(id, slotBuf[:fs.usable()]))
 	if _, err := fs.f.WriteAt(slotBuf, fs.offset(id)); err != nil {
 		return fmt.Errorf("disk: writing page %d: %w", id, err)
@@ -417,10 +502,9 @@ func (fs *FileStore) Alloc() (PageID, error) {
 		return InvalidPage, errClosed
 	}
 	fs.allocs.Add(1)
-	zero := make([]byte, fs.usable())
 	if fs.freeHead != InvalidPage {
 		id := fs.freeHead
-		next, err := fs.readFreeStub(id)
+		next, err := fs.readFreeStub(id, fs.meta[:freeStubSize])
 		if err != nil {
 			return InvalidPage, err
 		}
@@ -428,19 +512,20 @@ func (fs *FileStore) Alloc() (PageID, error) {
 		// superblock commits the pop: a crash in between leaves the page on
 		// the free list with a destroyed stub, which the next Open reports
 		// as ErrCorrupt instead of silently mis-allocating.
-		if err := fs.writePage(id, zero); err != nil {
+		if err := fs.writePage(id, nil); err != nil {
 			return InvalidPage, err
 		}
 		fs.freeHead = next
 		delete(fs.freeSet, id)
 		return id, fs.writeSuper()
 	}
+	// Extending the file writes nothing yet: the page reads as zeros until
+	// its first Write, and the next superblock zero-fills it if that never
+	// came.
 	id := PageID(fs.numPages)
-	if err := fs.writePage(id, zero); err != nil {
-		return InvalidPage, err
-	}
 	fs.numPages++
-	return id, fs.writeSuper()
+	fs.markUnwritten(id)
+	return id, nil
 }
 
 // Free implements Pager.
@@ -455,6 +540,11 @@ func (fs *FileStore) Free(id PageID) error {
 	}
 	if fs.freeSet[id] {
 		return fmt.Errorf("%w: %d", ErrDoubleUse, id)
+	}
+	// The superblock below counts id, so an unwritten id needs its full
+	// page on disk before the stub lands in it.
+	if err := fs.fillUnwritten(); err != nil {
+		return err
 	}
 	if err := fs.writeFreeStub(id, fs.freeHead); err != nil {
 		return err
@@ -481,6 +571,10 @@ func (fs *FileStore) Read(id PageID, buf []byte) error {
 		return fmt.Errorf("%w: %d", ErrBadPage, id)
 	}
 	fs.reads.Add(1)
+	if fs.isUnwritten(id) {
+		clear(buf[:fs.PageSize()])
+		return nil
+	}
 	return fs.readPage(id, buf)
 }
 
@@ -497,8 +591,20 @@ func (fs *FileStore) Write(id PageID, buf []byte) error {
 	if id < 0 || int64(id) >= fs.numPages || fs.freeSet[id] {
 		return fmt.Errorf("%w: %d", ErrBadPage, id)
 	}
+	// The link rule: a page the newest superblock counts may be part of
+	// durable state, and this write may link a pending page into it, so the
+	// superblock counts the pending pages first.
+	if int64(id) < fs.durable && fs.numPages > fs.durable {
+		if err := fs.writeSuper(); err != nil {
+			return err
+		}
+	}
 	fs.writes.Add(1)
-	return fs.writePage(id, buf)
+	if err := fs.writePage(id, buf); err != nil {
+		return err
+	}
+	fs.markWritten(id)
+	return nil
 }
 
 // NumPages reports the number of live pages.
@@ -534,23 +640,25 @@ func (fs *FileStore) Sync() error {
 	return fs.f.Sync()
 }
 
-// Close syncs and closes the file. The store is unusable afterwards.
+// Close counts any pending allocations in a last superblock, then syncs
+// and closes the file. The store is unusable afterwards.
 func (fs *FileStore) Close() error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	if fs.f == nil {
 		return nil
 	}
-	if err := fs.f.Sync(); err != nil {
-		//pcvet:allow lockheldio(fs.mu.Lock) -- terminal teardown under fs.mu keeps close-vs-access ordering simple
-		if cerr := fs.f.Close(); cerr != nil {
-			err = errors.Join(err, cerr)
-		}
-		fs.f = nil
-		return err
+	var err error
+	if fs.numPages > fs.durable {
+		err = fs.writeSuper()
+	}
+	if err == nil {
+		err = fs.f.Sync()
 	}
 	//pcvet:allow lockheldio(fs.mu.Lock) -- terminal teardown under fs.mu keeps close-vs-access ordering simple
-	err := fs.f.Close()
+	if cerr := fs.f.Close(); cerr != nil {
+		err = errors.Join(err, cerr)
+	}
 	fs.f = nil
 	return err
 }
@@ -587,9 +695,14 @@ func (fs *FileStore) Verify() (VerifyReport, error) {
 		return rep, errClosed
 	}
 	payload := make([]byte, fs.usable())
+	stub := make([]byte, freeStubSize)
 	for id := PageID(0); int64(id) < fs.numPages; id++ {
+		if fs.isUnwritten(id) {
+			rep.PagesOK++ // reads as zeros until its first write
+			continue
+		}
 		if fs.freeSet[id] {
-			if _, err := fs.readFreeStub(id); err != nil {
+			if _, err := fs.readFreeStub(id, stub); err != nil {
 				return rep, err
 			}
 			rep.FreeStubsOK++

@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
 	"testing/quick"
+
+	"pathcache/internal/race"
 )
 
 func newFileStore(t *testing.T, pageSize int) (*FileStore, string) {
@@ -320,21 +323,29 @@ func TestFileStoreDetectsBitFlips(t *testing.T) {
 }
 
 // Destroying one superblock slot leaves the other in charge: the store
-// opens with the surviving epoch, rolling back at most the single update
-// that slot carried. Destroying both is a clean ErrCorrupt.
+// opens with the surviving epoch, rolling back exactly the one update that
+// slot carried. Destroying both is a clean ErrCorrupt. Allocations write
+// no superblock, so the two updates here are the two SetAppHead commits,
+// and Close, with nothing pending, writes none.
 func TestFileStoreSuperblockFallback(t *testing.T) {
 	fs, path := newFileStore(t, 128)
-	id, err := fs.Alloc() // epoch 1 -> slot 1 (numPages = 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, fs.PageSize())
-	buf[0] = 42
-	if err := fs.Write(id, buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.SetAppHead(id); err != nil { // epoch 2 -> slot 0 (appHead = id)
-		t.Fatal(err)
+	var ids [2]PageID
+	for i := range ids {
+		id, err := fs.Alloc()
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf := make([]byte, fs.PageSize())
+		buf[0] = byte(42 + i)
+		if err := fs.Write(id, buf); err != nil {
+			t.Fatal(err)
+		}
+		// epoch 1 -> slot 1 (numPages 1, appHead ids[0]);
+		// epoch 2 -> slot 0 (numPages 2, appHead ids[1]).
+		if err := fs.SetAppHead(id); err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = id
 	}
 	if err := fs.Close(); err != nil {
 		t.Fatal(err)
@@ -351,20 +362,34 @@ func TestFileStoreSuperblockFallback(t *testing.T) {
 		}
 		return mangled
 	}
+	check := func(re *FileStore, epoch uint64, live int) {
+		t.Helper()
+		if re.epoch != epoch || re.numPages != int64(live) || re.AppHead() != ids[live-1] {
+			t.Fatalf("epoch %d, %d pages, appHead %d; want epoch %d, %d pages, appHead %d",
+				re.epoch, re.numPages, re.AppHead(), epoch, live, ids[live-1])
+		}
+		got := make([]byte, re.PageSize())
+		for i, id := range ids {
+			err := re.Read(id, got)
+			if i >= live {
+				if !errors.Is(err, ErrBadPage) {
+					t.Fatalf("page %d beyond the rolled-back count: %v, want ErrBadPage", id, err)
+				}
+				continue
+			}
+			if err != nil || got[0] != byte(42+i) {
+				t.Fatalf("page %d read = %v, byte %d", id, err, got[0])
+			}
+		}
+	}
 
-	// Newest slot (0, epoch 2) destroyed: fall back to epoch 1 — the page
-	// is still there, only the appHead update rolls back.
+	// Newest slot (0, epoch 2) destroyed: fall back to epoch 1. Exactly
+	// the second commit rolls back: the second page and its app head.
 	re, err := OpenFileStoreOn(NewMemFileFrom(destroySlot(0)))
 	if err != nil {
 		t.Fatalf("open with newest slot destroyed: %v", err)
 	}
-	got := make([]byte, re.PageSize())
-	if err := re.Read(id, got); err != nil || got[0] != 42 {
-		t.Fatalf("fallback read = %v, byte %d", err, got[0])
-	}
-	if re.AppHead() != InvalidPage {
-		t.Fatalf("fallback appHead = %d, want rollback to InvalidPage", re.AppHead())
-	}
+	check(re, 1, 1)
 	re.Close()
 
 	// Older slot (1, epoch 1) destroyed: the newest state survives intact.
@@ -372,12 +397,7 @@ func TestFileStoreSuperblockFallback(t *testing.T) {
 	if err != nil {
 		t.Fatalf("open with stale slot destroyed: %v", err)
 	}
-	if err := re.Read(id, got); err != nil || got[0] != 42 {
-		t.Fatalf("read = %v, byte %d", err, got[0])
-	}
-	if re.AppHead() != id {
-		t.Fatalf("appHead = %d, want %d", re.AppHead(), id)
-	}
+	check(re, 2, 2)
 	re.Close()
 
 	both := append([]byte(nil), img...)
@@ -444,8 +464,15 @@ func TestFileStoreFreeListStubChecksum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Mangle the freed page's next pointer without fixing its checksum.
+	// The stub is (next, CRC32C(next ‖ id)), both little-endian.
 	off := 128 * (1 + int(ids[1]))
+	var pair [16]byte
+	copy(pair[:8], img[off:off+8])
+	binary.LittleEndian.PutUint64(pair[8:], uint64(ids[1]))
+	if got, want := binary.LittleEndian.Uint32(img[off+8:off+12]), crc32.Checksum(pair[:], crcTable); got != want {
+		t.Fatalf("stub checksum %08x, want CRC32C(next ‖ id) = %08x", got, want)
+	}
+	// Mangle the freed page's next pointer without fixing its checksum.
 	binary.LittleEndian.PutUint64(img[off:off+8], uint64(ids[0]))
 	if _, err := OpenFileStoreOn(NewMemFileFrom(img)); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("open with mangled free stub: %v, want wrapped ErrCorrupt", err)
@@ -487,5 +514,120 @@ func TestFileStoreVerifyClean(t *testing.T) {
 	}
 	if fs.Stats() != before {
 		t.Fatal("Verify changed the I/O counters")
+	}
+}
+
+// An extending Alloc writes nothing, yet the page it returns must read as
+// zeros until its first Write, as the Pager contract requires: before any
+// superblock counts it, after an unrelated superblock write has counted
+// (and zero-filled) it, and after a crash left stale, checksum-valid bytes
+// of an earlier run beyond the durable page count.
+func TestFileStoreUnwrittenReadsZero(t *testing.T) {
+	mem := NewMemFile()
+	fs, err := CreateFileStoreOn(mem, 128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps := fs.PageSize()
+	zero, got, fill := make([]byte, ps), make([]byte, ps), make([]byte, ps)
+	for i := range fill {
+		fill[i] = 0xA5
+	}
+	alloc := func(fs *FileStore) PageID {
+		t.Helper()
+		id, err := fs.Alloc()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return id
+	}
+	mustZero := func(fs *FileStore, id PageID, when string) {
+		t.Helper()
+		if err := fs.Read(id, got); err != nil || !bytes.Equal(got, zero) {
+			t.Fatalf("%s: unwritten page %d read = %v, zero %v", when, id, err, bytes.Equal(got, zero))
+		}
+	}
+
+	a := alloc(fs)
+	before := mem.Bytes()
+	mustZero(fs, a, "before its first write")
+	if !bytes.Equal(mem.Bytes(), before) {
+		t.Fatal("an extending Alloc wrote to the file")
+	}
+	b := alloc(fs)
+	if err := fs.Write(b, fill); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.SetAppHead(b); err != nil { // counts a, so zero-fills it
+		t.Fatal(err)
+	}
+	mustZero(fs, a, "after an unrelated superblock write")
+	if _, err := fs.Verify(); err != nil {
+		t.Fatal(err)
+	}
+
+	// A later run writes two more pages past the durable count and dies
+	// before any superblock counts them: their bytes are in the file,
+	// checksums and all.
+	for i := 0; i < 2; i++ {
+		if err := fs.Write(alloc(fs), fill); err != nil {
+			t.Fatal(err)
+		}
+	}
+	crashed := mem.Bytes()
+	re, err := OpenFileStoreOn(NewMemFileFrom(crashed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if re.numPages != 2 {
+		t.Fatalf("reopened with %d pages, want the durable 2", re.numPages)
+	}
+	c, d := alloc(re), alloc(re)
+	mustZero(re, c, "over stale bytes after a crash-reopen")
+	mustZero(re, d, "over stale bytes after a crash-reopen")
+	if err := re.SetAppHead(b); err != nil {
+		t.Fatal(err)
+	}
+	mustZero(re, c, "over stale bytes after a superblock write")
+	if err := re.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFileStoreWriteAllocs pins the store's write path at zero
+// allocations: an extending Alloc, a free-list pop, page writes, a
+// superblock update and a free all reuse the store's metadata buffer and
+// pooled page buffers.
+func TestFileStoreWriteAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector drops sync.Pool items and allocates")
+	}
+	fs, _ := newFileStore(t, 4096)
+	buf := make([]byte, fs.PageSize())
+	cycle := func() {
+		a, err := fs.Alloc() // pops the page the last cycle freed
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := fs.Alloc() // extends the file
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range []PageID{a, b} {
+			pagePattern(buf, id, 1)
+			if err := fs.Write(id, buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := fs.SetAppHead(a); err != nil {
+			t.Fatal(err)
+		}
+		if err := fs.Free(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cycle()
+	if got := testing.AllocsPerRun(100, cycle); got != 0 {
+		t.Fatalf("FileStore write path: %.1f allocs per cycle, want 0", got)
 	}
 }

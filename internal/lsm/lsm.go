@@ -3,7 +3,6 @@ package lsm
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 
 	"pathcache/internal/disk"
@@ -150,7 +149,7 @@ func New(cfg Config, seed []record.Point) (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	slices.SortFunc(seed, record.CmpXYID)
+	record.SortXYID(seed, nil)
 	for i := 1; i < len(seed); i++ {
 		if seed[i] == seed[i-1] {
 			return nil, fmt.Errorf("lsm: seed holds record %v twice; records must be unique by (X, Y, ID)", seed[i])
@@ -661,7 +660,7 @@ func (t *Tree) flushLocked(p disk.Pager) (int, error) {
 			old.levels = append(old.levels, t.levels[slot])
 			slot++
 		}
-		slices.SortFunc(carry, record.CmpXYID)
+		record.SortXYID(carry, nil)
 		var err error
 		sealed, err = buildLevel(p, t.cfg.Base, slot, carry)
 		if err != nil {
@@ -776,7 +775,7 @@ func (t *Tree) gatherLive(p disk.Pager, levels []*levelState, tombs map[record.P
 		}
 		old.levels = append(old.levels, lv)
 	}
-	slices.SortFunc(live, record.CmpXYID)
+	record.SortXYID(live, nil)
 	return live, old, nil
 }
 

@@ -2,7 +2,6 @@ package lsm
 
 import (
 	"fmt"
-	"slices"
 
 	"pathcache/internal/disk"
 	"pathcache/internal/record"
@@ -161,7 +160,7 @@ func writeTombChain(p disk.Pager, tombs map[record.Point]bool) (disk.PageID, int
 	for pt := range tombs {
 		pts = append(pts, pt)
 	}
-	slices.SortFunc(pts, record.CmpXYID)
+	record.SortXYID(pts, nil)
 	w, err := disk.NewChainWriter(p, record.PointSize)
 	if err != nil {
 		return disk.InvalidPage, 0, err

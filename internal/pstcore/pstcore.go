@@ -234,7 +234,7 @@ func merge2(dst, a, b []record.Point, cmp func(p, q record.Point) int) []record.
 
 // SortAsc sorts points ascending by (X, Y, ID), the order Build expects.
 func SortAsc(pts []record.Point) {
-	slices.SortFunc(pts, record.CmpXYID)
+	record.SortXYID(pts, nil)
 }
 
 // SortedAsc returns pts in ascending (X, Y, ID) order without mutating the

@@ -3,6 +3,7 @@ package pathcache
 import (
 	"errors"
 	"fmt"
+	"io/fs"
 	"math"
 	"os"
 	"path/filepath"
@@ -650,9 +651,7 @@ func (s *Sharded) Split(i int) error {
 	abort := func(err error) error {
 		leftIx.Close()
 		rightIx.Close()
-		os.Remove(leftPath)
-		os.Remove(rightPath)
-		return err
+		return removeAfter(err, leftPath, rightPath)
 	}
 
 	newSplits := make([]int64, 0, len(splits)+1)
@@ -824,8 +823,19 @@ func buildHalves[R any](left, right []R, build func([]R, *Options) (Index, error
 	rightIx, err := build(right, ro)
 	if err != nil {
 		leftIx.Close()
-		os.Remove(lo.Path)
-		return nil, nil, err
+		return nil, nil, removeAfter(err, lo.Path)
 	}
 	return leftIx, rightIx, nil
+}
+
+// removeAfter removes the files a failed operation created and returns err
+// joined with every removal that failed; a file already gone is not a
+// failure.
+func removeAfter(err error, paths ...string) error {
+	for _, p := range paths {
+		if rerr := os.Remove(p); rerr != nil && !errors.Is(rerr, fs.ErrNotExist) {
+			err = errors.Join(err, rerr)
+		}
+	}
+	return err
 }

@@ -1,7 +1,6 @@
 package pathcache
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -9,6 +8,7 @@ import (
 	"sync"
 	"unsafe"
 
+	"pathcache/internal/record"
 	"pathcache/internal/shard"
 )
 
@@ -37,75 +37,8 @@ type ShardBatchStats struct {
 	Stats   BatchStats
 }
 
-// canonicalPoints sorts pts into (X, Y, ID) order — the merge order every
-// sharded answer returns — using scratch, which must be as long as pts.
-//
-// It is an LSD radix sort on X, ping-ponging between pts and scratch, then
-// a comparison sort on (Y, ID) inside each run of equal X. Flipping the
-// sign bit makes the unsigned byte order the signed order. One histogram
-// pass counts all eight byte positions at once; a position where every key
-// has the same byte would be an identity pass and is skipped, so 30-bit
-// keys cost four scatter passes, not eight. Every pass is a stable linear
-// sweep over contiguous memory, so the result does not depend on the order
-// the shards' answers were concatenated in.
-func canonicalPoints(pts, scratch []Point) {
-	n := len(pts)
-	if n < 2 {
-		return
-	}
-	const sign = 1 << 63
-	var counts [8][256]uint32
-	for _, p := range pts {
-		k := uint64(p.X) ^ sign
-		counts[0][byte(k)]++
-		counts[1][byte(k>>8)]++
-		counts[2][byte(k>>16)]++
-		counts[3][byte(k>>24)]++
-		counts[4][byte(k>>32)]++
-		counts[5][byte(k>>40)]++
-		counts[6][byte(k>>48)]++
-		counts[7][byte(k>>56)]++
-	}
-	k0 := uint64(pts[0].X) ^ sign
-	src, dst := pts, scratch[:n]
-	for b := range counts {
-		c, shift := &counts[b], 8*uint(b)
-		if int(c[byte(k0>>shift)]) == n {
-			continue
-		}
-		var off uint32
-		for v := range c {
-			c[v], off = off, off+c[v]
-		}
-		for _, p := range src {
-			v := byte((uint64(p.X) ^ sign) >> shift)
-			dst[c[v]] = p
-			c[v]++
-		}
-		src, dst = dst, src
-	}
-	if &src[0] != &pts[0] {
-		copy(pts, src)
-	}
-	for i := 0; i < n; {
-		j := i + 1
-		for j < n && pts[j].X == pts[i].X {
-			j++
-		}
-		if j-i > 1 {
-			slices.SortFunc(pts[i:j], func(a, b Point) int {
-				if c := cmp.Compare(a.Y, b.Y); c != 0 {
-					return c
-				}
-				return cmp.Compare(a.ID, b.ID)
-			})
-		}
-		i = j
-	}
-}
-
 // gatherBuf is a sharded read's pooled gather buffer: every consulted
-// shard appends its answer to pts, canonicalPoints sorts them in place
+// shard appends its answer to pts, record.SortXYID sorts them in place
 // with scratch, and the caller gets one exact copy. Intervals gather
 // point-shaped (asIntervals), so one buffer and one sort serve every shape.
 type gatherBuf struct{ pts, scratch []Point }
@@ -133,7 +66,7 @@ func (g *gatherBuf) sorted() []Point {
 	if cap(g.scratch) < len(g.pts) {
 		g.scratch = make([]Point, cap(g.pts))
 	}
-	canonicalPoints(g.pts, g.scratch[:len(g.pts)])
+	record.SortXYID(asRecords(g.pts), asRecords(g.scratch[:len(g.pts)]))
 	return g.pts
 }
 
@@ -148,6 +81,12 @@ func asIntervals(pts []Point) []Interval {
 
 func asPoints(ivs []Interval) []Point {
 	return unsafe.Slice((*Point)(unsafe.Pointer(unsafe.SliceData(ivs))), cap(ivs))[:len(ivs)]
+}
+
+// asRecords views points as the record.Point type they mirror field for
+// field, so the gather sorts on the builders' (X, Y, ID) kernel.
+func asRecords(pts []Point) []record.Point {
+	return unsafe.Slice((*record.Point)(unsafe.Pointer(unsafe.SliceData(pts))), cap(pts))[:len(pts)]
 }
 
 // owned copies a sorted gather out into a slice the caller owns. No

@@ -839,6 +839,60 @@ func TestShardedSplitUnsupportedKinds(t *testing.T) {
 	}
 }
 
+// A split whose shard-map save fails must leave the directory as it found
+// it: both half files it built are removed, and the store keeps answering
+// from its old shards.
+func TestShardedSplitSaveFailure(t *testing.T) {
+	pts := shardedPoints(400, 131)
+	dir := t.TempDir()
+	s, err := BuildShardedPoints(dir, "twosided", pts, ShardPlan{Shards: 2}, shardedBuildOpts())
+	if err != nil {
+		t.Fatalf("build: %v", err)
+	}
+	defer s.Close()
+	names := func() []string {
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for _, e := range ents {
+			out = append(out, e.Name())
+		}
+		return out
+	}
+	before := names()
+	if err := s.be.Close(); err != nil { // every later shard-map save fails
+		t.Fatal(err)
+	}
+	if err := s.Split(0); err == nil {
+		t.Fatal("Split succeeded with its shard map closed")
+	}
+	if after := names(); !slices.Equal(after, before) {
+		t.Fatalf("failed split left files %v, want %v", after, before)
+	}
+	got, _, err := s.Query(1000, 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameSet(got, brute(ShapeTwoSided, pts, [4]int64{1000, 1000})) {
+		t.Fatal("query after the failed split differs from the oracle")
+	}
+
+	// The cleanup reports a removal that fails, but not a file already gone.
+	base := errors.New("save failed")
+	if err := removeAfter(base, filepath.Join(dir, "shard-9999.pc")); err != base {
+		t.Fatalf("removing a missing file: %v, want the bare cause", err)
+	}
+	busy := filepath.Join(t.TempDir(), "busy")
+	if err := os.MkdirAll(filepath.Join(busy, "x"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := removeAfter(base, busy); err == base || !errors.Is(err, base) {
+		t.Fatalf("a failed removal: %v, want the cause joined with it", err)
+	}
+}
+
 func TestShardedSplitLSM(t *testing.T) {
 	pts := shardedPoints(260, 121)
 	dir := t.TempDir()
